@@ -261,6 +261,113 @@ pub fn subset_sweep_wins(
     });
 }
 
+/// Orders per tile of [`sampled_sweep_wins`]: one tile of 22 benchmark
+/// columns is 44 KiB, about one L1 data cache.
+const SAMPLE_TILE: usize = 256;
+
+/// Orders summed together in registers by [`sampled_sweep_wins`]: 16
+/// lanes are eight SSE2 accumulators, enough independent add chains to
+/// hide the add latency without spilling.
+const SAMPLE_LANES: usize = 16;
+
+/// Register blocks per tile column.
+const SAMPLE_BLOCKS: usize = SAMPLE_TILE / SAMPLE_LANES;
+
+/// One benchmark's column of a tile: the rates of 256 consecutive
+/// orders, in register blocks.
+type TileColumn = [[f64; SAMPLE_LANES]; SAMPLE_BLOCKS];
+
+/// The sampled subset sweep over a chunk of pre-drawn samples: for each
+/// sample, find the order with the minimal rate sum over the sample's
+/// benchmarks (first strict minimum wins ties) and bump its `wins`
+/// tally.
+///
+/// `rates` is order-major (`rates[o][b]`, as
+/// [`OrderingStudy::rates`]); `subsets` holds `k` benchmark indices
+/// per sample, in drawn order. Orders are visited in tiles of 256: each
+/// tile is copied into one benchmark-major buffer, so a sample's sums
+/// over 16 consecutive orders are `k` contiguous 16-lane adds kept in
+/// registers. Every sum is the left-to-right fold `((0.0 + r₀) + r₁) +
+/// …` in drawn order, which for rates ≥ +0.0 is bit-identical to
+/// `iter().sum()`; lanes and tiles are compared in ascending order index
+/// with a strict `<`, so the winner is the naive scan's.
+///
+/// # Panics
+///
+/// Panics unless `wins` has one slot per order, there are between 1 and
+/// 65536 orders, `subsets` is whole samples of `k ≥ 1`, and every index
+/// is below the rows' length.
+pub fn sampled_sweep_wins(rates: &[Vec<f64>], k: usize, subsets: &[u8], wins: &mut [u64]) {
+    let c = rates.len();
+    assert_eq!(wins.len(), c, "one tally slot per order");
+    assert!((1..=1 << 16).contains(&c), "{c} orders do not fit u16");
+    assert!(
+        k >= 1 && subsets.len().is_multiple_of(k),
+        "samples of {k} indices"
+    );
+    let n = rates[0].len();
+    let samples = subsets.len() / k;
+    let mut best_rate = vec![f64::INFINITY; samples];
+    let mut best = vec![0u16; samples];
+    // tile[b][j / LANES][j % LANES]: the rate of order `t0 + j` on
+    // benchmark b. Lanes past the last order hold +inf, which never wins.
+    let mut tile: Vec<TileColumn> = vec![[[f64::INFINITY; SAMPLE_LANES]; SAMPLE_BLOCKS]; n];
+    for t0 in (0..c).step_by(SAMPLE_TILE) {
+        for j in 0..SAMPLE_TILE {
+            let (blk, lane) = (j / SAMPLE_LANES, j % SAMPLE_LANES);
+            match rates.get(t0 + j) {
+                Some(row) => {
+                    for (col, &r) in tile.iter_mut().zip(&row[..n]) {
+                        col[blk][lane] = r;
+                    }
+                }
+                None => tile
+                    .iter_mut()
+                    .for_each(|col| col[blk][lane] = f64::INFINITY),
+            }
+        }
+        let mut cols: Vec<&TileColumn> = Vec::with_capacity(k);
+        for (s, subset) in subsets.chunks_exact(k).enumerate() {
+            cols.clear();
+            cols.extend(subset.iter().map(|&b| &tile[usize::from(b)]));
+            let (first, rest) = cols.split_first().expect("k >= 1");
+            let (mut rate, mut order) = (best_rate[s], best[s]);
+            for blk in 0..SAMPLE_BLOCKS {
+                let mut acc = first[blk].map(|r| 0.0 + r);
+                for col in rest {
+                    for (a, &r) in acc.iter_mut().zip(&col[blk]) {
+                        *a += r;
+                    }
+                }
+                // Almost no block beats the best so far: test all lanes
+                // branch-free first, and scan in lane order only on a hit.
+                if acc.iter().fold(false, |hit, &sum| hit | (sum < rate)) {
+                    for (lane, &sum) in acc.iter().enumerate() {
+                        if sum < rate {
+                            rate = sum;
+                            order = (t0 + blk * SAMPLE_LANES + lane) as u16;
+                        }
+                    }
+                }
+            }
+            best_rate[s] = rate;
+            best[s] = order;
+        }
+    }
+    for o in best {
+        wins[usize::from(o)] += 1;
+    }
+}
+
+/// Merges two per-order win tallies (the `par_fold_chunks` merge of
+/// both subset sweeps).
+fn add_tallies(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+    a
+}
+
 /// `size_hint` for a remaining count that may exceed `usize`: an exact
 /// `(r, Some(r))` when it fits, an explicit `(usize::MAX, None)` (lower
 /// bound saturated, upper bound unknown) when it does not — on 32-bit
@@ -720,28 +827,10 @@ impl OrderingStudy {
                 subset_sweep_wins(&cols, n, k, range.start, len, &mut wins);
                 wins
             },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
+            add_tallies,
         )
         .unwrap_or_else(|| vec![0u64; candidates.len()]);
-
-        let mut out: Vec<CommonOrder> = candidates
-            .iter()
-            .zip(&wins)
-            .filter(|(_, &w)| w > 0)
-            .map(|(&o, &w)| CommonOrder {
-                order: self.orders[o].iter().map(|k| k.label().into()).collect(),
-                trials: w,
-                trial_fraction: w as f64 / trials as f64,
-                mean_miss_rate: self.average_rate(o),
-            })
-            .collect();
-        out.sort_by_key(|w| std::cmp::Reverse(w.trials));
-        out
+        self.common_orders(candidates.iter().copied().zip(wins), trials)
     }
 
     /// Monte-Carlo variant of [`OrderingStudy::subset_experiment`]:
@@ -749,6 +838,17 @@ impl OrderingStudy {
     /// instead of enumerating all of them, and — unlike the exact
     /// version — scans **all** 5040 orders rather than the Pareto front,
     /// serving as the ablation baseline for the pruning optimisation.
+    ///
+    /// Every subset is drawn serially from the one seeded stream, one
+    /// byte per benchmark index; the samples are then split into
+    /// contiguous chunks across the pool, each swept by
+    /// [`sampled_sweep_wins`], and the per-chunk tallies merged in
+    /// order. Every sample's winner is scheduling-independent, so the
+    /// result is identical at any `--jobs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ k ≤ n ≤ 256` for `n` benchmarks.
     pub fn subset_experiment_sampled(
         &self,
         k: usize,
@@ -759,33 +859,46 @@ impl OrderingStudy {
         use rand::SeedableRng;
         let n = self.benches.len();
         assert!(k >= 1 && k <= n, "bad subset size {k} of {n}");
+        assert!(n <= 256, "{n} benchmarks do not fit u8 indices");
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        // Dense tally indexed by order, so equal-trial winners list in
-        // ascending order index (the stable sort below preserves it).
-        let mut wins = vec![0u64; self.orders.len()];
-        let mut indices: Vec<usize> = (0..n).collect();
+        let mut indices: Vec<u8> = (0..n).map(|b| b as u8).collect();
+        let len = usize::try_from(n_samples)
+            .ok()
+            .and_then(|s| s.checked_mul(k))
+            .expect("the samples fit in memory");
+        let mut subsets = Vec::with_capacity(len);
         for _ in 0..n_samples {
             indices.shuffle(&mut rng);
-            let subset = &indices[..k];
-            let mut best = 0usize;
-            let mut best_rate = f64::INFINITY;
-            for (o, rates) in self.rates.iter().enumerate() {
-                let sum: f64 = subset.iter().map(|&b| rates[b]).sum();
-                if sum < best_rate {
-                    best_rate = sum;
-                    best = o;
-                }
-            }
-            wins[best] += 1;
+            subsets.extend_from_slice(&indices[..k]);
         }
+        let wins = bpfree_par::par_fold_chunks(
+            n_samples,
+            || vec![0u64; self.orders.len()],
+            |range, mut wins| {
+                let chunk = &subsets[range.start as usize * k..range.end as usize * k];
+                sampled_sweep_wins(&self.rates, k, chunk, &mut wins);
+                wins
+            },
+            add_tallies,
+        )
+        .unwrap_or_else(|| vec![0u64; self.orders.len()]);
+        self.common_orders(wins.into_iter().enumerate(), n_samples)
+    }
+
+    /// Table 4 rows from `(order index, wins)` tallies in ascending order
+    /// index: every order that won, most trials first. The sort is
+    /// stable, so equal-trial winners list in ascending order index.
+    fn common_orders(
+        &self,
+        wins: impl Iterator<Item = (usize, u64)>,
+        trials: u64,
+    ) -> Vec<CommonOrder> {
         let mut out: Vec<CommonOrder> = wins
-            .into_iter()
-            .enumerate()
             .filter(|&(_, w)| w > 0)
             .map(|(o, w)| CommonOrder {
                 order: self.orders[o].iter().map(|k| k.label().into()).collect(),
                 trials: w,
-                trial_fraction: w as f64 / n_samples as f64,
+                trial_fraction: w as f64 / trials as f64,
                 mean_miss_rate: self.average_rate(o),
             })
             .collect();

@@ -1,18 +1,28 @@
 //! Property tests pinning the ordering-study fast kernels to the naive
 //! seed-path loops they replaced.
 //!
-//! Two claims must hold *bit-exactly* (not just approximately) for the
+//! Three claims must hold *bit-exactly* (not just approximately) for the
 //! experiment stdout to stay byte-identical:
 //!
 //! * the prefix-reuse subset sweep ([`subset_sweep_wins`]) produces the
 //!   same per-subset f64 sums — same bits, same argmin, same tallies —
 //!   as the naive per-candidate gather loop, on any rate matrix and at
 //!   any contiguous range split;
+//! * the tiled sampled sweep ([`sampled_sweep_wins`]) picks the same
+//!   winner for every sample as the naive per-sample scan over all
+//!   orders, and so the same tallies at any chunk split;
 //! * per-order [`FirstHit`] tables resolve every applies mask to the
 //!   same heuristic the 7-way first-hit scan finds, across all 5040
 //!   orders.
+//!
+//! The real rate matrix is full of ties (many orders resolve every
+//! branch group identically), so the matrices here draw rates from a few
+//! quantized values and duplicate rows: the first-strict-minimum tie
+//! rule is what the kernels must get right.
 
-use bpfree_core::ordering::{all_orders, subset_sweep_wins, FirstHit, KSubsets};
+use bpfree_core::ordering::{
+    all_orders, sampled_sweep_wins, subset_sweep_wins, FirstHit, KSubsets,
+};
 use bpfree_core::HeuristicKind;
 use proptest::prelude::*;
 
@@ -85,16 +95,64 @@ fn fast_sweep_with_sums(
     sums
 }
 
-/// A random rate matrix: `c` candidates × `n` benchmarks of rates in
-/// [0, 1], plus a subset size `1..=n` and a worker-split count.
-fn matrix_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
-    (1usize..=10, 1usize..=16).prop_flat_map(|(n, c)| {
-        (
-            proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, n), c),
-            1..=n,
-            1usize..=5,
-        )
+/// The few values a tie-heavy matrix draws its rates from. Besides
+/// exact ties they include sums that round differently by association
+/// (`(0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)`), so a kernel that adds in
+/// another order picks another winner.
+const RATE_VALUES: [f64; 8] = [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0];
+
+/// A tie-heavy `c × n` rate matrix: every rate is one of
+/// [`RATE_VALUES`], and about one row in eight repeats an earlier row.
+fn tie_heavy_matrix(c: usize, n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let rate = (0..RATE_VALUES.len()).prop_map(|i| RATE_VALUES[i]);
+    let row = proptest::collection::vec(rate, n);
+    proptest::collection::vec((0..4 * c, row), c).prop_map(|drawn| {
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(drawn.len());
+        for (copy, row) in drawn {
+            let row = rows.get(copy).cloned().unwrap_or(row);
+            rows.push(row);
+        }
+        rows
     })
+}
+
+/// A tie-heavy rate matrix: `c` candidates × `n` benchmarks, plus a
+/// subset size `1..=n` and a worker-split count.
+fn matrix_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
+    (1usize..=10, 1usize..=16).prop_flat_map(|(n, c)| (tie_heavy_matrix(c, n), 1..=n, 1usize..=5))
+}
+
+/// A sampled-sweep case: a tie-heavy matrix of `c` orders (1..=40, or
+/// the study's 5040) × `n ≤ 22` benchmarks, a sample size `k ≤ n`, up to
+/// 24 samples of `k` indices below `n`, and a chunk count.
+fn sampled_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, Vec<u8>, usize)> {
+    (prop_oneof![3 => 1usize..=40, 1 => Just(5040)], 1usize..=22)
+        .prop_flat_map(|(c, n)| (tie_heavy_matrix(c, n), 1..=n, 1usize..=24))
+        .prop_flat_map(|(rates, k, samples)| {
+            let n = rates[0].len() as u8;
+            (
+                Just(rates),
+                Just(k),
+                proptest::collection::vec(0..n, samples * k),
+                1usize..=6,
+            )
+        })
+}
+
+/// The per-sample scan the sampled study ran before it was tiled: the
+/// first order whose `iter().sum()` over the sample's rates is a strict
+/// minimum.
+fn naive_sampled_winner(rates: &[Vec<f64>], subset: &[u8]) -> usize {
+    let mut best = 0usize;
+    let mut best_rate = f64::INFINITY;
+    for (o, row) in rates.iter().enumerate() {
+        let sum: f64 = subset.iter().map(|&b| row[usize::from(b)]).sum();
+        if sum < best_rate {
+            best_rate = sum;
+            best = o;
+        }
+    }
+    best
 }
 
 proptest! {
@@ -137,6 +195,43 @@ proptest! {
             subset_sweep_wins(&cols, n, k, r.start, r.end - r.start, &mut split_wins);
         }
         prop_assert_eq!(&split_wins, &naive_wins);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tiled sampled sweep picks the naive scan's winner for every
+    /// sample — across tile and lane boundaries, on tie-heavy matrices
+    /// of any order count — and its tallies do not depend on how the
+    /// samples are split into chunks.
+    #[test]
+    fn sampled_kernel_matches_naive_scan(
+        (rates, k, subsets, parts) in sampled_strategy()
+    ) {
+        let c = rates.len();
+        let mut naive_wins = vec![0u64; c];
+        for subset in subsets.chunks_exact(k) {
+            let want = naive_sampled_winner(&rates, subset);
+            let mut one = vec![0u64; c];
+            sampled_sweep_wins(&rates, k, subset, &mut one);
+            let mut expect = vec![0u64; c];
+            expect[want] = 1;
+            prop_assert_eq!(one, expect, "sample {:?}", subset);
+            naive_wins[want] += 1;
+        }
+
+        let mut whole = vec![0u64; c];
+        sampled_sweep_wins(&rates, k, &subsets, &mut whole);
+        prop_assert_eq!(&whole, &naive_wins);
+
+        let samples = (subsets.len() / k) as u64;
+        let mut split = vec![0u64; c];
+        for r in bpfree_par::split_ranges(samples, parts) {
+            let chunk = &subsets[r.start as usize * k..r.end as usize * k];
+            sampled_sweep_wins(&rates, k, chunk, &mut split);
+        }
+        prop_assert_eq!(&split, &naive_wins);
     }
 }
 

@@ -5,6 +5,7 @@
 //! comparison.
 
 use bpfree::core::ipbc::IpbcAnalyzer;
+use bpfree::core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree::core::{
     evaluate, loop_rand_predictions, perfect_predictions, random_predictions, BranchClass,
     BranchClassifier, CombinedPredictor, HeuristicKind, HeuristicTable, DEFAULT_SEED,
@@ -250,19 +251,24 @@ fn predictions_are_dataset_independent() {
     }
 }
 
-/// Section 5: the paper's published order is competitive — within a few
-/// points of the best of all 5040 orders on a subset of benchmarks.
-#[test]
-fn paper_order_is_competitive() {
-    use bpfree::core::ordering::{BenchOrderData, OrderingStudy};
-    let benches: Vec<BenchOrderData> = ["xlisp", "compress", "espresso"]
+/// The ordering data of a small, tie-rich Section 5 study: three
+/// benchmarks make many of the 5040 orders score identically.
+fn small_study_benches() -> Vec<BenchOrderData> {
+    ["xlisp", "compress", "espresso"]
         .iter()
         .map(|name| {
             let l = load(name);
             let table = HeuristicTable::build(&l.program, &l.classifier);
             BenchOrderData::build(*name, &table, &l.profile, &l.classifier, DEFAULT_SEED)
         })
-        .collect();
+        .collect()
+}
+
+/// Section 5: the paper's published order is competitive — within a few
+/// points of the best of all 5040 orders on a subset of benchmarks.
+#[test]
+fn paper_order_is_competitive() {
+    let benches = small_study_benches();
     let paper: Vec<f64> = benches
         .iter()
         .map(|b| b.miss_rate(&HeuristicKind::paper_order()))
@@ -274,6 +280,83 @@ fn paper_order_is_competitive() {
         paper_avg <= best + 0.12,
         "paper order {paper_avg:.3} vs best {best:.3}"
     );
+}
+
+/// The seeded serial loop `OrderingStudy::subset_experiment_sampled`
+/// ran before its sweep was tiled: per sample, shuffle the benchmark
+/// indices and take the first `k`, then scan all 5040 orders for the
+/// first strict minimum of `iter().sum()`. Returns (order index, trials)
+/// sorted by trials descending, stable over ascending index.
+fn serial_sampled_winners(
+    rates: &[Vec<f64>],
+    k: usize,
+    n_samples: u64,
+    seed: u64,
+) -> Vec<(usize, u64)> {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut indices: Vec<usize> = (0..rates[0].len()).collect();
+    let mut wins = vec![0u64; rates.len()];
+    for _ in 0..n_samples {
+        indices.shuffle(&mut rng);
+        let mut best = 0usize;
+        let mut best_rate = f64::INFINITY;
+        for (o, row) in rates.iter().enumerate() {
+            let sum: f64 = indices[..k].iter().map(|&b| row[b]).sum();
+            if sum < best_rate {
+                best_rate = sum;
+                best = o;
+            }
+        }
+        wins[best] += 1;
+    }
+    let mut out: Vec<(usize, u64)> = wins
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, w)| w > 0)
+        .collect();
+    out.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    out
+}
+
+/// Table 4's sampling check: the tiled, pool-parallel sampled sweep
+/// returns row for row what the serial seeded loop returns on a real
+/// 5040-row matrix, and equal-trial winners list in ascending order
+/// index (two one-benchmark samples win one trial each).
+#[test]
+fn sampled_subset_study_matches_the_serial_loop() {
+    let study = OrderingStudy::new(small_study_benches());
+    let index_of = |order: &[String]| {
+        study
+            .orders()
+            .iter()
+            .position(|o| {
+                o.iter()
+                    .map(|h| h.label())
+                    .eq(order.iter().map(String::as_str))
+            })
+            .expect("a winner is one of the 5040 orders")
+    };
+    let mut tied_pairs = 0;
+    for (k, n_samples, seed) in [(2, 500, 7), (1, 2, 7)] {
+        let want = serial_sampled_winners(study.rates(), k, n_samples, seed);
+        let got = study.subset_experiment_sampled(k, n_samples, seed);
+        assert_eq!(got.len(), want.len(), "k={k} samples={n_samples}");
+        for (row, &(o, w)) in got.iter().zip(&want) {
+            assert_eq!(index_of(&row.order), o, "k={k} samples={n_samples}");
+            assert_eq!(row.trials, w);
+            assert_eq!(
+                row.trial_fraction.to_bits(),
+                (w as f64 / n_samples as f64).to_bits()
+            );
+        }
+        for pair in got.windows(2).filter(|p| p[0].trials == p[1].trials) {
+            assert!(index_of(&pair[0].order) < index_of(&pair[1].order));
+            tied_pairs += 1;
+        }
+    }
+    assert!(tied_pairs > 0, "no equal-trial rows were checked");
 }
 
 /// All branches of every classified program are scored: evaluate() sees
