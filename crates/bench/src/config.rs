@@ -1,8 +1,7 @@
 //! Shared CLI configuration for the experiment pipeline.
 //!
-//! Every experiment entry point — the legacy binaries *and* the root
-//! `bpfree` CLI's `bench`/`predict`/`exp` subcommands — accepts the
-//! same flags:
+//! The root `bpfree` CLI's engine-backed subcommands (`run`, `predict`,
+//! `bench`, `exp`, `image`, `cache`) accept the same flags:
 //!
 //! - `--jobs N` (or `BPFREE_JOBS=N`): worker threads for the parallel
 //!   loops. Results are bit-identical at any value; `--jobs 1` forces
@@ -18,13 +17,11 @@
 //! - `--timings[=PATH]` (or `BPFREE_TIMINGS=1|PATH`): record
 //!   per-task scheduler timings (query kind, key, wall-clock, worker)
 //!   and emit them as JSON to stderr (bare flag) or `PATH`.
-//! - `--help`: usage (legacy binaries only; the root CLI has its own).
 //!
-//! The legacy binaries parse their whole argument list with [`init`];
-//! the root CLI pulls the standard flags out of a mixed argument list
-//! with [`extract`] and applies them with [`apply`]. Both paths are
-//! re-entrant: the first [`apply`] wins and later calls (any experiment
-//! run in the same process, nested helpers, tests) observe the already
+//! The CLI pulls the standard flags out of a mixed argument list with
+//! [`extract`] and applies them with [`apply`]. [`apply`] is
+//! re-entrant: the first call wins and later calls (any experiment run
+//! in the same process, nested helpers, tests) observe the already
 //! installed configuration instead of racing to replace it.
 
 use std::path::PathBuf;
@@ -98,21 +95,6 @@ pub fn config() -> &'static Config {
     CONFIG.get_or_init(Config::default)
 }
 
-/// Parses the standard experiment flags from `std::env::args`, applies
-/// the job count via [`bpfree_par::set_jobs`], and stores the result
-/// process-globally. Call once at the top of each legacy binary's
-/// `main`.
-///
-/// Exits the process on `--help` or an unrecognized argument.
-pub fn init(bin: &str) -> &'static Config {
-    let cfg = parse(bin, std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("{bin}: {err}");
-        eprintln!("{}", usage(bin));
-        std::process::exit(2);
-    });
-    apply(cfg)
-}
-
 /// Stores `cfg` globally, applies its job count, and installs the
 /// process-wide artifact engine with matching cache settings.
 ///
@@ -146,32 +128,11 @@ pub fn engine() -> &'static bpfree_engine::Engine {
     })
 }
 
-fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--jobs N] [--no-cache] [--cache-dir DIR] [--interp TIER]\n\
-         \x20           [--timings[=PATH]]\n\
-         \n\
-         --jobs N         worker threads (default: all cores; output is\n\
-         \x20                identical at any value)\n\
-         --no-cache       recompute suite artifacts instead of using the\n\
-         \x20                on-disk cache\n\
-         --cache-dir DIR  cache location (default: target/bpfree-cache)\n\
-         --interp TIER    interpreter tier: bytecode (default) or tree\n\
-         \x20                (identical output; tree is the slow reference)\n\
-         --timings[=PATH] per-task scheduler timings as JSON, to stderr\n\
-         \x20                or PATH\n\
-         \n\
-         environment: BPFREE_JOBS, BPFREE_NO_CACHE, BPFREE_CACHE_DIR,\n\
-         BPFREE_INTERP, BPFREE_TIMINGS"
-    )
-}
-
 /// Pulls the standard experiment flags out of a mixed argument list,
 /// returning the parsed [`Config`] and the remaining arguments in their
-/// original order. This is how the root `bpfree` CLI shares the flags
-/// with the legacy binaries: `--jobs/--no-cache/--cache-dir` may appear
-/// anywhere on its command line, before or after the subcommand, and
-/// whatever is left over belongs to the subcommand.
+/// original order: the standard flags may appear anywhere on the
+/// `bpfree` command line, before or after the subcommand, and whatever
+/// is left over belongs to the subcommand.
 pub fn extract(args: impl IntoIterator<Item = String>) -> Result<(Config, Vec<String>), String> {
     let mut cfg = Config::default();
     let mut rest = Vec::new();
@@ -220,18 +181,6 @@ pub fn extract(args: impl IntoIterator<Item = String>) -> Result<(Config, Vec<St
     Ok((cfg, rest))
 }
 
-fn parse(bin: &str, args: impl Iterator<Item = String>) -> Result<Config, String> {
-    let (cfg, rest) = extract(args)?;
-    match rest.first().map(String::as_str) {
-        None => Ok(cfg),
-        Some("--help" | "-h") => {
-            println!("{}", usage(bin));
-            std::process::exit(0);
-        }
-        Some(other) => Err(format!("unrecognized argument `{other}`")),
-    }
-}
-
 fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
@@ -244,7 +193,9 @@ mod tests {
     use super::*;
 
     fn p(args: &[&str]) -> Result<Config, String> {
-        parse("test", args.iter().map(|s| s.to_string()))
+        let (cfg, rest) = extract(args.iter().map(|s| s.to_string()))?;
+        assert!(rest.is_empty(), "left over: {rest:?}");
+        Ok(cfg)
     }
 
     #[test]
@@ -264,7 +215,6 @@ mod tests {
         assert!(p(&["--jobs", "0"]).is_err());
         assert!(p(&["--jobs", "zap"]).is_err());
         assert!(p(&["--jobs"]).is_err());
-        assert!(p(&["--frobnicate"]).is_err());
         assert!(p(&["--interp"]).is_err());
         assert!(p(&["--interp", "jit"]).is_err());
     }

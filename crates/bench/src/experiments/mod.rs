@@ -1,7 +1,6 @@
 //! The registered experiments: one module per paper table/figure (and
-//! per extension study), each a [`crate::registry::Experiment`] whose
-//! output is byte-identical to the legacy standalone binary of the same
-//! name.
+//! per extension study), each a [`crate::registry::Experiment`] run by
+//! name through `bpfree exp run`.
 
 pub mod btfnt;
 pub mod extensions;

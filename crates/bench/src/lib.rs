@@ -1,31 +1,29 @@
 //! Shared harness for the paper-reproduction experiments.
 //!
-//! Since PR 3 every experiment lives in the [`registry`]: a named
+//! Every experiment lives in the [`registry`]: a named
 //! [`registry::Experiment`] value that queries artifacts from a shared
 //! [`bpfree_engine::Engine`] and writes its report through a
-//! [`sink::Sink`]. `bpfree exp all` runs the whole reproduction in one
-//! process, so each `(benchmark, Options, dataset)` triple is
-//! compiled/simulated/traced at most once for all tables and graphs
-//! combined; the binaries in `src/bin/` are one-line shims over
-//! [`registry::legacy_main`] with byte-identical stdout.
+//! [`sink::Sink`]. `bpfree exp run NAME...` and `bpfree exp all` are the
+//! one entry point: they run any subset in one process, so each
+//! `(benchmark, Options, dataset)` triple is compiled/simulated/traced
+//! at most once for all tables and graphs combined.
 //!
-//! The heavy lifting stays in [`bpfree_engine`] (PR 2): experiments
-//! query typed artifacts (compiled programs, heuristic tables, edge
-//! profiles, branch traces) that the engine computes at most once per
-//! process and persists through the on-disk cache. This crate bundles
-//! the per-benchmark artifacts the experiments iterate over
-//! ([`BenchData`]) plus small formatting helpers so they print rows
-//! shaped like the paper's.
+//! The heavy lifting stays in [`bpfree_engine`]: experiments query
+//! typed artifacts (compiled programs, heuristic tables, edge profiles,
+//! branch traces) that the engine computes at most once per process and
+//! persists through the on-disk cache. This crate bundles the
+//! per-benchmark artifacts the experiments iterate over ([`BenchData`])
+//! plus small formatting helpers so they print rows shaped like the
+//! paper's.
 //!
 //! Loading is parallel (one benchmark per worker, see [`bpfree_par`]);
 //! a warm run skips compilation and simulation entirely. Both are
-//! controlled by the standard flags parsed by [`config::init`].
+//! controlled by the standard flags pulled out of the command line by
+//! [`config::extract`].
 
-pub mod baseline;
 pub mod config;
 pub mod experiments;
 pub mod json;
-pub mod perf;
 pub mod registry;
 pub mod sink;
 
@@ -41,8 +39,6 @@ use bpfree_ir::Program;
 use bpfree_lang::Options;
 use bpfree_sim::{BranchTrace, EdgeProfile, RunResult};
 use bpfree_suite::{Benchmark, Dataset};
-
-pub use config::init;
 
 /// Everything the experiments need about one benchmark, precomputed on
 /// the reference dataset (index 0). The `Arc` fields deref-coerce, so
@@ -118,11 +114,6 @@ pub fn load_suite_on(engine: &Engine) -> Vec<BenchData> {
         .into_iter()
         .map(|b| BenchData::load(engine, b))
         .collect()
-}
-
-/// [`load_suite_on`] against the process-wide engine (see [`config`]).
-pub fn load_suite() -> Vec<BenchData> {
-    load_suite_on(config::engine())
 }
 
 /// The ordering-study roster: the whole suite minus matrix300 (the

@@ -1,15 +1,12 @@
 //! The experiment registry: every paper table and figure as a named,
 //! runnable value.
 //!
-//! Until PR 3 each experiment was a standalone binary that cold-started
-//! the artifact engine, so the engine's memoization never amortized
-//! across experiments. The registry turns each binary's `main` into an
-//! [`Experiment`] implementation that writes through a
-//! [`Sink`](crate::sink::Sink); [`run_experiments`] then executes any
-//! subset in ONE process against a shared [`Engine`], so every
+//! Each experiment is an [`Experiment`] implementation that writes
+//! through a [`Sink`](crate::sink::Sink); [`run_experiments`] executes
+//! any subset in ONE process against a shared [`Engine`], so every
 //! `(benchmark, Options, dataset)` triple is compiled/simulated/traced
-//! at most once for all tables and graphs combined. The 19 binaries
-//! remain as shims over [`legacy_main`], byte-identical on stdout.
+//! at most once for all tables and graphs combined. `bpfree exp run`
+//! and `bpfree exp all` are its command-line front end.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -21,7 +18,7 @@ use bpfree_lang::Options;
 use bpfree_par::timings::timed;
 
 use crate::experiments;
-use crate::sink::{Sink, StdoutSink, VecSink};
+use crate::sink::{Sink, VecSink};
 
 /// One registered experiment — a table or figure of the paper (or one
 /// of our extension studies), reproducible on demand.
@@ -29,10 +26,11 @@ use crate::sink::{Sink, StdoutSink, VecSink};
 /// Implementations hold no state; everything they need comes from the
 /// [`Engine`] they are handed, and everything they produce goes through
 /// the [`Sink`]. The bytes written to [`Sink::out`] are the experiment's
-/// contract: they must match the legacy standalone binary's stdout
-/// exactly. Progress and diagnostics go to stderr, never the sink.
+/// contract: they must not depend on `--jobs`, the cache, a mounted
+/// image or the interpreter tier. Progress and diagnostics go to
+/// stderr, never the sink.
 pub trait Experiment: Sync {
-    /// The registry name (also the legacy binary's name).
+    /// The registry name (what `bpfree exp run` takes).
     fn name(&self) -> &'static str;
 
     /// One-line summary for `bpfree exp list`.
@@ -42,7 +40,7 @@ pub trait Experiment: Sync {
     fn paper_ref(&self) -> &'static str;
 
     /// Benchmarks whose replayable branch trace this experiment
-    /// records. The runner pre-traces these before any experiment runs,
+    /// records. The runner traces these before any experiment runs,
     /// so an earlier plain profile of the same benchmark never forces a
     /// second interpreter pass for the trace.
     fn traced(&self) -> &'static [&'static str] {
@@ -91,97 +89,41 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Runs `exps` against one shared engine, bracketing each with
+/// Runs `exps` against one shared engine as one [`bpfree_par::Plan`]
+/// on the shared pool, bracketing each report with
 /// [`Sink::begin`]/[`Sink::end`]. With `progress`, a one-line banner per
 /// experiment goes to stderr (stdout stays pure experiment output).
 ///
-/// With an effective job count above one ([`bpfree_par::jobs`]` > 1`)
-/// the batch executes as a task graph on the shared pool — see
-/// [`run_experiments_planned`]; otherwise it takes the serial path. The
-/// sink sees the same bytes in the same (registry) order either way.
+/// Each benchmark some experiment traces ([`Experiment::traced`])
+/// contributes its warm-up chain (datasets → compile → decode → trace,
+/// via [`Engine::plan_warmup`]); each experiment becomes a node
+/// depending on **every** trace node, buffering its report into a
+/// [`VecSink`]. Tracing shares its single interpreter pass with the
+/// edge profile, so the blanket dependency keeps every
+/// `(benchmark, dataset)` at one pass for the whole batch: an
+/// experiment that merely *runs* a traced benchmark would otherwise
+/// race the trace node and pay a duplicate interpreter pass. Warm-up
+/// chains still overlap each other, and so do the experiments once the
+/// traces are in. At `--jobs 1` the plan runs its nodes serially in
+/// insertion order: all traces first, then each experiment in turn.
+///
+/// Determinism: the plan orders *scheduling only*. Every experiment's
+/// bytes are buffered, then emitted through `sink` in the order of
+/// `exps` after the graph drains, so the output is byte-identical at
+/// any `--jobs`. The measured per-experiment wall-clock is forwarded
+/// with [`Sink::note_millis`] (the begin/end bracket happens long after
+/// the work).
 pub fn run_experiments(
     exps: &[&'static dyn Experiment],
     engine: &Engine,
     sink: &mut dyn Sink,
     progress: bool,
 ) -> io::Result<()> {
-    if bpfree_par::jobs() <= 1 {
-        run_experiments_serial(exps, engine, sink, progress)
-    } else {
-        run_experiments_planned(exps, engine, sink, progress)
-    }
-}
-
-/// The union of the experiments' [`Experiment::traced`] benchmarks,
-/// resolved against the suite.
-fn traced_benches(exps: &[&'static dyn Experiment]) -> Vec<bpfree_suite::Benchmark> {
     let traced: BTreeSet<&'static str> = exps.iter().flat_map(|e| e.traced()).copied().collect();
-    traced
+    let benches: Vec<bpfree_suite::Benchmark> = traced
         .iter()
         .map(|n| bpfree_suite::by_name(n).unwrap_or_else(|| panic!("unknown benchmark {n}")))
-        .collect()
-}
-
-/// The serial batch runner: pre-trace the [`Experiment::traced`] union,
-/// then run each experiment in order, writing straight through to the
-/// sink. Tracing shares its single interpreter pass with the edge
-/// profile, so pre-tracing guarantees the
-/// at-most-once-per-(benchmark, dataset) property across the whole
-/// batch: without it, a plain run by an early experiment would force a
-/// later trace request to simulate again.
-///
-/// Public because the perf harness uses it as the scheduling baseline
-/// the planned runner is measured against.
-pub fn run_experiments_serial(
-    exps: &[&'static dyn Experiment],
-    engine: &Engine,
-    sink: &mut dyn Sink,
-    progress: bool,
-) -> io::Result<()> {
-    let benches = traced_benches(exps);
-    for b in &benches {
-        let _ = engine.trace(b, Options::default(), 0);
-    }
-    for exp in exps {
-        if progress {
-            eprintln!("[bpfree] running {} ({})", exp.name(), exp.paper_ref());
-        }
-        sink.begin(*exp)?;
-        timed(
-            "experiment",
-            || exp.name().to_string(),
-            || exp.run(engine, sink),
-        )?;
-        sink.end(*exp)?;
-    }
-    Ok(())
-}
-
-/// The planned batch runner: the whole batch becomes one
-/// [`bpfree_par::Plan`] on the shared pool. Each traced benchmark
-/// contributes its warm-up chain (datasets → compile → decode → trace,
-/// via [`Engine::plan_warmup`]); each experiment becomes a node
-/// depending on **every** trace node, buffering its report into a
-/// [`VecSink`]. The blanket dependency is the serial pre-trace
-/// invariant made explicit: an experiment that merely *runs* a traced
-/// benchmark would otherwise race the trace node and pay a duplicate
-/// interpreter pass (tracing fills the run memo as a by-product, but
-/// only if it gets there first). Warm-up chains still overlap each
-/// other, and so do the experiments once the traces are in.
-///
-/// Determinism: the plan orders *scheduling only*. Every experiment's
-/// bytes are buffered, then emitted through `sink` in registry order
-/// after the graph drains, so stdout is byte-identical to the serial
-/// runner at any `--jobs`. The measured per-experiment wall-clock is
-/// forwarded with [`Sink::note_millis`] (the begin/end bracket happens
-/// long after the work).
-pub fn run_experiments_planned(
-    exps: &[&'static dyn Experiment],
-    engine: &Engine,
-    sink: &mut dyn Sink,
-    progress: bool,
-) -> io::Result<()> {
-    let benches = traced_benches(exps);
+        .collect();
     type Slot = Mutex<Option<(io::Result<Vec<u8>>, u64)>>;
     let slots: Vec<Slot> = exps.iter().map(|_| Mutex::new(None)).collect();
     let mut plan = bpfree_par::Plan::new();
@@ -223,25 +165,6 @@ pub fn run_experiments_planned(
     Ok(())
 }
 
-/// The whole body of a legacy experiment binary: parse the standard
-/// flags, run the named experiment through the registry onto stdout,
-/// exit. Keeps the 19 `src/bin/*.rs` files down to one line each while
-/// guaranteeing their stdout is byte-identical to
-/// `bpfree exp run <name>`.
-pub fn legacy_main(name: &'static str) -> ! {
-    crate::config::init(name);
-    let exp = by_name(name).unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    let mut sink = StdoutSink::new();
-    let code = match run_experiments(&[exp], crate::config::engine(), &mut sink, false) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            1
-        }
-    };
-    std::process::exit(code)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +172,7 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let names: Vec<&str> = all().iter().map(|e| e.name()).collect();
-        assert_eq!(names.len(), 19, "one experiment per legacy binary");
+        assert_eq!(names.len(), 19, "one experiment per paper table or figure");
         let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "names are unique");
         for n in ["table1", "table7", "graph1", "graphs4_11", "summary_json"] {

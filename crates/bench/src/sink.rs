@@ -1,10 +1,10 @@
 //! Output sinks for registered experiments.
 //!
 //! Experiments never print directly: they write rows through a
-//! [`Sink`], so the same experiment body can stream to stdout (the
-//! legacy binaries, `bpfree exp run`), capture per-experiment files for
-//! golden diffing (`bpfree exp all --out-dir`), or buffer into memory
-//! (the registry parity tests). Whatever the sink, the bytes an
+//! [`Sink`], so the same experiment body can stream to stdout
+//! (`bpfree exp run`), capture per-experiment files for golden diffing
+//! (`bpfree exp all --out-dir`), or buffer into memory (the batch
+//! runner and its tests). Whatever the sink, the bytes an
 //! experiment writes are identical — the sink only decides where they
 //! land.
 
@@ -37,8 +37,8 @@ pub trait Sink {
     fn note_millis(&mut self, _millis: u64) {}
 }
 
-/// Streams every experiment straight to the process's stdout — what the
-/// legacy binaries always did.
+/// Streams every experiment straight to the process's stdout — what
+/// `bpfree exp run` and `bpfree exp all` print without `--out-dir`.
 #[derive(Default)]
 pub struct StdoutSink {
     out: Option<io::BufWriter<io::Stdout>>,
@@ -70,7 +70,8 @@ impl Sink for StdoutSink {
 
 /// Swallows every byte — for callers that want an experiment's *side
 /// effects* (engine artifact computation, wall-clock) without its
-/// report, e.g. the perf harness timing a cold `exp all`.
+/// report, e.g. `bpfree image build` filling the engine before it
+/// snapshots it.
 pub struct DiscardSink {
     sink: io::Sink,
 }
@@ -194,8 +195,8 @@ impl Sink for CaptureSink {
     }
 }
 
-/// Buffers each experiment's bytes in memory — what the parity tests
-/// diff against the legacy binaries' stdout.
+/// Buffers each experiment's bytes in memory — how the batch runner
+/// holds a report until its turn, and what the tests diff.
 #[derive(Default)]
 pub struct VecSink {
     buf: Vec<u8>,

@@ -1,11 +1,14 @@
-//! The planned batch runner against the serial one: same bytes, same
-//! interpreter-pass count, at a job count that forces the task-graph
-//! path. Runs in its own process so `set_jobs` cannot leak into other
-//! test binaries.
+//! The batch runner against a reference loop: same bytes, same
+//! interpreter-pass count, at a job count that makes the task graph run
+//! in parallel. Runs in its own process so `set_jobs` cannot leak into
+//! other test binaries.
+
+use std::collections::BTreeSet;
 
 use bpfree_bench::registry::{self, Experiment};
-use bpfree_bench::sink::VecSink;
+use bpfree_bench::sink::{Sink, VecSink};
 use bpfree_engine::{Engine, EngineConfig};
+use bpfree_lang::Options;
 
 /// A cheap-but-representative subset: the traced IPBC experiment (the
 /// one with real dependency edges) plus static tables and a profile
@@ -19,54 +22,43 @@ fn subset() -> Vec<&'static dyn Experiment> {
         .collect()
 }
 
-#[test]
-fn planned_batch_matches_serial_bytes_and_passes() {
-    bpfree_par::set_jobs(4);
-    let exps = subset();
-
-    let serial_engine = Engine::new(EngineConfig::no_cache());
-    let mut serial_sink = VecSink::new();
-    registry::run_experiments_serial(&exps, &serial_engine, &mut serial_sink, false)
-        .expect("serial batch succeeds");
-    let serial_bytes = serial_sink.take();
-
-    let planned_engine = Engine::new(EngineConfig::no_cache());
-    let mut planned_sink = VecSink::new();
-    registry::run_experiments_planned(&exps, &planned_engine, &mut planned_sink, false)
-        .expect("planned batch succeeds");
-    let planned_bytes = planned_sink.take();
-
-    assert_eq!(
-        String::from_utf8_lossy(&planned_bytes),
-        String::from_utf8_lossy(&serial_bytes),
-        "planned batch output diverged from serial"
-    );
-    assert_eq!(
-        planned_engine.simulations(),
-        serial_engine.simulations(),
-        "planned batch changed the interpreter-pass count"
-    );
+/// The reference: trace the union of the experiments' traced
+/// benchmarks, then run each experiment in order into one sink.
+fn reference_loop(exps: &[&'static dyn Experiment], engine: &Engine) -> Vec<u8> {
+    let traced: BTreeSet<&str> = exps.iter().flat_map(|e| e.traced()).copied().collect();
+    for name in traced {
+        let bench = bpfree_suite::by_name(name).expect("traced benchmark is in the suite");
+        engine.trace(&bench, Options::default(), 0);
+    }
+    let mut sink = VecSink::new();
+    for &exp in exps {
+        sink.begin(exp).expect("begin");
+        exp.run(engine, &mut sink).expect("experiment succeeds");
+        sink.end(exp).expect("end");
+    }
+    sink.take()
 }
 
 #[test]
-fn dispatcher_picks_serial_path_at_one_job() {
-    // `run_experiments` at jobs <= 1 must behave exactly like the
-    // serial runner; this pins the dispatch rule itself (the jobs
-    // override is per-process, so this binary sets 4 above — use the
-    // explicit entry points to compare both paths regardless).
+fn batch_runner_matches_reference_loop_bytes_and_passes() {
     bpfree_par::set_jobs(4);
     let exps = subset();
+
+    let reference_engine = Engine::new(EngineConfig::no_cache());
+    let reference = reference_loop(&exps, &reference_engine);
+
     let engine = Engine::new(EngineConfig::no_cache());
     let mut sink = VecSink::new();
     registry::run_experiments(&exps, &engine, &mut sink, false).expect("batch succeeds");
-    let via_dispatch = sink.take();
 
-    let engine2 = Engine::new(EngineConfig::no_cache());
-    let mut sink2 = VecSink::new();
-    registry::run_experiments_planned(&exps, &engine2, &mut sink2, false).expect("batch succeeds");
     assert_eq!(
-        String::from_utf8_lossy(&via_dispatch),
-        String::from_utf8_lossy(&sink2.take()),
-        "dispatcher at jobs=4 must take the planned path"
+        String::from_utf8_lossy(&sink.take()),
+        String::from_utf8_lossy(&reference),
+        "batch output diverged from the reference loop"
+    );
+    assert_eq!(
+        engine.simulations(),
+        reference_engine.simulations(),
+        "batch changed the interpreter-pass count"
     );
 }

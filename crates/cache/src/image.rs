@@ -10,7 +10,7 @@
 //! [`ByteView`] window straight into the image bytes
 //! ([`BranchTrace::from_borrowed_parts`]), so a mounted warm start
 //! performs zero per-trace sequence decode allocations — the property
-//! `BENCH_warmstart.json` asserts via
+//! the `traces_are_served_zero_copy` test asserts via
 //! [`bpfree_sim::trace_seq_allocs`].
 //!
 //! # File layout (cache format v6)

@@ -1,6 +1,6 @@
 //! Property tests pinning the dense (`BranchId`-indexed) classifier and
 //! heuristic table to a hash-keyed oracle on randomly generated
-//! programs.
+//! programs and on every compiled suite program.
 //!
 //! The PR that introduced dense storage replaced `HashMap`-keyed
 //! per-branch tables with `Vec`s indexed by the program-order branch
@@ -238,4 +238,40 @@ proptest! {
             prop_assert_eq!(rebuilt.loop_prediction(b), c.loop_prediction(b));
         }
     }
+}
+
+/// The dense classifier and heuristic table agree with the hash-keyed
+/// oracle on every branch of all 23 compiled suite programs.
+#[test]
+fn dense_analysis_matches_hash_oracle_on_the_suite() {
+    let suite = bpfree_suite::all();
+    assert_eq!(suite.len(), 23);
+    let (mut loops, mut nonloops) = (0, 0);
+    for bench in suite {
+        let p = bench.compile().expect("suite programs compile");
+        let c = BranchClassifier::analyze(&p);
+        let t = HeuristicTable::build(&p, &c);
+        let (oracle_class, oracle_pred) = oracle_classify(&p);
+        let oracle = oracle_table(&p, &oracle_class);
+
+        assert_eq!(c.rows().count(), oracle_class.len(), "{}", bench.name);
+        for (b, class, pred) in c.rows() {
+            assert_eq!(class, oracle_class[&b], "{}: class of {b}", bench.name);
+            assert_eq!(
+                pred, oracle_pred[&b],
+                "{}: loop prediction of {b}",
+                bench.name
+            );
+        }
+        assert_eq!(t.rows().count(), oracle.len(), "{}", bench.name);
+        for (b, row) in t.rows() {
+            assert_eq!(*row, oracle[&b], "{}: heuristic row of {b}", bench.name);
+        }
+        nonloops += oracle.len();
+        loops += oracle_class.len() - oracle.len();
+    }
+    assert!(
+        loops > 0 && nonloops > 0,
+        "{loops} loop, {nonloops} non-loop"
+    );
 }

@@ -1,7 +1,7 @@
 //! Property tests pinning the ordering-study fast kernels to the naive
 //! seed-path loops they replaced.
 //!
-//! Three claims must hold *bit-exactly* (not just approximately) for the
+//! Five claims must hold *bit-exactly* (not just approximately) for the
 //! experiment stdout to stay byte-identical:
 //!
 //! * the prefix-reuse subset sweep ([`subset_sweep_wins`]) produces the
@@ -13,7 +13,11 @@
 //!   orders, and so the same tallies at any chunk split;
 //! * per-order [`FirstHit`] tables resolve every applies mask to the
 //!   same heuristic the 7-way first-hit scan finds, across all 5040
-//!   orders.
+//!   orders;
+//! * on real suite data, the study's 5040-order rate matrix equals the
+//!   per-order 7-way scan ([`BenchOrderData::miss_rate`]) bit for bit,
+//!   and its mean-pruned Pareto front equals the full O(n²) domination
+//!   scan.
 //!
 //! The real rate matrix is full of ties (many orders resolve every
 //! branch group identically), so the matrices here draw rates from a few
@@ -21,9 +25,10 @@
 //! rule is what the kernels must get right.
 
 use bpfree_core::ordering::{
-    all_orders, sampled_sweep_wins, subset_sweep_wins, FirstHit, KSubsets,
+    all_orders, sampled_sweep_wins, subset_sweep_wins, BenchOrderData, FirstHit, KSubsets,
+    OrderingStudy,
 };
-use bpfree_core::HeuristicKind;
+use bpfree_core::{BranchClassifier, HeuristicKind, HeuristicTable, DEFAULT_SEED};
 use proptest::prelude::*;
 
 /// The seed-path sweep: per subset, a scalar gather per candidate
@@ -262,4 +267,76 @@ fn first_hit_of_index_order_is_lowest_set_bit() {
         assert_eq!(fh.hit(mask), mask & mask.wrapping_neg());
     }
     assert_eq!(fh.hit(0), 0);
+}
+
+/// The seed-path rate matrix: one row per order, each benchmark scored
+/// by the 7-way first-hit scan of [`BenchOrderData::miss_rate`].
+fn naive_rate_matrix(benches: &[BenchOrderData]) -> Vec<Vec<f64>> {
+    all_orders()
+        .iter()
+        .map(|o| benches.iter().map(|b| b.miss_rate(o)).collect())
+        .collect()
+}
+
+/// The seed-path Pareto prune: every order checked against **all**
+/// others (no mean-sorted early exit). `j` dominates `i` when it is no
+/// worse on every benchmark and either better somewhere or, on an
+/// identical row, earlier — so of a run of tied rows only the first
+/// survives.
+fn naive_pareto(rates: &[Vec<f64>]) -> Vec<usize> {
+    (0..rates.len())
+        .filter(|&i| {
+            !rates.iter().enumerate().any(|(j, row)| {
+                j != i
+                    && row.iter().zip(&rates[i]).all(|(rj, ri)| rj <= ri)
+                    && (row != &rates[i] || j < i)
+            })
+        })
+        .collect()
+}
+
+/// Condensed ordering data for a few suite benchmarks on their
+/// reference datasets. Three benchmarks leave many of the 5040 orders
+/// scoring identically, which is what the tie rules must handle.
+fn suite_order_data(names: &[&str]) -> Vec<BenchOrderData> {
+    names
+        .iter()
+        .map(|name| {
+            let bench = bpfree_suite::by_name(name).expect("suite benchmark");
+            let program = bench.compile().expect("suite programs compile");
+            let classifier = BranchClassifier::analyze(&program);
+            let table = HeuristicTable::build(&program, &classifier);
+            let (profile, _) = bench.profile(&program, 0).expect("dataset 0 runs");
+            BenchOrderData::build(*name, &table, &profile, &classifier, DEFAULT_SEED)
+        })
+        .collect()
+}
+
+/// The study's first-hit rate matrix and mean-pruned Pareto front equal
+/// the naive loops on real, tie-heavy suite data.
+#[test]
+fn rate_matrix_and_pareto_front_match_naive_loops_on_suite_data() {
+    let data = suite_order_data(&["xlisp", "compress", "espresso"]);
+    let naive = naive_rate_matrix(&data);
+    let study = OrderingStudy::new(data);
+
+    assert_eq!(study.rates().len(), naive.len());
+    for (o, (fast, slow)) in study.rates().iter().zip(&naive).enumerate() {
+        let fast: Vec<u64> = fast.iter().map(|r| r.to_bits()).collect();
+        let slow: Vec<u64> = slow.iter().map(|r| r.to_bits()).collect();
+        assert_eq!(fast, slow, "rate row of order {o}");
+    }
+
+    let distinct: std::collections::BTreeSet<Vec<u64>> = naive
+        .iter()
+        .map(|row| row.iter().map(|r| r.to_bits()).collect())
+        .collect();
+    assert!(
+        distinct.len() < naive.len() / 10,
+        "expected many tied rows, got {} distinct of {}",
+        distinct.len(),
+        naive.len()
+    );
+
+    assert_eq!(study.pareto_front(), naive_pareto(&naive).as_slice());
 }

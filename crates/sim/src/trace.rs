@@ -38,7 +38,7 @@ use crate::profile::EdgeProfile;
 /// cache's RLE decode, the lazy byte-wide copy behind
 /// [`BranchTrace::seq_u8`]). The mounted suite image serves sequences
 /// as borrowed [`ByteView`]s, so a fully mounted warm run leaves this
-/// counter untouched; the warm-start perf report uses the delta as its
+/// counter untouched; the image tests use the delta as their
 /// zero-allocation proof.
 static SEQ_ALLOCS: AtomicU64 = AtomicU64::new(0);
 

@@ -6,11 +6,6 @@
 //! bpfree predict FILE               per-branch predictions + accuracy
 //! bpfree cfg FILE [--func NAME]     emit an annotated CFG as Graphviz dot
 //! bpfree bench NAME [--dataset N]   run a suite benchmark and report
-//! bpfree bench --json [--out PATH] [--replay-out PATH] [--sched-out PATH]
-//!                     [--analysis-out PATH] [--ordering-out PATH]
-//!                                   perf reports (BENCH_interp.json, BENCH_replay.json,
-//!                                   BENCH_sched.json, BENCH_analysis.json,
-//!                                   BENCH_ordering.json)
 //! bpfree list                       list the benchmark suite
 //! bpfree exp list                   list the registered experiments
 //! bpfree exp run NAME...            regenerate paper tables/figures
@@ -23,8 +18,13 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 runtime failure (bad input file, simulator
-//! error), 2 usage error (unknown command/experiment/benchmark, bad
-//! flag). Only usage errors print the usage text.
+//! error), 2 usage error (unknown command/experiment/benchmark/function,
+//! a flag the command does not take, a missing flag value). Only usage
+//! errors print the usage text.
+//!
+//! Wall-clock and per-layer timings of the whole reproduction come from
+//! the repository benchmark, not from this binary:
+//! `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload W [--trace 1]`.
 
 use std::io;
 use std::path::PathBuf;
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
                 config::apply(cfg);
                 cmd_cache(&rest[1..])
             }
-            Some("list") => cmd_list(),
+            Some("list") => cmd_list(&rest[1..]),
             Some("--version" | "-V") => {
                 println!("bpfree {}", env!("CARGO_PKG_VERSION"));
                 Ok(())
@@ -97,6 +97,9 @@ fn main() -> ExitCode {
             Some("--help" | "-h") | None => {
                 print_usage();
                 Ok(())
+            }
+            Some(other) if other.starts_with('-') => {
+                Err(usage_err(format!("unrecognized flag `{other}`")))
             }
             Some(other) => Err(usage_err(format!("unknown command `{other}`"))),
         }
@@ -122,11 +125,6 @@ fn print_usage() {
     eprintln!("  bpfree predict FILE               per-branch predictions + accuracy");
     eprintln!("  bpfree cfg FILE [--func NAME]     emit an annotated CFG as Graphviz dot");
     eprintln!("  bpfree bench NAME [--dataset N]   run a suite benchmark and report");
-    eprintln!("  bpfree bench --json [--out PATH] [--replay-out PATH] [--sched-out PATH]");
-    eprintln!("                      [--analysis-out PATH] [--ordering-out PATH]");
-    eprintln!("                                    perf reports (BENCH_interp.json +");
-    eprintln!("                                    BENCH_replay.json + BENCH_sched.json +");
-    eprintln!("                                    BENCH_analysis.json + BENCH_ordering.json)");
     eprintln!("  bpfree list                       list the benchmark suite");
     eprintln!("  bpfree exp list                   list the registered experiments");
     eprintln!("  bpfree exp run NAME...            regenerate paper tables/figures");
@@ -144,7 +142,6 @@ fn print_usage() {
     eprintln!("                                      --interp bytecode|tree, --timings[=PATH]");
     eprintln!("exp run/all also accept: --out-dir DIR (capture files + manifest.json)");
     eprintln!("                         --image PATH (mount a warm-start suite image)");
-    eprintln!("bench --json also accepts: --all-out DIR (every BENCH_*.json in one run)");
 }
 
 fn load_program(path: &str, options: Options) -> Result<bpfree::ir::Program, Failure> {
@@ -153,27 +150,83 @@ fn load_program(path: &str, options: Options) -> Result<bpfree::ir::Program, Fai
     compile_with(&source, options).map_err(|e| runtime_err(format!("{path}:{}", e.render(&source))))
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// One subcommand's arguments, checked against what it takes: up to
+/// `max_positional` positionals in order, plus the flags it declares —
+/// `switches` stand alone, `valued` flags take the next argument. Any
+/// other flag, a missing value or a surplus positional is a usage error,
+/// so a typo never silently runs with the default.
+struct CmdArgs {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
-fn value_of(args: &[String], name: &str) -> Result<Option<u64>, Failure> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| usage_err(format!("{name} needs a value")))?
-            .parse()
-            .map(Some)
-            .map_err(|e| usage_err(format!("bad value for {name}: {e}"))),
+impl CmdArgs {
+    fn parse(
+        cmd: &str,
+        args: &[String],
+        max_positional: usize,
+        switches: &[&'static str],
+        valued: &[&'static str],
+    ) -> Result<CmdArgs, Failure> {
+        let mut parsed = CmdArgs {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&name) = switches.iter().find(|&&s| s == arg) {
+                parsed.flags.push((name, None));
+            } else if let Some(&name) = valued.iter().find(|&&s| s == arg) {
+                let v = it
+                    .next()
+                    .ok_or_else(|| usage_err(format!("{name} needs a value")))?;
+                parsed.flags.push((name, Some(v.clone())));
+            } else if arg.len() > 1 && arg.starts_with('-') {
+                return Err(usage_err(format!("unrecognized flag `{arg}`")));
+            } else if parsed.positional.len() < max_positional {
+                parsed.positional.push(arg.clone());
+            } else {
+                return Err(usage_err(format!("{cmd}: unexpected argument `{arg}`")));
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The first positional, or a usage error saying what is missing.
+    fn first(&self, missing: &str) -> Result<&str, Failure> {
+        self.positional
+            .first()
+            .map(String::as_str)
+            .ok_or_else(|| usage_err(missing))
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of the last `name` flag given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    fn number(&self, name: &str) -> Result<Option<u64>, Failure> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| usage_err(format!("bad value for {name}: {e}")))
+            })
+            .transpose()
     }
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), Failure> {
-    let path = args
-        .first()
-        .ok_or_else(|| usage_err("compile needs a file"))?;
-    let options = if flag(args, "--o0") {
+    let args = CmdArgs::parse("compile", args, 1, &["--o0"], &[])?;
+    let path = args.first("compile needs a file")?;
+    let options = if args.has("--o0") {
         Options::o0()
     } else {
         Options::default()
@@ -184,9 +237,10 @@ fn cmd_compile(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Failure> {
-    let path = args.first().ok_or_else(|| usage_err("run needs a file"))?;
+    let args = CmdArgs::parse("run", args, 1, &[], &["--fuel"])?;
+    let path = args.first("run needs a file")?;
+    let fuel = args.number("--fuel")?.unwrap_or(SimConfig::default().fuel);
     let program = load_program(path, Options::default())?;
-    let fuel = value_of(args, "--fuel")?.unwrap_or(SimConfig::default().fuel);
     let config = SimConfig {
         fuel,
         tier: config::config().interp,
@@ -201,9 +255,8 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_predict(args: &[String]) -> Result<(), Failure> {
-    let path = args
-        .first()
-        .ok_or_else(|| usage_err("predict needs a file"))?;
+    let args = CmdArgs::parse("predict", args, 1, &[], &[])?;
+    let path = args.first("predict needs a file")?;
     let program = load_program(path, Options::default())?;
     let classifier = BranchClassifier::analyze(&program);
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
@@ -277,13 +330,15 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
 /// Emits each requested function's CFG as Graphviz dot, with loop heads
 /// shaded, backedges dashed, and predicted edges bold.
 fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
-    let path = args.first().ok_or_else(|| usage_err("cfg needs a file"))?;
+    let args = CmdArgs::parse("cfg", args, 1, &[], &["--func"])?;
+    let path = args.first("cfg needs a file")?;
     let program = load_program(path, Options::default())?;
-    let only = args
-        .iter()
-        .position(|a| a == "--func")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let only = args.value("--func");
+    if let Some(name) = only {
+        if !program.funcs().iter().any(|f| f.name() == name) {
+            return Err(usage_err(format!("no function `{name}` in `{path}`")));
+        }
+    }
     let classifier = BranchClassifier::analyze(&program);
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
     let predictions = predictor.predictions();
@@ -292,10 +347,8 @@ fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
     println!("  node [shape=box, fontname=monospace];");
     for fid in program.func_ids() {
         let func = program.func(fid);
-        if let Some(name) = &only {
-            if func.name() != name {
-                continue;
-            }
+        if only.is_some_and(|name| func.name() != name) {
+            continue;
         }
         let analysis = classifier.analysis(&program, fid);
         println!("  subgraph cluster_{} {{", fid.index());
@@ -370,78 +423,11 @@ fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), Failure> {
-    // `bench --json` is the perf-tracking harness: tier-vs-tier
-    // throughput per suite benchmark plus a cold `exp all` wall-clock,
-    // written as a JSON report (committed as BENCH_interp.json).
-    if flag(args, "--json") {
-        let path_flag = |name: &str, default: &str| -> Result<String, Failure> {
-            args.iter()
-                .position(|a| a == name)
-                .map(|i| {
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| usage_err(format!("{name} needs a value")))
-                })
-                .transpose()
-                .map(|v| v.unwrap_or_else(|| default.to_string()))
-        };
-        let out = path_flag("--out", "BENCH_interp.json")?;
-        let replay_out = path_flag("--replay-out", "BENCH_replay.json")?;
-        let sched_out = path_flag("--sched-out", "BENCH_sched.json")?;
-        let analysis_out = path_flag("--analysis-out", "BENCH_analysis.json")?;
-        let ordering_out = path_flag("--ordering-out", "BENCH_ordering.json")?;
-        let warmstart_out = path_flag("--warmstart-out", "BENCH_warmstart.json")?;
-        if cfg!(debug_assertions) {
-            eprintln!("[bpfree] warning: debug build — bench numbers are not comparable");
-        }
-        let rt = |e: io::Error| runtime_err(e.to_string());
-        // `--all-out DIR` writes the whole default-named report set under
-        // DIR in one invocation; the per-report flags above remain as
-        // aliases for single-file runs.
-        let targets: Vec<PathBuf> = match args.iter().position(|a| a == "--all-out") {
-            Some(i) => {
-                let dir = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| usage_err("--all-out needs a value"))?,
-                );
-                std::fs::create_dir_all(&dir).map_err(rt)?;
-                [
-                    "BENCH_interp.json",
-                    "BENCH_replay.json",
-                    "BENCH_sched.json",
-                    "BENCH_analysis.json",
-                    "BENCH_ordering.json",
-                    "BENCH_warmstart.json",
-                ]
-                .iter()
-                .map(|n| dir.join(n))
-                .collect()
-            }
-            None => [
-                &out,
-                &replay_out,
-                &sched_out,
-                &analysis_out,
-                &ordering_out,
-                &warmstart_out,
-            ]
-            .iter()
-            .map(PathBuf::from)
-            .collect(),
-        };
-        bpfree::bench::perf::write_report(&targets[0]).map_err(rt)?;
-        bpfree::bench::perf::write_replay_report(&targets[1]).map_err(rt)?;
-        bpfree::bench::perf::write_sched_report(&targets[2]).map_err(rt)?;
-        bpfree::bench::perf::write_analysis_report(&targets[3]).map_err(rt)?;
-        bpfree::bench::perf::write_ordering_report(&targets[4]).map_err(rt)?;
-        return bpfree::bench::perf::write_warmstart_report(&targets[5]).map_err(rt);
-    }
-    let name = args
-        .first()
-        .ok_or_else(|| usage_err("bench needs a benchmark name"))?;
+    let args = CmdArgs::parse("bench", args, 1, &[], &["--dataset"])?;
+    let name = args.first("bench needs a benchmark name")?;
     let bench = bpfree::suite::by_name(name)
         .ok_or_else(|| usage_err(format!("no benchmark `{name}` (try `bpfree list`)")))?;
-    let dataset = value_of(args, "--dataset")?.unwrap_or(0) as usize;
+    let dataset = args.number("--dataset")?.unwrap_or(0) as usize;
     // The artifact engine memoizes and (subject to --no-cache /
     // --cache-dir and their environment twins) persists everything this
     // command computes.
@@ -472,7 +458,8 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_list() -> Result<(), Failure> {
+fn cmd_list(args: &[String]) -> Result<(), Failure> {
+    CmdArgs::parse("list", args, 0, &[], &[])?;
     println!("{:<11} {:<4} {:<5} description", "name", "lang", "spec");
     for b in bpfree::suite::all() {
         println!(
@@ -490,6 +477,7 @@ fn cmd_list() -> Result<(), Failure> {
 fn cmd_exp(args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("list") => {
+            CmdArgs::parse("exp list", &args[1..], 0, &[], &[])?;
             println!("{:<16} {:<26} description", "name", "paper");
             for e in registry::all() {
                 println!("{:<16} {:<26} {}", e.name(), e.paper_ref(), e.description());
@@ -604,9 +592,10 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 /// image (cache format v6, see `bpfree::cache::image`).
 fn cmd_image(args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
-        args.get(1)
-            .map(PathBuf::from)
-            .ok_or_else(|| usage_err(format!("image {verb} needs a path")))
+        let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;
+        Ok(PathBuf::from(
+            parsed.first(&format!("image {verb} needs a path"))?,
+        ))
     };
     match args.first().map(String::as_str) {
         Some("build") => {
@@ -684,6 +673,7 @@ fn cmd_cache(args: &[String]) -> Result<(), Failure> {
     let rt = |e: io::Error| runtime_err(format!("{}: {e}", dir.display()));
     match args.first().map(String::as_str) {
         Some("stat") => {
+            CmdArgs::parse("cache stat", &args[1..], 0, &[], &[])?;
             let stat = bpfree::cache::maint::scan(dir).map_err(rt)?;
             println!("cache dir: {}", dir.display());
             println!(
@@ -703,6 +693,7 @@ fn cmd_cache(args: &[String]) -> Result<(), Failure> {
             Ok(())
         }
         Some("gc") => {
+            CmdArgs::parse("cache gc", &args[1..], 0, &[], &[])?;
             let (removed, reclaimed) = bpfree::cache::maint::gc(dir).map_err(rt)?;
             println!(
                 "{}: removed {removed} stale entries, reclaimed {reclaimed} bytes",

@@ -276,3 +276,40 @@ fn cfg_func_filter_limits_output() {
     assert!(stdout.contains("helper"));
     assert!(!stdout.contains("label=\"main\""));
 }
+
+#[test]
+fn every_command_rejects_arguments_it_does_not_take() {
+    let file = write_temp("strict", PROGRAM);
+    let f = file.to_str().unwrap();
+    const FROB: &str = "unrecognized flag `--frobnicate`";
+    let cases: &[(&[&str], &str)] = &[
+        (&["--frobnicate"], FROB),
+        (&["compile", f, "--frobnicate"], FROB),
+        (&["compile", f, "extra"], "unexpected argument `extra`"),
+        (&["run", f, "--fule", "5"], "unrecognized flag `--fule`"),
+        (&["predict", f, "--frobnicate"], FROB),
+        (&["cfg", f, "--func", "nope"], "no function `nope`"),
+        (&["cfg", f, "--func"], "--func needs a value"),
+        (
+            &["bench", "grep", "--datset", "1"],
+            "unrecognized flag `--datset`",
+        ),
+        (&["list", "--frobnicate"], FROB),
+        (&["exp", "list", "--frobnicate"], FROB),
+        (&["exp", "run", "graph12", "--frobnicate"], FROB),
+        (&["image", "ls", "x.img", "--frobnicate"], FROB),
+        (&["cache", "stat", "--frobnicate"], FROB),
+    ];
+    for (args, expect) in cases {
+        let out = bpfree().args(*args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran anyway: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
