@@ -1056,12 +1056,9 @@ mod tests {
             }",
         )
         .unwrap();
-        let mut profiler = bpfree_sim::EdgeProfiler::new();
-        let mut recorder = TraceRecorder::new();
-        let mut fan = bpfree_sim::Multiplex::new();
-        fan.push(&mut profiler);
-        fan.push(&mut recorder);
+        let mut fan = bpfree_sim::Pair(bpfree_sim::EdgeProfiler::new(), TraceRecorder::new());
         let run = bpfree_sim::Simulator::new(&program).run(&mut fan).unwrap();
+        let bpfree_sim::Pair(profiler, recorder) = fan;
         let profile = profiler.into_profile();
         let trace = recorder.into_trace();
         (

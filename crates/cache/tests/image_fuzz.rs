@@ -25,12 +25,12 @@ fn pristine() -> &'static Vec<u8> {
             }",
         )
         .unwrap();
-        let mut profiler = bpfree_sim::EdgeProfiler::new();
-        let mut recorder = bpfree_sim::TraceRecorder::new();
-        let mut fan = bpfree_sim::Multiplex::new();
-        fan.push(&mut profiler);
-        fan.push(&mut recorder);
+        let mut fan = bpfree_sim::Pair(
+            bpfree_sim::EdgeProfiler::new(),
+            bpfree_sim::TraceRecorder::new(),
+        );
         let run = bpfree_sim::Simulator::new(&program).run(&mut fan).unwrap();
+        let bpfree_sim::Pair(profiler, recorder) = fan;
         let profile = profiler.into_profile();
         let trace = recorder.into_trace();
 

@@ -10,7 +10,7 @@ use bpfree_cache::{CompileArtifacts, PredictionArtifacts, RunArtifacts, TraceArt
 use bpfree_core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree_core::{BranchClassifier, HeuristicTable, DEFAULT_SEED};
 use bpfree_lang::Options;
-use bpfree_sim::{EdgeProfiler, Multiplex, TraceRecorder};
+use bpfree_sim::{EdgeProfiler, Pair, TraceRecorder};
 
 /// A unique scratch cache directory, removed on drop.
 struct ScratchDir(PathBuf);
@@ -49,14 +49,11 @@ fn fresh(name: &str) -> Fresh {
     let classifier = BranchClassifier::analyze(&program);
     let table = HeuristicTable::build(&program, &classifier);
     let prediction = PredictionArtifacts::from_computed(&classifier, &table);
-    let mut profiler = EdgeProfiler::new();
-    let mut recorder = TraceRecorder::new();
-    let mut fan = Multiplex::new();
-    fan.push(&mut profiler);
-    fan.push(&mut recorder);
+    let mut fan = Pair(EdgeProfiler::new(), TraceRecorder::new());
     let run = b
         .run_with(&program, &b.datasets()[0], &mut fan)
         .expect("runs");
+    let Pair(profiler, recorder) = fan;
     Fresh {
         compile: CompileArtifacts { program },
         prediction,

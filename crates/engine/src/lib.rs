@@ -41,7 +41,7 @@
 //! Simulation dominates everything else, so the engine never runs the
 //! interpreter twice over the same input. When a trace is requested it
 //! fans an [`EdgeProfiler`] and a [`TraceRecorder`] out of a *single*
-//! pass ([`bpfree_sim::Multiplex`]) and fills the run memo as a side
+//! pass ([`bpfree_sim::Pair`]) and fills the run memo as a side
 //! effect; a cached trace entry rebuilds the run bundle by replay
 //! without simulating at all. [`Engine::simulations`] counts actual
 //! interpreter passes, so experiments (and tests) can prove the
@@ -76,11 +76,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use bpfree_core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree_core::{BranchClassifier, HeuristicTable, DEFAULT_SEED};
-use bpfree_ir::Program;
+use bpfree_ir::{BranchRef, Program};
 use bpfree_lang::Options;
 use bpfree_par::timings::timed;
 use bpfree_sim::{
-    BranchTrace, BytecodeProgram, EdgeProfile, EdgeProfiler, InterpTier, Multiplex, RunResult,
+    BranchTrace, BytecodeProgram, EdgeProfile, EdgeProfiler, InterpTier, Pair, RunResult,
     SimConfig, TraceRecorder,
 };
 use bpfree_suite::{Benchmark, Dataset, SuiteError};
@@ -263,7 +263,7 @@ impl Engine {
 
     /// How many interpreter passes this engine has actually executed —
     /// the currency every other artifact is bought with. Memo and cache
-    /// hits don't count; `Multiplex` fan-out means one pass can serve
+    /// hits don't count; the [`Pair`] fan-out means one pass can serve
     /// profile, run result, and trace together.
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
@@ -728,9 +728,12 @@ impl Engine {
         dataset: &Dataset,
     ) -> RunBundle {
         let fp = opt.fingerprint();
+        let program = self.program(bench, opt);
         if self.config.use_cache {
             let key = bpfree_cache::run_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) = bpfree_cache::lookup_run(&self.config.cache_dir, &key) {
+            if let Some(hit) = bpfree_cache::lookup_run(&self.config.cache_dir, &key)
+                .filter(|hit| names_live_branches(&program, hit.profile.iter().map(|(b, _)| b)))
+            {
                 self.note("hit ", format_args!("run {}/{}", bench.name, dataset.name));
                 return RunBundle {
                     profile: Arc::new(hit.profile),
@@ -740,7 +743,11 @@ impl Engine {
             // A trace entry subsumes a run entry: replay it instead of
             // simulating.
             let tkey = bpfree_cache::trace_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) = bpfree_cache::lookup_trace(&self.config.cache_dir, &tkey) {
+            if let Some(hit) =
+                bpfree_cache::lookup_trace(&self.config.cache_dir, &tkey).filter(|hit| {
+                    names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
+                })
+            {
                 self.note(
                     "hit ",
                     format_args!("run {}/{} (trace replay)", bench.name, dataset.name),
@@ -752,7 +759,6 @@ impl Engine {
             }
             self.note("miss", format_args!("run {}/{}", bench.name, dataset.name));
         }
-        let program = self.program(bench, opt);
         let mut profiler = EdgeProfiler::new();
         let result = self
             .simulate(bench, opt, &program, dataset, &mut profiler)
@@ -783,9 +789,14 @@ impl Engine {
         dataset: &Dataset,
     ) -> Arc<BranchTrace> {
         let fp = opt.fingerprint();
+        let program = self.program(bench, opt);
         if self.config.use_cache {
             let key = bpfree_cache::trace_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) = bpfree_cache::lookup_trace(&self.config.cache_dir, &key) {
+            if let Some(hit) =
+                bpfree_cache::lookup_trace(&self.config.cache_dir, &key).filter(|hit| {
+                    names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
+                })
+            {
                 self.note(
                     "hit ",
                     format_args!("trace {}/{}", bench.name, dataset.name),
@@ -811,15 +822,11 @@ impl Engine {
         // One pass, two observers: profile and trace from the same
         // execution.
         self.trace_records.fetch_add(1, Ordering::Relaxed);
-        let program = self.program(bench, opt);
-        let mut profiler = EdgeProfiler::new();
-        let mut recorder = TraceRecorder::new();
-        let mut fan = Multiplex::new();
-        fan.push(&mut profiler);
-        fan.push(&mut recorder);
+        let mut pair = Pair(EdgeProfiler::new(), TraceRecorder::new());
         let result = self
-            .simulate(bench, opt, &program, dataset, &mut fan)
+            .simulate(bench, opt, &program, dataset, &mut pair)
             .unwrap_or_else(|e| panic!("benchmark `{}`[{index}] fails to run: {e}", bench.name));
+        let Pair(profiler, recorder) = pair;
         let trace = Arc::new(recorder.into_trace());
         let profile = profiler.into_profile();
         if self.config.use_cache {
@@ -1021,11 +1028,16 @@ impl Engine {
                 let Some(ds) = datasets.get(idx as usize) else {
                     return false;
                 };
+                let Some(program) = self.programs.peek(&(name, opt)) else {
+                    return false;
+                };
                 if e.kind == SectionKind::Run {
                     if bpfree_cache::run_key_hash(name, bench.source, fp, ds) != e.key {
                         return false;
                     }
-                    let Some(hit) = img.run(e) else {
+                    let Some(hit) = img.run(e).filter(|hit| {
+                        names_live_branches(&program, hit.profile.iter().map(|(b, _)| b))
+                    }) else {
                         return false;
                     };
                     self.runs.offer(
@@ -1039,7 +1051,9 @@ impl Engine {
                     if bpfree_cache::trace_key_hash(name, bench.source, fp, ds) != e.key {
                         return false;
                     }
-                    let Some(hit) = img.trace(e) else {
+                    let Some(hit) = img.trace(e).filter(|hit| {
+                        names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
+                    }) else {
                         return false;
                     };
                     let trace = Arc::new(hit.trace);
@@ -1213,6 +1227,24 @@ pub struct MountReport {
     pub skipped: usize,
     /// Image size — the warm start's entire read volume.
     pub bytes: u64,
+}
+
+/// Does every site in `sites` name a conditional branch of `program`?
+///
+/// Cache keys cover the benchmark source, but a stored profile row or
+/// trace dictionary event is only as good as the bytes on disk. One
+/// that names another `(func, block)` would index past the dense
+/// per-site tables downstream, or quietly move counts off a real
+/// branch, so every cached run and trace is checked here before it is
+/// served, and one that fails is a miss: recomputed and stored again.
+fn names_live_branches(program: &Program, mut sites: impl Iterator<Item = BranchRef>) -> bool {
+    sites.all(|site| {
+        program
+            .funcs()
+            .get(site.func.index())
+            .and_then(|f| f.blocks().get(site.block.index()))
+            .is_some_and(|block| block.term.is_branch())
+    })
 }
 
 /// Resolves a compile-options fingerprint (as stored in cache keys and

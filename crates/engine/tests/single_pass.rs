@@ -4,16 +4,16 @@
 //!    exactly once even when both a run bundle and a branch trace are
 //!    requested, and a warm engine (same cache directory, new process
 //!    stand-in) simulates zero times.
-//! 2. **Multiplex fidelity** (satellite 3): fanning N observers out of
-//!    one interpreter pass is bit-identical to N independent passes —
-//!    at `--jobs 1` and `--jobs 8` alike.
+//! 2. **Fan-out fidelity**: fanning N observers out of one interpreter
+//!    pass is bit-identical to N independent passes — at `--jobs 1` and
+//!    `--jobs 8` alike.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use bpfree_engine::{Engine, EngineConfig};
 use bpfree_lang::Options;
-use bpfree_sim::{EdgeProfiler, Multiplex, TraceRecorder};
+use bpfree_sim::{EdgeProfiler, Pair, TraceRecorder};
 use bpfree_suite::Benchmark;
 
 fn temp_cache(tag: &str) -> PathBuf {
@@ -91,9 +91,9 @@ fn cached_run_entry_alone_also_avoids_simulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite 3: one `Multiplex` pass over [profiler, tracer] produces
-/// artifacts bit-identical to two independent interpreter passes, under
-/// serial and 8-way parallel drivers alike.
+/// One `Pair` pass over (profiler, tracer) produces artifacts
+/// bit-identical to two independent interpreter passes, whether the
+/// benchmarks run one at a time or on 8 workers.
 #[test]
 fn multiplexed_pass_is_bit_identical_to_independent_passes_at_any_jobs() {
     let suite = benches(&["eqntott", "qpt", "grep", "compress"]);
@@ -149,23 +149,21 @@ fn multiplexed_pass_is_bit_identical_to_independent_passes_at_any_jobs() {
     }
 }
 
-/// The fan-out itself, exercised directly: Multiplex([a, b]) feeds both
-/// observers the same event stream one pass produces.
+/// The fan-out itself, exercised directly: nested pairs feed every
+/// observer the same event stream one pass produces.
 #[test]
-fn multiplex_feeds_every_observer_the_full_stream() {
+fn pair_feeds_every_observer_the_full_stream() {
     let b = bpfree_suite::by_name("eqntott").unwrap();
     let engine = Engine::new(EngineConfig::no_cache());
     let program = engine.program(&b, Options::default());
     let dataset = &engine.datasets(&b)[0];
 
-    let mut p1 = EdgeProfiler::new();
-    let mut p2 = EdgeProfiler::new();
-    let mut rec = TraceRecorder::new();
-    let mut fan = Multiplex::new();
-    fan.push(&mut p1);
-    fan.push(&mut p2);
-    fan.push(&mut rec);
+    let mut fan = Pair(
+        EdgeProfiler::new(),
+        Pair(EdgeProfiler::new(), TraceRecorder::new()),
+    );
     let result = b.run_with(&program, dataset, &mut fan).unwrap();
+    let Pair(p1, Pair(p2, rec)) = fan;
 
     let (prof1, prof2) = (p1.into_profile(), p2.into_profile());
     assert_eq!(prof1, prof2, "sibling observers see identical streams");

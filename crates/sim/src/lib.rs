@@ -55,7 +55,7 @@ pub use bytes::ByteView;
 pub use decode::BytecodeProgram;
 pub use error::SimError;
 pub use interp::{InterpTier, RunResult, SimConfig, Simulator};
-pub use observer::{CountingObserver, ExecObserver, Multiplex, NullObserver, Pair};
+pub use observer::{CountingObserver, ExecObserver, NullObserver, Pair};
 pub use profile::{EdgeCounts, EdgeProfile, EdgeProfiler};
 pub use replay::{SegmentedObserver, TraceSegment};
 pub use trace::{

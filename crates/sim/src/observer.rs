@@ -72,7 +72,13 @@ impl<T: ExecObserver + ?Sized> ExecObserver for &mut T {
     }
 }
 
-/// Fans one event stream out to a pair of observers. Nest pairs for more.
+/// Fans one event stream out to a pair of observers, `.0` first. Nest
+/// pairs for more.
+///
+/// This is how the engine derives several artifacts — edge profile, run
+/// statistics, branch trace — from a *single* simulation instead of
+/// re-executing the program once per consumer. The fan-out is static,
+/// so both observers' hooks inline into the interpreter loop.
 ///
 /// # Example
 ///
@@ -94,76 +100,6 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Pair<A, B> {
     fn on_branch(&mut self, branch: BranchRef, taken: bool) {
         self.0.on_branch(branch, taken);
         self.1.on_branch(branch, taken);
-    }
-}
-
-/// Fans one event stream out to any number of observers in one
-/// interpreter pass.
-///
-/// This is the engine's default way to derive several artifacts —
-/// edge profile, run statistics, IPBC sequence stream — from a *single*
-/// simulation instead of re-executing the program once per consumer.
-/// Observers receive events in registration order.
-///
-/// # Example
-///
-/// ```
-/// use bpfree_sim::{CountingObserver, EdgeProfiler, Multiplex, Simulator};
-/// let p = bpfree_lang::compile("fn main() -> int { return 1; }").unwrap();
-/// let mut counter = CountingObserver::default();
-/// let mut profiler = EdgeProfiler::new();
-/// let mut fan = Multiplex::new();
-/// fan.push(&mut counter);
-/// fan.push(&mut profiler);
-/// Simulator::new(&p).run(&mut fan).unwrap();
-/// assert!(counter.instructions > 0);
-/// ```
-#[derive(Default)]
-pub struct Multiplex<'a> {
-    observers: Vec<&'a mut dyn ExecObserver>,
-}
-
-impl<'a> Multiplex<'a> {
-    /// An empty fan-out (events are dropped until observers are added).
-    pub fn new() -> Multiplex<'a> {
-        Multiplex {
-            observers: Vec::new(),
-        }
-    }
-
-    /// Adds an observer to the fan-out.
-    pub fn push(&mut self, observer: &'a mut dyn ExecObserver) {
-        self.observers.push(observer);
-    }
-
-    /// Number of registered observers.
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// Is the fan-out empty?
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
-    }
-}
-
-impl<'a> From<Vec<&'a mut dyn ExecObserver>> for Multiplex<'a> {
-    fn from(observers: Vec<&'a mut dyn ExecObserver>) -> Multiplex<'a> {
-        Multiplex { observers }
-    }
-}
-
-impl ExecObserver for Multiplex<'_> {
-    fn on_instrs(&mut self, count: u64) {
-        for obs in &mut self.observers {
-            obs.on_instrs(count);
-        }
-    }
-
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        for obs in &mut self.observers {
-            obs.on_branch(branch, taken);
-        }
     }
 }
 
@@ -197,15 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn multiplex_fans_out_to_all_in_order() {
-        let mut a = CountingObserver::default();
-        let mut b = CountingObserver::default();
-        let mut c = CountingObserver::default();
-        let mut fan = Multiplex::new();
-        fan.push(&mut a);
-        fan.push(&mut b);
-        fan.push(&mut c);
-        assert_eq!(fan.len(), 3);
+    fn nested_pairs_fan_out_to_all() {
+        let mut fan = Pair(
+            CountingObserver::default(),
+            Pair(CountingObserver::default(), CountingObserver::default()),
+        );
         fan.on_instrs(7);
         fan.on_branch(
             BranchRef {
@@ -214,18 +146,11 @@ mod tests {
             },
             true,
         );
-        drop(fan);
+        let Pair(a, Pair(b, c)) = fan;
         for obs in [&a, &b, &c] {
             assert_eq!(obs.instructions, 7);
             assert_eq!(obs.branches, 1);
             assert_eq!(obs.taken, 1);
         }
-    }
-
-    #[test]
-    fn empty_multiplex_drops_events() {
-        let mut fan = Multiplex::new();
-        assert!(fan.is_empty());
-        fan.on_instrs(5); // must not panic
     }
 }

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use bpfree_ir::BranchRef;
+use bpfree_ir::{BlockId, BranchRef, FuncId};
 
 use crate::observer::ExecObserver;
 
@@ -129,10 +129,60 @@ impl FromIterator<(BranchRef, EdgeCounts)> for EdgeProfile {
     }
 }
 
+/// A table indexed `[func][block]`, grown on demand.
+///
+/// Branch-event observers keep their per-site state here instead of in
+/// a hash map: a live event costs two bounds-checked loads, and a slot
+/// that never saw an event stays at its default. Shared with the trace
+/// recorder's per-site dictionary lists.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SiteTable<T> {
+    funcs: Vec<Vec<T>>,
+}
+
+impl<T: Default + Clone> SiteTable<T> {
+    /// The slot of `branch`, created (with every slot below it) if new.
+    #[inline]
+    pub(crate) fn slot(&mut self, branch: BranchRef) -> &mut T {
+        let (f, b) = (branch.func.index(), branch.block.index());
+        if f >= self.funcs.len() || b >= self.funcs[f].len() {
+            self.grow(f, b);
+        }
+        &mut self.funcs[f][b]
+    }
+
+    #[cold]
+    fn grow(&mut self, f: usize, b: usize) {
+        if f >= self.funcs.len() {
+            self.funcs.resize_with(f + 1, Vec::new);
+        }
+        let blocks = &mut self.funcs[f];
+        if b >= blocks.len() {
+            blocks.resize(b + 1, T::default());
+        }
+    }
+
+    /// Every slot ever created, in `(func, block)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BranchRef, &T)> + '_ {
+        self.funcs.iter().enumerate().flat_map(|(f, blocks)| {
+            blocks.iter().enumerate().map(move |(b, slot)| {
+                let branch = BranchRef {
+                    func: FuncId(f as u32),
+                    block: BlockId(b as u32),
+                };
+                (branch, slot)
+            })
+        })
+    }
+}
+
 /// An [`ExecObserver`] that accumulates an [`EdgeProfile`].
+///
+/// Counts live in a dense per-site table and are turned into the
+/// (sparse) profile once, when it is asked for.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeProfiler {
-    profile: EdgeProfile,
+    counts: SiteTable<EdgeCounts>,
 }
 
 impl EdgeProfiler {
@@ -143,31 +193,47 @@ impl EdgeProfiler {
 
     /// Consumes the profiler, yielding the accumulated profile.
     pub fn into_profile(self) -> EdgeProfile {
-        self.profile
+        self.profile()
     }
 
-    /// Borrows the profile accumulated so far.
-    pub fn profile(&self) -> &EdgeProfile {
-        &self.profile
+    /// The profile accumulated so far: every site that executed at
+    /// least once. Slots the table grew past without running stay out.
+    pub fn profile(&self) -> EdgeProfile {
+        self.counts
+            .iter()
+            .filter(|(_, c)| c.total() > 0)
+            .map(|(b, &c)| (b, c))
+            .collect()
     }
 
     /// Merges everything `other` observed into this profiler — how
     /// segmented replay folds per-segment profilers back together.
     pub fn absorb(&mut self, other: EdgeProfiler) {
-        self.profile.merge(&other.profile);
+        for (b, c) in other.counts.iter() {
+            if c.total() > 0 {
+                let e = self.counts.slot(b);
+                e.taken += c.taken;
+                e.fallthru += c.fallthru;
+            }
+        }
     }
 }
 
 impl ExecObserver for EdgeProfiler {
+    #[inline]
     fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        self.profile.record(branch, taken);
+        let e = self.counts.slot(branch);
+        if taken {
+            e.taken += 1;
+        } else {
+            e.fallthru += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpfree_ir::{BlockId, FuncId};
 
     fn br(b: u32) -> BranchRef {
         BranchRef {

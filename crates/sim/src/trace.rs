@@ -24,14 +24,13 @@
 //! dictionary indices. The suite's largest traced benchmark (~1.7M
 //! branch events) fits in a few megabytes.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bpfree_ir::BranchRef;
 
 use crate::bytes::ByteView;
 use crate::observer::ExecObserver;
-use crate::profile::EdgeProfile;
+use crate::profile::{EdgeProfile, SiteTable};
 
 /// Process-wide count of owned trace-sequence materializations —
 /// every allocation that decodes or widens a sequence buffer (the v5
@@ -415,6 +414,11 @@ impl Iterator for IdxIter<'_> {
 /// Records the branch-event stream of one execution into a
 /// [`BranchTrace`].
 ///
+/// Interning needs no hashing: each branch site keeps the few events
+/// seen there in a dense `[func][block]` table and an event is looked
+/// up by scanning its site's list. A new event takes the next
+/// dictionary index, so the dictionary is in first-occurrence order.
+///
 /// # Example
 ///
 /// ```
@@ -437,9 +441,19 @@ impl Iterator for IdxIter<'_> {
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     dict: Vec<TraceEvent>,
-    index: HashMap<TraceEvent, u32>,
+    /// Each site's interned events, in first-use order.
+    variants: SiteTable<Vec<Variant>>,
     seq: Vec<u32>,
     pending_instrs: u64,
+}
+
+/// One interned event of a branch site: the part of its
+/// [`TraceEvent`] that varies within the site, and its dictionary index.
+#[derive(Debug, Clone, Copy)]
+struct Variant {
+    instrs: u64,
+    index: u32,
+    taken: bool,
 }
 
 impl TraceRecorder {
@@ -459,18 +473,30 @@ impl ExecObserver for TraceRecorder {
         self.pending_instrs += count;
     }
 
+    #[inline]
     fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        let event = TraceEvent {
-            instrs: self.pending_instrs,
-            branch,
-            taken,
+        let instrs = std::mem::take(&mut self.pending_instrs);
+        let variants = self.variants.slot(branch);
+        let idx = match variants
+            .iter()
+            .find(|v| v.instrs == instrs && v.taken == taken)
+        {
+            Some(v) => v.index,
+            None => {
+                let index = self.dict.len() as u32;
+                variants.push(Variant {
+                    instrs,
+                    index,
+                    taken,
+                });
+                self.dict.push(TraceEvent {
+                    instrs,
+                    branch,
+                    taken,
+                });
+                index
+            }
         };
-        self.pending_instrs = 0;
-        let next = self.dict.len() as u32;
-        let idx = *self.index.entry(event).or_insert_with(|| {
-            self.dict.push(event);
-            next
-        });
         self.seq.push(idx);
     }
 }

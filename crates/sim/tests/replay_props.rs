@@ -85,7 +85,7 @@ proptest! {
 
         let mut profiler = EdgeProfiler::new();
         trace.replay(&mut profiler);
-        prop_assert_eq!(&trace.edge_profile(), profiler.profile());
+        prop_assert_eq!(trace.edge_profile(), profiler.profile());
     }
 
     /// Per-entry occurrence counts match a hand count of the sequence.
