@@ -9,7 +9,8 @@
 //! - `--no-cache` (or `BPFREE_NO_CACHE=1`): bypass the on-disk
 //!   suite-artifact cache.
 //! - `--cache-dir DIR` (or `BPFREE_CACHE_DIR=DIR`): cache location
-//!   (default `target/bpfree-cache`).
+//!   (default `target/bpfree-cache`); the cache is the one image
+//!   `DIR/suite.img`.
 //! - `--interp TIER` (or `BPFREE_INTERP=TIER`): interpreter tier,
 //!   `bytecode` (default) or `tree`. Both tiers are observationally
 //!   identical — the flag exists for differential testing and perf
@@ -22,7 +23,9 @@
 //! [`extract`] and applies them with [`apply`]. [`apply`] is
 //! re-entrant: the first call wins and later calls (any experiment run
 //! in the same process, nested helpers, tests) observe the already
-//! installed configuration instead of racing to replace it.
+//! installed configuration instead of racing to replace it. The engine
+//! itself is built lazily by [`engine`], so commands that never query
+//! an artifact (`exp list`, `run`, `predict`) never open the cache.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -38,9 +41,9 @@ pub enum TimingsOut {
     File(PathBuf),
 }
 
-/// Resolved configuration, also stored process-globally so
-/// [`crate::load_suite`] and [`crate::BenchData::load`] can honor it
-/// without threading it through every call site.
+/// Resolved configuration, also stored process-globally so [`engine`]
+/// and the CLI commands can honor it without threading it through every
+/// call site.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Worker threads (`None` = machine default / `BPFREE_JOBS`).
@@ -95,13 +98,14 @@ pub fn config() -> &'static Config {
     CONFIG.get_or_init(Config::default)
 }
 
-/// Stores `cfg` globally, applies its job count, and installs the
-/// process-wide artifact engine with matching cache settings.
+/// Stores `cfg` globally and applies its job count and timing switch.
+/// It does not build the engine: [`engine`] does that on first use, so
+/// the cache is only opened by commands that need it.
 ///
 /// Re-entrant, first caller wins (matching `OnceLock` semantics): a
 /// second `apply` — e.g. an experiment run in-process after the CLI
-/// already configured itself — leaves the installed configuration and
-/// engine untouched and returns them.
+/// already configured itself — leaves the installed configuration
+/// untouched and returns it.
 pub fn apply(cfg: Config) -> &'static Config {
     if CONFIG.set(cfg).is_ok() {
         // First application: this config owns the process-wide knobs.
@@ -112,12 +116,12 @@ pub fn apply(cfg: Config) -> &'static Config {
             bpfree_par::timings::enable();
         }
     }
-    engine();
     config()
 }
 
 /// The process-wide artifact engine, configured from [`config`] (or the
-/// environment defaults if nothing called [`apply`]).
+/// environment defaults if nothing called [`apply`]). The first call
+/// builds it, which mounts the cache image when caching is on.
 pub fn engine() -> &'static bpfree_engine::Engine {
     let cfg = config();
     bpfree_engine::install(bpfree_engine::EngineConfig {

@@ -2,7 +2,7 @@
 //! runnable value.
 //!
 //! Each experiment is an [`Experiment`] implementation that writes
-//! through a [`Sink`](crate::sink::Sink); [`run_experiments`] executes
+//! through a [`Sink`]; [`run_experiments`] executes
 //! any subset in ONE process against a shared [`Engine`], so every
 //! `(benchmark, Options, dataset)` triple is compiled/simulated/traced
 //! at most once for all tables and graphs combined. `bpfree exp run`

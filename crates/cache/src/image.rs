@@ -1,14 +1,15 @@
-//! The suite image: a single packed binary file holding every artifact
-//! the engine can memoize, laid out for zero-copy warm starts.
+//! The suite image: the cache's one on-disk format, a single packed
+//! binary file holding every artifact the engine memoizes, laid out for
+//! zero-copy warm starts.
 //!
-//! The per-entry cache (`lib.rs`) pays one `open` + `read` + parse per
-//! artifact — hundreds of system calls and a fresh decode allocation
-//! per trace on every warm run. The image collapses all of that into
-//! **one** buffered read: the whole file lands in a single
-//! `Arc<Vec<u8>>`, and typed accessors hand out views *borrowed from
-//! that buffer*. In particular a trace's index sequence is served as a
-//! [`ByteView`] window straight into the image bytes
-//! ([`BranchTrace::from_borrowed_parts`]), so a mounted warm start
+//! The engine mounts `<cache dir>/suite.img` when it starts and rewrites
+//! it at the end of any run that computed something; `bpfree image build
+//! PATH` writes the same file anywhere, and `bpfree exp --image PATH`
+//! mounts one explicitly. Mounting is **one** buffered read: the whole
+//! file lands in a single `Arc<Vec<u8>>`, and typed accessors hand out
+//! views *borrowed from that buffer*. In particular a trace's index
+//! sequence is served as a [`ByteView`] window straight into the image
+//! bytes ([`BranchTrace::from_borrowed_parts`]), so a warm start
 //! performs zero per-trace sequence decode allocations — the property
 //! the `traces_are_served_zero_copy` test asserts via
 //! [`bpfree_sim::trace_seq_allocs`].
@@ -27,7 +28,7 @@
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `b"BPFIMG06"` |
 //! | 8      | 4    | endian marker `0x0A0B0C0D` (reads scrambled on a big-endian writer) |
-//! | 12     | 4    | format version (= [`FORMAT_VERSION`]) |
+//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 6) |
 //! | 16     | 8    | entry count |
 //! | 24     | 8    | directory offset (absolute, 8-aligned, dir is last) |
 //! | 32     | 8    | string-table offset (absolute) |
@@ -44,18 +45,21 @@
 //! | 4      | 4+4  | benchmark name: offset + length into the string table |
 //! | 12     | 4+4  | options fingerprint: offset + length into the string table |
 //! | 20     | 4    | dataset index (`u32::MAX` = not dataset-scoped) |
-//! | 24     | 8    | content key (the raw 64-bit hash behind the per-entry cache key) |
+//! | 24     | 8    | content key (the raw 64-bit `*_key_hash`) |
 //! | 32     | 8    | payload offset (absolute) |
 //! | 40     | 8    | payload length |
 //! | 48     | 8    | FNV-1a 64 checksum of the payload bytes |
 //! | 56     | 8    | reserved, zero |
 //!
-//! # Determinism
+//! # Writing: deterministic and streamed
 //!
-//! [`ImageBuilder::finish`] sorts entries by (kind, name, fingerprint,
-//! dataset, key) and dedups strings in first-use order over the sorted
-//! entries, so two builds from the same artifacts are **byte-identical**
-//! regardless of insertion order — CI diffs double builds to prove it.
+//! [`ImageBuilder::write_to`] sorts the directory by (kind, name,
+//! fingerprint, dataset, key) and dedups strings in first-use order, so
+//! two builds from the same *borrowed* [`Artifact`]s are
+//! **byte-identical** regardless of insertion order. It then encodes,
+//! checksums and writes one payload at a time, then the string table
+//! and directory, and patches the 64-byte header (offsets, checksums)
+//! in last: peak memory is the largest payload, not the image.
 //!
 //! # Integrity
 //!
@@ -63,26 +67,30 @@
 //! header checksum, total length, every directory field's bounds, the
 //! string table slices' UTF-8, and **every section checksum** before
 //! returning. Any failure — truncation, bit flip, wrong version —
-//! yields `Err`, the engine declines to mount, and everything recomputes
-//! (or falls back to the per-entry cache): a corrupt image can cost
-//! time, never correctness. Payload *content* is additionally validated
-//! structurally by each typed accessor, which returns `None` (not a
-//! panic) on any malformed payload that happens to checksum correctly.
+//! yields `Err`: the engine treats the cache as empty and recomputes,
+//! so a corrupt image can cost time, never correctness. Payload
+//! *content* is additionally validated structurally by each typed
+//! accessor, which returns `None` (not a panic) on any malformed
+//! payload that happens to checksum correctly.
 //!
 //! [`BranchTrace::from_borrowed_parts`]: bpfree_sim::BranchTrace::from_borrowed_parts
 
+use std::collections::HashMap;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bpfree_core::ordering::{BenchOrderData, Group, GroupKey};
-use bpfree_ir::{BlockId, BranchRef, FuncId};
-use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, RunResult, TraceEvent};
+use bpfree_core::ordering::{BenchOrderData, Group, GroupKey, OrderingStudy};
+use bpfree_core::{BranchClass, BranchClassifier, Direction, HeuristicTable};
+use bpfree_ir::{BlockId, BranchRef, FuncId, Program};
+use bpfree_sim::{
+    BranchTrace, ByteView, BytecodeProgram, EdgeCounts, EdgeProfile, RunResult, TraceEvent,
+};
 
 use crate::{
-    CompileArtifacts, Fnv, OrderingArtifacts, PredictionArtifacts, PredictionRow, RunArtifacts,
-    TraceArtifacts, FORMAT_VERSION,
+    Fnv, OrderingArtifacts, PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts,
+    FORMAT_VERSION,
 };
-use bpfree_core::{BranchClass, Direction};
 
 /// The image magic: format family + the two-digit format version.
 pub const MAGIC: [u8; 8] = *b"BPFIMG06";
@@ -126,14 +134,7 @@ impl SectionKind {
     ];
 
     fn tag(self) -> u32 {
-        match self {
-            SectionKind::Compile => 0,
-            SectionKind::Decoded => 1,
-            SectionKind::Prediction => 2,
-            SectionKind::Run => 3,
-            SectionKind::Trace => 4,
-            SectionKind::Ordering => 5,
-        }
+        self as u32
     }
 
     fn from_tag(tag: u32) -> Option<SectionKind> {
@@ -224,15 +225,15 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -265,10 +266,10 @@ fn direction_from(b: u8) -> Option<Option<Direction>> {
     }
 }
 
-fn encode_prediction_payload(a: &PredictionArtifacts) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + a.rows.len() * 17);
-    put_u32(&mut out, a.rows.len() as u32);
-    for r in &a.rows {
+pub(crate) fn encode_prediction_payload(rows: &[PredictionRow]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + rows.len() * 17);
+    put_u32(&mut out, rows.len() as u32);
+    for r in rows {
         put_u32(&mut out, r.branch.func.0);
         put_u32(&mut out, r.branch.block.0);
         out.push(match r.class {
@@ -283,7 +284,7 @@ fn encode_prediction_payload(a: &PredictionArtifacts) -> Vec<u8> {
     out
 }
 
-fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
+pub(crate) fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
     let mut c = Cur::new(bytes);
     let n = c.u32()? as usize;
     if n > c.remaining() / 17 {
@@ -299,7 +300,8 @@ fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
             _ => return None,
         };
         let loop_pred = direction_from(c.u8()?)?;
-        // Same structural invariants as the per-entry text decoder.
+        // The Loop ⇔ Some(loop_pred) invariant is structural, not a
+        // matter of staleness — reject rows that violate it outright.
         if (class == BranchClass::Loop) != loop_pred.is_some() {
             return None;
         }
@@ -307,6 +309,8 @@ fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
         for h in &mut heuristics {
             *h = direction_from(c.u8()?)?;
         }
+        // Heuristics only cover non-loop branches; a loop row with
+        // heuristic cells is corrupt.
         if class == BranchClass::Loop && heuristics.iter().any(Option::is_some) {
             return None;
         }
@@ -326,12 +330,12 @@ fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
     Some(PredictionArtifacts { rows })
 }
 
-fn encode_run_payload(a: &RunArtifacts) -> Vec<u8> {
-    let mut counts: Vec<(BranchRef, EdgeCounts)> = a.profile.iter().collect();
+pub(crate) fn encode_run_payload(profile: &EdgeProfile, run: RunResult) -> Vec<u8> {
+    let mut counts: Vec<(BranchRef, EdgeCounts)> = profile.iter().collect();
     counts.sort_by_key(|(b, _)| *b);
     let mut out = Vec::with_capacity(20 + counts.len() * 24);
-    put_i64(&mut out, a.run.exit);
-    put_u64(&mut out, a.run.instructions);
+    put_i64(&mut out, run.exit);
+    put_u64(&mut out, run.instructions);
     put_u32(&mut out, counts.len() as u32);
     for (b, c) in counts {
         put_u32(&mut out, b.func.0);
@@ -342,7 +346,7 @@ fn encode_run_payload(a: &RunArtifacts) -> Vec<u8> {
     out
 }
 
-fn decode_run_payload(bytes: &[u8]) -> Option<RunArtifacts> {
+pub(crate) fn decode_run_payload(bytes: &[u8]) -> Option<RunArtifacts> {
     let mut c = Cur::new(bytes);
     let exit = c.i64()?;
     let instructions = c.u64()?;
@@ -378,18 +382,18 @@ fn decode_run_payload(bytes: &[u8]) -> Option<RunArtifacts> {
 /// when the dictionary fits in 256 entries (the borrowed zero-copy
 /// representation), else four. With an 8-aligned payload the sequence
 /// itself starts 8-aligned too (40 + 24·k ≡ 0 mod 8).
-fn encode_trace_payload(a: &TraceArtifacts) -> Vec<u8> {
-    let dict = a.trace.dict();
+pub(crate) fn encode_trace_payload(trace: &BranchTrace, run: RunResult) -> Vec<u8> {
+    let dict = trace.dict();
     let narrow = dict.len() <= 256;
     let width = if narrow { 1 } else { 4 };
-    let mut out = Vec::with_capacity(40 + dict.len() * 24 + a.trace.len() * width);
-    put_i64(&mut out, a.run.exit);
-    put_u64(&mut out, a.run.instructions);
-    put_u64(&mut out, a.trace.trailing_instrs());
+    let mut out = Vec::with_capacity(40 + dict.len() * 24 + trace.len() * width);
+    put_i64(&mut out, run.exit);
+    put_u64(&mut out, run.instructions);
+    put_u64(&mut out, trace.trailing_instrs());
     put_u32(&mut out, dict.len() as u32);
     out.push(width as u8);
     out.extend_from_slice(&[0; 3]);
-    put_u64(&mut out, a.trace.len() as u64);
+    put_u64(&mut out, trace.len() as u64);
     for e in dict {
         put_u64(&mut out, e.instrs);
         put_u32(&mut out, e.branch.func.0);
@@ -398,9 +402,9 @@ fn encode_trace_payload(a: &TraceArtifacts) -> Vec<u8> {
         out.extend_from_slice(&[0; 7]);
     }
     if narrow {
-        out.extend(a.trace.indices().map(|i| i as u8));
+        out.extend(trace.indices().map(|i| i as u8));
     } else {
-        for i in a.trace.indices() {
+        for i in trace.indices() {
             put_u32(&mut out, i);
         }
     }
@@ -411,7 +415,11 @@ fn encode_trace_payload(a: &TraceArtifacts) -> Vec<u8> {
 /// sequences are *not copied*: the returned trace borrows its index
 /// sequence from `buf` via [`ByteView`], validated (bounds + tally) in
 /// one pass by [`BranchTrace::from_borrowed_parts`].
-fn decode_trace_payload(buf: &Arc<Vec<u8>>, off: usize, len: usize) -> Option<TraceArtifacts> {
+pub(crate) fn decode_trace_payload(
+    buf: &Arc<Vec<u8>>,
+    off: usize,
+    len: usize,
+) -> Option<TraceArtifacts> {
     let bytes = buf.get(off..off.checked_add(len)?)?;
     let mut c = Cur::new(bytes);
     let exit = c.i64()?;
@@ -473,10 +481,10 @@ fn decode_trace_payload(buf: &Arc<Vec<u8>>, off: usize, len: usize) -> Option<Tr
     })
 }
 
-fn encode_ordering_payload(a: &OrderingArtifacts) -> Vec<u8> {
+pub(crate) fn encode_ordering_payload(benches: &[BenchOrderData], rates: &[Vec<f64>]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, a.benches.len() as u32);
-    for b in &a.benches {
+    put_u32(&mut out, benches.len() as u32);
+    for b in benches {
         put_u32(&mut out, b.name.len() as u32);
         out.extend_from_slice(b.name.as_bytes());
         put_u64(&mut out, b.total_dynamic());
@@ -489,9 +497,9 @@ fn encode_ordering_payload(a: &OrderingArtifacts) -> Vec<u8> {
             put_u64(&mut out, g.fallthru);
         }
     }
-    put_u32(&mut out, a.rates.len() as u32);
-    put_u32(&mut out, a.benches.len() as u32);
-    for row in &a.rates {
+    put_u32(&mut out, rates.len() as u32);
+    put_u32(&mut out, benches.len() as u32);
+    for row in rates {
         for r in row {
             put_u64(&mut out, r.to_bits());
         }
@@ -499,7 +507,7 @@ fn encode_ordering_payload(a: &OrderingArtifacts) -> Vec<u8> {
     out
 }
 
-fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts> {
+pub(crate) fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts> {
     let mut c = Cur::new(bytes);
     let n_benches = c.u32()? as usize;
     if n_benches > c.remaining() {
@@ -528,7 +536,9 @@ fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts> {
             };
             let taken = c.u64()?;
             let fallthru = c.u64()?;
-            // Same structural invariants as the text decoder.
+            // Seven heuristics: masks live in the low 7 bits, and a
+            // prediction bit without its applies bit is structurally
+            // impossible — reject outright.
             if applies > 0x7f || predicts_taken & !applies != 0 {
                 return None;
             }
@@ -569,199 +579,211 @@ fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts> {
 
 // ---- builder ----
 
-struct PendingEntry {
-    kind: SectionKind,
-    name: String,
-    opt: String,
+/// One artifact to pack, borrowed from wherever it lives (the engine's
+/// memos, a test fixture). Each variant is one [`SectionKind`]; its
+/// payload is encoded only when [`ImageBuilder::write_to`] reaches it.
+#[derive(Clone, Copy)]
+pub enum Artifact<'a> {
+    /// A compiled program, stored as IR text.
+    Compile(&'a Program),
+    /// The program's pre-decoded bytecode (`BytecodeProgram::to_bytes`).
+    Decoded(&'a BytecodeProgram),
+    /// The dense prediction rows of a classifier + heuristic table.
+    Prediction(&'a BranchClassifier, &'a HeuristicTable),
+    /// One dataset's edge profile and run result.
+    Run(&'a EdgeProfile, RunResult),
+    /// One dataset's replayable trace and the run result it rides with.
+    Trace(&'a BranchTrace, RunResult),
+    /// A roster's condensed order data and 5040 × n miss-rate matrix.
+    Ordering(&'a OrderingStudy),
+}
+
+impl Artifact<'_> {
+    fn kind(&self) -> SectionKind {
+        match self {
+            Artifact::Compile(_) => SectionKind::Compile,
+            Artifact::Decoded(_) => SectionKind::Decoded,
+            Artifact::Prediction(..) => SectionKind::Prediction,
+            Artifact::Run(..) => SectionKind::Run,
+            Artifact::Trace(..) => SectionKind::Trace,
+            Artifact::Ordering(_) => SectionKind::Ordering,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        match *self {
+            Artifact::Compile(program) => program.to_string().into_bytes(),
+            Artifact::Decoded(bytecode) => bytecode.to_bytes(),
+            Artifact::Prediction(classifier, table) => encode_prediction_payload(
+                &PredictionArtifacts::from_computed(classifier, table).rows,
+            ),
+            Artifact::Run(profile, run) => encode_run_payload(profile, run),
+            Artifact::Trace(trace, run) => encode_trace_payload(trace, run),
+            Artifact::Ordering(study) => encode_ordering_payload(study.benches(), study.rates()),
+        }
+    }
+}
+
+struct PendingEntry<'a> {
+    name: &'a str,
+    opt: &'a str,
     dataset: u32,
     key: u64,
-    payload: Vec<u8>,
+    artifact: Artifact<'a>,
 }
 
-/// Accumulates artifacts and packs them into one deterministic image
-/// file. Insertion order never matters: [`ImageBuilder::finish`] sorts
-/// the directory, so two builds over the same artifacts are
+/// Collects borrowed artifacts and streams them into one deterministic
+/// image. Insertion order never matters: [`ImageBuilder::write_to`]
+/// sorts the directory first, so two builds over the same artifacts are
 /// byte-identical.
 #[derive(Default)]
-pub struct ImageBuilder {
-    entries: Vec<PendingEntry>,
+pub struct ImageBuilder<'a> {
+    entries: Vec<PendingEntry<'a>>,
 }
 
-impl ImageBuilder {
+impl<'a> ImageBuilder<'a> {
     /// An empty builder.
-    pub fn new() -> ImageBuilder {
+    pub fn new() -> ImageBuilder<'a> {
         ImageBuilder::default()
     }
 
-    /// How many artifacts have been added so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the builder still empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn push(
+    /// Adds one artifact under its directory metadata: the benchmark
+    /// name (empty for a roster-level ordering entry), the
+    /// compile-options fingerprint, the dataset index for run and trace
+    /// entries, and the content key (`*_key_hash`) that mount
+    /// revalidates against the live suite.
+    pub fn add(
         &mut self,
-        kind: SectionKind,
-        name: &str,
-        opt: &str,
+        name: &'a str,
+        opt: &'a str,
         dataset: Option<u32>,
         key: u64,
-        payload: Vec<u8>,
+        artifact: Artifact<'a>,
     ) {
         self.entries.push(PendingEntry {
-            kind,
-            name: name.to_string(),
-            opt: opt.to_string(),
+            name,
+            opt,
             dataset: dataset.unwrap_or(u32::MAX),
             key,
-            payload,
+            artifact,
         });
     }
 
-    /// Adds a compiled program (stored as IR text), keyed by
-    /// [`crate::compile_key_hash`].
-    pub fn add_compile(&mut self, name: &str, opt: &str, key: u64, a: &CompileArtifacts) {
-        let ir = a.program.to_string();
-        self.push(SectionKind::Compile, name, opt, None, key, ir.into_bytes());
-    }
-
-    /// Adds pre-decoded bytecode (`BytecodeProgram::to_bytes`), keyed
-    /// by [`crate::decoded_key_hash`].
-    pub fn add_decoded(&mut self, name: &str, opt: &str, key: u64, bytecode: Vec<u8>) {
-        self.push(SectionKind::Decoded, name, opt, None, key, bytecode);
-    }
-
-    /// Adds a prediction-rows artifact, keyed by
-    /// [`crate::prediction_key_hash`].
-    pub fn add_prediction(&mut self, name: &str, opt: &str, key: u64, a: &PredictionArtifacts) {
-        let payload = encode_prediction_payload(a);
-        self.push(SectionKind::Prediction, name, opt, None, key, payload);
-    }
-
-    /// Adds one dataset's run artifact, keyed by
-    /// [`crate::run_key_hash`]; `dataset` is the index within the
-    /// benchmark's dataset list.
-    pub fn add_run(&mut self, name: &str, opt: &str, dataset: u32, key: u64, a: &RunArtifacts) {
-        let payload = encode_run_payload(a);
-        self.push(SectionKind::Run, name, opt, Some(dataset), key, payload);
-    }
-
-    /// Adds one dataset's trace artifact, keyed by
-    /// [`crate::trace_key_hash`].
-    pub fn add_trace(&mut self, name: &str, opt: &str, dataset: u32, key: u64, a: &TraceArtifacts) {
-        let payload = encode_trace_payload(a);
-        self.push(SectionKind::Trace, name, opt, Some(dataset), key, payload);
-    }
-
-    /// Adds a roster-level ordering study, keyed by
-    /// [`crate::ordering_key_hash`]. Ordering entries carry no
-    /// benchmark name of their own.
-    pub fn add_ordering(&mut self, opt: &str, key: u64, a: &OrderingArtifacts) {
-        let payload = encode_ordering_payload(a);
-        self.push(SectionKind::Ordering, "", opt, None, key, payload);
-    }
-
-    /// Packs everything into the final image bytes — deterministically.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.entries.sort_by(|a, b| {
-            (a.kind, &a.name, &a.opt, a.dataset, a.key)
-                .cmp(&(b.kind, &b.name, &b.opt, b.dataset, b.key))
-        });
+    /// Streams the image into `out`, which must start empty at
+    /// position 0: a zeroed header, then each payload encoded and
+    /// written one at a time, the string table, the directory, and
+    /// finally the real header (seeking back to 0). Returns the entry
+    /// count and the image size in bytes.
+    pub fn write_to<W: Write + Seek>(mut self, out: &mut W) -> io::Result<(usize, u64)> {
+        self.entries
+            .sort_by_key(|e| (e.artifact.kind(), e.name, e.opt, e.dataset, e.key));
 
         // String table, deduped in first-use order over sorted entries.
-        fn intern(
-            table: &mut std::collections::HashMap<String, (u32, u32)>,
-            strings: &mut Vec<u8>,
-            s: &str,
-        ) -> (u32, u32) {
-            if let Some(&at) = table.get(s) {
-                return at;
-            }
-            let at = (strings.len() as u32, s.len() as u32);
-            strings.extend_from_slice(s.as_bytes());
-            table.insert(s.to_string(), at);
-            at
-        }
         let mut strings = Vec::<u8>::new();
-        let mut interned = std::collections::HashMap::new();
-        let mut string_refs = Vec::with_capacity(self.entries.len());
+        let mut interned = HashMap::<&str, (u32, u32)>::new();
+        let mut intern = |s: &'a str| {
+            *interned.entry(s).or_insert_with(|| {
+                let at = (strings.len() as u32, s.len() as u32);
+                strings.extend_from_slice(s.as_bytes());
+                at
+            })
+        };
+        let string_refs: Vec<_> = self
+            .entries
+            .iter()
+            .map(|e| (intern(e.name), intern(e.opt)))
+            .collect();
+
+        out.write_all(&[0; HEADER_LEN])?;
+        let mut pos = HEADER_LEN;
+        let mut placed = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            let name_at = intern(&mut interned, &mut strings, &e.name);
-            let opt_at = intern(&mut interned, &mut strings, &e.opt);
-            string_refs.push((name_at, opt_at));
+            let payload = e.artifact.encode();
+            pos = pad8(out, pos)?;
+            placed.push((pos, payload.len(), fnv(&payload)));
+            out.write_all(&payload)?;
+            pos += payload.len();
         }
+        let strings_off = pad8(out, pos)?;
 
-        // Layout: payload offsets, then strings, then the directory.
-        let mut off = HEADER_LEN;
-        let mut payload_offs = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            off = align8(off);
-            payload_offs.push(off);
-            off += e.payload.len();
-        }
-        let strings_off = align8(off);
-        let dir_off = align8(strings_off + strings.len());
-        let total_len = dir_off + self.entries.len() * DIR_ENTRY_LEN;
-
-        let mut out = Vec::with_capacity(total_len);
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, ENDIAN_MARK);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u64(&mut out, self.entries.len() as u64);
-        put_u64(&mut out, dir_off as u64);
-        put_u64(&mut out, strings_off as u64);
-        put_u64(&mut out, total_len as u64);
-        let head_sum = fnv(&out);
-        put_u64(&mut out, head_sum);
-        // Placeholder for the tail checksum, patched once the string
-        // table and directory exist.
-        out.resize(HEADER_LEN, 0);
-
-        for (e, &at) in self.entries.iter().zip(&payload_offs) {
-            out.resize(at, 0);
-            out.extend_from_slice(&e.payload);
-        }
-        out.resize(strings_off, 0);
-        out.extend_from_slice(&strings);
-        out.resize(dir_off, 0);
-        for ((e, &payload_off), &((name_off, name_len), (opt_off, opt_len))) in
-            self.entries.iter().zip(&payload_offs).zip(&string_refs)
+        // Everything from the string table to EOF is small and covered
+        // by one checksum, so it is assembled before it is written.
+        let mut tail = strings;
+        tail.resize(align8(tail.len()), 0);
+        let dir_off = strings_off + tail.len();
+        for ((e, &(payload_off, payload_len, payload_sum)), &(name_at, opt_at)) in
+            self.entries.iter().zip(&placed).zip(&string_refs)
         {
-            put_u32(&mut out, e.kind.tag());
-            put_u32(&mut out, name_off);
-            put_u32(&mut out, name_len);
-            put_u32(&mut out, opt_off);
-            put_u32(&mut out, opt_len);
-            put_u32(&mut out, e.dataset);
-            put_u64(&mut out, e.key);
-            put_u64(&mut out, payload_off as u64);
-            put_u64(&mut out, e.payload.len() as u64);
-            put_u64(&mut out, fnv(&e.payload));
-            put_u64(&mut out, 0);
+            put_u32(&mut tail, e.artifact.kind().tag());
+            put_u32(&mut tail, name_at.0);
+            put_u32(&mut tail, name_at.1);
+            put_u32(&mut tail, opt_at.0);
+            put_u32(&mut tail, opt_at.1);
+            put_u32(&mut tail, e.dataset);
+            put_u64(&mut tail, e.key);
+            put_u64(&mut tail, payload_off as u64);
+            put_u64(&mut tail, payload_len as u64);
+            put_u64(&mut tail, payload_sum);
+            put_u64(&mut tail, 0);
         }
-        debug_assert_eq!(out.len(), total_len);
-        let tail_sum = fnv(&out[strings_off..]);
-        out[56..64].copy_from_slice(&tail_sum.to_le_bytes());
-        out
+        out.write_all(&tail)?;
+        let total_len = strings_off + tail.len();
+        debug_assert_eq!(total_len, dir_off + self.entries.len() * DIR_ENTRY_LEN);
+
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(&MAGIC);
+        put_u32(&mut header, ENDIAN_MARK);
+        put_u32(&mut header, FORMAT_VERSION);
+        put_u64(&mut header, self.entries.len() as u64);
+        put_u64(&mut header, dir_off as u64);
+        put_u64(&mut header, strings_off as u64);
+        put_u64(&mut header, total_len as u64);
+        let head_sum = fnv(&header);
+        put_u64(&mut header, head_sum);
+        put_u64(&mut header, fnv(&tail));
+        out.seek(SeekFrom::Start(0))?;
+        out.write_all(&header)?;
+        Ok((self.entries.len(), total_len as u64))
     }
 
-    /// [`ImageBuilder::finish`] plus an atomic write (temp file +
-    /// rename) to `path`.
-    pub fn write(self, path: &Path) -> std::io::Result<()> {
-        let bytes = self.finish();
+    /// The image bytes, built in memory.
+    pub fn finish(self) -> Vec<u8> {
+        let mut out = io::Cursor::new(Vec::new());
+        self.write_to(&mut out)
+            .expect("writing an image to memory cannot fail");
+        out.into_inner()
+    }
+
+    /// [`ImageBuilder::write_to`] a temp file next to `path`, then
+    /// renamed over it: readers, concurrent writers included, only ever
+    /// see a complete image, and the last rename wins.
+    pub fn write(self, path: &Path) -> io::Result<(usize, u64)> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
+        (|| {
+            let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
+            let written = self.write_to(&mut out)?;
+            out.flush()?;
+            drop(out);
+            std::fs::rename(&tmp, path)?;
+            Ok(written)
+        })()
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
     }
+}
+
+/// Zero-pads from `pos` to the next multiple of 8; returns the new
+/// position.
+fn pad8(out: &mut impl Write, pos: usize) -> io::Result<usize> {
+    let to = align8(pos);
+    out.write_all(&[0; 8][..to - pos])?;
+    Ok(to)
 }
 
 // ---- reader ----
@@ -918,13 +940,12 @@ impl SuiteImage {
 
     /// Decodes a compile entry (re-parses the stored IR text). `None`
     /// on kind mismatch or malformed payload.
-    pub fn compile(&self, e: &ImageEntry) -> Option<CompileArtifacts> {
+    pub fn compile(&self, e: &ImageEntry) -> Option<Program> {
         if e.kind != SectionKind::Compile {
             return None;
         }
         let ir = std::str::from_utf8(self.payload(e)).ok()?;
-        let program = bpfree_ir::parse_program(ir).ok()?;
-        Some(CompileArtifacts { program })
+        bpfree_ir::parse_program(ir).ok()
     }
 
     /// The raw bytecode bytes of a decoded entry — deserialized (and
@@ -973,62 +994,24 @@ impl SuiteImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpfree_sim::TraceRecorder;
+    use crate::tests::{sample, Sample};
 
-    fn sample() -> (CompileArtifacts, RunArtifacts, TraceArtifacts) {
-        let program = bpfree_lang::compile(
-            "fn main() -> int {
-                int x; int i;
-                x = -3;
-                if (x < 0) { x = 0; }
-                for (i = 0; i < 5; i = i + 1) { x = x + i; }
-                return x;
-            }",
-        )
-        .unwrap();
-        let mut fan = bpfree_sim::Pair(bpfree_sim::EdgeProfiler::new(), TraceRecorder::new());
-        let run = bpfree_sim::Simulator::new(&program).run(&mut fan).unwrap();
-        let bpfree_sim::Pair(profiler, recorder) = fan;
-        let profile = profiler.into_profile();
-        let trace = recorder.into_trace();
-        (
-            CompileArtifacts { program },
-            RunArtifacts { profile, run },
-            TraceArtifacts { trace, run },
-        )
-    }
-
-    fn sample_image() -> Vec<u8> {
-        let (c, r, t) = sample();
-        let classifier = bpfree_core::BranchClassifier::analyze(&c.program);
-        let table = bpfree_core::HeuristicTable::build(&c.program, &classifier);
-        let p = PredictionArtifacts::from_computed(&classifier, &table);
-        let data = BenchOrderData::build(
-            "sample",
-            &table,
-            &r.profile,
-            &classifier,
-            bpfree_core::DEFAULT_SEED,
-        );
-        let study = bpfree_core::ordering::OrderingStudy::new(vec![data]);
-        let o = OrderingArtifacts::from_study(&study);
-        let bc = bpfree_sim::BytecodeProgram::compile(&c.program);
-
+    fn sample_image(s: &Sample) -> Vec<u8> {
         let mut b = ImageBuilder::new();
-        b.add_trace("sample", "O", 0, 5, &t);
-        b.add_run("sample", "O", 0, 4, &r);
-        b.add_ordering("O", 6, &o);
-        b.add_prediction("sample", "O", 3, &p);
-        b.add_decoded("sample", "O", 2, bc.to_bytes());
-        b.add_compile("sample", "O", 1, &c);
+        b.add("sample", "O", Some(0), 5, Artifact::Trace(&s.trace, s.run));
+        b.add("sample", "O", Some(0), 4, Artifact::Run(&s.profile, s.run));
+        b.add("", "O", None, 6, Artifact::Ordering(&s.study));
+        let prediction = Artifact::Prediction(&s.classifier, &s.table);
+        b.add("sample", "O", None, 3, prediction);
+        b.add("sample", "O", None, 2, Artifact::Decoded(&s.bytecode));
+        b.add("sample", "O", None, 1, Artifact::Compile(&s.program));
         b.finish()
     }
 
     #[test]
     fn roundtrip_every_kind() {
-        let (c, r, t) = sample();
-        let bytes = sample_image();
-        let img = SuiteImage::from_bytes(bytes).expect("opens");
+        let s = sample();
+        let img = SuiteImage::from_bytes(sample_image(&s)).expect("opens");
         assert_eq!(img.entries().len(), 6);
         // Directory is sorted by kind regardless of insertion order.
         let kinds: Vec<_> = img.entries().iter().map(|e| e.kind).collect();
@@ -1036,34 +1019,34 @@ mod tests {
 
         let e = img.find(SectionKind::Compile, "sample", "O", None).unwrap();
         assert_eq!(e.key, 1);
-        assert_eq!(img.compile(e).unwrap().program, c.program);
+        assert_eq!(img.compile(e).unwrap(), s.program);
 
         let e = img.find(SectionKind::Decoded, "sample", "O", None).unwrap();
-        let bc = bpfree_sim::BytecodeProgram::from_bytes(img.decoded_bytes(e).unwrap(), &c.program)
+        let bc = BytecodeProgram::from_bytes(img.decoded_bytes(e).unwrap(), &s.program)
             .expect("bytecode validates against the live program");
         let mut obs = bpfree_sim::CountingObserver::default();
-        let run = bpfree_sim::Simulator::with_decoded(&c.program, &bc)
+        let run = bpfree_sim::Simulator::with_decoded(&s.program, &bc)
             .run(&mut obs)
             .unwrap();
-        assert_eq!(run, r.run);
+        assert_eq!(run, s.run);
 
         let e = img
             .find(SectionKind::Prediction, "sample", "O", None)
             .unwrap();
         let p = img.prediction(e).unwrap();
-        assert!(p.instantiate(&c.program).is_some());
+        assert!(p.instantiate(&s.program).is_some());
 
         let e = img.find(SectionKind::Run, "sample", "O", Some(0)).unwrap();
         let got = img.run(e).unwrap();
-        assert_eq!(got.profile, r.profile);
-        assert_eq!(got.run, r.run);
+        assert_eq!(got.profile, s.profile);
+        assert_eq!(got.run, s.run);
 
         let e = img
             .find(SectionKind::Trace, "sample", "O", Some(0))
             .unwrap();
         let got = img.trace(e).unwrap();
-        assert_eq!(got.trace, t.trace);
-        assert_eq!(got.run, t.run);
+        assert_eq!(got.trace, s.trace);
+        assert_eq!(got.run, s.run);
 
         let e = img.find(SectionKind::Ordering, "", "O", None).unwrap();
         let got = img.ordering(e).unwrap();
@@ -1072,9 +1055,8 @@ mod tests {
 
     #[test]
     fn traces_are_served_zero_copy() {
-        let (_, _, t) = sample();
-        let bytes = sample_image();
-        let img = SuiteImage::from_bytes(bytes).expect("opens");
+        let s = sample();
+        let img = SuiteImage::from_bytes(sample_image(&s)).expect("opens");
         let e = img
             .find(SectionKind::Trace, "sample", "O", Some(0))
             .unwrap();
@@ -1091,26 +1073,30 @@ mod tests {
         let seq8 = got.trace.seq_u8().unwrap();
         let buf_range = img.buf.as_ptr() as usize..img.buf.as_ptr() as usize + img.buf.len();
         assert!(buf_range.contains(&(seq8.as_ptr() as usize)));
-        assert_eq!(got.trace, t.trace);
+        assert_eq!(got.trace, s.trace);
     }
 
     #[test]
     fn builds_are_deterministic_under_insertion_order() {
-        let (c, r, _) = sample();
+        let s = sample();
+        let (compile, run) = (
+            Artifact::Compile(&s.program),
+            Artifact::Run(&s.profile, s.run),
+        );
         let mut b1 = ImageBuilder::new();
-        b1.add_compile("a", "O", 1, &c);
-        b1.add_run("a", "O", 0, 2, &r);
-        b1.add_run("a", "O", 1, 3, &r);
+        b1.add("a", "O", None, 1, compile);
+        b1.add("a", "O", Some(0), 2, run);
+        b1.add("a", "O", Some(1), 3, run);
         let mut b2 = ImageBuilder::new();
-        b2.add_run("a", "O", 1, 3, &r);
-        b2.add_compile("a", "O", 1, &c);
-        b2.add_run("a", "O", 0, 2, &r);
+        b2.add("a", "O", Some(1), 3, run);
+        b2.add("a", "O", None, 1, compile);
+        b2.add("a", "O", Some(0), 2, run);
         assert_eq!(b1.finish(), b2.finish(), "byte-identical double build");
     }
 
     #[test]
     fn open_rejects_structural_corruption() {
-        let bytes = sample_image();
+        let bytes = sample_image(&sample());
         assert!(SuiteImage::from_bytes(Vec::new()).is_err(), "empty");
         assert!(
             SuiteImage::from_bytes(bytes[..63].to_vec()).is_err(),
@@ -1133,7 +1119,7 @@ mod tests {
 
     #[test]
     fn every_truncation_fails_cleanly() {
-        let bytes = sample_image();
+        let bytes = sample_image(&sample());
         for len in 0..bytes.len() {
             assert!(
                 SuiteImage::from_bytes(bytes[..len].to_vec()).is_err(),
@@ -1144,8 +1130,8 @@ mod tests {
 
     #[test]
     fn bit_flips_never_panic_and_never_lie() {
-        let (c, _, _) = sample();
-        let bytes = sample_image();
+        let s = sample();
+        let bytes = sample_image(&s);
         // A deterministic LCG walk over byte offsets; each flip either
         // fails to open, or opens with the flip confined to padding —
         // in which case every payload still decodes identically.
@@ -1163,9 +1149,7 @@ mod tests {
                 // be untouched.
                 for e in img.entries() {
                     match e.kind {
-                        SectionKind::Compile => {
-                            assert_eq!(img.compile(e).unwrap().program, c.program)
-                        }
+                        SectionKind::Compile => assert_eq!(img.compile(e).unwrap(), s.program),
                         SectionKind::Decoded => assert!(img.decoded_bytes(e).is_some()),
                         SectionKind::Prediction => assert!(img.prediction(e).is_some()),
                         SectionKind::Run => assert!(img.run(e).is_some()),
@@ -1179,7 +1163,7 @@ mod tests {
 
     #[test]
     fn accessors_reject_kind_mismatch() {
-        let img = SuiteImage::from_bytes(sample_image()).expect("opens");
+        let img = SuiteImage::from_bytes(sample_image(&sample())).expect("opens");
         let run = img.find(SectionKind::Run, "sample", "O", Some(0)).unwrap();
         assert!(img.trace(run).is_none());
         assert!(img.compile(run).is_none());
@@ -1190,16 +1174,28 @@ mod tests {
         assert!(img.run(trace).is_none());
     }
 
+    /// The streamed file write and the in-memory build produce the same
+    /// bytes, the file opens, and the write leaves no temp file behind.
     #[test]
     fn write_and_open_roundtrip() {
-        let (c, _, _) = sample();
+        let s = sample();
         let dir = std::env::temp_dir().join(format!("bpfree-img-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("suite.img");
-        let mut b = ImageBuilder::new();
-        b.add_compile("sample", "O", 1, &c);
-        b.write(&path).expect("writes");
+        let build = || {
+            let mut b = ImageBuilder::new();
+            b.add("sample", "O", None, 1, Artifact::Compile(&s.program));
+            b.add("sample", "O", Some(0), 5, Artifact::Trace(&s.trace, s.run));
+            b
+        };
+        let (n, bytes) = build().write(&path).expect("writes");
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!((n, bytes), (2, written.len() as u64));
+        assert_eq!(written, build().finish());
         let img = SuiteImage::open(&path).expect("opens");
-        assert_eq!(img.entries().len(), 1);
+        assert_eq!(img.entries().len(), 2);
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "only suite.img remains");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

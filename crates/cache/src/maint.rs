@@ -1,188 +1,67 @@
-//! Cache-directory maintenance: the scanning behind `bpfree cache stat`
-//! and `bpfree cache gc`.
+//! Cache-directory inventory: the scan behind `bpfree cache stat`.
 //!
-//! Per-entry cache files are self-describing — each starts with a
-//! `bpfree-cache v<N>` line followed by `key <hex>` and `kind <name>`
-//! lines — so the directory can be inventoried (and stale-version
-//! entries purged) without knowing any content keys. Entries written by
-//! older format versions are unreachable anyway (the version is hashed
-//! into every key), so `gc` reclaiming them changes no behaviour, only
-//! disk usage.
+//! The cache is one file, [`crate::image_path`], rewritten whole from
+//! revalidated artifacts whenever a run computes something, so there is
+//! nothing to garbage-collect: the inventory is simply the image's
+//! directory.
 
 use std::path::Path;
 
-use crate::FORMAT_VERSION;
+use crate::image::{ImageEntry, SectionKind, SuiteImage};
 
-/// What a scan learned about one cache entry file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntryInfo {
-    /// The content key (the file stem).
-    pub key: String,
-    /// The format version stamped in the entry header.
-    pub version: u32,
-    /// The entry kind named in the header (`compile`, `prediction`,
-    /// `run`, `trace`, `ordering`), or `"?"` for files whose header
-    /// does not parse.
-    pub kind: String,
-    /// File size in bytes.
+/// What a scan found in a cache directory.
+#[derive(Debug, Default, Clone)]
+pub struct CacheStat {
+    /// The cache image's directory, in on-disk (sorted) order; empty
+    /// when the directory holds no image.
+    pub entries: Vec<ImageEntry>,
+    /// The image's size in bytes (0 when there is none).
     pub bytes: u64,
 }
 
-impl EntryInfo {
-    /// Is this entry readable by the current format version?
-    pub fn is_current(&self) -> bool {
-        self.version == FORMAT_VERSION
-    }
-}
-
-/// A whole-directory inventory, aggregated per (kind, version).
-#[derive(Debug, Default, Clone)]
-pub struct CacheStat {
-    /// Every recognized entry, sorted by key.
-    pub entries: Vec<EntryInfo>,
-    /// Files under the directory that are not cache entries (no `.txt`
-    /// extension or an unparsable header) — counted, never touched.
-    pub foreign: usize,
-}
-
 impl CacheStat {
-    /// Aggregated (kind, version, count, bytes) rows, sorted by kind
-    /// then version, for the `cache stat` table.
-    pub fn by_kind(&self) -> Vec<(String, u32, usize, u64)> {
-        let mut rows: Vec<(String, u32, usize, u64)> = Vec::new();
-        for e in &self.entries {
-            match rows
-                .iter_mut()
-                .find(|(k, v, _, _)| *k == e.kind && *v == e.version)
-            {
-                Some((_, _, n, b)) => {
-                    *n += 1;
-                    *b += e.bytes;
-                }
-                None => rows.push((e.kind.clone(), e.version, 1, e.bytes)),
-            }
-        }
-        rows.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        rows
+    /// Aggregated (kind, entries, payload bytes) rows in kind order, for
+    /// the `cache stat` table. Kinds with no entries are left out.
+    pub fn by_kind(&self) -> Vec<(SectionKind, usize, u64)> {
+        SectionKind::ALL
+            .iter()
+            .map(|&kind| {
+                let of_kind = self.entries.iter().filter(|e| e.kind == kind);
+                let bytes = of_kind.clone().map(|e| e.payload_bytes() as u64).sum();
+                (kind, of_kind.count(), bytes)
+            })
+            .filter(|&(_, n, _)| n > 0)
+            .collect()
     }
 
-    /// Total bytes across all recognized entries.
+    /// The cache's total size on disk: the whole image file.
     pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
-    /// How many entries predate the current format version.
-    pub fn stale(&self) -> usize {
-        self.entries.iter().filter(|e| !e.is_current()).count()
+        self.bytes
     }
 }
 
-/// Parses the two header fields out of an entry file's first bytes.
-/// Only the first few hundred bytes matter, but entries are small
-/// enough that reading whole files keeps this simple; trace entries'
-/// binary payload never contains a `\n` before the header ends, so the
-/// line split below is safe on them too.
-fn parse_header(bytes: &[u8]) -> Option<(u32, String)> {
-    let mut lines = bytes.split(|&b| b == b'\n');
-    let v = std::str::from_utf8(lines.next()?).ok()?;
-    let version: u32 = v.strip_prefix("bpfree-cache v")?.parse().ok()?;
-    let _key = lines.next()?;
-    let kind = std::str::from_utf8(lines.next()?).ok()?;
-    let kind = kind.strip_prefix("kind ")?;
-    if kind.is_empty() || !kind.bytes().all(|b| b.is_ascii_alphanumeric()) {
-        return None;
-    }
-    Some((version, kind.to_string()))
-}
-
-/// Scans `dir` and inventories every cache entry. A missing directory
+/// Inventories the cache image in `dir`. A missing directory or image
 /// is an empty (not an error) result — there is simply nothing cached.
+/// An image that does not open (truncated, corrupt, another format
+/// version) is an `InvalidData` error; the engine treats such a cache as
+/// empty and overwrites it at the end of its next run.
 pub fn scan(dir: &Path) -> std::io::Result<CacheStat> {
-    let mut stat = CacheStat::default();
-    let rd = match std::fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(stat),
-        Err(e) => return Err(e),
-    };
-    for dent in rd {
-        let dent = dent?;
-        let path = dent.path();
-        if !dent.file_type()?.is_file() {
-            stat.foreign += 1;
-            continue;
-        }
-        let key = match (path.extension(), path.file_stem()) {
-            (Some(ext), Some(stem)) if ext == "txt" => stem.to_string_lossy().into_owned(),
-            _ => {
-                stat.foreign += 1;
-                continue;
-            }
-        };
-        let bytes = dent.metadata()?.len();
-        // Only the header matters; cap the read so a huge foreign .txt
-        // file can't balloon the scan.
-        let head = read_prefix(&path, 4096)?;
-        match parse_header(&head) {
-            Some((version, kind)) => stat.entries.push(EntryInfo {
-                key,
-                version,
-                kind,
-                bytes,
-            }),
-            None => stat.foreign += 1,
-        }
+    let path = crate::image_path(dir);
+    if !path.is_file() {
+        return Ok(CacheStat::default());
     }
-    stat.entries.sort_by(|a, b| a.key.cmp(&b.key));
-    Ok(stat)
-}
-
-fn read_prefix(path: &Path, cap: usize) -> std::io::Result<Vec<u8>> {
-    use std::io::Read as _;
-    let mut f = std::fs::File::open(path)?;
-    let mut buf = vec![0u8; cap];
-    let mut at = 0;
-    loop {
-        let n = f.read(&mut buf[at..])?;
-        if n == 0 {
-            break;
-        }
-        at += n;
-        if at == buf.len() {
-            break;
-        }
-    }
-    buf.truncate(at);
-    Ok(buf)
-}
-
-/// Deletes every *recognized* cache entry whose stamped format version
-/// predates the current one. Foreign files and current-version entries
-/// are untouched. Returns (entries removed, bytes reclaimed).
-pub fn gc(dir: &Path) -> std::io::Result<(usize, u64)> {
-    let stat = scan(dir)?;
-    let mut removed = 0usize;
-    let mut reclaimed = 0u64;
-    for e in &stat.entries {
-        if e.is_current() {
-            continue;
-        }
-        let path = dir.join(format!("{}.txt", e.key));
-        match std::fs::remove_file(&path) {
-            Ok(()) => {
-                removed += 1;
-                reclaimed += e.bytes;
-            }
-            // Raced with another process; fine either way.
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(err),
-        }
-    }
-    Ok((removed, reclaimed))
+    let img = SuiteImage::open(&path)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok(CacheStat {
+        entries: img.entries().to_vec(),
+        bytes: img.total_bytes() as u64,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{Artifact, ImageBuilder};
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("bpfree-maint-{tag}-{}", std::process::id()));
@@ -192,47 +71,45 @@ mod tests {
     }
 
     #[test]
-    fn scan_classifies_and_gc_purges_stale_versions() {
-        let dir = temp_dir("gc");
-        // A current entry, a stale (pre-v6) entry, and two foreign files.
-        std::fs::write(
-            dir.join("aaaa.txt"),
-            format!("bpfree-cache v{FORMAT_VERSION}\nkey aaaa\nkind run\nexit 0\n"),
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("bbbb.txt"),
-            "bpfree-cache v5\nkey bbbb\nkind trace\n\u{0}\u{1}binary",
-        )
-        .unwrap();
+    fn scan_inventories_the_cache_image() {
+        let dir = temp_dir("stat");
+        let program = bpfree_lang::compile("fn main() -> int { return 1; }").unwrap();
+        let bytecode = bpfree_sim::BytecodeProgram::compile(&program);
+        let mut b = ImageBuilder::new();
+        b.add("a", "O", None, 1, Artifact::Compile(&program));
+        b.add("b", "O", None, 2, Artifact::Compile(&program));
+        b.add("a", "O", None, 3, Artifact::Decoded(&bytecode));
+        let (_, bytes) = b.write(&crate::image_path(&dir)).unwrap();
+        // Files other than the image are not the cache's business.
         std::fs::write(dir.join("notes.md"), "not a cache entry").unwrap();
-        std::fs::write(dir.join("cccc.txt"), "something else entirely\n").unwrap();
 
         let stat = scan(&dir).unwrap();
-        assert_eq!(stat.entries.len(), 2);
-        assert_eq!(stat.foreign, 2);
-        assert_eq!(stat.stale(), 1);
+        assert_eq!(stat.entries.len(), 3);
+        assert_eq!(stat.total_bytes(), bytes);
         let rows = stat.by_kind();
-        assert!(rows.contains(&("run".to_string(), FORMAT_VERSION, 1, stat.entries[0].bytes)));
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].0, rows[0].1), (SectionKind::Compile, 2));
+        assert_eq!((rows[1].0, rows[1].1), (SectionKind::Decoded, 1));
+        assert!(rows.iter().all(|&(_, _, b)| b > 0));
 
-        let (removed, reclaimed) = gc(&dir).unwrap();
-        assert_eq!(removed, 1);
-        assert!(reclaimed > 0);
-        assert!(!dir.join("bbbb.txt").exists(), "stale entry removed");
-        assert!(dir.join("aaaa.txt").exists(), "current entry kept");
-        assert!(dir.join("notes.md").exists(), "foreign file kept");
-        assert!(dir.join("cccc.txt").exists(), "unparsable file kept");
-
-        let stat = scan(&dir).unwrap();
-        assert_eq!(stat.stale(), 0);
+        // A damaged image is reported, not silently counted as empty.
+        std::fs::write(crate::image_path(&dir), b"BPFIMG06 but truncated").unwrap();
+        let err = scan(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn scan_of_missing_dir_is_empty() {
-        let dir = std::env::temp_dir().join("bpfree-maint-definitely-absent");
-        let stat = scan(&dir).unwrap();
+        let absent = std::env::temp_dir().join("bpfree-maint-definitely-absent");
+        let stat = scan(&absent).unwrap();
         assert!(stat.entries.is_empty());
-        assert_eq!(stat.foreign, 0);
+        assert_eq!(stat.total_bytes(), 0);
+
+        let dir = temp_dir("empty");
+        std::fs::write(dir.join("0123456789abcdef.txt"), "bpfree-cache v6\n").unwrap();
+        let stat = scan(&dir).unwrap();
+        assert!(stat.entries.is_empty(), "old per-entry files are ignored");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

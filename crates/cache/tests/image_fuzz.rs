@@ -7,8 +7,7 @@
 
 use std::sync::OnceLock;
 
-use bpfree_cache::image::{ImageBuilder, SectionKind, SuiteImage};
-use bpfree_cache::{CompileArtifacts, PredictionArtifacts, RunArtifacts, TraceArtifacts};
+use bpfree_cache::image::{Artifact, ImageBuilder, SectionKind, SuiteImage};
 use proptest::prelude::*;
 
 fn pristine() -> &'static Vec<u8> {
@@ -36,24 +35,15 @@ fn pristine() -> &'static Vec<u8> {
 
         let classifier = bpfree_core::BranchClassifier::analyze(&program);
         let table = bpfree_core::HeuristicTable::build(&program, &classifier);
-        let predictions = PredictionArtifacts::from_computed(&classifier, &table);
-        let bytecode = bpfree_sim::BytecodeProgram::compile(&program).to_bytes();
+        let bytecode = bpfree_sim::BytecodeProgram::compile(&program);
 
         let mut b = ImageBuilder::new();
-        b.add_compile("fuzz", "O", 0x11, &CompileArtifacts { program });
-        b.add_decoded("fuzz", "O", 0x22, bytecode);
-        b.add_prediction("fuzz", "O", 0x33, &predictions);
-        b.add_run(
-            "fuzz",
-            "O",
-            0,
-            0x44,
-            &RunArtifacts {
-                profile: profile.clone(),
-                run,
-            },
-        );
-        b.add_trace("fuzz", "O", 0, 0x55, &TraceArtifacts { trace, run });
+        b.add("fuzz", "O", None, 0x11, Artifact::Compile(&program));
+        b.add("fuzz", "O", None, 0x22, Artifact::Decoded(&bytecode));
+        let prediction = Artifact::Prediction(&classifier, &table);
+        b.add("fuzz", "O", None, 0x33, prediction);
+        b.add("fuzz", "O", Some(0), 0x44, Artifact::Run(&profile, run));
+        b.add("fuzz", "O", Some(0), 0x55, Artifact::Trace(&trace, run));
         b.finish()
     })
 }
@@ -68,10 +58,7 @@ fn assert_contents_pristine(img: &SuiteImage) {
         assert_eq!(e.key, ce.key);
         match e.kind {
             SectionKind::Compile => {
-                assert_eq!(
-                    img.compile(e).unwrap().program,
-                    clean.compile(ce).unwrap().program
-                );
+                assert_eq!(img.compile(e).unwrap(), clean.compile(ce).unwrap());
             }
             SectionKind::Decoded => {
                 assert_eq!(

@@ -1,72 +1,50 @@
-//! End-to-end cache behavior against real suite benchmarks: hits
-//! restore exactly what was stored, corruption degrades to a miss,
-//! traces rebuild runs by replay, prediction entries rebuild the
-//! classifier and heuristic table without re-analysis, and experiment
-//! results computed from cached artifacts are identical to fresh ones.
+//! End-to-end cache behavior against real suite benchmarks, through the
+//! suite image: an image restores exactly what was packed, corruption
+//! refuses to open (so the engine recomputes), traces rebuild runs by
+//! replay, prediction rows rebuild the classifier and heuristic table
+//! without re-analysis, and experiment results computed from imaged
+//! artifacts are identical to fresh ones.
 
-use std::path::PathBuf;
-
-use bpfree_cache::{CompileArtifacts, PredictionArtifacts, RunArtifacts, TraceArtifacts};
+use bpfree_cache::image::{Artifact, ImageBuilder, SectionKind, SuiteImage};
+use bpfree_cache::PredictionArtifacts;
 use bpfree_core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree_core::{BranchClassifier, HeuristicTable, DEFAULT_SEED};
+use bpfree_ir::Program;
 use bpfree_lang::Options;
-use bpfree_sim::{EdgeProfiler, Pair, TraceRecorder};
-
-/// A unique scratch cache directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> ScratchDir {
-        let dir =
-            std::env::temp_dir().join(format!("bpfree-cache-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use bpfree_sim::{BranchTrace, EdgeProfile, EdgeProfiler, Pair, RunResult, TraceRecorder};
+use bpfree_suite::Benchmark;
 
 struct Fresh {
-    compile: CompileArtifacts,
-    prediction: PredictionArtifacts,
-    run: RunArtifacts,
-    trace: TraceArtifacts,
+    bench: Benchmark,
+    program: Program,
     classifier: BranchClassifier,
     table: HeuristicTable,
+    profile: EdgeProfile,
+    trace: BranchTrace,
+    run: RunResult,
 }
 
 /// Compiles + simulates one suite benchmark (dataset 0) the way the
 /// engine does on a full miss: one interpreter pass recording profile
-/// and trace together, plus the dense prediction rows the engine
-/// persists.
+/// and trace together, plus the classifier and heuristic table.
 fn fresh(name: &str) -> Fresh {
-    let b = bpfree_suite::by_name(name).expect("benchmark exists");
-    let program = b.compile().expect("compiles");
+    let bench = bpfree_suite::by_name(name).expect("benchmark exists");
+    let program = bench.compile().expect("compiles");
     let classifier = BranchClassifier::analyze(&program);
     let table = HeuristicTable::build(&program, &classifier);
-    let prediction = PredictionArtifacts::from_computed(&classifier, &table);
     let mut fan = Pair(EdgeProfiler::new(), TraceRecorder::new());
-    let run = b
-        .run_with(&program, &b.datasets()[0], &mut fan)
+    let run = bench
+        .run_with(&program, &bench.datasets()[0], &mut fan)
         .expect("runs");
     let Pair(profiler, recorder) = fan;
     Fresh {
-        compile: CompileArtifacts { program },
-        prediction,
-        run: RunArtifacts {
-            profile: profiler.into_profile(),
-            run,
-        },
-        trace: TraceArtifacts {
-            trace: recorder.into_trace(),
-            run,
-        },
+        bench,
+        program,
         classifier,
         table,
+        profile: profiler.into_profile(),
+        trace: recorder.into_trace(),
+        run,
     }
 }
 
@@ -74,24 +52,22 @@ fn opt() -> &'static str {
     Options::default().fingerprint()
 }
 
-fn compile_key(name: &str) -> String {
-    let b = bpfree_suite::by_name(name).expect("benchmark exists");
-    bpfree_cache::compile_key(b.name, b.source, opt())
-}
-
-fn prediction_key(name: &str) -> String {
-    let b = bpfree_suite::by_name(name).expect("benchmark exists");
-    bpfree_cache::prediction_key(b.name, b.source, opt())
-}
-
-fn run_key(name: &str) -> String {
-    let b = bpfree_suite::by_name(name).expect("benchmark exists");
-    bpfree_cache::run_key(b.name, b.source, opt(), &b.datasets()[0])
-}
-
-fn trace_key(name: &str) -> String {
-    let b = bpfree_suite::by_name(name).expect("benchmark exists");
-    bpfree_cache::trace_key(b.name, b.source, opt(), &b.datasets()[0])
+/// Adds `f`'s compile, prediction and dataset-0 run entries (and its
+/// trace with `traced`) to `b`, under the keys the engine uses.
+fn add_fresh<'a>(b: &mut ImageBuilder<'a>, f: &'a Fresh, traced: bool) {
+    let (name, src) = (f.bench.name, f.bench.source);
+    let ds = &f.bench.datasets()[0];
+    let key = bpfree_cache::compile_key_hash(name, src, opt());
+    b.add(name, opt(), None, key, Artifact::Compile(&f.program));
+    let key = bpfree_cache::prediction_key_hash(name, src, opt());
+    let prediction = Artifact::Prediction(&f.classifier, &f.table);
+    b.add(name, opt(), None, key, prediction);
+    let key = bpfree_cache::run_key_hash(name, src, opt(), ds);
+    b.add(name, opt(), Some(0), key, Artifact::Run(&f.profile, f.run));
+    if traced {
+        let key = bpfree_cache::trace_key_hash(name, src, opt(), ds);
+        b.add(name, opt(), Some(0), key, Artifact::Trace(&f.trace, f.run));
+    }
 }
 
 fn table_rows(
@@ -102,152 +78,150 @@ fn table_rows(
     rows
 }
 
-/// Rebuilds the classifier + heuristic table from cached prediction
-/// rows, the way the engine's warm path does (no CFG analysis).
-fn rebuild(
-    program: &bpfree_ir::Program,
-    p: &PredictionArtifacts,
-) -> (BranchClassifier, HeuristicTable) {
-    p.instantiate(program).expect("rows match the program")
+/// The artifacts of `name` as a warm engine sees them: the program, the
+/// classifier + table rebuilt from the prediction rows (no CFG
+/// analysis), and the dataset-0 profile.
+fn restore(
+    img: &SuiteImage,
+    name: &str,
+) -> (Program, BranchClassifier, HeuristicTable, EdgeProfile) {
+    let find = |kind, dataset| img.find(kind, name, opt(), dataset).expect("entry present");
+    let program = img
+        .compile(find(SectionKind::Compile, None))
+        .expect("decodes");
+    let rows = img
+        .prediction(find(SectionKind::Prediction, None))
+        .expect("decodes");
+    let (classifier, table) = rows.instantiate(&program).expect("rows match the program");
+    let run = img.run(find(SectionKind::Run, Some(0))).expect("decodes");
+    (program, classifier, table, run.profile)
 }
 
 #[test]
 fn store_then_lookup_restores_everything() {
-    let dir = ScratchDir::new("roundtrip");
     let f = fresh("grep");
-
+    let mut b = ImageBuilder::new();
+    add_fresh(&mut b, &f, true);
+    let img = SuiteImage::from_bytes(b.finish()).expect("opens");
     assert!(
-        bpfree_cache::lookup_compile(&dir.0, &compile_key("grep")).is_none(),
-        "empty dir is a miss"
+        img.find(SectionKind::Compile, "compress", opt(), None)
+            .is_none(),
+        "an absent entry is a miss"
     );
-    bpfree_cache::store_compile(&dir.0, &compile_key("grep"), &f.compile).expect("store");
-    bpfree_cache::store_prediction(&dir.0, &prediction_key("grep"), &f.prediction).expect("store");
-    bpfree_cache::store_run(&dir.0, &run_key("grep"), &f.run).expect("store");
-    bpfree_cache::store_trace(&dir.0, &trace_key("grep"), &f.trace).expect("store");
 
-    let c2 = bpfree_cache::lookup_compile(&dir.0, &compile_key("grep")).expect("hit");
-    let p2 = bpfree_cache::lookup_prediction(&dir.0, &prediction_key("grep")).expect("hit");
-    let r2 = bpfree_cache::lookup_run(&dir.0, &run_key("grep")).expect("hit");
-    let t2 = bpfree_cache::lookup_trace(&dir.0, &trace_key("grep")).expect("hit");
-
-    assert_eq!(f.compile.program, c2.program);
-    assert_eq!(f.prediction, p2);
-    assert_eq!(f.run.profile, r2.profile);
-    assert_eq!(f.run.run, r2.run);
-    assert_eq!(f.trace.trace, t2.trace);
-    assert_eq!(f.trace.run, t2.run);
+    let (program, classifier, table, profile) = restore(&img, "grep");
+    assert_eq!(f.program, program);
+    assert_eq!(f.profile, profile);
+    let e = img
+        .find(SectionKind::Prediction, "grep", opt(), None)
+        .unwrap();
+    assert_eq!(
+        img.prediction(e).unwrap(),
+        PredictionArtifacts::from_computed(&f.classifier, &f.table)
+    );
+    let e = img.find(SectionKind::Run, "grep", opt(), Some(0)).unwrap();
+    assert_eq!(img.run(e).unwrap().run, f.run);
+    let e = img
+        .find(SectionKind::Trace, "grep", opt(), Some(0))
+        .unwrap();
+    let t = img.trace(e).unwrap();
+    assert_eq!(f.trace, t.trace);
+    assert_eq!(f.run, t.run);
 
     // The prediction rows fully reconstruct classifier + table.
-    let (classifier, table) = rebuild(&c2.program, &p2);
     assert!(f.classifier.rows().eq(classifier.rows()));
     assert_eq!(table_rows(&f.table), table_rows(&table));
 }
 
-/// The warm graphs4_11 path: a run entry is derivable from a trace
-/// entry by replay alone, with a bit-identical profile.
+/// The warm graphs4_11 path: a run is derivable from a trace entry by
+/// replay alone, with a bit-identical profile.
 #[test]
 fn trace_replay_rebuilds_the_run_entry() {
-    let dir = ScratchDir::new("replay");
     let f = fresh("eqntott");
-    bpfree_cache::store_trace(&dir.0, &trace_key("eqntott"), &f.trace).expect("store");
+    let ds = &f.bench.datasets()[0];
+    let key = bpfree_cache::trace_key_hash(f.bench.name, f.bench.source, opt(), ds);
+    let mut b = ImageBuilder::new();
+    let art = Artifact::Trace(&f.trace, f.run);
+    b.add("eqntott", opt(), Some(0), key, art);
+    let img = SuiteImage::from_bytes(b.finish()).expect("opens");
 
-    let t2 = bpfree_cache::lookup_trace(&dir.0, &trace_key("eqntott")).expect("hit");
+    let e = img
+        .find(SectionKind::Trace, "eqntott", opt(), Some(0))
+        .unwrap();
+    assert_eq!(e.key, key);
+    let t2 = img.trace(e).unwrap();
     let mut profiler = EdgeProfiler::new();
     t2.trace.replay(&mut profiler);
-    assert_eq!(profiler.into_profile(), f.run.profile);
-    assert_eq!(t2.run, f.run.run);
-    assert_eq!(t2.trace.total_instructions(), f.run.run.instructions);
+    assert_eq!(profiler.into_profile(), f.profile);
+    assert_eq!(t2.trace.edge_profile(), f.profile);
+    assert_eq!(t2.run, f.run);
+    assert_eq!(t2.trace.total_instructions(), f.run.instructions);
 }
 
+/// Truncation, a garbled byte in any region and outright garbage all
+/// make a real-suite image refuse to open — the engine then treats the
+/// cache as empty and recomputes — and a clean rewrite recovers.
 #[test]
 fn corruption_is_a_miss_not_a_panic() {
-    let dir = ScratchDir::new("corrupt");
     let f = fresh("compress");
-    let ck = compile_key("compress");
-    let pk = prediction_key("compress");
-    let rk = run_key("compress");
-    let tk = trace_key("compress");
-    bpfree_cache::store_compile(&dir.0, &ck, &f.compile).expect("store");
-    bpfree_cache::store_prediction(&dir.0, &pk, &f.prediction).expect("store");
-    bpfree_cache::store_run(&dir.0, &rk, &f.run).expect("store");
-    bpfree_cache::store_trace(&dir.0, &tk, &f.trace).expect("store");
+    let mut b = ImageBuilder::new();
+    add_fresh(&mut b, &f, true);
+    let bytes = b.finish();
+    assert!(SuiteImage::from_bytes(bytes.clone()).is_ok());
 
-    // Truncation, bit flips in the middle, and outright garbage must
-    // all fall back to recompute (lookup -> None), never panic. Trace
-    // entries are partly binary (v3), so everything works on bytes.
-    for (key, garble) in [
-        (&ck, &b"program"[..]),
-        (&pk, &b"rows"[..]),
-        (&rk, &b"profile"[..]),
-        (&tk, &b"dict"[..]),
-    ] {
-        let path = dir.0.join(format!("{key}.txt"));
-        let bytes = std::fs::read(&path).unwrap();
-
-        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(
-            bpfree_cache::lookup_compile(&dir.0, key).is_none()
-                && bpfree_cache::lookup_prediction(&dir.0, key).is_none()
-                && bpfree_cache::lookup_run(&dir.0, key).is_none()
-                && bpfree_cache::lookup_trace(&dir.0, key).is_none(),
-            "truncated {key}"
-        );
-
-        let at = bytes
-            .windows(garble.len())
-            .position(|w| w == garble)
-            .expect("section header present");
+    assert!(SuiteImage::from_bytes(bytes[..bytes.len() / 3].to_vec()).is_err());
+    // The header, the first payload (the compile entry's IR text starts
+    // right after the 64-byte header), and the directory at the tail.
+    for at in [20, 70, bytes.len() - 20] {
         let mut garbled = bytes.clone();
-        garbled[at..at + garble.len()].fill(b'!');
-        std::fs::write(&path, garbled).unwrap();
-        assert!(
-            bpfree_cache::lookup_compile(&dir.0, key).is_none()
-                && bpfree_cache::lookup_prediction(&dir.0, key).is_none()
-                && bpfree_cache::lookup_run(&dir.0, key).is_none()
-                && bpfree_cache::lookup_trace(&dir.0, key).is_none(),
-            "garbled section header in {key}"
-        );
-
-        std::fs::write(&path, "not a cache file at all\n").unwrap();
-        assert!(
-            bpfree_cache::lookup_compile(&dir.0, key).is_none()
-                && bpfree_cache::lookup_prediction(&dir.0, key).is_none()
-                && bpfree_cache::lookup_run(&dir.0, key).is_none()
-                && bpfree_cache::lookup_trace(&dir.0, key).is_none(),
-            "garbage {key}"
-        );
+        garbled[at] ^= 0x21;
+        assert!(SuiteImage::from_bytes(garbled).is_err(), "byte {at}");
     }
+    assert!(SuiteImage::from_bytes(b"not a cache file at all\n".to_vec()).is_err());
 
-    // And a valid re-store recovers.
-    bpfree_cache::store_compile(&dir.0, &ck, &f.compile).expect("re-store");
-    assert!(bpfree_cache::lookup_compile(&dir.0, &ck).is_some());
+    let dir = std::env::temp_dir().join(format!("bpfree-cache-corrupt-{}", std::process::id()));
+    let path = bpfree_cache::image_path(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&path, &bytes[..1000]).unwrap();
+    assert!(SuiteImage::open(&path).is_err());
+    let mut b = ImageBuilder::new();
+    add_fresh(&mut b, &f, true);
+    b.write(&path).expect("rewrite");
+    assert_eq!(
+        SuiteImage::open(&path).expect("recovers").entries().len(),
+        4
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn keys_differ_across_benchmarks_kinds_and_opt_levels() {
-    assert_ne!(compile_key("grep"), compile_key("compress"));
-    assert_eq!(compile_key("grep"), compile_key("grep"), "stable");
-    assert_ne!(run_key("grep"), trace_key("grep"), "kind tag");
-    assert_ne!(compile_key("grep"), run_key("grep"));
-    assert_ne!(compile_key("grep"), prediction_key("grep"), "kind tag");
+    let key = |name: &str, o: &str| {
+        let b = bpfree_suite::by_name(name).unwrap();
+        let ds = &b.datasets()[0];
+        [
+            bpfree_cache::compile_key_hash(b.name, b.source, o),
+            bpfree_cache::prediction_key_hash(b.name, b.source, o),
+            bpfree_cache::decoded_key_hash(b.name, b.source, o),
+            bpfree_cache::run_key_hash(b.name, b.source, o, ds),
+            bpfree_cache::trace_key_hash(b.name, b.source, o, ds),
+        ]
+    };
+    let grep = key("grep", opt());
+    assert_eq!(grep, key("grep", opt()), "stable");
+    for (i, a) in grep.iter().enumerate() {
+        for b in &grep[i + 1..] {
+            assert_ne!(a, b, "kind tags never collide");
+        }
+    }
+    let compress = key("compress", opt());
+    assert!(grep.iter().zip(&compress).all(|(a, b)| a != b), "benchmark");
 
     // Regression: PR 1's single-key scheme ignored compile options, so
     // an -O0 build (opt_ablate) could poison the -O cache. Every kind
-    // now keys on the options fingerprint.
-    let b = bpfree_suite::by_name("grep").unwrap();
-    let o0 = Options::o0().fingerprint();
-    assert_ne!(
-        bpfree_cache::compile_key(b.name, b.source, o0),
-        compile_key("grep")
-    );
-    assert_ne!(
-        bpfree_cache::prediction_key(b.name, b.source, o0),
-        prediction_key("grep")
-    );
-    assert_ne!(
-        bpfree_cache::run_key(b.name, b.source, o0, &b.datasets()[0]),
-        run_key("grep")
-    );
+    // keys on the options fingerprint.
+    let o0 = key("grep", Options::o0().fingerprint());
+    assert!(grep.iter().zip(&o0).all(|(a, b)| a != b), "options");
 }
 
 /// Prediction rows from one program must be refused against a different
@@ -257,60 +231,55 @@ fn keys_differ_across_benchmarks_kinds_and_opt_levels() {
 fn stale_prediction_rows_are_refused_against_another_program() {
     let grep = fresh("grep");
     let compress = fresh("compress");
-    assert!(grep
-        .prediction
-        .instantiate(&compress.compile.program)
-        .is_none());
+    let rows = PredictionArtifacts::from_computed(&grep.classifier, &grep.table);
+    assert!(rows.instantiate(&compress.program).is_none());
 }
 
 #[test]
 fn cached_artifacts_give_identical_experiment_results() {
-    let dir = ScratchDir::new("experiment");
     let names = ["grep", "compress", "eqntott"];
+    let fresh_all: Vec<Fresh> = names.iter().map(|n| fresh(n)).collect();
+    let mut b = ImageBuilder::new();
+    for f in &fresh_all {
+        add_fresh(&mut b, f, false);
+    }
+    let img = SuiteImage::from_bytes(b.finish()).expect("opens");
 
     let mut fresh_data = Vec::new();
-    let mut cached_data = Vec::new();
-    for name in names {
-        let f = fresh(name);
-        bpfree_cache::store_compile(&dir.0, &compile_key(name), &f.compile).expect("store");
-        bpfree_cache::store_prediction(&dir.0, &prediction_key(name), &f.prediction)
-            .expect("store");
-        bpfree_cache::store_run(&dir.0, &run_key(name), &f.run).expect("store");
-        let hit_c = bpfree_cache::lookup_compile(&dir.0, &compile_key(name)).expect("hit");
-        let hit_p = bpfree_cache::lookup_prediction(&dir.0, &prediction_key(name)).expect("hit");
-        let hit_r = bpfree_cache::lookup_run(&dir.0, &run_key(name)).expect("hit");
+    let mut imaged_data = Vec::new();
+    for f in &fresh_all {
+        let name = f.bench.name;
         // The engine's warm path: classifier + table from the rows, no
         // re-analysis.
-        let (hit_classifier, hit_table) = rebuild(&hit_c.program, &hit_p);
-
+        let (_, classifier, table, profile) = restore(&img, name);
         fresh_data.push(BenchOrderData::build(
             name,
             &f.table,
-            &f.run.profile,
+            &f.profile,
             &f.classifier,
             DEFAULT_SEED,
         ));
-        cached_data.push(BenchOrderData::build(
+        imaged_data.push(BenchOrderData::build(
             name,
-            &hit_table,
-            &hit_r.profile,
-            &hit_classifier,
+            &table,
+            &profile,
+            &classifier,
             DEFAULT_SEED,
         ));
     }
 
     let fresh_study = OrderingStudy::new(fresh_data);
-    let cached_study = OrderingStudy::new(cached_data);
+    let imaged_study = OrderingStudy::new(imaged_data);
 
     // Graph 1 data: bit-identical average rates for all 5040 orders.
     assert_eq!(
         fresh_study.sorted_average_rates(),
-        cached_study.sorted_average_rates()
+        imaged_study.sorted_average_rates()
     );
 
     // Table 4 data: identical winners, tallies, and rates.
     let f = fresh_study.subset_experiment(2);
-    let c = cached_study.subset_experiment(2);
+    let c = imaged_study.subset_experiment(2);
     assert_eq!(f.len(), c.len());
     for (a, b) in f.iter().zip(&c) {
         assert_eq!(a.order, b.order);
@@ -318,4 +287,22 @@ fn cached_artifacts_give_identical_experiment_results() {
         assert_eq!(a.trial_fraction.to_bits(), b.trial_fraction.to_bits());
         assert_eq!(a.mean_miss_rate.to_bits(), b.mean_miss_rate.to_bits());
     }
+
+    // And the study itself round-trips through the image bit for bit.
+    let key = 0x5eed;
+    let mut b = ImageBuilder::new();
+    b.add("", opt(), None, key, Artifact::Ordering(&imaged_study));
+    let img = SuiteImage::from_bytes(b.finish()).expect("opens");
+    let e = img.find(SectionKind::Ordering, "", opt(), None).unwrap();
+    let restored = img
+        .ordering(e)
+        .unwrap()
+        .instantiate(fresh_study.benches())
+        .expect("live data matches");
+    assert!(restored
+        .rates()
+        .iter()
+        .flatten()
+        .map(|r| r.to_bits())
+        .eq(fresh_study.rates().iter().flatten().map(|r| r.to_bits())));
 }

@@ -33,8 +33,11 @@
 //! `Mutex<HashMap<Key, Arc<OnceLock<V>>>>` memo: the map lock is held
 //! only to fetch the slot, so concurrent queries for different keys
 //! compute in parallel while duplicate queries block on the same slot),
-//! and persisted through [`bpfree_cache`] so later processes skip the
-//! work entirely.
+//! and persisted in one file, the [`bpfree_cache`] image, so later
+//! processes skip the work entirely: [`Engine::new`] mounts it and
+//! [`Engine::persist`] writes it back. Warm and `--image` runs share
+//! one path, and the compute functions behind the memos never touch
+//! the disk.
 //!
 //! # One interpreter pass per (benchmark, dataset)
 //!
@@ -68,12 +71,13 @@
 //! assert!(compiled.table.rows().count() > 0);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use bpfree_cache::image::{Artifact, ImageBuilder, ImageEntry, SectionKind, SuiteImage};
 use bpfree_core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree_core::{BranchClassifier, HeuristicTable, DEFAULT_SEED};
 use bpfree_ir::{BranchRef, Program};
@@ -89,9 +93,10 @@ use bpfree_suite::{Benchmark, Dataset, SuiteError};
 /// `BPFREE_CACHE_DIR` environment variables.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Consult and populate the on-disk artifact cache.
+    /// Start from the cache image and let [`Engine::persist`] write it
+    /// back.
     pub use_cache: bool,
-    /// Where the cache lives.
+    /// Where the cache lives: the image is `cache_dir/suite.img`.
     pub cache_dir: PathBuf,
     /// Print cache hit/miss lines to stderr (never stdout — experiment
     /// output stays byte-identical either way).
@@ -236,9 +241,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// A fresh engine with empty memos.
+    /// A fresh engine. With [`EngineConfig::use_cache`] it starts from
+    /// the cache image, `<cache_dir>/suite.img`: every entry that
+    /// revalidates against the live suite is mounted into the memos
+    /// (see [`Engine::mount_image`]), exactly as `--image` would. A
+    /// missing, truncated, corrupt or older-version image counts as an
+    /// empty cache, with one verbose note. [`Engine::persist`] writes
+    /// the file back.
     pub fn new(config: EngineConfig) -> Engine {
-        Engine {
+        let engine = Engine {
             config,
             programs: Memo::new(),
             predictions: Memo::new(),
@@ -254,7 +265,23 @@ impl Engine {
             compiles: AtomicU64::new(0),
             decodes: AtomicU64::new(0),
             trace_records: AtomicU64::new(0),
+        };
+        if engine.config.use_cache {
+            let path = bpfree_cache::image_path(&engine.config.cache_dir);
+            match engine.mount_image(&path) {
+                Ok(report) => engine.note(
+                    "mount",
+                    format_args!(
+                        "cache {}: {} entries ({} skipped)",
+                        path.display(),
+                        report.mounted,
+                        report.skipped
+                    ),
+                ),
+                Err(e) => engine.note("empty", format_args!("cache {}: {e}", path.display())),
+            }
         }
+        engine
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -610,60 +637,20 @@ impl Engine {
 
     fn build_program(&self, bench: &Benchmark, opt: Options) -> Arc<Program> {
         let fp = opt.fingerprint();
-        if self.config.use_cache {
-            let key = bpfree_cache::compile_key(bench.name, bench.source, fp);
-            if let Some(hit) = bpfree_cache::lookup_compile(&self.config.cache_dir, &key) {
-                self.note("hit ", format_args!("compile {} [{fp}]", bench.name));
-                return Arc::new(hit.program);
-            }
-            self.note("miss", format_args!("compile {} [{fp}]", bench.name));
-        }
+        self.note("miss", format_args!("compile {} [{fp}]", bench.name));
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let program = bpfree_lang::compile_with(bench.source, opt)
             .unwrap_or_else(|e| panic!("benchmark `{}` fails to compile: {e}", bench.name));
-        if self.config.use_cache {
-            let key = bpfree_cache::compile_key(bench.name, bench.source, fp);
-            let _ = bpfree_cache::store_compile(
-                &self.config.cache_dir,
-                &key,
-                &bpfree_cache::CompileArtifacts {
-                    program: program.clone(),
-                },
-            );
-        }
         Arc::new(program)
     }
 
     fn build_predictions(&self, bench: &Benchmark, opt: Options) -> Predicted {
         let fp = opt.fingerprint();
         let program = self.program(bench, opt);
-        if self.config.use_cache {
-            let key = bpfree_cache::prediction_key(bench.name, bench.source, fp);
-            if let Some(hit) = bpfree_cache::lookup_prediction(&self.config.cache_dir, &key) {
-                // Rows are validated against the actual program; a
-                // mismatch (stale or foreign rows under a colliding
-                // key) falls through to a clean recompute.
-                if let Some((classifier, table)) = hit.instantiate(&program) {
-                    self.note("hit ", format_args!("analyze {} [{fp}]", bench.name));
-                    return Predicted {
-                        classifier: Arc::new(classifier),
-                        table: Arc::new(table),
-                    };
-                }
-            }
-            self.note("miss", format_args!("analyze {} [{fp}]", bench.name));
-        }
+        self.note("miss", format_args!("analyze {} [{fp}]", bench.name));
         self.analyses.fetch_add(1, Ordering::Relaxed);
         let classifier = BranchClassifier::analyze(&program);
         let table = HeuristicTable::build(&program, &classifier);
-        if self.config.use_cache {
-            let key = bpfree_cache::prediction_key(bench.name, bench.source, fp);
-            let _ = bpfree_cache::store_prediction(
-                &self.config.cache_dir,
-                &key,
-                &bpfree_cache::PredictionArtifacts::from_computed(&classifier, &table),
-            );
-        }
         Predicted {
             classifier: Arc::new(classifier),
             table: Arc::new(table),
@@ -681,41 +668,10 @@ impl Engine {
             .iter()
             .map(|&b| (*self.order_data(b, opt)).clone())
             .collect();
-        if self.config.use_cache {
-            let datasets: Vec<Arc<Vec<Dataset>>> =
-                benches.iter().map(|&b| self.datasets(b)).collect();
-            let members: Vec<(&str, &str, &Dataset)> = benches
-                .iter()
-                .zip(&datasets)
-                .map(|(b, ds)| (b.name, b.source, &ds[0]))
-                .collect();
-            let key = bpfree_cache::ordering_key(&members, fp, DEFAULT_SEED);
-            if let Some(hit) = bpfree_cache::lookup_ordering(&self.config.cache_dir, &key) {
-                // The stored groups are validated against the live
-                // condensed data; a mismatch (stale or foreign rows
-                // under a colliding key) falls through to a clean
-                // recompute.
-                if let Some(study) = hit.instantiate(&live) {
-                    self.note(
-                        "hit ",
-                        format_args!("ordering {} benches [{fp}]", benches.len()),
-                    );
-                    return Arc::new(study);
-                }
-            }
-            self.note(
-                "miss",
-                format_args!("ordering {} benches [{fp}]", benches.len()),
-            );
-            self.orderings.fetch_add(1, Ordering::Relaxed);
-            let study = OrderingStudy::new_serial(live);
-            let _ = bpfree_cache::store_ordering(
-                &self.config.cache_dir,
-                &key,
-                &bpfree_cache::OrderingArtifacts::from_study(&study),
-            );
-            return Arc::new(study);
-        }
+        self.note(
+            "miss",
+            format_args!("ordering {} benches [{fp}]", benches.len()),
+        );
         self.orderings.fetch_add(1, Ordering::Relaxed);
         Arc::new(OrderingStudy::new_serial(live))
     }
@@ -727,56 +683,14 @@ impl Engine {
         index: usize,
         dataset: &Dataset,
     ) -> RunBundle {
-        let fp = opt.fingerprint();
         let program = self.program(bench, opt);
-        if self.config.use_cache {
-            let key = bpfree_cache::run_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) = bpfree_cache::lookup_run(&self.config.cache_dir, &key)
-                .filter(|hit| names_live_branches(&program, hit.profile.iter().map(|(b, _)| b)))
-            {
-                self.note("hit ", format_args!("run {}/{}", bench.name, dataset.name));
-                return RunBundle {
-                    profile: Arc::new(hit.profile),
-                    result: hit.run,
-                };
-            }
-            // A trace entry subsumes a run entry: replay it instead of
-            // simulating.
-            let tkey = bpfree_cache::trace_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) =
-                bpfree_cache::lookup_trace(&self.config.cache_dir, &tkey).filter(|hit| {
-                    names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
-                })
-            {
-                self.note(
-                    "hit ",
-                    format_args!("run {}/{} (trace replay)", bench.name, dataset.name),
-                );
-                return RunBundle {
-                    profile: Arc::new(hit.trace.edge_profile()),
-                    result: hit.run,
-                };
-            }
-            self.note("miss", format_args!("run {}/{}", bench.name, dataset.name));
-        }
+        self.note("miss", format_args!("run {}/{}", bench.name, dataset.name));
         let mut profiler = EdgeProfiler::new();
         let result = self
             .simulate(bench, opt, &program, dataset, &mut profiler)
             .unwrap_or_else(|e| panic!("benchmark `{}`[{index}] fails to run: {e}", bench.name));
-        let profile = profiler.into_profile();
-        if self.config.use_cache {
-            let key = bpfree_cache::run_key(bench.name, bench.source, fp, dataset);
-            let _ = bpfree_cache::store_run(
-                &self.config.cache_dir,
-                &key,
-                &bpfree_cache::RunArtifacts {
-                    profile: profile.clone(),
-                    run: result,
-                },
-            );
-        }
         RunBundle {
-            profile: Arc::new(profile),
+            profile: Arc::new(profiler.into_profile()),
             result,
         }
     }
@@ -788,37 +702,11 @@ impl Engine {
         index: usize,
         dataset: &Dataset,
     ) -> Arc<BranchTrace> {
-        let fp = opt.fingerprint();
         let program = self.program(bench, opt);
-        if self.config.use_cache {
-            let key = bpfree_cache::trace_key(bench.name, bench.source, fp, dataset);
-            if let Some(hit) =
-                bpfree_cache::lookup_trace(&self.config.cache_dir, &key).filter(|hit| {
-                    names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
-                })
-            {
-                self.note(
-                    "hit ",
-                    format_args!("trace {}/{}", bench.name, dataset.name),
-                );
-                let trace = Arc::new(hit.trace);
-                // Rebuild the run bundle from the O(dict) tally — the
-                // warm path needs zero interpreter passes and zero
-                // O(events) replays.
-                self.runs.offer(
-                    (bench.name, opt, index),
-                    RunBundle {
-                        profile: Arc::new(trace.edge_profile()),
-                        result: hit.run,
-                    },
-                );
-                return trace;
-            }
-            self.note(
-                "miss",
-                format_args!("trace {}/{}", bench.name, dataset.name),
-            );
-        }
+        self.note(
+            "miss",
+            format_args!("trace {}/{}", bench.name, dataset.name),
+        );
         // One pass, two observers: profile and trace from the same
         // execution.
         self.trace_records.fetch_add(1, Ordering::Relaxed);
@@ -827,36 +715,14 @@ impl Engine {
             .simulate(bench, opt, &program, dataset, &mut pair)
             .unwrap_or_else(|e| panic!("benchmark `{}`[{index}] fails to run: {e}", bench.name));
         let Pair(profiler, recorder) = pair;
-        let trace = Arc::new(recorder.into_trace());
-        let profile = profiler.into_profile();
-        if self.config.use_cache {
-            let tkey = bpfree_cache::trace_key(bench.name, bench.source, fp, dataset);
-            let _ = bpfree_cache::store_trace(
-                &self.config.cache_dir,
-                &tkey,
-                &bpfree_cache::TraceArtifacts {
-                    trace: (*trace).clone(),
-                    run: result,
-                },
-            );
-            let rkey = bpfree_cache::run_key(bench.name, bench.source, fp, dataset);
-            let _ = bpfree_cache::store_run(
-                &self.config.cache_dir,
-                &rkey,
-                &bpfree_cache::RunArtifacts {
-                    profile: profile.clone(),
-                    run: result,
-                },
-            );
-        }
         self.runs.offer(
             (bench.name, opt, index),
             RunBundle {
-                profile: Arc::new(profile),
+                profile: Arc::new(profiler.into_profile()),
                 result,
             },
         );
-        trace
+        Arc::new(recorder.into_trace())
     }
 
     /// Mounts a suite image (see [`bpfree_cache::image`]): one buffered
@@ -867,7 +733,8 @@ impl Engine {
     /// experiment sweep — no compiles, no decodes, no analyses, no
     /// simulations, no trace recordings, no matrix builds — and traces
     /// borrow their index sequences from the image buffer (zero decode
-    /// allocations).
+    /// allocations). [`Engine::new`] mounts the cache image this way;
+    /// `--image` mounts another one.
     ///
     /// Entries that fail revalidation are skipped, not errors: the
     /// engine recomputes them on demand exactly as if they were absent.
@@ -877,7 +744,7 @@ impl Engine {
     /// Dataset generation during the mount is uncounted (datasets are
     /// process-local inputs, not cached artifacts).
     pub fn mount_image(&self, path: &std::path::Path) -> Result<MountReport, String> {
-        let img = bpfree_cache::image::SuiteImage::open(path)?;
+        let img = SuiteImage::open(path)?;
         let mut report = MountReport {
             mounted: 0,
             skipped: 0,
@@ -887,10 +754,10 @@ impl Engine {
         // entries mounted: ordering studies validate against live
         // condensed data, so they only mount on top of fully mounted
         // members (otherwise the validation itself would recompute).
-        let mut preds = std::collections::HashSet::new();
-        let mut runs0 = std::collections::HashSet::new();
+        let mut preds = HashSet::new();
+        let mut runs0 = HashSet::new();
         for e in img.entries() {
-            if self.mount_entry(&img, e, &mut preds, &mut runs0) {
+            if self.mount_entry(&img, e, &mut preds, &mut runs0).is_some() {
                 report.mounted += 1;
             } else {
                 report.skipped += 1;
@@ -907,49 +774,34 @@ impl Engine {
         Ok(report)
     }
 
-    /// Mounts one image entry; `false` means "skip and recompute on
-    /// demand" — never an error. The directory is sorted by kind in
-    /// dependency order (compile → decoded → prediction → run → trace →
-    /// ordering), so dependents can peek at what earlier entries
-    /// mounted.
+    /// Mounts one image entry — the one key-and-revalidate routine every
+    /// persisted artifact passes through before it is served; `None`
+    /// means "skip and recompute on demand", never an error. The
+    /// directory is sorted by kind in dependency order (compile →
+    /// decoded → prediction → run → trace → ordering), so dependents
+    /// can peek at what earlier entries mounted.
     fn mount_entry(
         &self,
-        img: &bpfree_cache::image::SuiteImage,
-        e: &bpfree_cache::image::ImageEntry,
-        preds: &mut std::collections::HashSet<(&'static str, Options)>,
-        runs0: &mut std::collections::HashSet<(&'static str, Options)>,
-    ) -> bool {
-        use bpfree_cache::image::SectionKind;
-        let Some(opt) = options_from_fingerprint(&e.opt) else {
-            return false;
-        };
-        let fp = opt.fingerprint();
+        img: &SuiteImage,
+        e: &ImageEntry,
+        preds: &mut HashSet<(&'static str, Options)>,
+        runs0: &mut HashSet<(&'static str, Options)>,
+    ) -> Option<()> {
+        let opt = options_from_fingerprint(&e.opt)?;
 
         if e.kind == SectionKind::Ordering {
-            let Some(art) = img.ordering(e) else {
-                return false;
-            };
-            let mut roster = Vec::with_capacity(art.benches.len());
-            for bd in &art.benches {
-                let Some(bench) = bpfree_suite::by_name(&bd.name) else {
-                    return false;
-                };
-                if !preds.contains(&(bench.name, opt)) || !runs0.contains(&(bench.name, opt)) {
-                    return false;
-                }
-                roster.push(bench);
-            }
-            let datasets: Vec<Arc<Vec<Dataset>>> =
-                roster.iter().map(|b| self.datasets(b)).collect();
-            let mut members = Vec::with_capacity(roster.len());
-            for (b, ds) in roster.iter().zip(&datasets) {
-                let Some(first) = ds.first() else {
-                    return false;
-                };
-                members.push((b.name, b.source, first));
-            }
-            if bpfree_cache::ordering_key_hash(&members, fp, DEFAULT_SEED) != e.key {
-                return false;
+            let art = img.ordering(e)?;
+            let roster = art
+                .benches
+                .iter()
+                .map(|bd| {
+                    let bench = bpfree_suite::by_name(&bd.name)?;
+                    let slot = (bench.name, opt);
+                    (preds.contains(&slot) && runs0.contains(&slot)).then_some(bench)
+                })
+                .collect::<Option<Vec<_>>>()?;
+            if self.ordering_key(&roster, opt) != Some(e.key) {
+                return None;
             }
             // Validate the stored groups against live condensed data —
             // all memo hits thanks to the member checks above.
@@ -957,263 +809,208 @@ impl Engine {
                 .iter()
                 .map(|b| (*self.order_data(b, opt)).clone())
                 .collect();
-            let Some(study) = art.instantiate(&live) else {
-                return false;
-            };
+            let study = art.instantiate(&live)?;
             let names: Vec<&str> = roster.iter().map(|b| b.name).collect();
             self.ordering_studies
                 .offer((names.join(","), opt), Arc::new(study));
-            return true;
+            return Some(());
         }
 
-        let Some(bench) = bpfree_suite::by_name(&e.name) else {
-            return false;
-        };
-        let name = bench.name;
+        let bench = bpfree_suite::by_name(&e.name)?;
+        let dataset = e.dataset.map(|d| d as usize);
+        if self.entry_key(e.kind, &bench, opt, dataset) != Some(e.key) {
+            return None;
+        }
+        let slot = (bench.name, opt);
+        if e.kind == SectionKind::Compile {
+            self.programs.offer(slot, Arc::new(img.compile(e)?));
+            return Some(());
+        }
+        // Every other kind is checked against the program it belongs to.
+        let program = self.programs.peek(&slot)?;
         match e.kind {
-            SectionKind::Compile => {
-                if bpfree_cache::compile_key_hash(name, bench.source, fp) != e.key {
-                    return false;
-                }
-                let Some(hit) = img.compile(e) else {
-                    return false;
-                };
-                self.programs.offer((name, opt), Arc::new(hit.program));
-                true
-            }
             SectionKind::Decoded => {
-                if bpfree_cache::decoded_key_hash(name, bench.source, fp) != e.key {
-                    return false;
-                }
-                let Some(program) = self.programs.peek(&(name, opt)) else {
-                    return false;
-                };
-                let Some(bytes) = img.decoded_bytes(e) else {
-                    return false;
-                };
-                let Some(bc) = BytecodeProgram::from_bytes(bytes, &program) else {
-                    return false;
-                };
-                self.decoded.offer((name, opt), Arc::new(bc));
-                true
+                let bc = BytecodeProgram::from_bytes(img.decoded_bytes(e)?, &program)?;
+                self.decoded.offer(slot, Arc::new(bc));
             }
             SectionKind::Prediction => {
-                if bpfree_cache::prediction_key_hash(name, bench.source, fp) != e.key {
-                    return false;
-                }
-                let Some(program) = self.programs.peek(&(name, opt)) else {
-                    return false;
-                };
-                let Some(hit) = img.prediction(e) else {
-                    return false;
-                };
-                let Some((classifier, table)) = hit.instantiate(&program) else {
-                    return false;
-                };
+                let (classifier, table) = img.prediction(e)?.instantiate(&program)?;
                 self.predictions.offer(
-                    (name, opt),
+                    slot,
                     Predicted {
                         classifier: Arc::new(classifier),
                         table: Arc::new(table),
                     },
                 );
-                preds.insert((name, opt));
-                true
+                preds.insert(slot);
             }
-            SectionKind::Run | SectionKind::Trace => {
-                let Some(idx) = e.dataset else {
-                    return false;
-                };
-                let datasets = self.datasets(&bench);
-                let Some(ds) = datasets.get(idx as usize) else {
-                    return false;
-                };
-                let Some(program) = self.programs.peek(&(name, opt)) else {
-                    return false;
-                };
-                if e.kind == SectionKind::Run {
-                    if bpfree_cache::run_key_hash(name, bench.source, fp, ds) != e.key {
-                        return false;
-                    }
-                    let Some(hit) = img.run(e).filter(|hit| {
-                        names_live_branches(&program, hit.profile.iter().map(|(b, _)| b))
-                    }) else {
-                        return false;
-                    };
-                    self.runs.offer(
-                        (name, opt, idx as usize),
-                        RunBundle {
-                            profile: Arc::new(hit.profile),
-                            result: hit.run,
-                        },
-                    );
-                } else {
-                    if bpfree_cache::trace_key_hash(name, bench.source, fp, ds) != e.key {
-                        return false;
-                    }
-                    let Some(hit) = img.trace(e).filter(|hit| {
-                        names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch))
-                    }) else {
-                        return false;
-                    };
-                    let trace = Arc::new(hit.trace);
-                    // A trace subsumes a run: rebuild the bundle from
-                    // the O(dict) tally. No-op if the run entry itself
-                    // already mounted (kind order guarantees it came
-                    // first).
-                    self.runs.offer(
-                        (name, opt, idx as usize),
-                        RunBundle {
-                            profile: Arc::new(trace.edge_profile()),
-                            result: hit.run,
-                        },
-                    );
-                    self.traces.offer((name, opt, idx as usize), trace);
+            SectionKind::Run => {
+                let hit = img.run(e)?;
+                if !names_live_branches(&program, hit.profile.iter().map(|(b, _)| b)) {
+                    return None;
                 }
-                if idx == 0 {
-                    runs0.insert((name, opt));
+                let bundle = RunBundle {
+                    profile: Arc::new(hit.profile),
+                    result: hit.run,
+                };
+                self.runs.offer((bench.name, opt, dataset?), bundle);
+                if dataset == Some(0) {
+                    runs0.insert(slot);
                 }
-                true
             }
-            SectionKind::Ordering => unreachable!("handled above"),
+            SectionKind::Trace => {
+                let hit = img.trace(e)?;
+                if !names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch)) {
+                    return None;
+                }
+                let trace = Arc::new(hit.trace);
+                // A trace subsumes a run: rebuild the bundle from the
+                // O(dict) tally. No-op if the run entry itself already
+                // mounted (kind order guarantees it came first).
+                let bundle = RunBundle {
+                    profile: Arc::new(trace.edge_profile()),
+                    result: hit.run,
+                };
+                self.runs.offer((bench.name, opt, dataset?), bundle);
+                self.traces.offer((bench.name, opt, dataset?), trace);
+                if dataset == Some(0) {
+                    runs0.insert(slot);
+                }
+            }
+            SectionKind::Compile | SectionKind::Ordering => unreachable!("handled above"),
         }
+        Some(())
     }
 
-    /// Snapshots every filled memo into a suite image at `path` (temp
-    /// file + atomic rename). The export is deterministic: two exports
-    /// of the same engine state are byte-identical. Returns the entry
-    /// count and the image size in bytes.
+    /// The content key of one benchmark's artifact of `kind` — what
+    /// [`Engine::export_image`] stores and [`Engine::mount_entry`]
+    /// recomputes from the live suite. `None` for an ordering (see
+    /// [`Engine::ordering_key`]) or a run/trace whose dataset does not
+    /// exist.
+    fn entry_key(
+        &self,
+        kind: SectionKind,
+        bench: &Benchmark,
+        opt: Options,
+        dataset: Option<usize>,
+    ) -> Option<u64> {
+        let (name, source, fp) = (bench.name, bench.source, opt.fingerprint());
+        Some(match kind {
+            SectionKind::Compile => bpfree_cache::compile_key_hash(name, source, fp),
+            SectionKind::Decoded => bpfree_cache::decoded_key_hash(name, source, fp),
+            SectionKind::Prediction => bpfree_cache::prediction_key_hash(name, source, fp),
+            SectionKind::Run | SectionKind::Trace => {
+                let datasets = self.datasets(bench);
+                let ds = datasets.get(dataset?)?;
+                if kind == SectionKind::Run {
+                    bpfree_cache::run_key_hash(name, source, fp, ds)
+                } else {
+                    bpfree_cache::trace_key_hash(name, source, fp, ds)
+                }
+            }
+            SectionKind::Ordering => return None,
+        })
+    }
+
+    /// The content key of `roster`'s ordering study under `opt`.
+    fn ordering_key(&self, roster: &[Benchmark], opt: Options) -> Option<u64> {
+        let datasets: Vec<Arc<Vec<Dataset>>> = roster.iter().map(|b| self.datasets(b)).collect();
+        let members = roster
+            .iter()
+            .zip(&datasets)
+            .map(|(b, ds)| Some((b.name, b.source, ds.first()?)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(bpfree_cache::ordering_key_hash(
+            &members,
+            opt.fingerprint(),
+            DEFAULT_SEED,
+        ))
+    }
+
+    /// Streams every filled memo into a suite image at `path` (temp
+    /// file + atomic rename; see [`bpfree_cache::image::ImageBuilder`]):
+    /// payloads are encoded one at a time straight from the memoized
+    /// artifacts, so the export never holds a second copy of them. The
+    /// export is deterministic: two exports of the same engine state
+    /// are byte-identical. Returns the entry count and the image size in
+    /// bytes.
     pub fn export_image(&self, path: &std::path::Path) -> std::io::Result<(usize, u64)> {
-        let mut b = bpfree_cache::image::ImageBuilder::new();
-        for ((name, opt), program) in self.programs.entries() {
-            let Some(bench) = bpfree_suite::by_name(name) else {
-                continue;
-            };
-            let fp = opt.fingerprint();
-            b.add_compile(
-                name,
-                fp,
-                bpfree_cache::compile_key_hash(name, bench.source, fp),
-                &bpfree_cache::CompileArtifacts {
-                    program: (*program).clone(),
-                },
-            );
-        }
+        let bench = |name: &str| bpfree_suite::by_name(name);
+        let programs = self.programs.entries();
         // Decoded bytecode is demanded (not snapshotted): the memo only
         // fills when a simulation or replay actually needs it, so a
-        // warm-cache build would otherwise export fewer `decoded`
-        // entries than a cold one and break double-build determinism.
-        // Decoding is a pure, cheap transform, so the closure rule is
-        // simply "every exported program ships its decoded form".
-        for ((name, opt), _) in self.programs.entries() {
-            let Some(bench) = bpfree_suite::by_name(name) else {
-                continue;
-            };
-            let fp = opt.fingerprint();
-            b.add_decoded(
-                name,
-                fp,
-                bpfree_cache::decoded_key_hash(name, bench.source, fp),
-                self.decoded(&bench, opt).to_bytes(),
-            );
+        // warm build would otherwise export fewer `decoded` entries
+        // than a cold one and break double-build determinism. Decoding
+        // is a pure, cheap transform, so the closure rule is simply
+        // "every exported program ships its decoded form".
+        let decoded: Vec<_> = programs
+            .iter()
+            .filter_map(|((name, opt), _)| Some((*name, *opt, self.decoded(&bench(name)?, *opt))))
+            .collect();
+        let predictions = self.predictions.entries();
+        let runs = self.runs.entries();
+        let traces = self.traces.entries();
+        let studies = self.ordering_studies.entries();
+
+        let mut b = ImageBuilder::new();
+        let mut add = |kind, name: &'static str, opt: Options, idx: Option<usize>, art| {
+            if let Some(key) = bench(name).and_then(|bn| self.entry_key(kind, &bn, opt, idx)) {
+                b.add(name, opt.fingerprint(), idx.map(|i| i as u32), key, art);
+            }
+        };
+        for ((name, opt), program) in &programs {
+            let art = Artifact::Compile(program);
+            add(SectionKind::Compile, name, *opt, None, art);
         }
-        for ((name, opt), p) in self.predictions.entries() {
-            let Some(bench) = bpfree_suite::by_name(name) else {
-                continue;
-            };
-            let fp = opt.fingerprint();
-            b.add_prediction(
-                name,
-                fp,
-                bpfree_cache::prediction_key_hash(name, bench.source, fp),
-                &bpfree_cache::PredictionArtifacts::from_computed(&p.classifier, &p.table),
-            );
+        for (name, opt, bytecode) in &decoded {
+            let art = Artifact::Decoded(bytecode);
+            add(SectionKind::Decoded, name, *opt, None, art);
         }
-        for ((name, opt, idx), bundle) in self.runs.entries() {
-            let Some(bench) = bpfree_suite::by_name(name) else {
-                continue;
-            };
-            let fp = opt.fingerprint();
-            let datasets = self.datasets(&bench);
-            let Some(ds) = datasets.get(idx) else {
-                continue;
-            };
-            b.add_run(
-                name,
-                fp,
-                idx as u32,
-                bpfree_cache::run_key_hash(name, bench.source, fp, ds),
-                &bpfree_cache::RunArtifacts {
-                    profile: (*bundle.profile).clone(),
-                    run: bundle.result,
-                },
-            );
+        for ((name, opt), p) in &predictions {
+            let art = Artifact::Prediction(&p.classifier, &p.table);
+            add(SectionKind::Prediction, name, *opt, None, art);
         }
-        for ((name, opt, idx), trace) in self.traces.entries() {
-            let Some(bench) = bpfree_suite::by_name(name) else {
-                continue;
-            };
+        for ((name, opt, idx), bundle) in &runs {
+            let art = Artifact::Run(&bundle.profile, bundle.result);
+            add(SectionKind::Run, name, *opt, Some(*idx), art);
+        }
+        for ((name, opt, idx), trace) in &traces {
             // The run result rides along with every trace entry; the
             // run memo always holds it (trace computation fills it as a
             // by-product).
-            let Some(bundle) = self.runs.peek(&(name, opt, idx)) else {
-                continue;
-            };
-            let fp = opt.fingerprint();
-            let datasets = self.datasets(&bench);
-            let Some(ds) = datasets.get(idx) else {
-                continue;
-            };
-            b.add_trace(
-                name,
-                fp,
-                idx as u32,
-                bpfree_cache::trace_key_hash(name, bench.source, fp, ds),
-                &bpfree_cache::TraceArtifacts {
-                    trace: (*trace).clone(),
-                    run: bundle.result,
-                },
-            );
-        }
-        for ((roster, opt), study) in self.ordering_studies.entries() {
-            let fp = opt.fingerprint();
-            let benches: Vec<Benchmark> = roster
-                .split(',')
-                .filter_map(bpfree_suite::by_name)
-                .collect();
-            if benches.len() != roster.split(',').count() {
-                continue;
-            }
-            let datasets: Vec<Arc<Vec<Dataset>>> =
-                benches.iter().map(|b| self.datasets(b)).collect();
-            let mut members = Vec::with_capacity(benches.len());
-            for (bench, ds) in benches.iter().zip(&datasets) {
-                let Some(first) = ds.first() else {
-                    continue;
-                };
-                members.push((bench.name, bench.source, first));
-            }
-            if members.len() != benches.len() {
-                continue;
-            }
-            b.add_ordering(
-                fp,
-                bpfree_cache::ordering_key_hash(&members, fp, DEFAULT_SEED),
-                &bpfree_cache::OrderingArtifacts::from_study(&study),
-            );
-        }
-        let n = b.len();
-        let data = b.finish();
-        let bytes = data.len() as u64;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+            if let Some(bundle) = self.runs.peek(&(*name, *opt, *idx)) {
+                let art = Artifact::Trace(trace, bundle.result);
+                add(SectionKind::Trace, name, *opt, Some(*idx), art);
             }
         }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &data)?;
-        std::fs::rename(&tmp, path)?;
-        Ok((n, bytes))
+        for ((roster, opt), study) in &studies {
+            let members = roster.split(',').map(bench).collect::<Option<Vec<_>>>();
+            if let Some(key) = members.and_then(|m| self.ordering_key(&m, *opt)) {
+                b.add("", opt.fingerprint(), None, key, Artifact::Ordering(study));
+            }
+        }
+        b.write(path)
+    }
+
+    /// Rewrites the cache image, `<cache_dir>/suite.img`, from this
+    /// engine's memos — only with [`EngineConfig::use_cache`] set and
+    /// only if one of the six work counters is non-zero, so a run served
+    /// entirely from the image leaves it untouched. Each write replaces
+    /// the whole file with revalidated artifacts (nothing stale piles
+    /// up; between concurrent processes the last writer wins). Returns
+    /// the export's `(entries, bytes)`, or `None` if nothing was written.
+    pub fn persist(&self) -> std::io::Result<Option<(usize, u64)>> {
+        let work = self.compiles()
+            + self.decodes()
+            + self.analyses()
+            + self.simulations()
+            + self.trace_records()
+            + self.orderings();
+        if !self.config.use_cache || work == 0 {
+            return Ok(None);
+        }
+        self.export_image(&bpfree_cache::image_path(&self.config.cache_dir))
+            .map(Some)
     }
 }
 
@@ -1317,21 +1114,25 @@ mod tests {
         assert!(p.table.rows().count() > 0);
     }
 
-    /// The tentpole warm-path property: a second engine over the same
-    /// cache directory restores every prediction artifact from disk —
-    /// zero analysis passes, zero interpreter passes — and the restored
-    /// artifacts are identical to the cold ones.
+    fn cached_config(dir: &std::path::Path) -> EngineConfig {
+        EngineConfig {
+            use_cache: true,
+            cache_dir: dir.to_path_buf(),
+            verbose: false,
+            tier: InterpTier::default(),
+        }
+    }
+
+    /// The warm-path property: a second engine over the same cache
+    /// directory restores every prediction artifact from the persisted
+    /// image — zero analysis passes, zero interpreter passes — and the
+    /// restored artifacts are identical to the cold ones.
     #[test]
     fn warm_cache_restores_predictions_without_reanalysis() {
         let dir =
             std::env::temp_dir().join(format!("bpfree-engine-warm-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = EngineConfig {
-            use_cache: true,
-            cache_dir: dir.clone(),
-            verbose: false,
-            tier: InterpTier::default(),
-        };
+        let config = cached_config(&dir);
         let b = bpfree_suite::by_name("eqntott").unwrap();
         let opt = Options::default();
 
@@ -1340,6 +1141,7 @@ mod tests {
         let r1 = cold.run(&b, opt, 0);
         assert_eq!(cold.analyses(), 1);
         assert_eq!(cold.simulations(), 1);
+        assert!(cold.persist().unwrap().is_some(), "cold work is written");
 
         let warm = Engine::new(config.clone());
         let c2 = warm.compiled(&b, opt);
@@ -1351,24 +1153,31 @@ mod tests {
         assert!(c1.table.rows().eq(c2.table.rows()));
         assert_eq!(r1.result, r2.result);
         assert_eq!(*r1.profile, *r2.profile);
+        assert!(warm.persist().unwrap().is_none(), "no work, no write");
 
-        // Deleting just the prediction entry forces exactly one
-        // re-analysis — the program entry still hits.
-        let pkey = bpfree_cache::prediction_key(b.name, b.source, opt.fingerprint());
-        std::fs::remove_file(dir.join(format!("{pkey}.txt"))).expect("prediction entry exists");
+        // An image that lacks only the prediction entry — persisted by
+        // an engine that compiled and ran but never analyzed — forces
+        // exactly one re-analysis; the program and run still hit.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let no_analysis = Engine::new(config.clone());
+        let _ = no_analysis.run(&b, opt, 0);
+        assert_eq!(no_analysis.analyses(), 0);
+        no_analysis.persist().unwrap();
         let half = Engine::new(config);
         let c3 = half.compiled(&b, opt);
+        let _ = half.run(&b, opt, 0);
         assert_eq!(half.analyses(), 1, "missing entry falls back to compute");
+        assert_eq!(half.simulations(), 0, "the run entry still hits");
         assert!(c1.classifier.rows().eq(c3.classifier.rows()));
         assert!(c1.table.rows().eq(c3.table.rows()));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The ordering tentpole's warm-path property: a second engine over
-    /// the same cache directory restores the roster's 5040-order rate
-    /// matrix bit-for-bit from the `ordering` entry — zero matrix
-    /// builds — and deleting just that entry forces exactly one.
+    /// The ordering warm-path property: a second engine over the same
+    /// cache directory restores the roster's 5040-order rate matrix
+    /// bit-for-bit from the image's `ordering` entry — zero matrix
+    /// builds — and an image without that entry forces exactly one.
     #[test]
     fn warm_cache_restores_ordering_matrix_without_rebuild() {
         let dir = std::env::temp_dir().join(format!(
@@ -1376,12 +1185,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = EngineConfig {
-            use_cache: true,
-            cache_dir: dir.clone(),
-            verbose: false,
-            tier: InterpTier::default(),
-        };
+        let config = cached_config(&dir);
         let opt = Options::default();
         let roster = [
             bpfree_suite::by_name("grep").unwrap(),
@@ -1396,6 +1200,7 @@ mod tests {
         let s1b = cold.ordering_study(&refs, opt);
         assert!(Arc::ptr_eq(&s1, &s1b));
         assert_eq!(cold.orderings(), 1);
+        cold.persist().unwrap();
 
         let warm = Engine::new(config.clone());
         let s2 = warm.ordering_study(&refs, opt);
@@ -1407,16 +1212,14 @@ mod tests {
             }
         }
 
-        // Deleting just the ordering entry forces exactly one rebuild —
-        // the member artifacts underneath still hit.
-        let datasets: Vec<_> = refs.iter().map(|b| warm.datasets(b)).collect();
-        let members: Vec<(&str, &str, &Dataset)> = refs
-            .iter()
-            .zip(&datasets)
-            .map(|(b, ds)| (b.name, b.source, &ds[0]))
-            .collect();
-        let okey = bpfree_cache::ordering_key(&members, opt.fingerprint(), DEFAULT_SEED);
-        std::fs::remove_file(dir.join(format!("{okey}.txt"))).expect("ordering entry exists");
+        // An image that lacks only the ordering entry — persisted by an
+        // engine that warmed every member but never built the matrix —
+        // forces exactly one rebuild; the member artifacts still hit.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let members_only = Engine::new(config.clone());
+        members_only.prefetch(&refs, opt, &[]);
+        assert_eq!(members_only.orderings(), 0);
+        members_only.persist().unwrap();
         let half = Engine::new(config);
         let s3 = half.ordering_study(&refs, opt);
         assert_eq!(half.orderings(), 1, "missing entry falls back to compute");

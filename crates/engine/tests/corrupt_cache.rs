@@ -1,14 +1,13 @@
 //! A cached run or trace entry that parses cleanly but names a branch
 //! site the live program does not have is a cache miss: the engine
-//! recomputes it, stores it again, and never hands the foreign site to
-//! the dense per-site tables downstream (where it would panic, or move
-//! counts off a real branch and change a rendered table).
+//! recomputes it, persists it again, and never hands the foreign site
+//! to the dense per-site tables downstream (where it would panic, or
+//! move counts off a real branch and change a rendered table).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use bpfree_cache::image::ImageBuilder;
-use bpfree_cache::{CompileArtifacts, RunArtifacts, TraceArtifacts};
+use bpfree_cache::image::{Artifact, ImageBuilder};
+use bpfree_cache::image_path;
 use bpfree_core::ipbc::IpbcAnalyzer;
 use bpfree_core::perfect_predictions;
 use bpfree_engine::{Engine, EngineConfig};
@@ -34,20 +33,12 @@ fn cached_engine(dir: &Path) -> Engine {
     })
 }
 
-/// Every file in `dir`, by name.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| {
-            let e = e.unwrap();
-            let name = e.file_name().into_string().unwrap();
-            (name, std::fs::read(e.path()).unwrap())
-        })
-        .collect()
-}
-
-fn entry_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{key}.txt"))
+/// `trace` with its first dictionary event moved to [`FOREIGN_FUNC`].
+fn foreign_trace(trace: &BranchTrace) -> BranchTrace {
+    let mut dict = trace.dict().to_vec();
+    dict[0].branch.func = FuncId(FOREIGN_FUNC);
+    let seq = trace.indices().collect();
+    BranchTrace::from_parts(dict, seq, trace.trailing_instrs()).unwrap()
 }
 
 #[test]
@@ -64,52 +55,45 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
     let run0 = cold.run(&bench, opt, 0);
     let run1 = cold.run(&bench, opt, 1);
     assert_eq!(cold.simulations(), 2);
+    cold.persist().unwrap();
+    let clean = std::fs::read(image_path(&clean_dir)).unwrap();
     let program = cold.program(&bench, opt);
+    let decoded = cold.decoded(&bench, opt);
     assert!(program.funcs().len() <= FOREIGN_FUNC as usize);
-    let clean = snapshot(&clean_dir);
 
-    let dir = temp_cache("foreign-corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
-    for (name, bytes) in &clean {
-        std::fs::write(dir.join(name), bytes).unwrap();
-    }
+    // The same image with dataset 0's run entry left out and two
+    // entries naming a function the program does not have: the trace's
+    // first dictionary event (without a run entry, the trace is what
+    // would serve dataset 0's run) and dataset 1's first profile row.
+    let bad_trace = foreign_trace(&trace0);
+    let mut rows: Vec<_> = run1.profile.iter().collect();
+    rows[0].0.func = FuncId(FOREIGN_FUNC);
+    let bad_profile: EdgeProfile = rows.into_iter().collect();
     let datasets = cold.datasets(&bench);
-    let tkey = bpfree_cache::trace_key(bench.name, bench.source, fp, &datasets[0]);
-    let rkey0 = bpfree_cache::run_key(bench.name, bench.source, fp, &datasets[0]);
-    let rkey1 = bpfree_cache::run_key(bench.name, bench.source, fp, &datasets[1]);
-
-    // Trace entry: the first dictionary event moves to a function the
-    // program does not have. Without its run entry, a run query must
-    // fall back to this trace.
-    let hit = bpfree_cache::lookup_trace(&dir, &tkey).unwrap();
-    let mut dict = hit.trace.dict().to_vec();
-    dict[0].branch.func = FuncId(FOREIGN_FUNC);
-    let seq = hit.trace.indices().collect();
-    let bad = BranchTrace::from_parts(dict, seq, hit.trace.trailing_instrs()).unwrap();
-    bpfree_cache::store_trace(
-        &dir,
-        &tkey,
-        &TraceArtifacts {
-            trace: bad,
-            run: hit.run,
-        },
-    )
-    .unwrap();
-    std::fs::remove_file(entry_path(&dir, &rkey0)).unwrap();
-    assert!(bpfree_cache::lookup_trace(&dir, &tkey).is_some());
-
-    // Run entry: the first profile row names the same foreign function.
-    let path = entry_path(&dir, &rkey1);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let row = 1 + lines
-        .iter()
-        .position(|l| l.starts_with("profile "))
-        .unwrap();
-    let (_, rest) = lines[row].split_once(' ').unwrap();
-    lines[row] = format!("{FOREIGN_FUNC} {rest}");
-    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-    assert!(bpfree_cache::lookup_run(&dir, &rkey1).is_some());
+    let (name, src) = (bench.name, bench.source);
+    let mut b = ImageBuilder::new();
+    let key = bpfree_cache::compile_key_hash(name, src, fp);
+    b.add(name, fp, None, key, Artifact::Compile(&program));
+    let key = bpfree_cache::decoded_key_hash(name, src, fp);
+    b.add(name, fp, None, key, Artifact::Decoded(&decoded));
+    let key = bpfree_cache::trace_key_hash(name, src, fp, &datasets[0]);
+    b.add(
+        name,
+        fp,
+        Some(0),
+        key,
+        Artifact::Trace(&bad_trace, run0.result),
+    );
+    let key = bpfree_cache::run_key_hash(name, src, fp, &datasets[1]);
+    b.add(
+        name,
+        fp,
+        Some(1),
+        key,
+        Artifact::Run(&bad_profile, run1.result),
+    );
+    let dir = temp_cache("foreign-corrupt");
+    b.write(&image_path(&dir)).unwrap();
 
     let warm = cached_engine(&dir);
     let bundle0 = warm.run(&bench, opt, 0);
@@ -131,9 +115,10 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
     trace.replay(&mut ipbc);
     assert!(ipbc.finish()[0].ipbc_average() > 0.0);
 
-    // Every entry was stored again: the directory is byte-identical to
-    // the clean fill, and the next process simulates nothing.
-    assert_eq!(snapshot(&dir), clean);
+    // Every entry is persisted again: the image is byte-identical to
+    // the clean fill's, and the next process simulates nothing.
+    warm.persist().unwrap();
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), clean);
     let again = cached_engine(&dir);
     again.trace(&bench, opt, 0);
     again.run(&bench, opt, 1);
@@ -157,10 +142,7 @@ fn mounted_entries_naming_foreign_sites_are_skipped() {
     let program = clean.program(&bench, opt);
     let dataset = &clean.datasets(&bench)[0];
 
-    let mut dict = trace0.dict().to_vec();
-    dict[0].branch.func = FuncId(FOREIGN_FUNC);
-    let seq = trace0.indices().collect();
-    let bad_trace = BranchTrace::from_parts(dict, seq, trace0.trailing_instrs()).unwrap();
+    let bad_trace = foreign_trace(&trace0);
     // The run's row moves to a real block that ends in no branch.
     let (func, block) = program
         .func_ids()
@@ -174,34 +156,25 @@ fn mounted_entries_naming_foreign_sites_are_skipped() {
     rows[0].0 = BranchRef { func, block };
     let bad_profile: EdgeProfile = rows.into_iter().collect();
 
+    let (name, src) = (bench.name, bench.source);
     let mut b = ImageBuilder::new();
-    b.add_compile(
-        bench.name,
+    let key = bpfree_cache::compile_key_hash(name, src, fp);
+    b.add(name, fp, None, key, Artifact::Compile(&program));
+    let key = bpfree_cache::run_key_hash(name, src, fp, dataset);
+    b.add(
+        name,
         fp,
-        bpfree_cache::compile_key_hash(bench.name, bench.source, fp),
-        &CompileArtifacts {
-            program: (*program).clone(),
-        },
+        Some(0),
+        key,
+        Artifact::Run(&bad_profile, run0.result),
     );
-    b.add_run(
-        bench.name,
+    let key = bpfree_cache::trace_key_hash(name, src, fp, dataset);
+    b.add(
+        name,
         fp,
-        0,
-        bpfree_cache::run_key_hash(bench.name, bench.source, fp, dataset),
-        &RunArtifacts {
-            profile: bad_profile,
-            run: run0.result,
-        },
-    );
-    b.add_trace(
-        bench.name,
-        fp,
-        0,
-        bpfree_cache::trace_key_hash(bench.name, bench.source, fp, dataset),
-        &TraceArtifacts {
-            trace: bad_trace,
-            run: run0.result,
-        },
+        Some(0),
+        key,
+        Artifact::Trace(&bad_trace, run0.result),
     );
     let dir = temp_cache("foreign-image");
     std::fs::create_dir_all(&dir).unwrap();

@@ -3,7 +3,8 @@
 //! 1. **Single-pass**: a cold engine simulates each (benchmark, dataset)
 //!    exactly once even when both a run bundle and a branch trace are
 //!    requested, and a warm engine (same cache directory, new process
-//!    stand-in) simulates zero times.
+//!    stand-in, after the cold one persisted its image) simulates zero
+//!    times.
 //! 2. **Fan-out fidelity**: fanning N observers out of one interpreter
 //!    pass is bit-identical to N independent passes — at `--jobs 1` and
 //!    `--jobs 8` alike.
@@ -56,9 +57,10 @@ fn cold_engine_simulates_once_per_dataset_warm_engine_zero() {
         suite.len() as u64,
         "one pass per (benchmark, dataset) on a cold cache"
     );
+    cold.persist().expect("cache image written");
 
-    // Warm: a fresh engine over the same directory replays everything
-    // from disk without a single interpreter pass.
+    // Warm: a fresh engine over the same directory mounts everything
+    // from the image without a single interpreter pass.
     let warm = cached_engine(&dir);
     warm.prefetch(&refs, opt, &["eqntott", "qpt"]);
     for (i, b) in suite.iter().enumerate() {
@@ -81,6 +83,7 @@ fn cached_run_entry_alone_also_avoids_simulation() {
     let cold = cached_engine(&dir);
     let cold_bundle = cold.run(&b, opt, 0);
     assert_eq!(cold.simulations(), 1);
+    cold.persist().expect("cache image written");
 
     let warm = cached_engine(&dir);
     let warm_bundle = warm.run(&b, opt, 0);

@@ -33,8 +33,8 @@ use crate::observer::ExecObserver;
 use crate::profile::{EdgeProfile, SiteTable};
 
 /// Process-wide count of owned trace-sequence materializations —
-/// every allocation that decodes or widens a sequence buffer (the v5
-/// cache's RLE decode, the lazy byte-wide copy behind
+/// every allocation that decodes or widens a sequence buffer (the
+/// image's wide-sequence decode, the lazy byte-wide copy behind
 /// [`BranchTrace::seq_u8`]). The mounted suite image serves sequences
 /// as borrowed [`ByteView`]s, so a fully mounted warm run leaves this
 /// counter untouched; the image tests use the delta as their
@@ -47,7 +47,8 @@ pub fn trace_seq_allocs() -> u64 {
 }
 
 /// Records one owned sequence materialization. Public so the cache
-/// crate's v5 decoder can report its allocations to the same counter.
+/// image's wide-sequence decoder can report its allocations to the same
+/// counter.
 pub fn note_trace_seq_alloc() {
     SEQ_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }

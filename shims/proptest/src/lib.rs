@@ -446,7 +446,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Lengths accepted by [`vec`]: an exact `usize` or a range.
+    /// Lengths accepted by [`vec()`]: an exact `usize` or a range.
     pub trait IntoSizeRange {
         /// Inclusive (lo, hi).
         fn bounds(&self) -> (usize, usize);

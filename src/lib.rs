@@ -20,10 +20,11 @@
 //! * [`core`] — the paper's contribution: branch classification, the seven
 //!   non-loop heuristics, heuristic combination, evaluation, ordering
 //!   experiments, and IPBC trace analysis;
-//! * [`bench`] — the experiment registry: every paper table and figure as
-//!   a named [`bench::registry::Experiment`], runnable individually or as
-//!   one single-process batch (`bpfree exp all`) over the shared
-//!   memoizing [`engine`].
+//! * [`bench`](mod@bench) — the experiment registry: every paper table
+//!   and figure as a named [`bench::registry::Experiment`], runnable
+//!   individually or as one single-process batch (`bpfree exp all`) over
+//!   the shared memoizing [`engine`], which persists its artifacts in the
+//!   [`cache`] image.
 //!
 //! # Quickstart
 //!

@@ -13,9 +13,13 @@
 //! bpfree image build PATH           pack every suite artifact into one image
 //! bpfree image verify PATH          integrity + live-suite revalidation
 //! bpfree image ls PATH              list an image's directory
-//! bpfree cache stat                 inventory the per-entry cache directory
-//! bpfree cache gc                   purge stale-format cache entries
+//! bpfree cache stat                 inventory the cache image
 //! ```
+//!
+//! Only `bench`, `exp run`, `exp all` and `image build` use the cache:
+//! they start from the cache image (`<cache dir>/suite.img`, unless
+//! `--no-cache`) and, if they computed anything, rewrite it once at the
+//! end. `cache stat` lists it; every other command leaves it alone.
 //!
 //! Exit codes: 0 success, 1 runtime failure (bad input file, simulator
 //! error), 2 usage error (unknown command/experiment/benchmark/function,
@@ -134,8 +138,7 @@ fn print_usage() {
     eprintln!("  bpfree image verify PATH          check an image's integrity and");
     eprintln!("                                    revalidate it against the live suite");
     eprintln!("  bpfree image ls PATH              list an image's directory");
-    eprintln!("  bpfree cache stat                 inventory the per-entry cache directory");
-    eprintln!("  bpfree cache gc                   purge stale-format cache entries");
+    eprintln!("  bpfree cache stat                 inventory the cache image (DIR/suite.img)");
     eprintln!("  bpfree --version                  print the version");
     eprintln!();
     eprintln!("common flags (run/bench/predict/exp): --jobs N, --no-cache, --cache-dir DIR,");
@@ -436,6 +439,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     let bundle = engine
         .try_run(&bench, Options::default(), dataset)
         .map_err(|e| runtime_err(e.to_string()))?;
+    persist(engine);
     let (program, classifier) = (&compiled.program, &compiled.classifier);
     let (profile, result) = (&bundle.profile, bundle.result);
 
@@ -601,8 +605,8 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
         Some("build") => {
             let path = path_arg("build")?;
             // Work the full experiment batch through the engine (warm
-            // from the per-entry cache where possible), then snapshot
-            // every memo into the image.
+            // from the cache image where possible), then snapshot every
+            // memo into the image at PATH.
             let engine = config::engine();
             let exps: Vec<&'static dyn Experiment> = registry::all().to_vec();
             let mut sink = bpfree::bench::sink::DiscardSink::new();
@@ -611,6 +615,7 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
             let (entries, bytes) = engine
                 .export_image(&path)
                 .map_err(|e| runtime_err(e.to_string()))?;
+            persist(engine);
             println!("image: {}", path.display());
             println!("entries: {entries}");
             println!("bytes: {bytes}");
@@ -666,42 +671,40 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
     }
 }
 
-/// `bpfree cache stat|gc` — per-entry cache directory maintenance.
-/// Honors `--cache-dir` / `BPFREE_CACHE_DIR` like every other command.
+/// `bpfree cache stat` — what the cache image holds, per artifact
+/// kind. Honors `--cache-dir` / `BPFREE_CACHE_DIR` like every other
+/// command.
 fn cmd_cache(args: &[String]) -> Result<(), Failure> {
+    if args.first().map(String::as_str) != Some("stat") {
+        return Err(usage_err("cache needs a subcommand: `stat`"));
+    }
+    CmdArgs::parse("cache stat", &args[1..], 0, &[], &[])?;
     let dir = &config::config().cache_dir;
-    let rt = |e: io::Error| runtime_err(format!("{}: {e}", dir.display()));
-    match args.first().map(String::as_str) {
-        Some("stat") => {
-            CmdArgs::parse("cache stat", &args[1..], 0, &[], &[])?;
-            let stat = bpfree::cache::maint::scan(dir).map_err(rt)?;
-            println!("cache dir: {}", dir.display());
-            println!(
-                "{:<10} {:>7} {:>8} {:>12}",
-                "kind", "version", "entries", "bytes"
-            );
-            for (kind, version, n, bytes) in stat.by_kind() {
-                println!("{kind:<10} {version:>7} {n:>8} {bytes:>12}");
-            }
-            println!(
-                "total: {} entries, {} bytes ({} stale, {} foreign files)",
-                stat.entries.len(),
-                stat.total_bytes(),
-                stat.stale(),
-                stat.foreign
-            );
-            Ok(())
-        }
-        Some("gc") => {
-            CmdArgs::parse("cache gc", &args[1..], 0, &[], &[])?;
-            let (removed, reclaimed) = bpfree::cache::maint::gc(dir).map_err(rt)?;
-            println!(
-                "{}: removed {removed} stale entries, reclaimed {reclaimed} bytes",
-                dir.display()
-            );
-            Ok(())
-        }
-        _ => Err(usage_err("cache needs a subcommand: `stat` or `gc`")),
+    let path = bpfree::cache::image_path(dir);
+    let stat = bpfree::cache::maint::scan(dir)
+        .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
+    println!("cache image: {}", path.display());
+    println!("{:<10} {:>8} {:>12}", "kind", "entries", "bytes");
+    for (kind, n, bytes) in stat.by_kind() {
+        println!("{:<10} {n:>8} {bytes:>12}", kind.name());
+    }
+    println!(
+        "total: {} entries, {} bytes",
+        stat.entries.len(),
+        stat.total_bytes()
+    );
+    Ok(())
+}
+
+/// Rewrites the cache image if this process computed anything (see
+/// `Engine::persist`). A failed write costs the next run time, never
+/// this run's output, so it is a warning, not an error.
+fn persist(engine: &bpfree::engine::Engine) {
+    if let Err(e) = engine.persist() {
+        eprintln!(
+            "[bpfree] warning: cannot write the cache image under {}: {e}",
+            engine.config().cache_dir.display()
+        );
     }
 }
 
@@ -712,10 +715,10 @@ fn cmd_cache(args: &[String]) -> Result<(), Failure> {
 fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Result<(), Failure> {
     let rt = |e: io::Error| runtime_err(e.to_string());
     let engine = config::engine();
-    // A mounted suite image pre-fills every memo the batch would
-    // otherwise compute (or read entry-by-entry from the cache dir); a
-    // structurally corrupt image is a hard error, but entries that fail
-    // live revalidation just fall back to recompute.
+    // An explicit suite image pre-fills every memo the batch would
+    // otherwise compute (on top of the cache image the engine mounted
+    // itself); a structurally corrupt `--image` is a hard error, but
+    // entries that fail live revalidation just fall back to recompute.
     if let Some(img) = &opts.image {
         let report = engine
             .mount_image(img)
@@ -746,6 +749,7 @@ fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Resu
             registry::run_experiments(exps, engine, &mut sink, true).map_err(rt)?;
         }
     }
+    persist(engine);
     eprintln!(
         "[bpfree] exp {mode}: {} experiments in {:.1}s, {} interpreter passes",
         exps.len(),

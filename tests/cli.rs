@@ -313,3 +313,81 @@ fn every_command_rejects_arguments_it_does_not_take() {
         );
     }
 }
+
+/// A fresh, empty scratch directory for one test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("bpfree-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A valid suite image cut one byte short.
+fn truncated_image() -> Vec<u8> {
+    use bpfree::cache::image::{Artifact, ImageBuilder};
+    let program = bpfree::lang::compile(PROGRAM).unwrap();
+    let mut b = ImageBuilder::new();
+    b.add("grep", "O", None, 1, Artifact::Compile(&program));
+    let mut bytes = b.finish();
+    bytes.pop();
+    bytes
+}
+
+fn table6(extra: &[&std::ffi::OsStr]) -> std::process::Output {
+    let args = ["exp", "run", "table6"];
+    bpfree().args(args).args(extra).output().unwrap()
+}
+
+/// A damaged cache image is an empty cache: the run recomputes, prints
+/// exactly what `--no-cache` prints, and leaves a valid image behind.
+/// The same bytes named by `--image` are still a hard error, and a cache
+/// dir that cannot hold an image only costs the write.
+#[test]
+fn damaged_or_unwritable_cache_never_changes_output() {
+    let tmp = scratch_dir("damaged-cache");
+    let reference = table6(&["--no-cache".as_ref()]);
+    assert!(reference.status.success());
+
+    let image = bpfree::cache::image_path(&tmp);
+    std::fs::write(&image, truncated_image()).unwrap();
+    let out = table6(&["--cache-dir".as_ref(), tmp.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(out.stdout, reference.stdout);
+    assert!(stderr.contains("empty cache"), "{stderr}");
+    let img = bpfree::cache::image::SuiteImage::open(&image).expect("a valid image");
+    assert!(!img.entries().is_empty());
+
+    let bad = tmp.join("bad.img");
+    std::fs::write(&bad, truncated_image()).unwrap();
+    let out = table6(&["--no-cache".as_ref(), "--image".as_ref(), bad.as_os_str()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot mount"));
+    assert!(out.stdout.is_empty());
+
+    let file = tmp.join("not-a-dir");
+    std::fs::write(&file, "a regular file").unwrap();
+    let out = table6(&["--cache-dir".as_ref(), file.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(out.stdout, reference.stdout);
+    assert!(stderr.contains("cannot write the cache image"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), "a regular file");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Listing experiments never opens the cache, however broken it is.
+#[test]
+fn exp_list_never_opens_the_cache() {
+    let tmp = scratch_dir("list-cache");
+    std::fs::write(bpfree::cache::image_path(&tmp), "garbage").unwrap();
+    let out = bpfree()
+        .args(["exp", "list", "--cache-dir"])
+        .arg(&tmp)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert!(out.status.success() && !out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "{stderr}");
+}
