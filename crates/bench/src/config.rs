@@ -11,13 +11,12 @@
 //! - `--cache-dir DIR` (or `BPFREE_CACHE_DIR=DIR`): cache location
 //!   (default `target/bpfree-cache`); the cache is the one image
 //!   `DIR/suite.img`.
-//! - `--interp TIER` (or `BPFREE_INTERP=TIER`): interpreter tier,
-//!   `bytecode` (default) or `tree`. Both tiers are observationally
-//!   identical — the flag exists for differential testing and perf
-//!   comparison.
 //! - `--timings[=PATH]` (or `BPFREE_TIMINGS=1|PATH`): record
 //!   per-task scheduler timings (query kind, key, wall-clock, worker)
 //!   and emit them as JSON to stderr (bare flag) or `PATH`.
+//!
+//! Every simulation runs the bytecode interpreter; the tree walker is a
+//! test oracle that no flag selects.
 //!
 //! The CLI pulls the standard flags out of a mixed argument list with
 //! [`extract`] and applies them with [`apply`]. [`apply`] is
@@ -29,8 +28,6 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-use bpfree_sim::InterpTier;
 
 /// Where the per-task timing log goes when `--timings` is on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,8 +49,6 @@ pub struct Config {
     pub use_cache: bool,
     /// Cache directory.
     pub cache_dir: PathBuf,
-    /// Interpreter tier for every simulation in the process.
-    pub interp: InterpTier,
     /// Per-task timing log destination (`None` = off).
     pub timings: Option<TimingsOut>,
 }
@@ -64,7 +59,6 @@ impl Default for Config {
             jobs: None,
             use_cache: !bpfree_cache::disabled_by_env(),
             cache_dir: bpfree_cache::default_dir(),
-            interp: interp_from_env(),
             timings: timings_from_env(),
         }
     }
@@ -78,16 +72,6 @@ fn timings_from_env() -> Option<TimingsOut> {
         "1" | "true" | "stderr" => Some(TimingsOut::Stderr),
         path => Some(TimingsOut::File(PathBuf::from(path))),
     }
-}
-
-/// `BPFREE_INTERP`'s tier, or the default on unset/invalid values
-/// (environment typos should not silently change semantics — but both
-/// tiers are identical anyway, so falling back to the default is safe).
-fn interp_from_env() -> InterpTier {
-    std::env::var("BPFREE_INTERP")
-        .ok()
-        .and_then(|v| InterpTier::parse(&v).ok())
-        .unwrap_or_default()
 }
 
 static CONFIG: OnceLock<Config> = OnceLock::new();
@@ -127,8 +111,7 @@ pub fn engine() -> &'static bpfree_engine::Engine {
     bpfree_engine::install(bpfree_engine::EngineConfig {
         use_cache: cfg.use_cache,
         cache_dir: cfg.cache_dir.clone(),
-        verbose: true,
-        tier: cfg.interp,
+        ..bpfree_engine::EngineConfig::default()
     })
 }
 
@@ -161,15 +144,6 @@ pub fn extract(args: impl IntoIterator<Item = String>) -> Result<(Config, Vec<St
             }
             s if s.starts_with("--cache-dir=") => {
                 cfg.cache_dir = PathBuf::from(&s["--cache-dir=".len()..]);
-            }
-            "--interp" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| "--interp requires a value".to_string())?;
-                cfg.interp = InterpTier::parse(&v)?;
-            }
-            s if s.starts_with("--interp=") => {
-                cfg.interp = InterpTier::parse(&s["--interp=".len()..])?;
             }
             "--timings" => cfg.timings = Some(TimingsOut::Stderr),
             s if s.starts_with("--timings=") => {
@@ -219,19 +193,6 @@ mod tests {
         assert!(p(&["--jobs", "0"]).is_err());
         assert!(p(&["--jobs", "zap"]).is_err());
         assert!(p(&["--jobs"]).is_err());
-        assert!(p(&["--interp"]).is_err());
-        assert!(p(&["--interp", "jit"]).is_err());
-    }
-
-    #[test]
-    fn parses_interp_tier() {
-        assert_eq!(p(&[]).unwrap().interp, InterpTier::Bytecode);
-        assert_eq!(p(&["--interp", "tree"]).unwrap().interp, InterpTier::Tree);
-        assert_eq!(
-            p(&["--interp=bytecode"]).unwrap().interp,
-            InterpTier::Bytecode
-        );
-        assert_eq!(p(&["--interp=bc"]).unwrap().interp, InterpTier::Bytecode);
     }
 
     #[test]
@@ -272,14 +233,12 @@ mod tests {
             jobs: None,
             use_cache: false,
             cache_dir: PathBuf::from("/tmp/first"),
-            interp: InterpTier::Bytecode,
             timings: None,
         });
         let second = apply(Config {
             jobs: None,
             use_cache: true,
             cache_dir: PathBuf::from("/tmp/second"),
-            interp: InterpTier::Bytecode,
             timings: None,
         });
         assert_eq!(first.cache_dir, second.cache_dir);

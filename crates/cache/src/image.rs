@@ -14,7 +14,7 @@
 //! the `traces_are_served_zero_copy` test asserts via
 //! [`bpfree_sim::trace_seq_allocs`].
 //!
-//! # File layout (cache format v6)
+//! # File layout (cache format v7)
 //!
 //! All multi-byte fields are little-endian. The file is:
 //!
@@ -26,9 +26,9 @@
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"BPFIMG06"` |
+//! | 0      | 8    | magic `b"BPFIMG07"` |
 //! | 8      | 4    | endian marker `0x0A0B0C0D` (reads scrambled on a big-endian writer) |
-//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 6) |
+//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 7) |
 //! | 16     | 8    | entry count |
 //! | 24     | 8    | directory offset (absolute, 8-aligned, dir is last) |
 //! | 32     | 8    | string-table offset (absolute) |
@@ -83,9 +83,7 @@ use std::sync::Arc;
 use bpfree_core::ordering::{BenchOrderData, Group, GroupKey, OrderingStudy};
 use bpfree_core::{BranchClass, BranchClassifier, Direction, HeuristicTable};
 use bpfree_ir::{BlockId, BranchRef, FuncId, Program};
-use bpfree_sim::{
-    BranchTrace, ByteView, BytecodeProgram, EdgeCounts, EdgeProfile, RunResult, TraceEvent,
-};
+use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, EdgeProfile, RunResult, TraceEvent};
 
 use crate::{
     Fnv, OrderingArtifacts, PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts,
@@ -93,7 +91,7 @@ use crate::{
 };
 
 /// The image magic: format family + the two-digit format version.
-pub const MAGIC: [u8; 8] = *b"BPFIMG06";
+pub const MAGIC: [u8; 8] = *b"BPFIMG07";
 
 /// Little-endian byte-order marker; reads scrambled if the file was
 /// written with the opposite endianness.
@@ -108,9 +106,6 @@ const DIR_ENTRY_LEN: usize = 64;
 pub enum SectionKind {
     /// A compiled [`bpfree_ir::Program`], stored as IR text.
     Compile,
-    /// The pre-decoded flat bytecode of that program
-    /// (`BytecodeProgram::to_bytes`).
-    Decoded,
     /// Per-branch prediction rows ([`PredictionArtifacts`]).
     Prediction,
     /// One dataset's edge profile + run result ([`RunArtifacts`]).
@@ -124,9 +119,8 @@ pub enum SectionKind {
 
 impl SectionKind {
     /// All kinds, in tag order.
-    pub const ALL: [SectionKind; 6] = [
+    pub const ALL: [SectionKind; 5] = [
         SectionKind::Compile,
-        SectionKind::Decoded,
         SectionKind::Prediction,
         SectionKind::Run,
         SectionKind::Trace,
@@ -145,7 +139,6 @@ impl SectionKind {
     pub fn name(self) -> &'static str {
         match self {
             SectionKind::Compile => "compile",
-            SectionKind::Decoded => "decoded",
             SectionKind::Prediction => "prediction",
             SectionKind::Run => "run",
             SectionKind::Trace => "trace",
@@ -586,8 +579,6 @@ pub(crate) fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts>
 pub enum Artifact<'a> {
     /// A compiled program, stored as IR text.
     Compile(&'a Program),
-    /// The program's pre-decoded bytecode (`BytecodeProgram::to_bytes`).
-    Decoded(&'a BytecodeProgram),
     /// The dense prediction rows of a classifier + heuristic table.
     Prediction(&'a BranchClassifier, &'a HeuristicTable),
     /// One dataset's edge profile and run result.
@@ -602,7 +593,6 @@ impl Artifact<'_> {
     fn kind(&self) -> SectionKind {
         match self {
             Artifact::Compile(_) => SectionKind::Compile,
-            Artifact::Decoded(_) => SectionKind::Decoded,
             Artifact::Prediction(..) => SectionKind::Prediction,
             Artifact::Run(..) => SectionKind::Run,
             Artifact::Trace(..) => SectionKind::Trace,
@@ -613,7 +603,6 @@ impl Artifact<'_> {
     fn encode(&self) -> Vec<u8> {
         match *self {
             Artifact::Compile(program) => program.to_string().into_bytes(),
-            Artifact::Decoded(bytecode) => bytecode.to_bytes(),
             Artifact::Prediction(classifier, table) => encode_prediction_payload(
                 &PredictionArtifacts::from_computed(classifier, table).rows,
             ),
@@ -948,13 +937,6 @@ impl SuiteImage {
         bpfree_ir::parse_program(ir).ok()
     }
 
-    /// The raw bytecode bytes of a decoded entry — deserialized (and
-    /// validated against the live program) by the caller via
-    /// `BytecodeProgram::from_bytes`.
-    pub fn decoded_bytes(&self, e: &ImageEntry) -> Option<&[u8]> {
-        (e.kind == SectionKind::Decoded).then(|| self.payload(e))
-    }
-
     /// Decodes a prediction entry.
     pub fn prediction(&self, e: &ImageEntry) -> Option<PredictionArtifacts> {
         if e.kind != SectionKind::Prediction {
@@ -1003,7 +985,6 @@ mod tests {
         b.add("", "O", None, 6, Artifact::Ordering(&s.study));
         let prediction = Artifact::Prediction(&s.classifier, &s.table);
         b.add("sample", "O", None, 3, prediction);
-        b.add("sample", "O", None, 2, Artifact::Decoded(&s.bytecode));
         b.add("sample", "O", None, 1, Artifact::Compile(&s.program));
         b.finish()
     }
@@ -1012,7 +993,7 @@ mod tests {
     fn roundtrip_every_kind() {
         let s = sample();
         let img = SuiteImage::from_bytes(sample_image(&s)).expect("opens");
-        assert_eq!(img.entries().len(), 6);
+        assert_eq!(img.entries().len(), 5);
         // Directory is sorted by kind regardless of insertion order.
         let kinds: Vec<_> = img.entries().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, SectionKind::ALL.to_vec());
@@ -1020,15 +1001,6 @@ mod tests {
         let e = img.find(SectionKind::Compile, "sample", "O", None).unwrap();
         assert_eq!(e.key, 1);
         assert_eq!(img.compile(e).unwrap(), s.program);
-
-        let e = img.find(SectionKind::Decoded, "sample", "O", None).unwrap();
-        let bc = BytecodeProgram::from_bytes(img.decoded_bytes(e).unwrap(), &s.program)
-            .expect("bytecode validates against the live program");
-        let mut obs = bpfree_sim::CountingObserver::default();
-        let run = bpfree_sim::Simulator::with_decoded(&s.program, &bc)
-            .run(&mut obs)
-            .unwrap();
-        assert_eq!(run, s.run);
 
         let e = img
             .find(SectionKind::Prediction, "sample", "O", None)
@@ -1150,7 +1122,6 @@ mod tests {
                 for e in img.entries() {
                     match e.kind {
                         SectionKind::Compile => assert_eq!(img.compile(e).unwrap(), s.program),
-                        SectionKind::Decoded => assert!(img.decoded_bytes(e).is_some()),
                         SectionKind::Prediction => assert!(img.prediction(e).is_some()),
                         SectionKind::Run => assert!(img.run(e).is_some()),
                         SectionKind::Trace => assert!(img.trace(e).is_some()),

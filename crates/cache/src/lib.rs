@@ -4,18 +4,17 @@
 //! heuristics over every non-loop branch, and *simulating* each program
 //! on its datasets — by far the most expensive part of every
 //! experiment. None of it changes between runs unless the benchmark
-//! source, the compile options, its datasets, or this crate's code
-//! changes, so the results persist in one file, `<cache dir>/suite.img`
+//! source, the compile options, its datasets, or the code that computes
+//! them changes, so the results persist in one file, `<cache dir>/suite.img`
 //! (see [`image`] for the layout), and reload in milliseconds.
 //!
 //! # Artifact kinds
 //!
-//! The image stores six independent artifact kinds, matching the
+//! The image stores five independent artifact kinds, matching the
 //! granularity of the demand-driven engine (`bpfree-engine`):
 //!
 //! * **compile** — the compiled `Program`, keyed per (benchmark,
 //!   source, compile options);
-//! * **decoded** — that program's flat bytecode, same key shape;
 //! * **prediction** — the derived prediction artifacts of that program:
 //!   one [`PredictionRow`] per conditional branch in program order,
 //!   carrying its class, loop prediction, and all seven heuristic
@@ -41,13 +40,16 @@
 //! # Keying
 //!
 //! Each entry is keyed by an FNV-1a hash over: the cache format version,
-//! the workspace crate version (any code change that ships a new version
-//! invalidates everything), the entry kind, the benchmark name, its full
-//! source text, **the compile-options fingerprint** (so `-O0` artifacts
-//! can never collide with `-O` entries), and — for run/trace entries — a
-//! fingerprint of the dataset (name plus the exact bit patterns of all
-//! initial global values). The engine recomputes each key from the
-//! *live* suite when it mounts the image, so a stale entry is
+//! **the code fingerprint** (a hash of every file under `src/` of
+//! `bpfree-engine` and each crate it depends on, computed by this
+//! crate's `build.rs`, so editing the compiler, the analyses, the
+//! heuristics or the interpreter makes every entry a miss), the entry
+//! kind, the benchmark name, its full source text, **the
+//! compile-options fingerprint** (so `-O0` artifacts can never collide
+//! with `-O` entries), and — for run/trace entries — a fingerprint of
+//! the dataset (name plus the exact bit patterns of all initial global
+//! values). The engine recomputes each key from the *live* suite and
+//! the running code when it mounts the image, so a stale entry is
 //! *unreachable*, not just detectable.
 //!
 //! # Robustness
@@ -71,7 +73,13 @@ use bpfree_sim::{BranchTrace, EdgeProfile, RunResult};
 use bpfree_suite::Dataset;
 
 /// Bump on any change to the image layout or a payload encoding.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+pub(crate) const FORMAT_VERSION: u32 = 7;
+
+/// A hash of the sources of every crate that computes a cached
+/// artifact, exported by `build.rs`. Hashing the sources rather than
+/// the executable gives every binary built from one checkout the same
+/// keys.
+const CODE_FINGERPRINT: &str = env!("BPFREE_CODE_FINGERPRINT");
 
 pub mod image;
 pub mod maint;
@@ -253,10 +261,20 @@ impl Fnv {
     }
 }
 
+/// [`CODE_FINGERPRINT`], or in this crate's unit tests whatever a test
+/// put in its place on the current thread.
+fn code_fingerprint() -> &'static str {
+    #[cfg(test)]
+    if let Some(fp) = tests::FINGERPRINT.with(std::cell::Cell::get) {
+        return fp;
+    }
+    CODE_FINGERPRINT
+}
+
 fn base_hash(kind: &str, bench_name: &str, source: &str, opt: &str) -> Fnv {
     let mut h = Fnv::new();
     h.write_u64(u64::from(FORMAT_VERSION));
-    h.write(env!("CARGO_PKG_VERSION").as_bytes());
+    h.write(code_fingerprint().as_bytes());
     h.sep();
     h.write(kind.as_bytes());
     h.sep();
@@ -292,7 +310,7 @@ fn write_dataset(h: &mut Fnv, ds: &Dataset) {
 }
 
 /// The content key of a compile entry: a hash over format version,
-/// crate version, benchmark name, source text, and the compile-options
+/// code fingerprint, benchmark name, source text, and the compile-options
 /// fingerprint (`bpfree_lang::Options::fingerprint`). Artifacts built at
 /// different optimisation levels can never collide.
 pub fn compile_key_hash(bench_name: &str, source: &str, opt: &str) -> u64 {
@@ -304,15 +322,6 @@ pub fn compile_key_hash(bench_name: &str, source: &str, opt: &str) -> u64 {
 /// program), different kind tag, so the two can never collide.
 pub fn prediction_key_hash(bench_name: &str, source: &str, opt: &str) -> u64 {
     base_hash("prediction", bench_name, source, opt).0
-}
-
-/// The content key of a decoded-bytecode entry. Keyed exactly like a
-/// compile entry (the bytecode is a pure function of the compiled
-/// program) under its own kind tag; on mount the deserialized program
-/// is additionally validated against the live `Program` by
-/// `BytecodeProgram::from_bytes`.
-pub fn decoded_key_hash(bench_name: &str, source: &str, opt: &str) -> u64 {
-    base_hash("decoded", bench_name, source, opt).0
 }
 
 /// The content key of one dataset's run entry.
@@ -361,14 +370,18 @@ mod tests {
         encode_run_payload, encode_trace_payload, put_i64, put_u32, put_u64,
     };
     use bpfree_core::{BranchClassifier, HeuristicTable};
-    use bpfree_sim::BytecodeProgram;
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Stands in for [`CODE_FINGERPRINT`] on this thread when set.
+        pub(super) static FINGERPRINT: Cell<Option<&'static str>> = const { Cell::new(None) };
+    }
 
     /// A small program's artifacts: one compile-and-run with a loop
     /// branch, a non-loop branch and a trace.
     pub(crate) struct Sample {
         pub(crate) program: Program,
-        pub(crate) bytecode: BytecodeProgram,
         pub(crate) classifier: BranchClassifier,
         pub(crate) table: HeuristicTable,
         pub(crate) profile: EdgeProfile,
@@ -405,7 +418,6 @@ mod tests {
             bpfree_core::DEFAULT_SEED,
         );
         Sample {
-            bytecode: BytecodeProgram::compile(&program),
             study: OrderingStudy::new(vec![data]),
             trace: recorder.into_trace(),
             program,
@@ -611,7 +623,6 @@ mod tests {
         let p0 = prediction_key_hash("b", "src", o);
         assert_ne!(p0, k0, "prediction and compile kinds never collide");
         assert_ne!(p0, prediction_key_hash("b", "src2", o));
-        assert_ne!(decoded_key_hash("b", "src", o), k0, "decoded kind");
 
         let r0 = run_key_hash("b", "src", o, &ds(1));
         assert_eq!(r0, run_key_hash("b", "src", o, &ds(1)));
@@ -668,10 +679,6 @@ mod tests {
             prediction_key_hash("b", "src", o0)
         );
         assert_ne!(
-            decoded_key_hash("b", "src", o),
-            decoded_key_hash("b", "src", o0)
-        );
-        assert_ne!(
             run_key_hash("b", "src", o, &ds(1)),
             run_key_hash("b", "src", o0, &ds(1))
         );
@@ -684,5 +691,30 @@ mod tests {
             ordering_key_hash(&[("b", "src", &d)], o, 7),
             ordering_key_hash(&[("b", "src", &d)], o0, 7)
         );
+    }
+
+    /// Editing the code that builds the artifacts moves every key, so a
+    /// cache filled by older code is all misses.
+    #[test]
+    fn code_fingerprint_is_part_of_every_key() {
+        assert_eq!(CODE_FINGERPRINT.len(), 16, "{CODE_FINGERPRINT}");
+        let d = ds(1);
+        let keys = || {
+            [
+                compile_key_hash("b", "src", "O"),
+                prediction_key_hash("b", "src", "O"),
+                run_key_hash("b", "src", "O", &d),
+                trace_key_hash("b", "src", "O", &d),
+                ordering_key_hash(&[("b", "src", &d)], "O", 7),
+            ]
+        };
+        let live = keys();
+        FINGERPRINT.with(|fp| fp.set(Some("0123456789abcdef")));
+        let edited = keys();
+        FINGERPRINT.with(|fp| fp.set(None));
+        for (kind, (a, b)) in live.iter().zip(&edited).enumerate() {
+            assert_ne!(a, b, "key {kind} ignores the code fingerprint");
+        }
+        assert_eq!(keys(), live, "the live fingerprint is back");
     }
 }

@@ -73,12 +73,11 @@ mod tests {
     #[test]
     fn scan_inventories_the_cache_image() {
         let dir = temp_dir("stat");
-        let program = bpfree_lang::compile("fn main() -> int { return 1; }").unwrap();
-        let bytecode = bpfree_sim::BytecodeProgram::compile(&program);
+        let s = crate::tests::sample();
         let mut b = ImageBuilder::new();
-        b.add("a", "O", None, 1, Artifact::Compile(&program));
-        b.add("b", "O", None, 2, Artifact::Compile(&program));
-        b.add("a", "O", None, 3, Artifact::Decoded(&bytecode));
+        b.add("a", "O", None, 1, Artifact::Compile(&s.program));
+        b.add("b", "O", None, 2, Artifact::Compile(&s.program));
+        b.add("a", "O", Some(0), 3, Artifact::Run(&s.profile, s.run));
         let (_, bytes) = b.write(&crate::image_path(&dir)).unwrap();
         // Files other than the image are not the cache's business.
         std::fs::write(dir.join("notes.md"), "not a cache entry").unwrap();
@@ -89,11 +88,11 @@ mod tests {
         let rows = stat.by_kind();
         assert_eq!(rows.len(), 2);
         assert_eq!((rows[0].0, rows[0].1), (SectionKind::Compile, 2));
-        assert_eq!((rows[1].0, rows[1].1), (SectionKind::Decoded, 1));
+        assert_eq!((rows[1].0, rows[1].1), (SectionKind::Run, 1));
         assert!(rows.iter().all(|&(_, _, b)| b > 0));
 
         // A damaged image is reported, not silently counted as empty.
-        std::fs::write(crate::image_path(&dir), b"BPFIMG06 but truncated").unwrap();
+        std::fs::write(crate::image_path(&dir), b"BPFIMG07 but truncated").unwrap();
         let err = scan(&dir).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);

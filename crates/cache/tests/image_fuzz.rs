@@ -35,11 +35,9 @@ fn pristine() -> &'static Vec<u8> {
 
         let classifier = bpfree_core::BranchClassifier::analyze(&program);
         let table = bpfree_core::HeuristicTable::build(&program, &classifier);
-        let bytecode = bpfree_sim::BytecodeProgram::compile(&program);
 
         let mut b = ImageBuilder::new();
         b.add("fuzz", "O", None, 0x11, Artifact::Compile(&program));
-        b.add("fuzz", "O", None, 0x22, Artifact::Decoded(&bytecode));
         let prediction = Artifact::Prediction(&classifier, &table);
         b.add("fuzz", "O", None, 0x33, prediction);
         b.add("fuzz", "O", Some(0), 0x44, Artifact::Run(&profile, run));
@@ -59,12 +57,6 @@ fn assert_contents_pristine(img: &SuiteImage) {
         match e.kind {
             SectionKind::Compile => {
                 assert_eq!(img.compile(e).unwrap(), clean.compile(ce).unwrap());
-            }
-            SectionKind::Decoded => {
-                assert_eq!(
-                    img.decoded_bytes(e).unwrap(),
-                    clean.decoded_bytes(ce).unwrap()
-                );
             }
             SectionKind::Prediction => {
                 assert_eq!(img.prediction(e).unwrap(), clean.prediction(ce).unwrap());

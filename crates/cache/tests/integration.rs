@@ -202,7 +202,6 @@ fn keys_differ_across_benchmarks_kinds_and_opt_levels() {
         [
             bpfree_cache::compile_key_hash(b.name, b.source, o),
             bpfree_cache::prediction_key_hash(b.name, b.source, o),
-            bpfree_cache::decoded_key_hash(b.name, b.source, o),
             bpfree_cache::run_key_hash(b.name, b.source, o, ds),
             bpfree_cache::trace_key_hash(b.name, b.source, o, ds),
         ]

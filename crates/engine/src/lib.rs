@@ -101,11 +101,10 @@ pub struct EngineConfig {
     /// Print cache hit/miss lines to stderr (never stdout — experiment
     /// output stays byte-identical either way).
     pub verbose: bool,
-    /// Which interpreter tier simulations run under. Artifacts are
-    /// tier-agnostic (both tiers are observationally identical, so
-    /// cached entries are shared), but the cold-path cost is not:
-    /// [`InterpTier::Bytecode`] is the fast default and
-    /// [`InterpTier::Tree`] the differential-testing reference.
+    /// Which interpreter tier simulations run under. Every `bpfree`
+    /// command uses the default, [`InterpTier::Bytecode`];
+    /// [`InterpTier::Tree`] is the differential-testing reference, and
+    /// both give the same artifacts.
     pub tier: InterpTier,
 }
 
@@ -319,8 +318,9 @@ impl Engine {
     }
 
     /// How many bytecode-decode passes this engine has actually
-    /// executed. Memo and image hits don't count: a mounted warm start
-    /// deserializes the stored bytecode instead of re-lowering.
+    /// executed. A program is decoded on its first simulation and the
+    /// result lives only in this process, so a run served from the
+    /// image decodes nothing.
     pub fn decodes(&self) -> u64 {
         self.decodes.load(Ordering::Relaxed)
     }
@@ -402,9 +402,9 @@ impl Engine {
     }
 
     /// The flat-bytecode lowering of `bench` under `opt`, decoded once
-    /// per process. Decoding is pure (no execution state), so one
-    /// [`BytecodeProgram`] serves every dataset's run and trace of the
-    /// `(benchmark, Options)` pair.
+    /// per process and never persisted. Decoding is pure (no execution
+    /// state), so one [`BytecodeProgram`] serves every dataset's run and
+    /// trace of the `(benchmark, Options)` pair.
     pub fn decoded(&self, bench: &Benchmark, opt: Options) -> Arc<BytecodeProgram> {
         self.decoded.get_or_init((bench.name, opt), || {
             timed(
@@ -548,11 +548,10 @@ impl Engine {
     ///
     /// The work runs as a dependency-aware [`bpfree_par::Plan`] on the
     /// shared pool: per benchmark, a dataset-generation node and a
-    /// compile node (plus a bytecode-decode node behind the compile)
-    /// feed a simulate node. Independent benchmarks' compiles and
-    /// simulations overlap freely instead of running level-by-level,
-    /// and a long simulation no longer blocks another benchmark's
-    /// compile from starting.
+    /// compile node feed a simulate node. Independent benchmarks'
+    /// compiles and simulations overlap freely instead of running
+    /// level-by-level, and a long simulation no longer blocks another
+    /// benchmark's compile from starting.
     pub fn prefetch(&self, benches: &[&Benchmark], opt: Options, traced: &[&str]) {
         let mut plan = bpfree_par::Plan::new();
         for &bench in benches {
@@ -562,14 +561,13 @@ impl Engine {
     }
 
     /// Adds this benchmark's warm-up chain (datasets ∥ compile →
-    /// (analyze ∥ decode) → simulate dataset 0) to `plan`, returning
-    /// the final simulate node so batch callers can hang dependents off
-    /// it. Prediction analysis and bytecode decoding both depend only
-    /// on the compiled program, so they overlap; the simulate node
-    /// waits for both, guaranteeing every `Compiled` artifact is warm
-    /// when the plan drains. The nodes only touch memos, so a plan node
-    /// that races a direct query for the same artifact still computes
-    /// it exactly once.
+    /// analyze → simulate dataset 0) to `plan`, returning the final
+    /// simulate node so batch callers can hang dependents off it. The
+    /// simulate node waits for the analysis, guaranteeing every
+    /// `Compiled` artifact is warm when the plan drains; the simulation
+    /// itself decodes the program on first use. The nodes only touch
+    /// memos, so a plan node that races a direct query for the same
+    /// artifact still computes it exactly once.
     pub fn plan_warmup<'e>(
         &'e self,
         plan: &mut bpfree_par::Plan<'e>,
@@ -586,14 +584,7 @@ impl Engine {
         let analyzed = plan.add(&[compiled], move || {
             let _ = self.predictions(bench, opt);
         });
-        let ready = if self.config.tier == InterpTier::Bytecode {
-            plan.add(&[compiled], move || {
-                let _ = self.decoded(bench, opt);
-            })
-        } else {
-            compiled
-        };
-        plan.add(&[datasets, ready, analyzed], move || {
+        plan.add(&[datasets, analyzed], move || {
             if traced {
                 let _ = self.trace(bench, opt, 0);
             }
@@ -602,7 +593,9 @@ impl Engine {
     }
 
     /// One interpreter pass under the configured [`InterpTier`] —
-    /// every simulation the engine performs funnels through here.
+    /// every simulation the engine performs funnels through here. The
+    /// bytecode tier decodes the program on its first pass, through the
+    /// [`Engine::decoded`] memo.
     fn simulate<O: bpfree_sim::ExecObserver>(
         &self,
         bench: &Benchmark,
@@ -730,8 +723,8 @@ impl Engine {
     /// *live* suite (current sources, options, regenerated datasets) is
     /// offered straight into the memos. After mounting a complete
     /// image, every counter on this engine stays at zero through a full
-    /// experiment sweep — no compiles, no decodes, no analyses, no
-    /// simulations, no trace recordings, no matrix builds — and traces
+    /// experiment sweep — no compiles, no analyses, no simulations, no
+    /// trace recordings, no matrix builds, and so no decodes — and traces
     /// borrow their index sequences from the image buffer (zero decode
     /// allocations). [`Engine::new`] mounts the cache image this way;
     /// `--image` mounts another one.
@@ -778,8 +771,8 @@ impl Engine {
     /// persisted artifact passes through before it is served; `None`
     /// means "skip and recompute on demand", never an error. The
     /// directory is sorted by kind in dependency order (compile →
-    /// decoded → prediction → run → trace → ordering), so dependents
-    /// can peek at what earlier entries mounted.
+    /// prediction → run → trace → ordering), so dependents can peek at
+    /// what earlier entries mounted.
     fn mount_entry(
         &self,
         img: &SuiteImage,
@@ -829,10 +822,6 @@ impl Engine {
         // Every other kind is checked against the program it belongs to.
         let program = self.programs.peek(&slot)?;
         match e.kind {
-            SectionKind::Decoded => {
-                let bc = BytecodeProgram::from_bytes(img.decoded_bytes(e)?, &program)?;
-                self.decoded.offer(slot, Arc::new(bc));
-            }
             SectionKind::Prediction => {
                 let (classifier, table) = img.prediction(e)?.instantiate(&program)?;
                 self.predictions.offer(
@@ -897,7 +886,6 @@ impl Engine {
         let (name, source, fp) = (bench.name, bench.source, opt.fingerprint());
         Some(match kind {
             SectionKind::Compile => bpfree_cache::compile_key_hash(name, source, fp),
-            SectionKind::Decoded => bpfree_cache::decoded_key_hash(name, source, fp),
             SectionKind::Prediction => bpfree_cache::prediction_key_hash(name, source, fp),
             SectionKind::Run | SectionKind::Trace => {
                 let datasets = self.datasets(bench);
@@ -937,16 +925,6 @@ impl Engine {
     pub fn export_image(&self, path: &std::path::Path) -> std::io::Result<(usize, u64)> {
         let bench = |name: &str| bpfree_suite::by_name(name);
         let programs = self.programs.entries();
-        // Decoded bytecode is demanded (not snapshotted): the memo only
-        // fills when a simulation or replay actually needs it, so a
-        // warm build would otherwise export fewer `decoded` entries
-        // than a cold one and break double-build determinism. Decoding
-        // is a pure, cheap transform, so the closure rule is simply
-        // "every exported program ships its decoded form".
-        let decoded: Vec<_> = programs
-            .iter()
-            .filter_map(|((name, opt), _)| Some((*name, *opt, self.decoded(&bench(name)?, *opt))))
-            .collect();
         let predictions = self.predictions.entries();
         let runs = self.runs.entries();
         let traces = self.traces.entries();
@@ -961,10 +939,6 @@ impl Engine {
         for ((name, opt), program) in &programs {
             let art = Artifact::Compile(program);
             add(SectionKind::Compile, name, *opt, None, art);
-        }
-        for (name, opt, bytecode) in &decoded {
-            let art = Artifact::Decoded(bytecode);
-            add(SectionKind::Decoded, name, *opt, None, art);
         }
         for ((name, opt), p) in &predictions {
             let art = Artifact::Prediction(&p.classifier, &p.table);
@@ -994,14 +968,14 @@ impl Engine {
 
     /// Rewrites the cache image, `<cache_dir>/suite.img`, from this
     /// engine's memos — only with [`EngineConfig::use_cache`] set and
-    /// only if one of the six work counters is non-zero, so a run served
-    /// entirely from the image leaves it untouched. Each write replaces
-    /// the whole file with revalidated artifacts (nothing stale piles
-    /// up; between concurrent processes the last writer wins). Returns
-    /// the export's `(entries, bytes)`, or `None` if nothing was written.
+    /// only if one of the five counters of persisted work is non-zero,
+    /// so a run served entirely from the image leaves it untouched (a
+    /// decode alone persists nothing). Each write replaces the whole
+    /// file with revalidated artifacts (nothing stale piles up; between
+    /// concurrent processes the last writer wins). Returns the export's
+    /// `(entries, bytes)`, or `None` if nothing was written.
     pub fn persist(&self) -> std::io::Result<Option<(usize, u64)>> {
         let work = self.compiles()
-            + self.decodes()
             + self.analyses()
             + self.simulations()
             + self.trace_records()
@@ -1230,12 +1204,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The image tentpole's end-to-end property: exporting a fully
-    /// worked engine to a suite image and mounting it into a fresh
-    /// engine serves *every* artifact — programs, decoded bytecode,
-    /// predictions, runs, traces, the ordering matrix — with every miss
-    /// counter at exactly zero, traces borrowed from the image buffer,
-    /// and two exports byte-identical (deterministic layout).
+    /// The image's end-to-end property: exporting a fully worked engine
+    /// to a suite image and mounting it into a fresh engine serves
+    /// *every* artifact — programs, predictions, runs, traces, the
+    /// ordering matrix — with every work counter at exactly zero
+    /// (decodes included: nothing simulates, so nothing decodes),
+    /// traces borrowed from the image buffer, and two exports
+    /// byte-identical (deterministic layout).
     #[test]
     fn mounted_image_serves_every_artifact_with_zero_misses() {
         let dir =
@@ -1252,17 +1227,13 @@ mod tests {
         let cold = Engine::new(EngineConfig::no_cache());
         for b in &refs {
             let _ = cold.compiled(b, opt);
-            let _ = cold.decoded(b, opt);
             let _ = cold.trace(b, opt, 0);
         }
         let s1 = cold.ordering_study(&refs, opt);
 
         let img = dir.join("suite.img");
         let (n, bytes) = cold.export_image(&img).unwrap();
-        assert!(
-            n >= 9,
-            "2 compiles + 2 decoded + 2 predictions + runs + traces + ordering"
-        );
+        assert!(n >= 7, "compiles, predictions, runs, traces, ordering");
         assert_eq!(bytes, std::fs::metadata(&img).unwrap().len());
         // Determinism: a second export of the same state is
         // byte-identical.
@@ -1289,7 +1260,6 @@ mod tests {
             assert_eq!(*c.program, *cold_c.program);
             assert!(c.classifier.rows().eq(cold_c.classifier.rows()));
             assert!(c.table.rows().eq(cold_c.table.rows()));
-            let _ = warm.decoded(b, opt);
             let t = warm.trace(b, opt, 0);
             assert_eq!(*t, *cold.trace(b, opt, 0));
             assert!(

@@ -58,7 +58,6 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
     cold.persist().unwrap();
     let clean = std::fs::read(image_path(&clean_dir)).unwrap();
     let program = cold.program(&bench, opt);
-    let decoded = cold.decoded(&bench, opt);
     assert!(program.funcs().len() <= FOREIGN_FUNC as usize);
 
     // The same image with dataset 0's run entry left out and two
@@ -74,8 +73,6 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
     let mut b = ImageBuilder::new();
     let key = bpfree_cache::compile_key_hash(name, src, fp);
     b.add(name, fp, None, key, Artifact::Compile(&program));
-    let key = bpfree_cache::decoded_key_hash(name, src, fp);
-    b.add(name, fp, None, key, Artifact::Decoded(&decoded));
     let key = bpfree_cache::trace_key_hash(name, src, fp, &datasets[0]);
     b.add(
         name,

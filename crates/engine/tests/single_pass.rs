@@ -70,6 +70,7 @@ fn cold_engine_simulates_once_per_dataset_warm_engine_zero() {
         assert_eq!(*warm.trace(b, opt, 0), *cold_traces[i], "{}", b.name);
     }
     assert_eq!(warm.simulations(), 0, "warm engine never simulates");
+    assert_eq!(warm.decodes(), 0, "so it never decodes either");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,6 +51,9 @@
 //!             << >> + - * / % unary -,! postfix call/index
 //! ```
 //!
+//! Statements and expressions nest at most [`MAX_NESTING`] levels deep,
+//! counted together; deeper source is a syntax error.
+//!
 //! `ptr` and `int` are both 64-bit words and convert implicitly (Cmm is
 //! memory-untyped like B/BCPL); `int` promotes implicitly to `float`, and
 //! `int(e)` / `float(e)` convert explicitly. `null` is the zero pointer.
@@ -92,7 +95,7 @@ mod passes;
 pub use ast::{BinOp, Expr, ExprKind, Item, Program as AstProgram, Stmt, StmtKind, Type, UnOp};
 pub use error::CompileError;
 pub use lexer::{Lexer, Span, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 
 use bpfree_ir::Program;
 

@@ -2,11 +2,21 @@ use crate::ast::{BinOp, Expr, ExprKind, Item, Program, Stmt, StmtKind, Type, UnO
 use crate::error::CompileError;
 use crate::lexer::{Lexer, Span, Token, TokenKind};
 
+/// How deeply statements and expressions may nest, counted together.
+/// A statement inside another, an operand inside its operator, call or
+/// index, and a pair of parentheses each add one level, and so does
+/// each link of a left-associative chain such as `a + b + c` or
+/// `a[i][j]`, because every later pass recurses once per level. The
+/// parser reports deeper source as a syntax error before building it,
+/// so no pass can run out of stack.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses Cmm source into an AST.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntax error with its source span.
+/// Returns the first lexical or syntax error with its source span,
+/// including nesting deeper than [`MAX_NESTING`].
 ///
 /// # Example
 ///
@@ -16,15 +26,51 @@ use crate::lexer::{Lexer, Span, Token, TokenKind};
 /// ```
 pub fn parse(source: &str) -> Result<Program, CompileError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The nesting level of the node being parsed: 1 for a statement
+    /// of a function body.
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `parse` one nesting level deeper, for a child of the node
+    /// being parsed; refuses to go past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(Self::too_deep(self.peek_span()));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// The levels under an expression whose root moves one level down,
+    /// below the chain link at `op` — refused past [`MAX_NESTING`].
+    fn deepen(&self, below: usize, op: Span) -> Result<usize, CompileError> {
+        if self.depth + below + 1 > MAX_NESTING {
+            return Err(Self::too_deep(op));
+        }
+        Ok(below + 1)
+    }
+
+    fn too_deep(span: Span) -> CompileError {
+        CompileError::parse(format!("nesting deeper than {MAX_NESTING} levels"), span)
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -207,7 +253,7 @@ impl Parser {
                     self.peek_span(),
                 ));
             }
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(Self::stmt)?);
         }
         self.expect(TokenKind::RBrace)?;
         Ok(stmts)
@@ -268,7 +314,7 @@ impl Parser {
                 let init = if self.peek() == &TokenKind::Semi {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt()?))
+                    Some(Box::new(self.nested(Self::simple_stmt)?))
                 };
                 self.expect(TokenKind::Semi)?;
                 let cond = if self.peek() == &TokenKind::Semi {
@@ -280,7 +326,7 @@ impl Parser {
                 let step = if self.peek() == &TokenKind::RParen {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt()?))
+                    Some(Box::new(self.nested(Self::simple_stmt)?))
                 };
                 self.expect(TokenKind::RParen)?;
                 let body = self.block()?;
@@ -386,7 +432,7 @@ impl Parser {
         let then_body = self.block()?;
         let else_body = if self.eat(&TokenKind::KwElse) {
             if self.peek() == &TokenKind::KwIf {
-                vec![self.if_stmt()?]
+                vec![self.nested(Self::if_stmt)?]
             } else {
                 self.block()?
             }
@@ -405,9 +451,20 @@ impl Parser {
     }
 
     // ---- expressions: precedence climbing ----
+    //
+    // Each expression parser also returns how many levels lie under the
+    // root of what it built, so that a chain link, which pushes the
+    // whole chain so far one level down, can be checked against
+    // [`MAX_NESTING`] before it is built.
 
+    /// An expression one level below the node being parsed.
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.binary_expr(0)
+        Ok(self.sub_expr()?.0)
+    }
+
+    /// [`Parser::expr`] with the levels under its root.
+    fn sub_expr(&mut self) -> Result<(Expr, usize), CompileError> {
+        self.nested(|p| p.binary_expr(0))
     }
 
     fn binop_at(&self, min_prec: u8) -> Option<(BinOp, u8)> {
@@ -435,12 +492,14 @@ impl Parser {
         (prec >= min_prec).then_some((op, prec))
     }
 
-    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
-        let mut lhs = self.unary_expr()?;
+    fn binary_expr(&mut self, min_prec: u8) -> Result<(Expr, usize), CompileError> {
+        let (mut lhs, mut below) = self.unary_expr()?;
         while let Some((op, prec)) = self.binop_at(min_prec) {
+            below = self.deepen(below, self.peek_span())?;
             self.bump();
             // All binary operators are left-associative.
-            let rhs = self.binary_expr(prec + 1)?;
+            let (rhs, rhs_below) = self.nested(|p| p.binary_expr(prec + 1))?;
+            below = below.max(rhs_below + 1);
             let span = lhs.span.merge(rhs.span);
             lhs = Expr {
                 kind: ExprKind::Binary {
@@ -451,45 +510,37 @@ impl Parser {
                 span,
             };
         }
-        Ok(lhs)
+        Ok((lhs, below))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn unary_expr(&mut self) -> Result<(Expr, usize), CompileError> {
         let start = self.peek_span();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let inner = self.unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr {
-                    kind: ExprKind::Unary {
-                        op: UnOp::Neg,
-                        expr: Box::new(inner),
-                    },
-                    span,
-                })
-            }
-            TokenKind::Bang => {
-                self.bump();
-                let inner = self.unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr {
-                    kind: ExprKind::Unary {
-                        op: UnOp::Not,
-                        expr: Box::new(inner),
-                    },
-                    span,
-                })
-            }
-            _ => self.postfix_expr(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let (inner, below) = self.nested(Self::unary_expr)?;
+        let span = start.merge(inner.span);
+        let e = Expr {
+            kind: ExprKind::Unary {
+                op,
+                expr: Box::new(inner),
+            },
+            span,
+        };
+        Ok((e, below + 1))
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.primary_expr()?;
+    fn postfix_expr(&mut self) -> Result<(Expr, usize), CompileError> {
+        let (mut e, mut below) = self.primary_expr()?;
         loop {
+            let open = self.peek_span();
             if self.eat(&TokenKind::LBracket) {
-                let index = self.expr()?;
+                below = self.deepen(below, open)?;
+                let (index, index_below) = self.sub_expr()?;
+                below = below.max(index_below + 1);
                 let end = self.peek_span();
                 self.expect(TokenKind::RBracket)?;
                 let span = e.span.merge(end);
@@ -501,40 +552,34 @@ impl Parser {
                     span,
                 };
             } else {
-                return Ok(e);
+                return Ok((e, below));
             }
         }
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, CompileError> {
+    /// A primary expression. Parentheses build no node of their own but
+    /// count as a level, as the parser recurses through them.
+    fn primary_expr(&mut self) -> Result<(Expr, usize), CompileError> {
         let start = self.peek_span();
+        let leaf = |kind| Ok((Expr { kind, span: start }, 0));
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::IntLit(v),
-                    span: start,
-                })
+                leaf(ExprKind::IntLit(v))
             }
             TokenKind::Float(v) => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::FloatLit(v),
-                    span: start,
-                })
+                leaf(ExprKind::FloatLit(v))
             }
             TokenKind::KwNull => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Null,
-                    span: start,
-                })
+                leaf(ExprKind::Null)
             }
             TokenKind::LParen => {
                 self.bump();
-                let inner = self.expr()?;
+                let (inner, below) = self.sub_expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(inner)
+                Ok((inner, below + 1))
             }
             // `int(e)` / `float(e)` casts parse as calls to the builtin
             // names `int` / `float`.
@@ -547,41 +592,42 @@ impl Parser {
                 .to_string();
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let arg = self.expr()?;
+                let (arg, below) = self.sub_expr()?;
                 let end = self.peek_span();
                 self.expect(TokenKind::RParen)?;
-                Ok(Expr {
+                let call = Expr {
                     kind: ExprKind::Call {
                         name,
                         args: vec![arg],
                     },
                     span: start.merge(end),
-                })
+                };
+                Ok((call, below + 1))
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    if self.peek() != &TokenKind::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
+                if !self.eat(&TokenKind::LParen) {
+                    return leaf(ExprKind::Var(name));
+                }
+                let mut args = Vec::new();
+                let mut below = 0;
+                if self.peek() != &TokenKind::RParen {
+                    loop {
+                        let (arg, arg_below) = self.sub_expr()?;
+                        args.push(arg);
+                        below = below.max(arg_below + 1);
+                        if !self.eat(&TokenKind::Comma) {
+                            break;
                         }
                     }
-                    let end = self.peek_span();
-                    self.expect(TokenKind::RParen)?;
-                    Ok(Expr {
-                        kind: ExprKind::Call { name, args },
-                        span: start.merge(end),
-                    })
-                } else {
-                    Ok(Expr {
-                        kind: ExprKind::Var(name),
-                        span: start,
-                    })
                 }
+                let end = self.peek_span();
+                self.expect(TokenKind::RParen)?;
+                let call = Expr {
+                    kind: ExprKind::Call { name, args },
+                    span: start.merge(end),
+                };
+                Ok((call, below))
             }
             other => Err(CompileError::parse(
                 format!("expected expression, found {other}"),

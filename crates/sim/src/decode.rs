@@ -758,50 +758,29 @@ fn decode_func(program: &Program, fid: FuncId) -> BcFunc {
 /// hot loop (see `crate::exec`), so decoding enforces them with a hard
 /// assert — once per decode, not per executed op.
 fn validate(bf: &BcFunc, program: &Program) {
-    if let Err(e) = check(bf, program) {
-        panic!("{e}");
-    }
-}
-
-/// The validation behind [`validate`], with failures reported instead
-/// of panicking. Deserializing bytecode from a suite image runs the
-/// same checks, so a corrupt (or merely stale) image section is
-/// rejected and recomputed rather than handed to the unchecked
-/// executor.
-pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
     let len = bf.ops.len() as u32;
     let n_funcs = program.func_ids().count() as u32;
-    let slot = |s: u32| {
-        if s < bf.n_slots {
-            Ok(())
-        } else {
-            Err(format!("int slot {s} out of {}", bf.n_slots))
+    let slot = |s: u32| assert!(s < bf.n_slots, "int slot {s} out of {}", bf.n_slots);
+    let fslt = |s: u32| assert!(s < bf.n_fslots, "float slot {s} out of {}", bf.n_fslots);
+    let oslot = |s: u32| {
+        if s != NO_SLOT {
+            slot(s)
         }
     };
-    let fslt = |s: u32| {
-        if s < bf.n_fslots {
-            Ok(())
-        } else {
-            Err(format!("float slot {s} out of {}", bf.n_fslots))
+    let ofslt = |s: u32| {
+        if s != NO_SLOT {
+            fslt(s)
         }
     };
-    let oslot = |s: u32| if s == NO_SLOT { Ok(()) } else { slot(s) };
-    let ofslt = |s: u32| if s == NO_SLOT { Ok(()) } else { fslt(s) };
-    let target = |t: u32| {
-        if t < len {
-            Ok(())
-        } else {
-            Err(format!("target {t} out of {len} ops"))
-        }
-    };
+    let target = |t: u32| assert!(t < len, "target {t} out of {len} ops");
     let alu = |a: &AluOp| match *a {
         AluOp::RR { rd, rs, rt, .. } => {
-            slot(rd)?;
-            slot(rs)?;
+            slot(rd);
+            slot(rs);
             slot(rt)
         }
         AluOp::RI { rd, rs, .. } => {
-            slot(rd)?;
+            slot(rd);
             slot(rs)
         }
     };
@@ -813,64 +792,64 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
         | BcCond::Gez(a)
         | BcCond::Gtz(a) => slot(a),
         BcCond::Eq(a, b) | BcCond::Ne(a, b) => {
-            slot(a)?;
+            slot(a);
             slot(b)
         }
-        BcCond::FTrue | BcCond::FFalse => Ok(()),
+        BcCond::FTrue | BcCond::FFalse => {}
     };
     for op in bf.ops.iter() {
         match op {
-            Op::Li { rd, .. } => slot(*rd)?,
+            Op::Li { rd, .. } => slot(*rd),
             Op::Move { rd, rs } => {
-                slot(*rd)?;
-                slot(*rs)?;
+                slot(*rd);
+                slot(*rs);
             }
             Op::Bin { rd, rs, rt, .. } => {
-                slot(*rd)?;
-                slot(*rs)?;
-                slot(*rt)?;
+                slot(*rd);
+                slot(*rs);
+                slot(*rt);
             }
             Op::BinImm { rd, rs, .. } => {
-                slot(*rd)?;
-                slot(*rs)?;
+                slot(*rd);
+                slot(*rs);
             }
-            Op::LiF { fd, .. } => fslt(*fd)?,
+            Op::LiF { fd, .. } => fslt(*fd),
             Op::MoveF { fd, fs } => {
-                fslt(*fd)?;
-                fslt(*fs)?;
+                fslt(*fd);
+                fslt(*fs);
             }
             Op::BinF { fd, fs, ft, .. } => {
-                fslt(*fd)?;
-                fslt(*fs)?;
-                fslt(*ft)?;
+                fslt(*fd);
+                fslt(*fs);
+                fslt(*ft);
             }
             Op::CvtIF { fd, rs } => {
-                fslt(*fd)?;
-                slot(*rs)?;
+                fslt(*fd);
+                slot(*rs);
             }
             Op::CvtFI { rd, fs } => {
-                slot(*rd)?;
-                fslt(*fs)?;
+                slot(*rd);
+                fslt(*fs);
             }
             Op::CmpF { fs, ft, .. } => {
-                fslt(*fs)?;
-                fslt(*ft)?;
+                fslt(*fs);
+                fslt(*ft);
             }
             Op::Load { rd, base, .. } => {
-                slot(*rd)?;
-                slot(*base)?;
+                slot(*rd);
+                slot(*base);
             }
             Op::Store { rs, base, .. } => {
-                slot(*rs)?;
-                slot(*base)?;
+                slot(*rs);
+                slot(*base);
             }
             Op::LoadF { fd, base, .. } => {
-                fslt(*fd)?;
-                slot(*base)?;
+                fslt(*fd);
+                slot(*base);
             }
             Op::StoreF { fs, base, .. } => {
-                fslt(*fs)?;
-                slot(*base)?;
+                fslt(*fs);
+                slot(*base);
             }
             Op::LoadRR {
                 rd_addr,
@@ -879,18 +858,18 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 rd,
                 ..
             } => {
-                slot(*rd_addr)?;
-                slot(*rs)?;
-                slot(*rt)?;
-                slot(*rd)?;
+                slot(*rd_addr);
+                slot(*rs);
+                slot(*rt);
+                slot(*rd);
             }
             Op::Alu2 { a, b } => {
-                alu(a)?;
-                alu(b)?;
+                alu(a);
+                alu(b);
             }
             Op::Alloc { rd, size } => {
-                slot(*rd)?;
-                slot(*size)?;
+                slot(*rd);
+                slot(*size);
             }
             Op::Call {
                 callee,
@@ -899,37 +878,34 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 ret,
                 fret,
             } => {
-                if *callee >= n_funcs {
-                    return Err(format!("callee {callee} out of {n_funcs} functions"));
-                }
+                assert!(
+                    *callee < n_funcs,
+                    "callee {callee} out of {n_funcs} functions"
+                );
                 let cf = program.func(FuncId(*callee));
                 let c_slots = cf.n_regs().max(Reg::FIRST_TEMP) + 1;
                 let c_fslots = cf.n_fregs();
                 for &(src, dst) in args.iter() {
-                    slot(src)?;
-                    if dst >= c_slots {
-                        return Err(format!("callee slot {dst} out of {c_slots}"));
-                    }
+                    slot(src);
+                    assert!(dst < c_slots, "callee slot {dst} out of {c_slots}");
                 }
                 for &(src, dst) in fargs.iter() {
-                    fslt(src)?;
-                    if dst >= c_fslots {
-                        return Err(format!("callee fslot {dst} out of {c_fslots}"));
-                    }
+                    fslt(src);
+                    assert!(dst < c_fslots, "callee fslot {dst} out of {c_fslots}");
                 }
-                oslot(*ret)?;
-                ofslt(*fret)?;
+                oslot(*ret);
+                ofslt(*fret);
             }
-            Op::Jump { target: t, .. } => target(*t)?,
+            Op::Jump { target: t, .. } => target(*t),
             Op::Br {
                 cond: c,
                 taken,
                 fallthru,
                 ..
             } => {
-                cond(c)?;
-                target(*taken)?;
-                target(*fallthru)?;
+                cond(c);
+                target(*taken);
+                target(*fallthru);
             }
             Op::BinBr {
                 rd,
@@ -940,12 +916,12 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 fallthru,
                 ..
             } => {
-                slot(*rd)?;
-                slot(*rs)?;
-                slot(*rt)?;
-                cond(c)?;
-                target(*taken)?;
-                target(*fallthru)?;
+                slot(*rd);
+                slot(*rs);
+                slot(*rt);
+                cond(c);
+                target(*taken);
+                target(*fallthru);
             }
             Op::BinImmBr {
                 rd,
@@ -955,11 +931,11 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 fallthru,
                 ..
             } => {
-                slot(*rd)?;
-                slot(*rs)?;
-                cond(c)?;
-                target(*taken)?;
-                target(*fallthru)?;
+                slot(*rd);
+                slot(*rs);
+                cond(c);
+                target(*taken);
+                target(*fallthru);
             }
             Op::AluLoadBinBr {
                 pre,
@@ -973,15 +949,15 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 fallthru,
                 ..
             } => {
-                alu(pre)?;
-                slot(*ld_rd)?;
-                slot(*ld_base)?;
-                slot(*rd)?;
-                slot(*rs)?;
-                slot(*rt)?;
-                cond(c)?;
-                target(*taken)?;
-                target(*fallthru)?;
+                alu(pre);
+                slot(*ld_rd);
+                slot(*ld_base);
+                slot(*rd);
+                slot(*rs);
+                slot(*rt);
+                cond(c);
+                target(*taken);
+                target(*fallthru);
             }
             Op::LoadBinBr {
                 ld_rd,
@@ -994,22 +970,21 @@ pub(crate) fn check(bf: &BcFunc, program: &Program) -> Result<(), String> {
                 fallthru,
                 ..
             } => {
-                slot(*ld_rd)?;
-                slot(*ld_base)?;
-                slot(*rd)?;
-                slot(*rs)?;
-                slot(*rt)?;
-                cond(c)?;
-                target(*taken)?;
-                target(*fallthru)?;
+                slot(*ld_rd);
+                slot(*ld_base);
+                slot(*rd);
+                slot(*rs);
+                slot(*rt);
+                cond(c);
+                target(*taken);
+                target(*fallthru);
             }
             Op::Ret { val, fval, .. } => {
-                oslot(*val)?;
-                ofslt(*fval)?;
+                oslot(*val);
+                ofslt(*fval);
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

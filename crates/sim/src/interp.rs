@@ -8,9 +8,11 @@ use crate::observer::ExecObserver;
 
 /// Which interpreter implementation a [`Simulator`] runs.
 ///
-/// Both tiers are observationally identical — same results, same
-/// [`SimError`]s, same [`ExecObserver`] event stream byte for byte —
-/// which the differential and property test suites enforce.
+/// Both tiers give the same results, the same [`SimError`]s and the
+/// same [`ExecObserver`] event stream byte for byte, which the
+/// differential and property test suites enforce. Every `bpfree`
+/// command runs the bytecode tier; the tree walker is those suites'
+/// oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InterpTier {
     /// Pre-decoded flat bytecode ([`BytecodeProgram`]) executed over an
@@ -19,35 +21,10 @@ pub enum InterpTier {
     #[default]
     Bytecode,
     /// The original tree-walking interpreter over the IR `Instr` enums,
-    /// kept as the differential-testing reference.
+    /// kept as the differential-testing reference. It recurses on the
+    /// host stack once per Cmm call, so a recursion deep enough can
+    /// overflow that stack before `max_call_depth` is reached.
     Tree,
-}
-
-impl InterpTier {
-    /// Parses a CLI/environment spelling of a tier name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message naming the accepted spellings
-    /// (`bytecode` and `tree`).
-    pub fn parse(s: &str) -> Result<InterpTier, String> {
-        match s {
-            "bytecode" | "bc" => Ok(InterpTier::Bytecode),
-            "tree" => Ok(InterpTier::Tree),
-            other => Err(format!(
-                "unknown interpreter tier `{other}` (expected `bytecode` or `tree`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for InterpTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            InterpTier::Bytecode => "bytecode",
-            InterpTier::Tree => "tree",
-        })
-    }
 }
 
 /// Simulator resource limits and tier selection.
@@ -564,7 +541,7 @@ mod tests {
             let err = Simulator::with_config(&p, config)
                 .run(&mut NullObserver)
                 .unwrap_err();
-            assert_eq!(err, SimError::OutOfMemory { requested: 64 }, "tier {tier}");
+            assert_eq!(err, SimError::OutOfMemory { requested: 64 }, "{tier:?}");
 
             // A run whose allocations stay below sp succeeds.
             let p_ok = bpfree_lang::compile("fn main() -> int { int p; p = alloc(64); return p; }")
@@ -572,7 +549,7 @@ mod tests {
             let r = Simulator::with_config(&p_ok, config)
                 .run(&mut NullObserver)
                 .unwrap();
-            assert!(r.exit >= GP_BASE, "tier {tier}");
+            assert!(r.exit >= GP_BASE, "{tier:?}");
         }
     }
 }

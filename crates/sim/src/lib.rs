@@ -38,7 +38,6 @@
 
 #![deny(missing_docs)]
 
-mod bcio;
 mod blocks;
 mod bytes;
 mod decode;

@@ -1,5 +1,7 @@
-//! Differential test of the two interpreter tiers (ISSUE 4 satellite):
-//! every suite benchmark × every dataset runs under both the
+//! Differential test of the two interpreter tiers: every interpreter
+//! pass `exp all` makes — each suite benchmark × each dataset under the
+//! default options, plus dataset 0 of each benchmark under
+//! `Options::no_inline()` and `Options::o0()` — runs under both the
 //! tree-walking reference and the pre-decoded bytecode tier, and the
 //! two executions must agree on *everything observable* — exit code,
 //! dynamic instruction count, the full `ExecObserver` event stream
@@ -10,7 +12,8 @@
 //! equal hashes plus equal event counts make accidental collisions a
 //! non-concern for a regression suite.
 
-use bpfree_ir::BranchRef;
+use bpfree_ir::{BranchRef, Program};
+use bpfree_lang::Options;
 use bpfree_sim::{BytecodeProgram, ExecObserver, InterpTier, RunResult, SimConfig, Simulator};
 use bpfree_suite::Dataset;
 
@@ -62,7 +65,7 @@ struct Observation {
 }
 
 fn observe(
-    program: &bpfree_ir::Program,
+    program: &Program,
     decoded: Option<&BytecodeProgram>,
     dataset: &Dataset,
     tier: InterpTier,
@@ -92,23 +95,45 @@ fn observe(
     }
 }
 
+/// Runs `dataset` on `program` under both tiers and compares every
+/// observable; `at` names the run in failure messages.
+fn assert_tiers_agree(program: &Program, decoded: &BytecodeProgram, dataset: &Dataset, at: &str) {
+    let tree = observe(program, None, dataset, InterpTier::Tree);
+    let bytecode = observe(program, Some(decoded), dataset, InterpTier::Bytecode);
+    assert_eq!(tree.result.exit, bytecode.result.exit, "exit of {at}");
+    assert_eq!(
+        tree.result.instructions, bytecode.result.instructions,
+        "instruction count of {at}"
+    );
+    assert_eq!(tree.events, bytecode.events, "event count of {at}");
+    assert_eq!(tree.hash, bytecode.hash, "event stream of {at}");
+    assert_eq!(tree.globals, bytecode.globals, "globals after {at}");
+}
+
 #[test]
 fn every_benchmark_and_dataset_agrees_across_tiers() {
     for bench in bpfree_suite::all() {
         let program = bench.compile().expect("suite benchmark compiles");
         let decoded = BytecodeProgram::compile(&program);
         for (i, dataset) in bench.datasets().iter().enumerate() {
-            let tree = observe(&program, None, dataset, InterpTier::Tree);
-            let bytecode = observe(&program, Some(&decoded), dataset, InterpTier::Bytecode);
             let at = format!("{}[{i}] ({})", bench.name, dataset.name);
-            assert_eq!(tree.result.exit, bytecode.result.exit, "exit of {at}");
-            assert_eq!(
-                tree.result.instructions, bytecode.result.instructions,
-                "instruction count of {at}"
-            );
-            assert_eq!(tree.events, bytecode.events, "event count of {at}");
-            assert_eq!(tree.hash, bytecode.hash, "event stream of {at}");
-            assert_eq!(tree.globals, bytecode.globals, "globals after {at}");
+            assert_tiers_agree(&program, &decoded, dataset, &at);
+        }
+    }
+}
+
+/// The other 46 passes of `exp all`: dataset 0 of every benchmark
+/// without inlining, and without any optimisation.
+#[test]
+fn reference_dataset_agrees_across_tiers_without_optimisations() {
+    for bench in bpfree_suite::all() {
+        let dataset = &bench.datasets()[0];
+        for opt in [Options::no_inline(), Options::o0()] {
+            let program =
+                bpfree_lang::compile_with(bench.source, opt).expect("suite benchmark compiles");
+            let decoded = BytecodeProgram::compile(&program);
+            let at = format!("{}[0] [{}]", bench.name, opt.fingerprint());
+            assert_tiers_agree(&program, &decoded, dataset, &at);
         }
     }
 }

@@ -142,7 +142,7 @@ fn print_usage() {
     eprintln!("  bpfree --version                  print the version");
     eprintln!();
     eprintln!("common flags (run/bench/predict/exp): --jobs N, --no-cache, --cache-dir DIR,");
-    eprintln!("                                      --interp bytecode|tree, --timings[=PATH]");
+    eprintln!("                                      --timings[=PATH]");
     eprintln!("exp run/all also accept: --out-dir DIR (capture files + manifest.json)");
     eprintln!("                         --image PATH (mount a warm-start suite image)");
 }
@@ -246,7 +246,6 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     let program = load_program(path, Options::default())?;
     let config = SimConfig {
         fuel,
-        tier: config::config().interp,
         ..SimConfig::default()
     };
     let result = Simulator::with_config(&program, config)
@@ -266,11 +265,7 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
     let predictions = predictor.predictions();
 
     let mut profiler = EdgeProfiler::new();
-    let sim_config = SimConfig {
-        tier: config::config().interp,
-        ..SimConfig::default()
-    };
-    Simulator::with_config(&program, sim_config)
+    Simulator::new(&program)
         .run(&mut profiler)
         .map_err(|e| runtime_err(e.to_string()))?;
     let profile = profiler.into_profile();
@@ -593,7 +588,7 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 }
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
-/// image (cache format v6, see `bpfree::cache::image`).
+/// image (cache format v7, see `bpfree::cache::image`).
 fn cmd_image(args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
         let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;

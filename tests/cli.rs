@@ -108,6 +108,35 @@ fn compile_error_is_reported_with_location() {
     assert!(stderr.contains("unknown variable"), "{stderr}");
 }
 
+/// Source nested 30,000 levels deep, in each shape that used to
+/// overflow the native stack, is a located syntax error (exit 1).
+#[test]
+fn deep_nesting_is_a_compile_error_not_a_crash() {
+    let n = 30_000;
+    let shapes = [
+        ("ifs", "if (x >= 0) { ".repeat(n) + &"}".repeat(n)),
+        ("blocks", "{ ".repeat(n) + &"}".repeat(n)),
+        (
+            "parens",
+            format!("x = {}1{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        ("sum", format!("x = 0{};", " + 1".repeat(n - 1))),
+    ];
+    for (name, body) in shapes {
+        let source = format!("fn main() -> int {{ int x; {body} return x; }}");
+        let path = write_temp(&format!("deep-{name}"), &source);
+        let out = bpfree().arg("run").arg(&path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        let at = format!("{}:1:", path.display());
+        assert!(stderr.contains(&at), "{name}: {stderr}");
+        assert!(
+            stderr.contains("syntax error: nesting deeper than"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let out = bpfree().arg("frobnicate").output().unwrap();
@@ -297,6 +326,10 @@ fn every_command_rejects_arguments_it_does_not_take() {
         (&["list", "--frobnicate"], FROB),
         (&["exp", "list", "--frobnicate"], FROB),
         (&["exp", "run", "graph12", "--frobnicate"], FROB),
+        (
+            &["exp", "all", "--interp", "tree"],
+            "unrecognized flag `--interp`",
+        ),
         (&["image", "ls", "x.img", "--frobnicate"], FROB),
         (&["cache", "stat", "--frobnicate"], FROB),
     ];
