@@ -13,8 +13,9 @@ use std::io;
 
 use bpfree_core::{evaluate, perfect_predictions, Direction};
 use bpfree_engine::Engine;
+use bpfree_lang::Options;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
@@ -33,6 +34,13 @@ impl Experiment for FfStability {
         "§1 (Fisher & Freudenberger premise)"
     }
 
+    fn needs(&self) -> Needs {
+        Needs {
+            runs: vec![(Options::default(), 2)],
+            ordering: false,
+        }
+    }
+
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
         let w = sink.out();
         writeln!(
@@ -44,17 +52,7 @@ impl Experiment for FfStability {
         let mut agrees = Vec::new();
         let mut cross = Vec::new();
         let mut perf = Vec::new();
-        let suite = load_suite_on(engine);
-        // Warm every second dataset's run bundle in parallel (one
-        // benchmark per worker) before the serial report loop below,
-        // which then formats pure memo hits instead of simulating each
-        // alternate dataset one at a time.
-        let multi: Vec<&crate::BenchData> = suite
-            .iter()
-            .filter(|d| d.datasets(engine).len() >= 2)
-            .collect();
-        let _ = bpfree_par::par_map(&multi, |d| d.profile_dataset(engine, 1));
-        for d in suite {
+        for d in load_suite_on(engine) {
             if d.datasets(engine).len() < 2 {
                 continue;
             }

@@ -9,7 +9,7 @@ use bpfree_engine::Engine;
 use bpfree_lang::Options;
 use bpfree_suite::Benchmark;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{ordering_roster, pct};
 
@@ -26,6 +26,13 @@ impl Experiment for Graph1 {
 
     fn paper_ref(&self) -> &'static str {
         "Graph 1"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs {
+            ordering: true,
+            ..Needs::NONE
+        }
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

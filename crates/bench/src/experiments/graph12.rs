@@ -8,7 +8,7 @@ use std::io;
 use bpfree_core::model::{dividing_length, graph12_curves};
 use bpfree_engine::Engine;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 
 pub struct Graph12;
@@ -24,6 +24,10 @@ impl Experiment for Graph12 {
 
     fn paper_ref(&self) -> &'static str {
         "Graph 12"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs::NONE
     }
 
     fn run(&self, _engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

@@ -10,8 +10,9 @@ use std::io;
 
 use bpfree_core::{evaluate, perfect_predictions, CombinedPredictor, HeuristicKind};
 use bpfree_engine::Engine;
+use bpfree_lang::Options;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
@@ -28,6 +29,13 @@ impl Experiment for Graph13 {
 
     fn paper_ref(&self) -> &'static str {
         "Graph 13"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs {
+            runs: vec![(Options::default(), usize::MAX)],
+            ordering: false,
+        }
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

@@ -13,17 +13,16 @@ use std::io;
 
 use bpfree_core::ipbc::IpbcAnalyzer;
 use bpfree_core::{
-    evaluate_trace, loop_rand_predictions, perfect_predictions, CombinedPredictor, HeuristicKind,
-    DEFAULT_SEED,
+    loop_rand_predictions, perfect_predictions, CombinedPredictor, HeuristicKind, DEFAULT_SEED,
 };
 use bpfree_engine::Engine;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
-use crate::{load_named_traced_on, pct, report_simulations};
+use crate::{pct, BenchData};
 
-/// The trace benchmarks. Exposed so the runner (and `exp all`) can
-/// pre-trace them before any experiment profiles the suite plainly.
+/// The trace benchmarks, which [`Graphs4To11`] declares as its
+/// [`Experiment::traced`] set.
 pub const TRACED: [&str; 7] = ["spice2g6", "gcc", "lcc", "qpt", "xlisp", "doduc", "fpppp"];
 
 pub struct Graphs4To11;
@@ -41,13 +40,19 @@ impl Experiment for Graphs4To11 {
         "Graphs 4-11"
     }
 
+    fn needs(&self) -> Needs {
+        Needs::NONE
+    }
+
     fn traced(&self) -> &'static [&'static str] {
         &TRACED
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
         let w = sink.out();
-        for d in load_named_traced_on(engine, &TRACED) {
+        for name in TRACED {
+            let bench = bpfree_suite::by_name(name).expect("trace benchmark is in the suite");
+            let d = BenchData::load(engine, bench);
             let perfect = perfect_predictions(&d.program, &d.profile);
             let cp =
                 CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
@@ -55,21 +60,15 @@ impl Experiment for Graphs4To11 {
             let loop_rand = loop_rand_predictions(&d.program, &d.classifier, DEFAULT_SEED);
 
             let trace = d.trace(engine);
-            // Order-independent numbers (miss rate, IPBC average) come
-            // from the O(dict) tally tier; only the sequence-length
-            // *distributions* need the event order, and those replay
-            // segmented in parallel (honouring --jobs). Both tiers are
-            // bit-identical to a serial replay.
-            let evals = [&loop_rand, &heuristic, &perfect].map(|p| evaluate_trace(p, &trace));
-
             let mut analyzer = IpbcAnalyzer::new(&d.program);
             analyzer.add_predictor("Loop+Rand", &loop_rand);
             analyzer.add_predictor("Heuristic", &heuristic);
             analyzer.add_predictor("Perfect", &perfect);
             // The perfect predictor above trained on this run's own edge
             // profile, so the sequence analysis cannot share the live pass.
-            // Replaying the recorded branch trace is bit-identical for the
-            // analyzer and costs no interpreter pass.
+            // Replaying the recorded branch trace (segmented in parallel,
+            // honouring --jobs) is bit-identical for the analyzer and
+            // costs no interpreter pass.
             trace.replay_segmented(&mut analyzer);
             let dists = analyzer.finish();
 
@@ -79,15 +78,13 @@ impl Experiment for Graphs4To11 {
                 "{:<10} {:>6} {:>8} {:>9}",
                 "predictor", "miss%", "ipbc", "dividing"
             )?;
-            for (dist, eval) in dists.iter().zip(&evals) {
-                debug_assert_eq!(eval.mispredicted, dist.mispredicted);
-                debug_assert_eq!(eval.total_instructions, dist.total_instructions);
+            for dist in &dists {
                 writeln!(
                     w,
                     "{:<10} {:>6} {:>8.0} {:>9}",
                     dist.name,
-                    pct(eval.miss_rate()),
-                    eval.ipbc_average(),
+                    pct(dist.miss_rate()),
+                    dist.ipbc_average(),
                     dist.dividing_length()
                 )?;
             }
@@ -134,7 +131,6 @@ impl Experiment for Graphs4To11 {
             "underestimate available sequence lengths because short sequences"
         )?;
         writeln!(w, "dominate the break count.")?;
-        report_simulations(engine);
         Ok(())
     }
 }

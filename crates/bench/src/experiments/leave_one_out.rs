@@ -12,7 +12,6 @@ use bpfree_core::ordering::BenchOrderData;
 use bpfree_core::HeuristicKind;
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
-use bpfree_suite::Benchmark;
 
 use crate::registry::Experiment;
 use crate::sink::Sink;
@@ -48,11 +47,10 @@ impl Experiment for LeaveOneOut {
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
         let w = sink.out();
         let opt = Options::default();
-        let benches = bpfree_suite::all();
-        let refs: Vec<&Benchmark> = benches.iter().collect();
-        engine.prefetch(&refs, opt, &[]);
-        let suite: Vec<Arc<BenchOrderData>> =
-            refs.iter().map(|b| engine.order_data(b, opt)).collect();
+        let suite: Vec<Arc<BenchOrderData>> = bpfree_suite::all()
+            .iter()
+            .map(|b| engine.order_data(b, opt))
+            .collect();
         let full = HeuristicKind::paper_order();
         let baseline = mean_nonloop_rate(&suite, &full);
         writeln!(

@@ -14,7 +14,7 @@ use bpfree_core::{evaluate, CombinedPredictor, HeuristicKind};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{mean_std, pct};
 
@@ -46,6 +46,17 @@ impl Experiment for OptAblate {
 
     fn paper_ref(&self) -> &'static str {
         "§3 (optimised binaries)"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs {
+            runs: vec![
+                (Options::default(), 1),
+                (Options::no_inline(), 1),
+                (Options::o0(), 1),
+            ],
+            ordering: false,
+        }
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

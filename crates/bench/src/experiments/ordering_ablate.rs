@@ -15,7 +15,7 @@ use bpfree_lang::Options;
 use bpfree_sim::EdgeProfile;
 use bpfree_suite::Benchmark;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
@@ -32,6 +32,13 @@ impl Experiment for OrderingAblate {
 
     fn paper_ref(&self) -> &'static str {
         "Table 4 (methodology)"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs {
+            ordering: true,
+            ..Needs::suite()
+        }
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

@@ -13,7 +13,7 @@ use bpfree_engine::Engine;
 use bpfree_lang::Options;
 use bpfree_suite::Benchmark;
 
-use crate::registry::Experiment;
+use crate::registry::{Experiment, Needs};
 use crate::sink::Sink;
 use crate::{ordering_roster, pct};
 
@@ -30,6 +30,13 @@ impl Experiment for Table4 {
 
     fn paper_ref(&self) -> &'static str {
         "Table 4, Graphs 2-3"
+    }
+
+    fn needs(&self) -> Needs {
+        Needs {
+            ordering: true,
+            ..Needs::NONE
+        }
     }
 
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {

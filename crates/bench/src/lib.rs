@@ -16,10 +16,12 @@
 //! plus small formatting helpers so they print rows shaped like the
 //! paper's.
 //!
-//! Loading is parallel (one benchmark per worker, see [`bpfree_par`]);
-//! a warm run skips compilation and simulation entirely. Both are
-//! controlled by the standard flags pulled out of the command line by
-//! [`config::extract`].
+//! Each experiment declares what it reads ([`registry::Experiment::needs`]
+//! and [`registry::Experiment::traced`]); the batch runner has the
+//! engine compute the union in one parallel plan before any experiment
+//! renders, and a warm run computes nothing at all. Jobs and the cache
+//! are controlled by the standard flags pulled out of the command line
+//! by [`config::extract`].
 
 pub mod config;
 pub mod experiments;
@@ -104,13 +106,12 @@ impl BenchData {
     }
 }
 
-/// Loads the whole suite (23 benchmarks) on the reference datasets,
-/// one benchmark per parallel task, in the registry's order.
+/// Loads the whole suite (23 benchmarks) on the reference datasets, in
+/// the registry's order. Under [`registry::run_experiments`] every
+/// artifact is already computed; called on its own, it computes them
+/// one benchmark at a time.
 pub fn load_suite_on(engine: &Engine) -> Vec<BenchData> {
-    let benches = bpfree_suite::all();
-    let refs: Vec<&Benchmark> = benches.iter().collect();
-    engine.prefetch(&refs, Options::default(), &[]);
-    benches
+    bpfree_suite::all()
         .into_iter()
         .map(|b| BenchData::load(engine, b))
         .collect()
@@ -126,45 +127,6 @@ pub fn ordering_roster() -> Vec<Benchmark> {
         .into_iter()
         .filter(|b| b.name != "matrix300")
         .collect()
-}
-
-/// Loads a named subset of the suite, preserving the given order.
-///
-/// # Panics
-///
-/// Panics on an unknown benchmark name.
-pub fn load_named_on(engine: &Engine, names: &[&str]) -> Vec<BenchData> {
-    load_named_inner(engine, names, &[])
-}
-
-/// [`load_named_on`], additionally recording a replayable branch trace
-/// for every benchmark — still one interpreter pass each, with the
-/// profile and trace observers fanned out of the same execution.
-pub fn load_named_traced_on(engine: &Engine, names: &[&str]) -> Vec<BenchData> {
-    load_named_inner(engine, names, names)
-}
-
-fn load_named_inner(engine: &Engine, names: &[&str], traced: &[&str]) -> Vec<BenchData> {
-    let benches: Vec<Benchmark> = names
-        .iter()
-        .map(|n| bpfree_suite::by_name(n).unwrap_or_else(|| panic!("unknown benchmark {n}")))
-        .collect();
-    let refs: Vec<&Benchmark> = benches.iter().collect();
-    engine.prefetch(&refs, Options::default(), traced);
-    benches
-        .into_iter()
-        .map(|b| BenchData::load(engine, b))
-        .collect()
-}
-
-/// Reports the engine's interpreter-pass count on stderr — the proof
-/// line for the single-pass property (cold runs pay one pass per
-/// (benchmark, dataset); warm runs pay zero).
-pub fn report_simulations(engine: &Engine) {
-    eprintln!(
-        "[bpfree-engine] interpreter passes this process: {}",
-        engine.simulations()
-    );
 }
 
 /// Formats a fraction as a whole percentage, paper style.

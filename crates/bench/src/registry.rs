@@ -1,19 +1,18 @@
 //! The experiment registry: every paper table and figure as a named,
 //! runnable value.
 //!
-//! Each experiment is an [`Experiment`] implementation that writes
-//! through a [`Sink`]; [`run_experiments`] executes
-//! any subset in ONE process against a shared [`Engine`], so every
-//! `(benchmark, Options, dataset)` triple is compiled/simulated/traced
-//! at most once for all tables and graphs combined. `bpfree exp run`
-//! and `bpfree exp all` are its command-line front end.
+//! Each experiment is an [`Experiment`] implementation that declares
+//! what it reads and writes through a [`Sink`]; [`run_experiments`]
+//! executes any subset in ONE process against a shared [`Engine`], so
+//! every `(benchmark, Options, dataset)` triple is compiled/simulated/
+//! traced at most once for all tables and graphs combined. `bpfree exp
+//! run` and `bpfree exp all` are its command-line front end.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use bpfree_engine::Engine;
+use bpfree_engine::{Engine, Need};
 use bpfree_lang::Options;
 use bpfree_par::timings::timed;
 
@@ -25,10 +24,13 @@ use crate::sink::{Sink, VecSink};
 ///
 /// Implementations hold no state; everything they need comes from the
 /// [`Engine`] they are handed, and everything they produce goes through
-/// the [`Sink`]. The bytes written to [`Sink::out`] are the experiment's
-/// contract: they must not depend on `--jobs`, the cache, a mounted
-/// image or the interpreter tier. Progress and diagnostics go to
-/// stderr, never the sink.
+/// the [`Sink`]. What they read from the engine is declared by
+/// [`Experiment::needs`] and [`Experiment::traced`], and the batch
+/// runner computes it before [`Experiment::run`] starts. The bytes
+/// written to [`Sink::out`] are the experiment's contract: they must
+/// not depend on `--jobs`, the cache, a mounted image or the
+/// interpreter tier. Progress and diagnostics go to stderr, never the
+/// sink.
 pub trait Experiment: Sync {
     /// The registry name (what `bpfree exp run` takes).
     fn name(&self) -> &'static str;
@@ -39,16 +41,52 @@ pub trait Experiment: Sync {
     /// The paper table/figure this reproduces.
     fn paper_ref(&self) -> &'static str;
 
-    /// Benchmarks whose replayable branch trace this experiment
-    /// records. The runner traces these before any experiment runs,
-    /// so an earlier plain profile of the same benchmark never forces a
-    /// second interpreter pass for the trace.
+    /// The suite runs and the ordering study this experiment reads; by
+    /// default, the whole suite at default options on dataset 0.
+    fn needs(&self) -> Needs {
+        Needs::suite()
+    }
+
+    /// Benchmarks whose replayable branch trace (default options,
+    /// dataset 0) this experiment reads — the trace half of its
+    /// declaration, kept apart from [`Experiment::needs`] because a
+    /// trace costs memory and image space a plain run does not. The
+    /// trace and the run come from the same interpreter pass.
     fn traced(&self) -> &'static [&'static str] {
         &[]
     }
 
     /// Regenerates the experiment, writing its report to `sink`.
     fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()>;
+}
+
+/// What an experiment reads from the engine, besides the traces named by
+/// [`Experiment::traced`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Needs {
+    /// Suite runs as `(options, datasets)`: every benchmark compiled and
+    /// analyzed under `options`, and run on its leading `datasets`
+    /// datasets (`usize::MAX` for all of them).
+    pub runs: Vec<(Options, usize)>,
+    /// Whether it reads the study of [`crate::ordering_roster`] at
+    /// default options (which reads the roster's dataset-0 runs).
+    pub ordering: bool,
+}
+
+impl Needs {
+    /// Nothing from the engine.
+    pub const NONE: Needs = Needs {
+        runs: Vec::new(),
+        ordering: false,
+    };
+
+    /// The whole suite at default options on dataset 0.
+    pub fn suite() -> Needs {
+        Needs {
+            runs: vec![(Options::default(), 1)],
+            ordering: false,
+        }
+    }
 }
 
 /// Every registered experiment, in the paper's presentation order
@@ -89,28 +127,61 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Runs `exps` against one shared engine as one [`bpfree_par::Plan`]
-/// on the shared pool, bracketing each report with
+/// The engine needs of `exps` together — each one's
+/// [`Experiment::needs`] over the suite in registry order, its
+/// [`Experiment::traced`] benchmarks, and the ordering roster's study if
+/// any reads it — for [`Engine::warm`], which merges them per
+/// `(benchmark, Options)`.
+pub fn needs(exps: &[&'static dyn Experiment]) -> Vec<Need> {
+    let default = Options::default();
+    let mut out = Vec::new();
+    for exp in exps {
+        let Needs { runs, ordering } = exp.needs();
+        for bench in bpfree_suite::all() {
+            for &(opt, datasets) in &runs {
+                out.push(Need::Runs {
+                    bench: bench.name,
+                    opt,
+                    datasets,
+                    traced: false,
+                });
+            }
+        }
+        for &bench in exp.traced() {
+            out.push(Need::Runs {
+                bench,
+                opt: default,
+                datasets: 1,
+                traced: true,
+            });
+        }
+        if ordering {
+            let roster = crate::ordering_roster().iter().map(|b| b.name).collect();
+            out.push(Need::Ordering {
+                roster,
+                opt: default,
+            });
+        }
+    }
+    out
+}
+
+/// Runs `exps` against one shared engine, bracketing each report with
 /// [`Sink::begin`]/[`Sink::end`]. With `progress`, a one-line banner per
 /// experiment goes to stderr (stdout stays pure experiment output).
 ///
-/// Each benchmark some experiment traces ([`Experiment::traced`])
-/// contributes its warm-up chain (datasets → compile → decode → trace,
-/// via [`Engine::plan_warmup`]); each experiment becomes a node
-/// depending on **every** trace node, buffering its report into a
-/// [`VecSink`]. Tracing shares its single interpreter pass with the
-/// edge profile, so the blanket dependency keeps every
-/// `(benchmark, dataset)` at one pass for the whole batch: an
-/// experiment that merely *runs* a traced benchmark would otherwise
-/// race the trace node and pay a duplicate interpreter pass. Warm-up
-/// chains still overlap each other, and so do the experiments once the
-/// traces are in. At `--jobs 1` the plan runs its nodes serially in
-/// insertion order: all traces first, then each experiment in turn.
+/// First [`Engine::warm`] computes the union of their [`needs`] as one
+/// plan on the shared pool — every interpreter pass, trace and ordering
+/// study — so no experiment renders before its inputs exist, and
+/// rendering reads only memo hits. Then each experiment renders as a
+/// node of a second [`bpfree_par::Plan`], buffering its report into a
+/// [`VecSink`]. At `--jobs 1` both plans run serially in insertion
+/// order.
 ///
-/// Determinism: the plan orders *scheduling only*. Every experiment's
+/// Determinism: the plans order *scheduling only*. Every experiment's
 /// bytes are buffered, then emitted through `sink` in the order of
-/// `exps` after the graph drains, so the output is byte-identical at
-/// any `--jobs`. The measured per-experiment wall-clock is forwarded
+/// `exps` after rendering drains, so the output is byte-identical at
+/// any `--jobs`. Each experiment's rendering wall-clock is forwarded
 /// with [`Sink::note_millis`] (the begin/end bracket happens long after
 /// the work).
 pub fn run_experiments(
@@ -119,21 +190,13 @@ pub fn run_experiments(
     sink: &mut dyn Sink,
     progress: bool,
 ) -> io::Result<()> {
-    let traced: BTreeSet<&'static str> = exps.iter().flat_map(|e| e.traced()).copied().collect();
-    let benches: Vec<bpfree_suite::Benchmark> = traced
-        .iter()
-        .map(|n| bpfree_suite::by_name(n).unwrap_or_else(|| panic!("unknown benchmark {n}")))
-        .collect();
+    engine.warm(&needs(exps));
     type Slot = Mutex<Option<(io::Result<Vec<u8>>, u64)>>;
     let slots: Vec<Slot> = exps.iter().map(|_| Mutex::new(None)).collect();
     let mut plan = bpfree_par::Plan::new();
-    let trace_nodes: Vec<bpfree_par::NodeId> = benches
-        .iter()
-        .map(|b| engine.plan_warmup(&mut plan, b, Options::default(), true))
-        .collect();
     for (exp, slot) in exps.iter().zip(&slots) {
         let exp = *exp;
-        plan.add(&trace_nodes, move || {
+        plan.add(&[], move || {
             if progress {
                 eprintln!("[bpfree] running {} ({})", exp.name(), exp.paper_ref());
             }
@@ -167,6 +230,8 @@ pub fn run_experiments(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]

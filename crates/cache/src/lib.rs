@@ -418,7 +418,7 @@ mod tests {
             bpfree_core::DEFAULT_SEED,
         );
         Sample {
-            study: OrderingStudy::new(vec![data]),
+            study: OrderingStudy::new_serial(vec![data]),
             trace: recorder.into_trace(),
             program,
             classifier,

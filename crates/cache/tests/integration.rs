@@ -267,8 +267,8 @@ fn cached_artifacts_give_identical_experiment_results() {
         ));
     }
 
-    let fresh_study = OrderingStudy::new(fresh_data);
-    let imaged_study = OrderingStudy::new(imaged_data);
+    let fresh_study = OrderingStudy::new_serial(fresh_data);
+    let imaged_study = OrderingStudy::new_serial(imaged_data);
 
     // Graph 1 data: bit-identical average rates for all 5040 orders.
     assert_eq!(

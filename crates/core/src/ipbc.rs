@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bpfree_ir::{BranchRef, Program, Terminator};
-use bpfree_sim::{BranchTrace, ExecObserver, SegmentedObserver, SeqSlice, TraceSegment};
+use bpfree_sim::{BranchTrace, ExecObserver, SegmentedObserver, TraceSegment};
 
 use crate::predictors::{Direction, Predictions};
 
@@ -219,7 +219,16 @@ impl<'p> IpbcAnalyzer<'p> {
     }
 
     /// Registers a predictor to score. Call before running the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Past 64 predictors: the replay kernel keeps one bit per predictor
+    /// in a `u64` miss mask.
     pub fn add_predictor(&mut self, name: impl Into<String>, predictions: &Predictions) {
+        assert!(
+            self.dists.len() < 64,
+            "an IpbcAnalyzer scores at most 64 predictors"
+        );
         self.dense
             .push(DensePredictions::build(self.program, predictions));
         self.dists.push(SequenceDist::new(name.into()));
@@ -242,28 +251,24 @@ impl<'p> IpbcAnalyzer<'p> {
 
 /// Per-trace lookup tables shared (via `Arc`) by every replay segment:
 /// for each dictionary entry, its instruction count and a bitmask of
-/// which registered predictors mispredict it (predictors beyond 64 go
-/// in further mask chunks). Built once in `prepare`, they turn the
-/// per-event work of the fused kernel into a single packed array read —
-/// no hashing, no observer dispatch, and no per-predictor work on
-/// correctly-predicted events.
+/// which registered predictors mispredict it. Built once in `prepare`,
+/// they turn the per-event work of the fused kernel into a single
+/// packed array read — no hashing, no observer dispatch, and no
+/// per-predictor work on correctly-predicted events.
 struct FusedTables {
-    /// `entries[d]` = (instruction count, miss mask over the first 64
-    /// predictors) of dictionary entry `d`.
+    /// `entries[d]` = (instruction count, miss mask over the predictors)
+    /// of dictionary entry `d`.
     entries: Vec<(u64, u64)>,
     /// `entries` zero-padded to exactly 256 slots when the dictionary
     /// fits (always, in practice). Indexed with the byte-wide sequence
     /// from [`BranchTrace::seq_u8`], a `u8` index into a fixed-size
     /// 256-entry array needs no bounds check in the hot loop.
     packed: Option<Box<[(u64, u64); 256]>>,
-    /// Mask chunks for predictors past the first 64 (rare): `extra[c][d]`
-    /// has bit `p` set iff predictor `64(c+1) + p` mispredicts entry `d`.
-    extra: Vec<Vec<u64>>,
 }
 
-fn miss_mask(chunk: &[DensePredictions], e: &bpfree_sim::TraceEvent) -> u64 {
+fn miss_mask(dense: &[DensePredictions], e: &bpfree_sim::TraceEvent) -> u64 {
     let mut m = 0u64;
-    for (p, d) in chunk.iter().enumerate() {
+    for (p, d) in dense.iter().enumerate() {
         if d.predicts_taken(e.branch) != Some(e.taken) {
             m |= 1 << p;
         }
@@ -273,25 +278,17 @@ fn miss_mask(chunk: &[DensePredictions], e: &bpfree_sim::TraceEvent) -> u64 {
 
 impl FusedTables {
     fn build(dense: &[DensePredictions], trace: &BranchTrace) -> FusedTables {
-        let dict = trace.dict();
-        let first = &dense[..dense.len().min(64)];
-        let entries: Vec<(u64, u64)> = dict
+        let entries: Vec<(u64, u64)> = trace
+            .dict()
             .iter()
-            .map(|e| (e.instrs, miss_mask(first, e)))
+            .map(|e| (e.instrs, miss_mask(dense, e)))
             .collect();
         let packed = (entries.len() <= 256).then(|| {
             let mut t = Box::new([(0u64, 0u64); 256]);
             t[..entries.len()].copy_from_slice(&entries);
             t
         });
-        FusedTables {
-            entries,
-            packed,
-            extra: dense[first.len()..]
-                .chunks(64)
-                .map(|chunk| dict.iter().map(|e| miss_mask(chunk, e)).collect())
-                .collect(),
-        }
+        FusedTables { entries, packed }
     }
 }
 
@@ -353,11 +350,10 @@ impl TraceSegment for IpbcSegment {
         let tables = Arc::clone(&self.tables);
         self.events += range.len() as u64;
 
-        // Fast path for the first (almost always only) 64 predictors.
         // Each predictor's open-run length is a distance from one
         // running position: `len_p = pos - start_p`. A correctly-
-        // predicted event then costs one packed table read and an add
-        // for the whole chunk; breaks walk only the set mask bits and
+        // predicted event then costs one packed table read and one add
+        // for all predictors; breaks walk only the set mask bits and
         // write into a flat shift-indexed histogram, folded back into
         // the (pointer-chasing) `SegmentState`s once at the end. `base`
         // keeps the subtraction in u64 if states carry an open run in
@@ -370,8 +366,8 @@ impl TraceSegment for IpbcSegment {
         // bucketed. Once every predictor has broken (almost immediately
         // on real traces) the *main* loop drops that test: each break
         // is one unconditional histogram read-modify-write.
-        let n = self.states.len().min(64);
-        let states = &mut self.states[..n];
+        let n = self.states.len();
+        let states = &mut self.states;
         let mut hist = vec![0u128; n << HIST_SHIFT];
         let mut start = [0u64; 64];
         let mut first = [0u64; 64];
@@ -473,65 +469,6 @@ impl TraceSegment for IpbcSegment {
                 st.breaks += 1 + bucketed;
             }
         }
-
-        // Generic path for predictors past the first 64, width-agnostic
-        // over the sequence storage (image-mounted traces stream their
-        // borrowed byte-wide indices here too).
-        fn scan_extra(
-            indices: impl Iterator<Item = usize>,
-            entries: &[(u64, u64)],
-            masks: &[u64],
-            states: &mut [SegmentState],
-            start: &mut [u64],
-            pos: &mut u64,
-        ) {
-            for i in indices {
-                *pos += entries[i].0;
-                let mut m = masks[i];
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let st = &mut states[p];
-                    let len = *pos - start[p];
-                    st.breaks += 1;
-                    if st.breaks == 1 {
-                        st.first_break = Some(len);
-                    } else {
-                        st.record_sequence(len);
-                    }
-                    start[p] = *pos;
-                }
-            }
-        }
-        for (c, masks) in tables.extra.iter().enumerate() {
-            let lo = 64 * (c + 1);
-            let hi = (lo + 64).min(self.states.len());
-            let states = &mut self.states[lo..hi];
-            let base: u64 = states.iter().map(|s| s.len).max().unwrap_or(0);
-            let mut pos = base;
-            let mut start: Vec<u64> = states.iter().map(|s| base - s.len).collect();
-            match trace.seq_slice() {
-                SeqSlice::Wide(s) => scan_extra(
-                    s[range.clone()].iter().map(|&i| i as usize),
-                    &tables.entries,
-                    masks,
-                    states,
-                    &mut start,
-                    &mut pos,
-                ),
-                SeqSlice::Bytes(s) => scan_extra(
-                    s[range.clone()].iter().map(|&i| i as usize),
-                    &tables.entries,
-                    masks,
-                    states,
-                    &mut start,
-                    &mut pos,
-                ),
-            }
-            for (st, &s) in states.iter_mut().zip(&start) {
-                st.len = pos - s;
-            }
-        }
     }
 }
 
@@ -607,5 +544,64 @@ impl ExecObserver for IpbcAnalyzer<'_> {
                 self.current_len[i] = 0;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_analyzer_scores_up_to_64_predictors_and_panics_past_them() {
+        let program = bpfree_lang::compile(
+            "fn main() -> int {
+                int i; int s;
+                for (i = 0; i < 50; i = i + 1) { if (i % 3 == 0) { s = s + 1; } }
+                return s;
+            }",
+        )
+        .unwrap();
+        let mut recorder = bpfree_sim::TraceRecorder::new();
+        bpfree_sim::Simulator::new(&program)
+            .run(&mut recorder)
+            .unwrap();
+        let trace = recorder.into_trace();
+        let mut sites: Vec<BranchRef> = trace.dict().iter().map(|e| e.branch).collect();
+        sites.sort();
+        sites.dedup();
+        // Predictor `i` predicts site `s` taken iff bit `s % 6` of `i` is
+        // set, so every bit of the 64-wide miss mask sees use.
+        let predictors: Vec<Predictions> = (0..64)
+            .map(|i| {
+                let mut p = Predictions::new();
+                for (s, &site) in sites.iter().enumerate() {
+                    let dir = match (i >> (s % 6)) & 1 {
+                        1 => Direction::Taken,
+                        _ => Direction::FallThru,
+                    };
+                    p.set(site, dir);
+                }
+                p
+            })
+            .collect();
+        let analyzer = |predictors: &[Predictions]| {
+            let mut a = IpbcAnalyzer::new(&program);
+            for (i, p) in predictors.iter().enumerate() {
+                a.add_predictor(format!("p{i}"), p);
+            }
+            a
+        };
+
+        let mut serial = analyzer(&predictors);
+        trace.replay(&mut serial);
+        let mut segmented = analyzer(&predictors);
+        trace.replay_segmented_jobs(3, &mut segmented);
+        assert_eq!(segmented.finish(), serial.finish());
+
+        let mut full = analyzer(&predictors);
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            full.add_predictor("one too many", &Predictions::new())
+        }));
+        assert!(past.is_err(), "a 65th predictor is refused");
     }
 }

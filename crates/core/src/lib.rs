@@ -55,7 +55,6 @@
 mod classify;
 mod eval;
 pub mod freq;
-mod fused;
 pub mod heuristics;
 pub mod ipbc;
 pub mod model;
@@ -67,7 +66,6 @@ pub use eval::{
     evaluate, evaluate_coverage, evaluate_with_attribution, AttributedReport, ClassStats,
     CoverageStats, Report, SourceBreakdown,
 };
-pub use fused::{evaluate_trace, TallyEval};
 pub use heuristics::ext::ExtKind;
 pub use heuristics::{HeuristicKind, HeuristicTable};
 pub use predictors::{

@@ -617,34 +617,17 @@ pub struct CommonOrder {
 }
 
 impl OrderingStudy {
-    /// Precomputes the 5040 × n-benchmarks miss-rate matrix, one order
-    /// per parallel task ([`bpfree_par::jobs`] workers; the result is
-    /// identical at any worker count since rows land in order). Each
-    /// task builds the order's [`FirstHit`] table once and resolves
-    /// every group with a single load instead of the 7-way scan — the
-    /// summed misses are the same exact `u64`s, so the matrix is
-    /// bit-identical to mapping [`BenchOrderData::miss_rate`].
-    pub fn new(benches: Vec<BenchOrderData>) -> OrderingStudy {
-        let orders = all_orders();
-        let rates = bpfree_par::par_map(&orders, |o| {
-            let first_hit = FirstHit::new(o);
-            benches
-                .iter()
-                .map(|b| b.miss_rate_first_hit(&first_hit))
-                .collect()
-        });
-        OrderingStudy::from_parts(benches, rates)
-    }
-
-    /// [`OrderingStudy::new`] without the parallel fan-out: the same
-    /// matrix, row by row on the calling thread (bit-identical, since
-    /// the parallel build is element-wise identical to serial).
+    /// Precomputes the 5040 × n-benchmarks miss-rate matrix, row by row
+    /// on the calling thread. Each row builds the order's [`FirstHit`]
+    /// table once and resolves every group with a single load instead
+    /// of the 7-way scan — the summed misses are the same exact `u64`s,
+    /// so the matrix is bit-identical to mapping
+    /// [`BenchOrderData::miss_rate`].
     ///
-    /// For callers constructing the study while holding a memoization
-    /// slot — the pool's scope wait helps with *any* queued task, so a
-    /// nested parallel wait there could steal a task that re-enters
-    /// the same slot on the same thread and deadlock. The engine's
-    /// roster-level ordering memo builds through this path.
+    /// It never waits on the pool, so the engine can build it while
+    /// holding the roster's memo slot: the pool's scope wait helps with
+    /// *any* queued task, and one that needs the same slot would
+    /// re-enter it on the same thread.
     pub fn new_serial(benches: Vec<BenchOrderData>) -> OrderingStudy {
         let orders = all_orders();
         let rates = orders
@@ -1030,7 +1013,7 @@ mod tests {
                 return s;
             }",
         );
-        let study = OrderingStudy::new(vec![d1, d2]);
+        let study = OrderingStudy::new_serial(vec![d1, d2]);
         let (_, best_rate) = study.best_order();
         let sorted = study.sorted_average_rates();
         assert!((sorted[0] - best_rate).abs() < 1e-12);
@@ -1052,7 +1035,7 @@ mod tests {
                 return m[0];
             }",
         );
-        let study = OrderingStudy::new(vec![d1, d2]);
+        let study = OrderingStudy::new_serial(vec![d1, d2]);
         let front = study.pareto_order_indices();
         assert!(!front.is_empty());
         assert!(front.len() <= 5040);
@@ -1108,7 +1091,7 @@ mod tests {
         ];
         let benches: Vec<BenchOrderData> =
             sources.iter().map(|(n, s)| bench_data(n, s).0).collect();
-        let study = OrderingStudy::new(benches);
+        let study = OrderingStudy::new_serial(benches);
         let winners = study.subset_experiment(2);
         // C(4,2) = 6 trials distributed among winners.
         let total: u64 = winners.iter().map(|w| w.trials).sum();
@@ -1175,7 +1158,7 @@ mod tests {
                 return g[1];
             }",
         );
-        let study = OrderingStudy::new(vec![d1, d2, d3]);
+        let study = OrderingStudy::new_serial(vec![d1, d2, d3]);
         let reference = study.subset_experiment(2);
         // par_fold_chunks folds each contiguous range separately; the
         // merged tallies (and so the sorted rows) must not depend on how
@@ -1291,7 +1274,7 @@ mod tests {
                 return s;
             }",
         );
-        let study = OrderingStudy::new(vec![d1.clone(), d2.clone()]);
+        let study = OrderingStudy::new_serial(vec![d1.clone(), d2.clone()]);
         let rebuilt = OrderingStudy::from_parts(vec![d1, d2], study.rates().to_vec());
         assert_eq!(study.rates(), rebuilt.rates());
         assert_eq!(study.pareto_front(), rebuilt.pareto_front());

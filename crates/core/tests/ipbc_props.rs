@@ -3,11 +3,10 @@
 //! program, segmented replay of an `IpbcAnalyzer` (the fused kernel
 //! plus run-stitching merge) must produce *exactly* the distributions
 //! serial replay produces — every bucket, every counter — at any
-//! segment count, and the O(dict) `evaluate_trace` tier must agree on
-//! all order-independent fields.
+//! segment count.
 
 use bpfree_core::ipbc::IpbcAnalyzer;
-use bpfree_core::{evaluate_trace, Direction, Predictions};
+use bpfree_core::{Direction, Predictions};
 use bpfree_ir::{BranchRef, Program, Terminator};
 use bpfree_sim::{BranchTrace, TraceEvent};
 use proptest::prelude::*;
@@ -145,30 +144,4 @@ proptest! {
         }
     }
 
-    /// The O(dict) tally tier agrees with serial replay on every
-    /// order-independent field, and hence on the derived miss rate and
-    /// IPBC average (identical integers → identical doubles).
-    #[test]
-    fn tally_eval_equals_replay_eval(
-        trace in arb_trace(),
-        choices in arb_predictions(16),
-    ) {
-        let p = program();
-        let sites = branch_sites(p);
-        let predictions = to_predictions(&sites, &choices);
-
-        let eval = evaluate_trace(&predictions, &trace);
-
-        let mut analyzer = IpbcAnalyzer::new(p);
-        analyzer.add_predictor("p", &predictions);
-        trace.replay(&mut analyzer);
-        let dist = analyzer.finish().remove(0);
-
-        prop_assert_eq!(eval.mispredicted, dist.mispredicted);
-        prop_assert_eq!(eval.total_branches, dist.total_branches);
-        prop_assert_eq!(eval.breaks, dist.breaks);
-        prop_assert_eq!(eval.total_instructions, dist.total_instructions);
-        prop_assert_eq!(eval.miss_rate().to_bits(), dist.miss_rate().to_bits());
-        prop_assert_eq!(eval.ipbc_average().to_bits(), dist.ipbc_average().to_bits());
-    }
 }

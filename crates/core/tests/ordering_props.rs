@@ -318,7 +318,7 @@ fn suite_order_data(names: &[&str]) -> Vec<BenchOrderData> {
 fn rate_matrix_and_pareto_front_match_naive_loops_on_suite_data() {
     let data = suite_order_data(&["xlisp", "compress", "espresso"]);
     let naive = naive_rate_matrix(&data);
-    let study = OrderingStudy::new(data);
+    let study = OrderingStudy::new_serial(data);
 
     assert_eq!(study.rates().len(), naive.len());
     for (o, (fast, slow)) in study.rates().iter().zip(&naive).enumerate() {

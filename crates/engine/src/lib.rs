@@ -39,6 +39,11 @@
 //! one path, and the compute functions behind the memos never touch
 //! the disk.
 //!
+//! Queries compute on demand, on the calling thread. A caller that
+//! knows what it will read declares it up front as [`Need`]s, and
+//! [`Engine::warm`] computes them all in one parallel plan; the batch
+//! of experiments does this before any of them renders.
+//!
 //! # One interpreter pass per (benchmark, dataset)
 //!
 //! Simulation dominates everything else, so the engine never runs the
@@ -71,7 +76,9 @@
 //! assert!(compiled.table.rows().count() > 0);
 //! ```
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,40 +166,91 @@ pub struct RunBundle {
     pub result: RunResult,
 }
 
+/// Artifacts a caller is about to read, declared up front so
+/// [`Engine::warm`] can compute them in one plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Need {
+    /// `bench` compiled and analyzed under `opt`, and run on its first
+    /// `datasets` datasets (on all of them if it has fewer). With
+    /// `traced`, the pass over dataset 0 also records its branch trace.
+    Runs {
+        bench: &'static str,
+        opt: Options,
+        datasets: usize,
+        traced: bool,
+    },
+    /// The [`Engine::ordering_study`] of `roster` under `opt`, which
+    /// reads each member's predictions and dataset-0 run.
+    Ordering {
+        roster: Vec<&'static str>,
+        opt: Options,
+    },
+}
+
 type CompileKey = (&'static str, Options);
 type RunKey = (&'static str, Options, usize);
 
 /// A compute-once memo: the map lock is held only long enough to fetch
 /// the slot, so distinct keys compute concurrently while duplicate
 /// requests block on the slot's `OnceLock`.
+///
+/// A thread that asks for a slot it is itself still filling would wait
+/// on itself forever — say an init that waits on the pool, whose
+/// help-while-waiting runs a queued task needing the same slot — so the
+/// fill path panics instead, naming the key.
 struct Memo<K, V> {
     slots: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
 }
 
-impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+thread_local! {
+    /// The memo slots (by address) this thread is filling right now.
+    static FILLING: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Marks a slot as being filled by the current thread until dropped.
+struct Filling(usize);
+
+impl Drop for Filling {
+    fn drop(&mut self) {
+        FILLING.with_borrow_mut(|filling| filling.retain(|&slot| slot != self.0));
+    }
+}
+
+impl<K: Eq + Hash + Clone + Debug, V: Clone> Memo<K, V> {
     fn new() -> Memo<K, V> {
         Memo {
             slots: Mutex::new(HashMap::new()),
         }
     }
 
-    fn slot(&self, key: K) -> Arc<OnceLock<V>> {
-        self.slots
-            .lock()
-            .expect("memo lock poisoned")
-            .entry(key)
-            .or_default()
-            .clone()
+    fn slot(&self, key: &K) -> Arc<OnceLock<V>> {
+        let mut slots = self.slots.lock().expect("memo lock poisoned");
+        if let Some(slot) = slots.get(key) {
+            return slot.clone();
+        }
+        slots.entry(key.clone()).or_default().clone()
     }
 
     fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
-        self.slot(key).get_or_init(init).clone()
+        let slot = self.slot(&key);
+        if let Some(value) = slot.get() {
+            return value.clone();
+        }
+        let id = Arc::as_ptr(&slot) as usize;
+        let reentered = FILLING.with_borrow(|filling| filling.contains(&id));
+        assert!(
+            !reentered,
+            "memo slot {key:?} re-entered by the thread filling it"
+        );
+        FILLING.with_borrow_mut(|filling| filling.push(id));
+        let _filling = Filling(id);
+        slot.get_or_init(init).clone()
     }
 
     /// Fills the slot if nothing beat us to it (used when one
     /// computation produces a sibling artifact as a by-product).
     fn offer(&self, key: K, value: V) {
-        let _ = self.slot(key).set(value);
+        let _ = self.slot(&key).set(value);
     }
 
     /// The value already in the slot, without computing anything.
@@ -206,10 +264,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 
     /// A snapshot of every filled slot — what [`Engine::export_image`]
     /// packs.
-    fn entries(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
+    fn entries(&self) -> Vec<(K, V)> {
         self.slots
             .lock()
             .expect("memo lock poisoned")
@@ -518,18 +573,11 @@ impl Engine {
     /// groups against the live condensed data and restores the matrix
     /// bit-for-bit without evaluating a single ordering; any mismatch
     /// falls through to a clean recompute ([`Engine::orderings`] counts
-    /// the real matrix builds).
+    /// the real matrix builds). A cold build runs serially on the
+    /// calling thread; [`Engine::warm`] with a [`Need::Ordering`]
+    /// profiles the members in parallel first.
     pub fn ordering_study(&self, benches: &[&Benchmark], opt: Options) -> Arc<OrderingStudy> {
         let roster: Vec<&str> = benches.iter().map(|b| b.name).collect();
-        // Warm every member's prediction + run artifacts in one
-        // dependency-aware plan BEFORE taking the memo slot: the memo
-        // init must stay wait-free. A parallel wait inside it would
-        // let the pool's help-while-waiting scope steal a queued task
-        // (e.g. another experiment) that re-enters this same slot on
-        // the same thread — a permanent self-deadlock. Prefetch is
-        // idempotent, so re-entrant callers racing here only repeat
-        // cheap memo hits.
-        self.prefetch(benches, opt, &[]);
         self.ordering_studies
             .get_or_init((roster.join(","), opt), || {
                 timed(
@@ -540,56 +588,99 @@ impl Engine {
             })
     }
 
-    /// Warms the memos for a whole roster: compile artifacts plus
-    /// dataset 0's run bundle for every benchmark, and a branch trace
-    /// too for those named in `traced` (still one interpreter pass each
-    /// — the trace request comes first and the run bundle falls out of
-    /// it).
+    /// Computes every artifact in `needs` as one dependency-aware
+    /// [`bpfree_par::Plan`] on the shared pool, and returns once it has
+    /// drained: from then on, querying those artifacts computes nothing.
     ///
-    /// The work runs as a dependency-aware [`bpfree_par::Plan`] on the
-    /// shared pool: per benchmark, a dataset-generation node and a
-    /// compile node feed a simulate node. Independent benchmarks'
-    /// compiles and simulations overlap freely instead of running
-    /// level-by-level, and a long simulation no longer blocks another
-    /// benchmark's compile from starting.
-    pub fn prefetch(&self, benches: &[&Benchmark], opt: Options, traced: &[&str]) {
+    /// Needs of one `(benchmark, Options)` pair merge, so each
+    /// `(benchmark, Options, dataset)` costs at most one interpreter
+    /// pass, and a trace falls out of the same pass as its run bundle.
+    /// Per pair, a compile node feeds an analyze node and one run node
+    /// per dataset; an ordering study waits for its members' analyses
+    /// and dataset-0 runs. Nodes go in in the order of `needs`, which is
+    /// the order they run in at `--jobs 1`.
+    ///
+    /// # Panics
+    ///
+    /// On a benchmark name the suite does not have.
+    pub fn warm(&self, needs: &[Need]) {
+        // One entry per (benchmark, Options): leading datasets, traced.
+        let mut pairs: Vec<(Benchmark, Options, usize, bool)> = Vec::new();
+        let mut want = |name: &str, opt: Options, datasets: usize, traced: bool| {
+            let i = match pairs.iter().position(|p| p.0.name == name && p.1 == opt) {
+                Some(i) => i,
+                None => {
+                    let bench = bpfree_suite::by_name(name)
+                        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+                    pairs.push((bench, opt, 0, false));
+                    pairs.len() - 1
+                }
+            };
+            pairs[i].2 = pairs[i].2.max(datasets);
+            pairs[i].3 |= traced;
+            i
+        };
+        // Each study as its members' indices into `pairs`.
+        let mut studies: Vec<(Vec<usize>, Options)> = Vec::new();
+        for need in needs {
+            match need {
+                Need::Runs {
+                    bench,
+                    opt,
+                    datasets,
+                    traced,
+                } => {
+                    want(bench, *opt, *datasets, *traced);
+                }
+                Need::Ordering { roster, opt } => {
+                    let study = (
+                        roster.iter().map(|b| want(b, *opt, 1, false)).collect(),
+                        *opt,
+                    );
+                    if !studies.contains(&study) {
+                        studies.push(study);
+                    }
+                }
+            }
+        }
+
         let mut plan = bpfree_par::Plan::new();
-        for &bench in benches {
-            self.plan_warmup(&mut plan, bench, opt, traced.contains(&bench.name));
+        // Per pair: the nodes after which its analysis and its dataset-0
+        // run are in.
+        let mut ready = Vec::with_capacity(pairs.len());
+        for (bench, opt, datasets, traced) in &pairs {
+            let (opt, traced) = (*opt, *traced);
+            let compiled = plan.add(&[], move || {
+                let _ = self.program(bench, opt);
+            });
+            let mut done = vec![plan.add(&[compiled], move || {
+                let _ = self.predictions(bench, opt);
+            })];
+            // The dataset count fixes the run nodes, so the datasets are
+            // generated here, serially (about 4 ms for the whole suite).
+            for index in 0..(*datasets).min(self.datasets(bench).len()) {
+                let ran = plan.add(&[compiled], move || {
+                    if traced && index == 0 {
+                        let _ = self.trace(bench, opt, 0);
+                    }
+                    let _ = self.run(bench, opt, index);
+                });
+                if index == 0 {
+                    done.push(ran);
+                }
+            }
+            ready.push(done);
+        }
+        for (members, opt) in &studies {
+            let deps: Vec<bpfree_par::NodeId> =
+                members.iter().flat_map(|&i| ready[i].clone()).collect();
+            let roster: Vec<&Benchmark> = members.iter().map(|&i| &pairs[i].0).collect();
+            let opt = *opt;
+            plan.add(&deps, move || {
+                let _ = self.ordering_study(&roster, opt);
+            });
         }
         plan.run();
-    }
-
-    /// Adds this benchmark's warm-up chain (datasets ∥ compile →
-    /// analyze → simulate dataset 0) to `plan`, returning the final
-    /// simulate node so batch callers can hang dependents off it. The
-    /// simulate node waits for the analysis, guaranteeing every
-    /// `Compiled` artifact is warm when the plan drains; the simulation
-    /// itself decodes the program on first use. The nodes only touch
-    /// memos, so a plan node that races a direct query for the same
-    /// artifact still computes it exactly once.
-    pub fn plan_warmup<'e>(
-        &'e self,
-        plan: &mut bpfree_par::Plan<'e>,
-        bench: &'e Benchmark,
-        opt: Options,
-        traced: bool,
-    ) -> bpfree_par::NodeId {
-        let datasets = plan.add(&[], move || {
-            let _ = self.datasets(bench);
-        });
-        let compiled = plan.add(&[], move || {
-            let _ = self.program(bench, opt);
-        });
-        let analyzed = plan.add(&[compiled], move || {
-            let _ = self.predictions(bench, opt);
-        });
-        plan.add(&[datasets, analyzed], move || {
-            if traced {
-                let _ = self.trace(bench, opt, 0);
-            }
-            let _ = self.run(bench, opt, 0);
-        })
     }
 
     /// One interpreter pass under the configured [`InterpTier`] —
@@ -652,9 +743,9 @@ impl Engine {
 
     /// Runs inside the `ordering_studies` memo slot, so every step is
     /// strictly serial ([`OrderingStudy::new_serial`], no nested
-    /// scopes): see [`Engine::ordering_study`] for why waiting here
-    /// could deadlock the pool. The roster was prefetched by the
-    /// caller, so the condense below is all memo hits.
+    /// scopes): a wait on the pool here could run a queued task that
+    /// needs this same slot, which [`Memo`] turns into a panic. After
+    /// [`Engine::warm`], the condense below is all memo hits.
     fn build_ordering(&self, benches: &[&Benchmark], opt: Options) -> Arc<OrderingStudy> {
         let fp = opt.fingerprint();
         let live: Vec<BenchOrderData> = benches
@@ -1191,7 +1282,20 @@ mod tests {
         // forces exactly one rebuild; the member artifacts still hit.
         std::fs::remove_dir_all(&dir).unwrap();
         let members_only = Engine::new(config.clone());
-        members_only.prefetch(&refs, opt, &[]);
+        members_only.warm(&[
+            Need::Runs {
+                bench: "grep",
+                opt,
+                datasets: 1,
+                traced: false,
+            },
+            Need::Runs {
+                bench: "eqntott",
+                opt,
+                datasets: 1,
+                traced: false,
+            },
+        ]);
         assert_eq!(members_only.orderings(), 0);
         members_only.persist().unwrap();
         let half = Engine::new(config);
@@ -1382,5 +1486,37 @@ mod tests {
         }
         assert!(e.try_trace(&b, Options::default(), 999).is_err());
         assert_eq!(e.simulations(), 0);
+    }
+
+    /// A thread that asks for a slot it is still filling panics and names
+    /// the key instead of waiting on itself forever.
+    #[test]
+    fn memo_reentry_panics_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let filler = std::thread::spawn(move || {
+            let memo: Memo<&'static str, u32> = Memo::new();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                memo.get_or_init("grep", || memo.get_or_init("grep", || 1))
+            }));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            });
+            tx.send(message).unwrap();
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("re-entering a memo slot hung instead of panicking")
+            .expect("re-entering a memo slot panics");
+        assert!(message.contains("\"grep\""), "{message}");
+        filler.join().expect("the panic was caught on the thread");
+
+        // A slot filled by another thread, or one this thread has
+        // finished filling, is no re-entry.
+        let memo: Memo<&'static str, u32> = Memo::new();
+        assert_eq!(memo.get_or_init("a", || memo.get_or_init("b", || 2) + 1), 3);
+        assert_eq!(memo.get_or_init("a", || unreachable!()), 3);
     }
 }

@@ -8,11 +8,13 @@
 //! 2. **Fan-out fidelity**: fanning N observers out of one interpreter
 //!    pass is bit-identical to N independent passes — at `--jobs 1` and
 //!    `--jobs 8` alike.
+//! 3. **Planned warm-up**: `Engine::warm` computes declared needs once,
+//!    and every later query for them is a memo hit.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bpfree_engine::{Engine, EngineConfig};
+use bpfree_engine::{Engine, EngineConfig, Need};
 use bpfree_lang::Options;
 use bpfree_sim::{EdgeProfiler, Pair, TraceRecorder};
 use bpfree_suite::Benchmark;
@@ -43,13 +45,21 @@ fn benches(names: &[&str]) -> Vec<Benchmark> {
 fn cold_engine_simulates_once_per_dataset_warm_engine_zero() {
     let dir = temp_cache("cold-warm");
     let suite = benches(&["eqntott", "qpt"]);
-    let refs: Vec<&Benchmark> = suite.iter().collect();
     let opt = Options::default();
+    let traced: Vec<Need> = suite
+        .iter()
+        .map(|b| Need::Runs {
+            bench: b.name,
+            opt,
+            datasets: 1,
+            traced: true,
+        })
+        .collect();
 
     // Cold: every benchmark is traced AND has its run bundle queried,
     // yet costs exactly one interpreter pass.
     let cold = cached_engine(&dir);
-    cold.prefetch(&refs, opt, &["eqntott", "qpt"]);
+    cold.warm(&traced);
     let cold_runs: Vec<_> = suite.iter().map(|b| cold.run(b, opt, 0)).collect();
     let cold_traces: Vec<_> = suite.iter().map(|b| cold.trace(b, opt, 0)).collect();
     assert_eq!(
@@ -62,7 +72,7 @@ fn cold_engine_simulates_once_per_dataset_warm_engine_zero() {
     // Warm: a fresh engine over the same directory mounts everything
     // from the image without a single interpreter pass.
     let warm = cached_engine(&dir);
-    warm.prefetch(&refs, opt, &["eqntott", "qpt"]);
+    warm.warm(&traced);
     for (i, b) in suite.iter().enumerate() {
         let bundle = warm.run(b, opt, 0);
         assert_eq!(bundle.result, cold_runs[i].result, "{}", b.name);
@@ -175,4 +185,57 @@ fn pair_feeds_every_observer_the_full_stream() {
     rec.into_trace().replay(&mut replayed);
     assert_eq!(replayed.into_profile(), prof1);
     assert!(result.instructions > 0);
+}
+
+/// One plan for several experiments' needs: merged per pair, one
+/// pass per (benchmark, Options, dataset), traces only where asked,
+/// and the ordering study built from its members' runs.
+#[test]
+fn warm_computes_each_need_once_and_queries_then_hit() {
+    let e = Engine::new(EngineConfig::no_cache());
+    let opt = Options::default();
+    let roster = vec!["grep", "eqntott"];
+    e.warm(&[
+        Need::Runs {
+            bench: "grep",
+            opt,
+            datasets: 2,
+            traced: false,
+        },
+        Need::Runs {
+            bench: "grep",
+            opt,
+            datasets: 1,
+            traced: true,
+        },
+        Need::Runs {
+            bench: "grep",
+            opt: Options::o0(),
+            datasets: 1,
+            traced: false,
+        },
+        Need::Ordering {
+            roster: roster.clone(),
+            opt,
+        },
+        Need::Ordering { roster, opt },
+    ]);
+    let counts = |e: &Engine| {
+        [
+            e.compiles(),
+            e.analyses(),
+            e.simulations(),
+            e.trace_records(),
+            e.orderings(),
+        ]
+    };
+    assert_eq!(counts(&e), [3, 3, 4, 1, 1]);
+    let grep = bpfree_suite::by_name("grep").unwrap();
+    let eqntott = bpfree_suite::by_name("eqntott").unwrap();
+    let _ = e.trace(&grep, opt, 0);
+    let _ = e.run(&grep, opt, 1);
+    let _ = e.compiled(&grep, Options::o0());
+    let _ = e.run(&grep, Options::o0(), 0);
+    let _ = e.ordering_study(&[&grep, &eqntott], opt);
+    assert_eq!(counts(&e), [3, 3, 4, 1, 1], "every query is a memo hit");
 }

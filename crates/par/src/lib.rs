@@ -13,7 +13,7 @@
 //! # Determinism
 //!
 //! Results are **bit-identical to the serial loop at any thread count**:
-//! [`par_map`] writes each output into its input's slot (order
+//! [`par_map_jobs`] writes each output into its input's slot (order
 //! preserved), and [`par_fold_chunks`] gives every worker its own
 //! accumulator over a contiguous index range, merging them in range
 //! order at the end. Nothing here depends on scheduling.
@@ -82,23 +82,11 @@ pub fn clamp_workers(n_jobs: usize) -> usize {
     n_jobs.max(1).min(available_parallelism())
 }
 
-/// Maps `f` over `items` on [`jobs`] workers, preserving input order in
-/// the output. Falls back to a plain serial map for one worker or tiny
-/// inputs (avoids task overhead on the many small suites the tests
-/// build).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_jobs(jobs(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count. Tasks run on the global
-/// [`Pool`] (the calling thread helps), with the concurrent task width
-/// clamped by [`clamp_workers`]; outputs land in input order whatever
-/// the schedule.
+/// Maps `f` over `items` on `n_jobs` workers, preserving input order
+/// in the output; a plain serial map for one worker or one item. Tasks
+/// run on the global [`Pool`] (the calling thread helps), with the
+/// concurrent task width clamped by [`clamp_workers`]; outputs land in
+/// input order whatever the schedule.
 pub fn par_map_jobs<T, R, F>(n_jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -1,11 +1,10 @@
 //! The process-wide work-stealing executor.
 //!
-//! Until PR 7 every parallel call site spawned its own batch of scoped
-//! threads: `par_map` per call, `BranchTrace::replay_segmented` per
-//! replay, the engine's `prefetch` per roster. Nested call sites
-//! (a replay inside an experiment inside a batch) therefore multiplied
-//! threads against each other while experiment boundaries left cores
-//! idle. This module replaces all of that with one persistent [`Pool`]:
+//! Every parallel call site — a parallel map, a segmented trace replay,
+//! the engine's warm-up plan, the batch of experiments — runs on one
+//! persistent [`Pool`], so nested call sites (a replay inside an
+//! experiment inside a batch) share a fixed set of threads instead of
+//! multiplying them:
 //!
 //! * **Workers** are spawned once (capped at the machine's available
 //!   parallelism via [`clamp_workers`](crate::clamp_workers)) and

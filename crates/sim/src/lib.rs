@@ -58,6 +58,5 @@ pub use observer::{CountingObserver, ExecObserver, NullObserver, Pair};
 pub use profile::{EdgeCounts, EdgeProfile, EdgeProfiler};
 pub use replay::{SegmentedObserver, TraceSegment};
 pub use trace::{
-    note_trace_seq_alloc, trace_seq_allocs, BranchTrace, SeqSlice, TraceEvent, TraceRecorder,
-    TraceTally,
+    note_trace_seq_alloc, trace_seq_allocs, BranchTrace, TraceEvent, TraceRecorder, TraceTally,
 };

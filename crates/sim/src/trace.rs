@@ -70,14 +70,12 @@ pub struct TraceEvent {
 /// Per-dictionary-entry occurrence counts of one trace, computed in a
 /// single O(seq) integer pass at trace construction.
 ///
-/// This is the input of the **O(dict) fused evaluation tier**: the
-/// paper's predictors are per-site and history-free, so any per-event
-/// quantity that ignores event *order* — misprediction totals, edge
-/// profiles, IPBC averages, dynamic instruction counts — depends only on
-/// how often each distinct `(instrs, branch, taken)` event occurred.
-/// Folding over the dictionary with these counts replaces an O(events)
-/// replay (millions of observer calls) with O(dict) ≈ hundreds of
-/// integer operations.
+/// A quantity that ignores event *order* — an edge profile, a dynamic
+/// instruction count — depends only on how often each distinct
+/// `(instrs, branch, taken)` event occurred, so folding over the
+/// dictionary with these counts ([`BranchTrace::edge_profile`])
+/// replaces an O(events) replay (millions of observer calls) with
+/// O(dict) ≈ hundreds of integer operations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceTally {
     counts: Vec<u64>,
@@ -120,21 +118,6 @@ impl TraceTally {
     pub fn instructions(&self) -> u64 {
         self.instructions
     }
-}
-
-/// The index sequence at its stored width.
-///
-/// Recorded (and v5-cache-decoded) traces own wide `u32` indices;
-/// traces mounted from a suite image borrow byte-wide indices straight
-/// from the image buffer. Replay kernels that want width-specialized
-/// loops match on [`BranchTrace::seq_slice`].
-#[derive(Debug, Clone, Copy)]
-pub enum SeqSlice<'a> {
-    /// Owned wide indices (any dictionary size).
-    Wide(&'a [u32]),
-    /// Byte-wide indices (dictionary ≤ 256 entries, possibly borrowed
-    /// from a mounted image).
-    Bytes(&'a [u8]),
 }
 
 #[derive(Debug, Clone)]
@@ -242,15 +225,6 @@ impl BranchTrace {
         &self.dict
     }
 
-    /// The index sequence at its stored width, for width-specialized
-    /// replay loops.
-    pub fn seq_slice(&self) -> SeqSlice<'_> {
-        match &self.seq {
-            SeqStore::Wide(s, _) => SeqSlice::Wide(s),
-            SeqStore::Borrowed(v) => SeqSlice::Bytes(v.as_slice()),
-        }
-    }
-
     /// The execution as wide dictionary indices, or `None` when the
     /// sequence is stored byte-wide (mounted from an image). A `None`
     /// here implies [`BranchTrace::seq_u8`] is `Some`, so every caller
@@ -312,9 +286,8 @@ impl BranchTrace {
         self.len() == 0
     }
 
-    /// Per-dict-entry occurrence counts — the O(dict) fused evaluation
-    /// tier's input (see [`TraceTally`]). Precomputed at construction,
-    /// so this is free.
+    /// Per-dict-entry occurrence counts (see [`TraceTally`]).
+    /// Precomputed at construction, so this is free.
     pub fn tally(&self) -> &TraceTally {
         &self.tally
     }
@@ -379,11 +352,15 @@ impl BranchTrace {
                 observer.on_branch(event.branch, event.taken);
             }
         }
-        match self.seq_slice() {
-            SeqSlice::Wide(s) => stream(&self.dict, s[range].iter().map(|&i| i as usize), observer),
-            SeqSlice::Bytes(s) => {
+        match &self.seq {
+            SeqStore::Wide(s, _) => {
                 stream(&self.dict, s[range].iter().map(|&i| i as usize), observer)
             }
+            SeqStore::Borrowed(v) => stream(
+                &self.dict,
+                v.as_slice()[range].iter().map(|&i| i as usize),
+                observer,
+            ),
         }
     }
 }

@@ -274,7 +274,7 @@ fn paper_order_is_competitive() {
         .map(|b| b.miss_rate(&HeuristicKind::paper_order()))
         .collect();
     let paper_avg = paper.iter().sum::<f64>() / paper.len() as f64;
-    let study = OrderingStudy::new(benches);
+    let study = OrderingStudy::new_serial(benches);
     let (_, best) = study.best_order();
     assert!(
         paper_avg <= best + 0.12,
@@ -326,7 +326,7 @@ fn serial_sampled_winners(
 /// index (two one-benchmark samples win one trial each).
 #[test]
 fn sampled_subset_study_matches_the_serial_loop() {
-    let study = OrderingStudy::new(small_study_benches());
+    let study = OrderingStudy::new_serial(small_study_benches());
     let index_of = |order: &[String]| {
         study
             .orders()
