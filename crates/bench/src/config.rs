@@ -12,8 +12,12 @@
 //!   (default `target/bpfree-cache`); the cache is the one image
 //!   `DIR/suite.img`.
 //! - `--timings[=PATH]` (or `BPFREE_TIMINGS=1|PATH`): record
-//!   per-task scheduler timings (query kind, key, wall-clock, worker)
-//!   and emit them as JSON to stderr (bare flag) or `PATH`.
+//!   per-task timings (query kind, key, wall-clock) and emit them as
+//!   JSON to stderr (bare flag) or `PATH`.
+//!
+//! A flag value may follow as the next argument or after `=`; an empty
+//! one (`--cache-dir=`, `--cache-dir ""`) is an error, never the current
+//! directory.
 //!
 //! Every simulation runs the bytecode interpreter; the tree walker is a
 //! test oracle that no flag selects.
@@ -137,13 +141,10 @@ pub fn extract(args: impl IntoIterator<Item = String>) -> Result<(Config, Vec<St
                 cfg.jobs = Some(parse_jobs(&s["--jobs=".len()..])?);
             }
             "--cache-dir" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| "--cache-dir requires a value".to_string())?;
-                cfg.cache_dir = PathBuf::from(v);
+                cfg.cache_dir = cache_dir(args.next().as_deref().unwrap_or(""))?;
             }
             s if s.starts_with("--cache-dir=") => {
-                cfg.cache_dir = PathBuf::from(&s["--cache-dir=".len()..]);
+                cfg.cache_dir = cache_dir(&s["--cache-dir=".len()..])?;
             }
             "--timings" => cfg.timings = Some(TimingsOut::Stderr),
             s if s.starts_with("--timings=") => {
@@ -157,6 +158,13 @@ pub fn extract(args: impl IntoIterator<Item = String>) -> Result<(Config, Vec<St
         }
     }
     Ok((cfg, rest))
+}
+
+fn cache_dir(v: &str) -> Result<PathBuf, String> {
+    if v.is_empty() {
+        return Err("--cache-dir requires a value".to_string());
+    }
+    Ok(PathBuf::from(v))
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -193,6 +201,10 @@ mod tests {
         assert!(p(&["--jobs", "0"]).is_err());
         assert!(p(&["--jobs", "zap"]).is_err());
         assert!(p(&["--jobs"]).is_err());
+        assert!(p(&["--jobs="]).is_err());
+        assert!(p(&["--cache-dir"]).is_err());
+        assert!(p(&["--cache-dir", ""]).is_err());
+        assert!(p(&["--cache-dir="]).is_err());
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! the era assumed; this experiment shows how much the loop analysis buys
 //! on loop branches, benchmark by benchmark.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{btfnt_predictions, evaluate, loop_rand_predictions, DEFAULT_SEED};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 pub struct Btfnt;
@@ -31,8 +30,7 @@ impl Experiment for Btfnt {
         "§2 (loop prediction)"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:>10} {:>10} {:>9}",

@@ -6,14 +6,13 @@
 //! whole suite: dynamic non-loop coverage and miss rate on the covered
 //! subset.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::heuristics::BranchContext;
 use bpfree_core::{evaluate_coverage, BranchClass, ExtKind, HeuristicKind, Predictions};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
 pub struct Extensions;
@@ -31,8 +30,7 @@ impl Experiment for Extensions {
         "§4.4"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let suite = load_suite_on(engine);
         let pairs = [
             (HeuristicKind::Guard, ExtKind::GuardDeep),

@@ -9,14 +9,13 @@
 //! direction as in A (weighted agreement), and (b) the cross-trained
 //! predictor's miss rate vs B's own perfect bound.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{evaluate, perfect_predictions, Direction};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 pub struct FfStability;
@@ -41,8 +40,7 @@ impl Experiment for FfStability {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:>10} {:>12} {:>10}",

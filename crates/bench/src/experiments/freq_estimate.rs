@@ -8,7 +8,7 @@
 //! profile does?" Wall reported his estimators did poorly; heuristic
 //! probabilities do considerably better.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::freq::{estimate_branch_block_frequencies, spearman, Confidence};
 use bpfree_core::{CombinedPredictor, HeuristicKind};
@@ -16,7 +16,6 @@ use bpfree_engine::Engine;
 
 use crate::load_suite_on;
 use crate::registry::Experiment;
-use crate::sink::Sink;
 
 pub struct FreqEstimate;
 
@@ -33,8 +32,7 @@ impl Experiment for FreqEstimate {
         "§5 (Wall / Wu-Larus direction)"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let suite = load_suite_on(engine);
         // Calibrate confidences once, over the whole suite (leave-in
         // calibration: the point is realistic magnitudes, not generalisation;

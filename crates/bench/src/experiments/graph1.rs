@@ -3,14 +3,13 @@
 //! much (and how little) the priority order matters. The paper excludes
 //! matrix300; so do we.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 use bpfree_suite::Benchmark;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{ordering_roster, pct};
 
 pub struct Graph1;
@@ -35,8 +34,7 @@ impl Experiment for Graph1 {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let roster = ordering_roster();
         let refs: Vec<&Benchmark> = roster.iter().collect();
         eprintln!("evaluating 5040 orders over {} benchmarks...", refs.len());

@@ -3,13 +3,12 @@
 //! fraction of executed instructions in sequences of length ≤ s under
 //! unit-length blocks and independent branches.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::model::{dividing_length, graph12_curves};
 use bpfree_engine::Engine;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 
 pub struct Graph12;
 
@@ -30,8 +29,7 @@ impl Experiment for Graph12 {
         Needs::NONE
     }
 
-    fn run(&self, _engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, _engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let curves = graph12_curves(200, 10);
         write!(w, "{:>6}", "len")?;
         for c in &curves {

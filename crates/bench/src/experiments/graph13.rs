@@ -6,14 +6,13 @@
 //! branches) — the paper's check that program-based prediction is stable
 //! across inputs.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{evaluate, perfect_predictions, CombinedPredictor, HeuristicKind};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
 pub struct Graph13;
@@ -38,8 +37,7 @@ impl Experiment for Graph13 {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:<6} {:>10} {:>9}",

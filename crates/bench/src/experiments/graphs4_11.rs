@@ -9,7 +9,7 @@
 //! spice2g6 analogue it also prints the break-weighted distribution
 //! (Graph 5), whose skew explains why the IPBC average misleads.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::ipbc::IpbcAnalyzer;
 use bpfree_core::{
@@ -18,7 +18,6 @@ use bpfree_core::{
 use bpfree_engine::Engine;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{pct, BenchData};
 
 /// The trace benchmarks, which [`Graphs4To11`] declares as its
@@ -48,8 +47,7 @@ impl Experiment for Graphs4To11 {
         &TRACED
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         for name in TRACED {
             let bench = bpfree_suite::by_name(name).expect("trace benchmark is in the suite");
             let d = BenchData::load(engine, bench);

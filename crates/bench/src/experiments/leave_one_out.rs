@@ -5,7 +5,7 @@
 //! the suite-mean non-loop miss rate delta. Also reports each heuristic
 //! alone (plus Default) for the other direction of the question.
 
-use std::io;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use bpfree_core::ordering::BenchOrderData;
@@ -14,7 +14,6 @@ use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{mean_std, pct};
 
 /// Suite-mean non-loop miss rate of a (possibly partial) priority
@@ -44,8 +43,7 @@ impl Experiment for LeaveOneOut {
         "§4.2 (heuristic contributions)"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let opt = Options::default();
         let suite: Vec<Arc<BenchOrderData>> = bpfree_suite::all()
             .iter()

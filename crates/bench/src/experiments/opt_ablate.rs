@@ -8,14 +8,13 @@
 //! experiment compiles every benchmark at three levels and reports the
 //! combined predictor's miss rates.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{evaluate, CombinedPredictor, HeuristicKind};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{mean_std, pct};
 
 fn run_at(engine: &Engine, bench: &bpfree_suite::Benchmark, options: Options) -> (f64, f64) {
@@ -59,8 +58,7 @@ impl Experiment for OptAblate {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:>9} {:>11} {:>7}   (all-branch miss%)",

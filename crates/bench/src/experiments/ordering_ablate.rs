@@ -5,7 +5,7 @@
 //! Checks that (a) pruning does not change the exact result, (b) sampling
 //! converges to the same winners, and (c) how the pairwise order ranks.
 
-use std::io;
+use std::io::{self, Write};
 use std::time::Instant;
 
 use bpfree_core::ordering::OrderingStudy;
@@ -16,7 +16,6 @@ use bpfree_sim::EdgeProfile;
 use bpfree_suite::Benchmark;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
 pub struct OrderingAblate;
@@ -41,8 +40,7 @@ impl Experiment for OrderingAblate {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let loaded = load_suite_on(engine);
         // Borrow the engine's shared tables and profiles for the
         // pairwise construction instead of rebuilding/cloning them.

@@ -1,8 +1,8 @@
 //! Emits the reproduction's key metrics as JSON on stdout — the
 //! machine-readable companion to EXPERIMENTS.md (captured into
-//! `results/summary.json`).
+//! `results/summary_json.txt`).
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{
     evaluate, loop_rand_predictions, perfect_predictions, random_predictions, taken_predictions,
@@ -13,7 +13,6 @@ use bpfree_engine::Engine;
 use crate::json::Json;
 use crate::load_suite_on;
 use crate::registry::Experiment;
-use crate::sink::Sink;
 
 fn class_stats(s: &ClassStats) -> Json {
     Json::obj()
@@ -46,8 +45,7 @@ impl Experiment for SummaryJson {
         "summary"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let mut benchmarks = Vec::new();
         let mut sum_heuristic = 0.0;
         let mut sum_perfect = 0.0;

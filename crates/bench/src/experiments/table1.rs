@@ -2,13 +2,12 @@
 //! code size (static IR instructions stand in for object-code bytes),
 //! sorted within groups by size like the paper.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_engine::Engine;
 use bpfree_suite::Lang;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 
 pub struct Table1;
 
@@ -25,8 +24,7 @@ impl Experiment for Table1 {
         "Table 1"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let mut rows: Vec<(String, String, Lang, bool, u64, usize)> = crate::load_suite_on(engine)
             .into_iter()
             .map(|d| {

@@ -8,7 +8,7 @@
 //! many non-loop branch sites each contribute >5% of dynamic non-loop
 //! executions, and what share those sites cover.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{
     evaluate, loop_rand_predictions, random_predictions, taken_predictions, BranchClass,
@@ -17,7 +17,6 @@ use bpfree_core::{
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 pub struct Table2;
@@ -35,8 +34,7 @@ impl Experiment for Table2 {
         "Table 2"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:>8} {:>6} {:>8} {:>8} {:>5} {:>6}",

@@ -6,13 +6,12 @@
 //! pair on the covered subset. Entries under 1% coverage print blank and
 //! are excluded from the means, exactly like the paper.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{evaluate_coverage, HeuristicKind, Predictions};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 pub struct Table3;
@@ -30,8 +29,7 @@ impl Experiment for Table3 {
         "Table 3"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let suite = load_suite_on(engine);
         write!(w, "{:<11} {:>4}", "Program", "NL")?;
         for k in HeuristicKind::ALL {

@@ -7,14 +7,13 @@
 //! trials each accounts for (Table 4 / Graph 2), and each winner's
 //! overall mean miss rate (Graph 3).
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 use bpfree_suite::Benchmark;
 
 use crate::registry::{Experiment, Needs};
-use crate::sink::Sink;
 use crate::{ordering_roster, pct};
 
 pub struct Table4;
@@ -39,8 +38,7 @@ impl Experiment for Table4 {
         }
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let roster = ordering_roster();
         let refs: Vec<&Benchmark> = roster.iter().collect();
         let n = refs.len();

@@ -5,13 +5,12 @@
 //! the paper) and its miss/perfect rates on that share. `Default` covers
 //! branches no heuristic reached.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{evaluate_with_attribution, CombinedPredictor, HeuristicKind};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 pub struct Table5;
@@ -29,8 +28,7 @@ impl Experiment for Table5 {
         "Table 5"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         let order = HeuristicKind::paper_order();
         let mut columns: Vec<String> = order.iter().map(|k| k.label().to_string()).collect();
         columns.push("Default".to_string());

@@ -6,7 +6,7 @@
 //! predictor, and `Loop+Rand` (loop prediction + random non-loop) for
 //! comparison.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{
     evaluate, evaluate_with_attribution, loop_rand_predictions, CombinedPredictor, HeuristicKind,
@@ -15,7 +15,6 @@ use bpfree_core::{
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, pct};
 
 pub struct Table6;
@@ -33,8 +32,7 @@ impl Experiment for Table6 {
         "Table 6"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "{:<11} {:>16} {:>9} {:>9} {:>10}",

@@ -4,7 +4,7 @@
 //! (the paper excluded eqntott, grep, tomcatv, matrix300). Target and
 //! random non-loop prediction appear for comparison.
 
-use std::io;
+use std::io::{self, Write};
 
 use bpfree_core::{
     evaluate, loop_rand_predictions, random_predictions, taken_predictions, CombinedPredictor,
@@ -13,7 +13,6 @@ use bpfree_core::{
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
-use crate::sink::Sink;
 use crate::{load_suite_on, mean_std, pct};
 
 const EXCLUDED: [&str; 4] = ["eqntott", "grep", "tomcatv", "matrix300"];
@@ -33,8 +32,7 @@ impl Experiment for Table7 {
         "Table 7"
     }
 
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()> {
-        let w = sink.out();
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()> {
         struct Row {
             name: String,
             heuristic_nl: f64,

@@ -2,9 +2,9 @@
 //!
 //! Every experiment lives in the [`registry`]: a named
 //! [`registry::Experiment`] value that queries artifacts from a shared
-//! [`bpfree_engine::Engine`] and writes its report through a
-//! [`sink::Sink`]. `bpfree exp run NAME...` and `bpfree exp all` are the
-//! one entry point: they run any subset in one process, so each
+//! [`bpfree_engine::Engine`] and writes its report to a
+//! [`std::io::Write`]r. `bpfree exp run NAME...` and `bpfree exp all`
+//! are the one entry point: they run any subset in one process, so each
 //! `(benchmark, Options, dataset)` triple is compiled/simulated/traced
 //! at most once for all tables and graphs combined.
 //!
@@ -18,10 +18,12 @@
 //!
 //! Each experiment declares what it reads ([`registry::Experiment::needs`]
 //! and [`registry::Experiment::traced`]); the batch runner has the
-//! engine compute the union in one parallel plan before any experiment
+//! engine compute the union in one parallel map before any experiment
 //! renders, and a warm run computes nothing at all. Jobs and the cache
 //! are controlled by the standard flags pulled out of the command line
 //! by [`config::extract`].
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod experiments;

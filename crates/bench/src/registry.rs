@@ -2,14 +2,14 @@
 //! runnable value.
 //!
 //! Each experiment is an [`Experiment`] implementation that declares
-//! what it reads and writes through a [`Sink`]; [`run_experiments`]
-//! executes any subset in ONE process against a shared [`Engine`], so
-//! every `(benchmark, Options, dataset)` triple is compiled/simulated/
-//! traced at most once for all tables and graphs combined. `bpfree exp
-//! run` and `bpfree exp all` are its command-line front end.
+//! what it reads and writes its report to a [`Write`]r;
+//! [`run_experiments`] executes any subset in ONE process against a
+//! shared [`Engine`], so every `(benchmark, Options, dataset)` triple is
+//! compiled/simulated/traced at most once for all tables and graphs
+//! combined. `bpfree exp run` and `bpfree exp all` are its command-line
+//! front end.
 
-use std::io;
-use std::sync::Mutex;
+use std::io::{self, Write};
 use std::time::Instant;
 
 use bpfree_engine::{Engine, Need};
@@ -17,20 +17,18 @@ use bpfree_lang::Options;
 use bpfree_par::timings::timed;
 
 use crate::experiments;
-use crate::sink::{Sink, VecSink};
 
 /// One registered experiment — a table or figure of the paper (or one
 /// of our extension studies), reproducible on demand.
 ///
 /// Implementations hold no state; everything they need comes from the
-/// [`Engine`] they are handed, and everything they produce goes through
-/// the [`Sink`]. What they read from the engine is declared by
+/// [`Engine`] they are handed, and everything they produce goes to the
+/// writer. What they read from the engine is declared by
 /// [`Experiment::needs`] and [`Experiment::traced`], and the batch
 /// runner computes it before [`Experiment::run`] starts. The bytes
-/// written to [`Sink::out`] are the experiment's contract: they must
-/// not depend on `--jobs`, the cache, a mounted image or the
-/// interpreter tier. Progress and diagnostics go to stderr, never the
-/// sink.
+/// written are the experiment's contract: they must not depend on
+/// `--jobs`, the cache, a mounted image or the interpreter tier.
+/// Progress and diagnostics go to stderr, never the writer.
 pub trait Experiment: Sync {
     /// The registry name (what `bpfree exp run` takes).
     fn name(&self) -> &'static str;
@@ -56,8 +54,8 @@ pub trait Experiment: Sync {
         &[]
     }
 
-    /// Regenerates the experiment, writing its report to `sink`.
-    fn run(&self, engine: &Engine, sink: &mut dyn Sink) -> io::Result<()>;
+    /// Regenerates the experiment, writing its report to `w`.
+    fn run(&self, engine: &Engine, w: &mut dyn Write) -> io::Result<()>;
 }
 
 /// What an experiment reads from the engine, besides the traces named by
@@ -166,66 +164,52 @@ pub fn needs(exps: &[&'static dyn Experiment]) -> Vec<Need> {
     out
 }
 
-/// Runs `exps` against one shared engine, bracketing each report with
-/// [`Sink::begin`]/[`Sink::end`]. With `progress`, a one-line banner per
-/// experiment goes to stderr (stdout stays pure experiment output).
+/// One experiment's rendered report.
+#[derive(Debug)]
+pub struct Report {
+    /// The bytes [`Experiment::run`] wrote.
+    pub bytes: Vec<u8>,
+    /// Rendering wall-clock, in milliseconds.
+    pub millis: u64,
+}
+
+/// Runs `exps` against one shared engine and returns their reports in
+/// the order of `exps`. With `progress`, a one-line banner per
+/// experiment goes to stderr.
 ///
-/// First [`Engine::warm`] computes the union of their [`needs`] as one
-/// plan on the shared pool — every interpreter pass, trace and ordering
-/// study — so no experiment renders before its inputs exist, and
-/// rendering reads only memo hits. Then each experiment renders as a
-/// node of a second [`bpfree_par::Plan`], buffering its report into a
-/// [`VecSink`]. At `--jobs 1` both plans run serially in insertion
-/// order.
+/// First [`Engine::warm`] computes the union of their [`needs`] — every
+/// interpreter pass, trace and ordering study — so no experiment
+/// renders before its inputs exist, and rendering reads only memo hits.
+/// Then one [`bpfree_par::par_map_jobs`] renders every experiment into
+/// its own buffer. At `--jobs 1` both run serially, in order.
 ///
-/// Determinism: the plans order *scheduling only*. Every experiment's
-/// bytes are buffered, then emitted through `sink` in the order of
-/// `exps` after rendering drains, so the output is byte-identical at
-/// any `--jobs`. Each experiment's rendering wall-clock is forwarded
-/// with [`Sink::note_millis`] (the begin/end bracket happens long after
-/// the work).
+/// Determinism: the reports come back in the order of `exps` whatever
+/// the schedule, so the output is byte-identical at any `--jobs`. The
+/// first failing experiment's error, in that order, is the result.
 pub fn run_experiments(
     exps: &[&'static dyn Experiment],
     engine: &Engine,
-    sink: &mut dyn Sink,
     progress: bool,
-) -> io::Result<()> {
+) -> io::Result<Vec<Report>> {
     engine.warm(&needs(exps));
-    type Slot = Mutex<Option<(io::Result<Vec<u8>>, u64)>>;
-    let slots: Vec<Slot> = exps.iter().map(|_| Mutex::new(None)).collect();
-    let mut plan = bpfree_par::Plan::new();
-    for (exp, slot) in exps.iter().zip(&slots) {
-        let exp = *exp;
-        plan.add(&[], move || {
-            if progress {
-                eprintln!("[bpfree] running {} ({})", exp.name(), exp.paper_ref());
-            }
-            let start = Instant::now();
-            let result = timed(
-                "experiment",
-                || exp.name().to_string(),
-                || {
-                    let mut buf = VecSink::new();
-                    exp.run(engine, &mut buf).map(|()| buf.take())
-                },
-            );
-            let millis = start.elapsed().as_millis() as u64;
-            *slot.lock().expect("experiment slot poisoned") = Some((result, millis));
-        });
-    }
-    plan.run();
-    for (exp, slot) in exps.iter().zip(&slots) {
-        let (result, millis) = slot
-            .lock()
-            .expect("experiment slot poisoned")
-            .take()
-            .expect("every experiment node ran");
-        sink.begin(*exp)?;
-        sink.out().write_all(&result?)?;
-        sink.note_millis(millis);
-        sink.end(*exp)?;
-    }
-    Ok(())
+    bpfree_par::par_map_jobs(bpfree_par::jobs(), exps, |exp| {
+        if progress {
+            eprintln!("[bpfree] running {} ({})", exp.name(), exp.paper_ref());
+        }
+        let start = Instant::now();
+        let mut bytes = Vec::new();
+        timed(
+            "experiment",
+            || exp.name().to_string(),
+            || exp.run(engine, &mut bytes),
+        )?;
+        Ok(Report {
+            bytes,
+            millis: start.elapsed().as_millis() as u64,
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

@@ -1,18 +1,18 @@
 //! The batch runner against a reference loop: same bytes, same
-//! interpreter-pass count, at a job count that makes the task graph run
-//! in parallel. Runs in its own process so `set_jobs` cannot leak into
-//! other test binaries.
+//! interpreter-pass count, at a job count that makes warm-up and
+//! rendering run in parallel. Runs in its own process so `set_jobs`
+//! cannot leak into other test binaries.
 
 use std::collections::BTreeSet;
 
 use bpfree_bench::registry::{self, Experiment};
-use bpfree_bench::sink::{Sink, VecSink};
+use bpfree_bench::sink::VecSink;
 use bpfree_engine::{Engine, EngineConfig};
 use bpfree_lang::Options;
 
-/// A cheap-but-representative subset: the traced IPBC experiment (the
-/// one with real dependency edges) plus static tables and a profile
-/// consumer, so the graph has trace-dependent and trace-free nodes.
+/// A cheap-but-representative subset: the traced IPBC experiment plus
+/// static tables and a profile consumer, so the warm-up has traced and
+/// untraced passes.
 const SUBSET: [&str; 4] = ["table1", "table2", "graphs4_11", "table7"];
 
 fn subset() -> Vec<&'static dyn Experiment> {
@@ -32,9 +32,7 @@ fn reference_loop(exps: &[&'static dyn Experiment], engine: &Engine) -> Vec<u8> 
     }
     let mut sink = VecSink::new();
     for &exp in exps {
-        sink.begin(exp).expect("begin");
         exp.run(engine, &mut sink).expect("experiment succeeds");
-        sink.end(exp).expect("end");
     }
     sink.take()
 }
@@ -48,11 +46,11 @@ fn batch_runner_matches_reference_loop_bytes_and_passes() {
     let reference = reference_loop(&exps, &reference_engine);
 
     let engine = Engine::new(EngineConfig::no_cache());
-    let mut sink = VecSink::new();
-    registry::run_experiments(&exps, &engine, &mut sink, false).expect("batch succeeds");
+    let reports = registry::run_experiments(&exps, &engine, false).expect("batch succeeds");
+    let batch: Vec<u8> = reports.into_iter().flat_map(|r| r.bytes).collect();
 
     assert_eq!(
-        String::from_utf8_lossy(&sink.take()),
+        String::from_utf8_lossy(&batch),
         String::from_utf8_lossy(&reference),
         "batch output diverged from the reference loop"
     );

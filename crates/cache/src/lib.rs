@@ -64,6 +64,8 @@
 //! Set `BPFREE_NO_CACHE=1` (or pass `--no-cache`) to bypass the cache
 //! entirely.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use bpfree_core::ordering::{BenchOrderData, OrderingStudy};

@@ -624,10 +624,9 @@ impl OrderingStudy {
     /// so the matrix is bit-identical to mapping
     /// [`BenchOrderData::miss_rate`].
     ///
-    /// It never waits on the pool, so the engine can build it while
-    /// holding the roster's memo slot: the pool's scope wait helps with
-    /// *any* queued task, and one that needs the same slot would
-    /// re-enter it on the same thread.
+    /// The engine builds it inside the roster's memo slot, where other
+    /// threads may be waiting for it; a few milliseconds of serial work
+    /// keeps that wait short.
     pub fn new_serial(benches: Vec<BenchOrderData>) -> OrderingStudy {
         let orders = all_orders();
         let rates = orders
@@ -708,11 +707,9 @@ impl OrderingStudy {
     /// Pareto-prunes order indices: keeps only orders not dominated by
     /// another order on every benchmark (ties broken toward the earlier
     /// index, which also deduplicates identical rows). The scan runs
-    /// serially on the calling thread: it resolves under the study's
-    /// `OnceLock`, and a parallel wait inside that lock could steal a
-    /// pool task that re-enters [`OrderingStudy::pareto_front`] on the
-    /// same thread and deadlock — the mean-pruned scan is cheap enough
-    /// that parallelism buys nothing here anyway.
+    /// serially on the calling thread, once, under the study's
+    /// `OnceLock`: the mean-pruned scan is cheap enough that
+    /// parallelism buys nothing here.
     ///
     /// The scan is mean-pruned: a dominator of `i` has a rate `<=
     /// i`'s on every benchmark, and f64 addition (round-to-nearest) is
@@ -824,7 +821,7 @@ impl OrderingStudy {
     ///
     /// Every subset is drawn serially from the one seeded stream, one
     /// byte per benchmark index; the samples are then split into
-    /// contiguous chunks across the pool, each swept by
+    /// contiguous chunks swept in parallel, each by
     /// [`sampled_sweep_wins`], and the per-chunk tallies merged in
     /// order. Every sample's winner is scheduling-independent, so the
     /// result is identical at any `--jobs`.

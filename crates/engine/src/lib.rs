@@ -41,7 +41,7 @@
 //!
 //! Queries compute on demand, on the calling thread. A caller that
 //! knows what it will read declares it up front as [`Need`]s, and
-//! [`Engine::warm`] computes them all in one parallel plan; the batch
+//! [`Engine::warm`] computes them all in one parallel map; the batch
 //! of experiments does this before any of them renders.
 //!
 //! # One interpreter pass per (benchmark, dataset)
@@ -75,6 +75,8 @@
 //! assert_eq!(engine.analyses(), 1);
 //! assert!(compiled.table.rows().count() > 0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -167,7 +169,7 @@ pub struct RunBundle {
 }
 
 /// Artifacts a caller is about to read, declared up front so
-/// [`Engine::warm`] can compute them in one plan.
+/// [`Engine::warm`] can compute them in one parallel map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Need {
     /// `bench` compiled and analyzed under `opt`, and run on its first
@@ -194,9 +196,10 @@ type RunKey = (&'static str, Options, usize);
 /// the slot, so distinct keys compute concurrently while duplicate
 /// requests block on the slot's `OnceLock`.
 ///
-/// A thread that asks for a slot it is itself still filling would wait
-/// on itself forever — say an init that waits on the pool, whose
-/// help-while-waiting runs a queued task needing the same slot — so the
+/// An init may run parallel work: a parallel call only waits for its
+/// own scoped threads, which never run anything else, so another
+/// thread's wait on the slot always ends. An init that asks for its own
+/// key again would wait on itself forever inside the `OnceLock`, so the
 /// fill path panics instead, naming the key.
 struct Memo<K, V> {
     slots: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
@@ -588,17 +591,19 @@ impl Engine {
             })
     }
 
-    /// Computes every artifact in `needs` as one dependency-aware
-    /// [`bpfree_par::Plan`] on the shared pool, and returns once it has
-    /// drained: from then on, querying those artifacts computes nothing.
+    /// Computes every artifact in `needs` before returning: from then
+    /// on, querying those artifacts computes nothing.
     ///
     /// Needs of one `(benchmark, Options)` pair merge, so each
     /// `(benchmark, Options, dataset)` costs at most one interpreter
     /// pass, and a trace falls out of the same pass as its run bundle.
-    /// Per pair, a compile node feeds an analyze node and one run node
-    /// per dataset; an ordering study waits for its members' analyses
-    /// and dataset-0 runs. Nodes go in in the order of `needs`, which is
-    /// the order they run in at `--jobs 1`.
+    /// The passes run as one [`bpfree_par::par_map_jobs`] over a flat
+    /// task list in the order of `needs`, which is the order they run in
+    /// at `--jobs 1`: per pair an analyze task, then one task per
+    /// dataset. The memo slots are the only dependency edges: whichever
+    /// task of a pair first asks for the program compiles it, and the
+    /// others wait on that slot. The ordering studies are built after
+    /// the map, from memo hits.
     ///
     /// # Panics
     ///
@@ -644,43 +649,33 @@ impl Engine {
             }
         }
 
-        let mut plan = bpfree_par::Plan::new();
-        // Per pair: the nodes after which its analysis and its dataset-0
-        // run are in.
-        let mut ready = Vec::with_capacity(pairs.len());
+        // A task is a pair's analysis (`None`) or one dataset's pass.
+        let mut tasks: Vec<(&Benchmark, Options, Option<usize>, bool)> = Vec::new();
         for (bench, opt, datasets, traced) in &pairs {
-            let (opt, traced) = (*opt, *traced);
-            let compiled = plan.add(&[], move || {
-                let _ = self.program(bench, opt);
-            });
-            let mut done = vec![plan.add(&[compiled], move || {
-                let _ = self.predictions(bench, opt);
-            })];
-            // The dataset count fixes the run nodes, so the datasets are
+            tasks.push((bench, *opt, None, false));
+            // The dataset count fixes the pass tasks, so the datasets are
             // generated here, serially (about 4 ms for the whole suite).
             for index in 0..(*datasets).min(self.datasets(bench).len()) {
-                let ran = plan.add(&[compiled], move || {
-                    if traced && index == 0 {
-                        let _ = self.trace(bench, opt, 0);
+                tasks.push((bench, *opt, Some(index), *traced && index == 0));
+            }
+        }
+        bpfree_par::par_map_jobs(bpfree_par::jobs(), &tasks, |&(bench, opt, pass, traced)| {
+            match pass {
+                None => {
+                    let _ = self.predictions(bench, opt);
+                }
+                Some(index) => {
+                    if traced {
+                        let _ = self.trace(bench, opt, index);
                     }
                     let _ = self.run(bench, opt, index);
-                });
-                if index == 0 {
-                    done.push(ran);
                 }
             }
-            ready.push(done);
-        }
+        });
         for (members, opt) in &studies {
-            let deps: Vec<bpfree_par::NodeId> =
-                members.iter().flat_map(|&i| ready[i].clone()).collect();
             let roster: Vec<&Benchmark> = members.iter().map(|&i| &pairs[i].0).collect();
-            let opt = *opt;
-            plan.add(&deps, move || {
-                let _ = self.ordering_study(&roster, opt);
-            });
+            let _ = self.ordering_study(&roster, *opt);
         }
-        plan.run();
     }
 
     /// One interpreter pass under the configured [`InterpTier`] —
@@ -741,11 +736,11 @@ impl Engine {
         }
     }
 
-    /// Runs inside the `ordering_studies` memo slot, so every step is
-    /// strictly serial ([`OrderingStudy::new_serial`], no nested
-    /// scopes): a wait on the pool here could run a queued task that
-    /// needs this same slot, which [`Memo`] turns into a panic. After
-    /// [`Engine::warm`], the condense below is all memo hits.
+    /// Runs inside the `ordering_studies` memo slot. The matrix build
+    /// ([`OrderingStudy::new_serial`]) is a few milliseconds of serial
+    /// work, and after [`Engine::warm`] the condense below is all memo
+    /// hits; a cold caller just computes the members' runs here, one at
+    /// a time.
     fn build_ordering(&self, benches: &[&Benchmark], opt: Options) -> Arc<OrderingStudy> {
         let fp = opt.fingerprint();
         let live: Vec<BenchOrderData> = benches
@@ -1518,5 +1513,46 @@ mod tests {
         let memo: Memo<&'static str, u32> = Memo::new();
         assert_eq!(memo.get_or_init("a", || memo.get_or_init("b", || 2) + 1), 3);
         assert_eq!(memo.get_or_init("a", || unreachable!()), 3);
+    }
+
+    /// Sixteen readers in a parallel map query one slot whose init itself
+    /// runs a parallel map — an ordering study wanted by several
+    /// experiments at once, say. The init waits until a second reader
+    /// has reached the slot (when the map has a second thread), so that
+    /// reader blocks on the slot while the init waits for its own
+    /// threads. Every reader must get the one value and the init must
+    /// run once, at any job count.
+    #[test]
+    fn parallel_readers_share_a_slot_whose_init_runs_parallel_work() {
+        for jobs in [2, 8] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let memo: Memo<&'static str, u64> = Memo::new();
+                let inits = AtomicU64::new(0);
+                let arrived = AtomicU64::new(0);
+                let readers: Vec<usize> = (0..16).collect();
+                let concurrent = bpfree_par::clamp_workers(jobs) > 1;
+                let values = bpfree_par::par_map_jobs(jobs, &readers, |_| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    memo.get_or_init("study", || {
+                        inits.fetch_add(1, Ordering::SeqCst);
+                        while concurrent && arrived.load(Ordering::SeqCst) < 2 {
+                            std::thread::yield_now();
+                        }
+                        let parts: Vec<u64> = (1..=32).collect();
+                        bpfree_par::par_map_jobs(jobs, &parts, |&x| x * x)
+                            .iter()
+                            .sum()
+                    })
+                });
+                tx.send((values, inits.load(Ordering::SeqCst))).unwrap();
+            });
+            let (values, inits) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("jobs {jobs}: the readers hung"));
+            assert_eq!(values, vec![11_440; 16], "jobs {jobs}");
+            assert_eq!(inits, 1, "jobs {jobs}: the init ran once");
+            runner.join().expect("no reader panicked");
+        }
     }
 }

@@ -32,6 +32,8 @@
 //! assert_eq!(program.funcs().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod dense;
 mod display;

@@ -84,6 +84,8 @@
 //! # Ok::<(), bpfree_lang::CompileError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod error;
 mod inline;

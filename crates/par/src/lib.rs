@@ -2,19 +2,21 @@
 //!
 //! The paper's sweeps are embarrassingly parallel: 5040 orderings × N
 //! benchmarks, C(22,11) = 705,432 subset trials, 23 independent
-//! compile+simulate pipelines. This crate provides the primitives those
-//! loops need — an **ordered** parallel map, a splittable parallel
-//! fold, and an explicit task-graph [`Plan`] — all executing on one
-//! process-wide work-stealing [`Pool`] (the build environment has no
-//! crates.io access, so `rayon` is not an option). Workers are spawned
-//! once and parked between bursts; nested parallel calls compose on the
-//! same fixed worker set instead of multiplying threads.
+//! compile+simulate pipelines. They need two primitives: an **ordered**
+//! parallel map ([`par_map_jobs`]) and an in-order range fold
+//! ([`par_fold_chunks`]). Each call runs on its own
+//! [`std::thread::scope`] (the build environment has no crates.io
+//! access, so `rayon` is not an option): the calling thread works, a few
+//! scoped threads work beside it, and all of them are joined before the
+//! call returns. A thread that waits only ever waits for its own
+//! scope's threads, never runs someone else's task, so a caller holding
+//! a lock cannot be handed work that needs the same lock.
 //!
 //! # Determinism
 //!
 //! Results are **bit-identical to the serial loop at any thread count**:
 //! [`par_map_jobs`] writes each output into its input's slot (order
-//! preserved), and [`par_fold_chunks`] gives every worker its own
+//! preserved), and [`par_fold_chunks`] gives every range its own
 //! accumulator over a contiguous index range, merging them in range
 //! order at the end. Nothing here depends on scheduling.
 //!
@@ -25,17 +27,14 @@
 //! environment variable → [`available_parallelism`]. The requested
 //! count drives the *arithmetic* (how work splits); [`clamp_workers`]
 //! caps the *thread* side at what the machine can actually run, so
-//! `--jobs 64` on a 4-core box computes the 64-way split on 4 workers.
+//! `--jobs 64` on a 4-core box computes the 64-way split on 4 threads.
 
-mod plan;
-mod pool;
+#![forbid(unsafe_code)]
+
 pub mod timings;
 
-pub use plan::{NodeId, Plan};
-pub use pool::{current_worker, Pool, Scope};
-
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// `0` means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -76,17 +75,24 @@ pub fn available_parallelism() -> usize {
 /// Splitting arithmetic (segment ranges, fold chunks) must keep
 /// following the requested count — that is what keeps results a pure
 /// function of `--jobs` — while anything that occupies an OS thread
-/// (pool sizing, concurrent task width) goes through here. Centralized
-/// so the cap cannot drift between the pool and the replay tier again.
+/// goes through here.
 pub fn clamp_workers(n_jobs: usize) -> usize {
     n_jobs.max(1).min(available_parallelism())
 }
 
-/// Maps `f` over `items` on `n_jobs` workers, preserving input order
-/// in the output; a plain serial map for one worker or one item. Tasks
-/// run on the global [`Pool`] (the calling thread helps), with the
-/// concurrent task width clamped by [`clamp_workers`]; outputs land in
-/// input order whatever the schedule.
+/// Maps `f` over `items` on up to `n_jobs` threads, preserving input
+/// order in the output; a plain serial map for one thread or one item.
+///
+/// The calling thread and `clamp_workers(n_jobs) - 1` scoped threads
+/// claim indices from a shared atomic cursor, so a slow item never
+/// holds up the rest of a fixed share. Outputs land in input order
+/// whatever the schedule.
+///
+/// # Panics
+///
+/// If `f` panics on an item, the other threads finish every item still
+/// unclaimed, and then the first panic's own payload is re-raised on
+/// the caller.
 pub fn par_map_jobs<T, R, F>(n_jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -94,42 +100,33 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    if n_jobs <= 1 || n <= 1 {
+    let threads = clamp_workers(n_jobs).min(n);
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let tasks = clamp_workers(n_jobs).min(n).max(2);
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let f = &f;
-    // Each task claims indices from a shared atomic cursor and batches
-    // its (index, value) pairs locally; the scatter below restores input
-    // order, so the result is independent of which task claimed what.
-    Pool::global().scope(|s| {
-        for _ in 0..tasks {
-            let next = &next;
-            let collected = &collected;
-            s.spawn(move |_| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(&items[i])));
-                }
-                if !local.is_empty() {
-                    collected
-                        .lock()
-                        .expect("par_map collection poisoned")
-                        .extend(local);
-                }
-            });
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return local;
+            }
+            local.push((i, f(&items[i])));
         }
+    };
+    let parts = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+        let mut parts = vec![catch_unwind(AssertUnwindSafe(claim))];
+        parts.extend(helpers.into_iter().map(|h| h.join()));
+        parts
     });
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    for (i, v) in collected.into_inner().expect("par_map collection poisoned") {
-        out[i] = Some(v);
+    for part in parts {
+        for (i, v) in part.unwrap_or_else(|payload| resume_unwind(payload)) {
+            out[i] = Some(v);
+        }
     }
     out.into_iter()
         .map(|v| v.expect("every index claimed exactly once"))
@@ -155,13 +152,14 @@ pub fn split_ranges(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
     out
 }
 
-/// Parallel fold over `[0, total)`: each worker runs `fold` on one
-/// contiguous range producing an accumulator seeded by `init`, and the
-/// accumulators are merged **in range order** with `merge`. The range
-/// split follows [`jobs`] — the requested count, not the thread count —
-/// so the exact arithmetic is a pure function of `--jobs`; the range
-/// tasks execute on the global [`Pool`]. With any associative merge
-/// (given the in-order reduction) the result equals the serial fold.
+/// Parallel fold over `[0, total)`: [`par_map_jobs`] runs `fold` on each
+/// range of `split_ranges(total, jobs())`, every range with its own
+/// accumulator seeded by `init`, and the accumulators are merged **in
+/// range order** with `merge`. The split follows [`jobs`] — the
+/// requested count, not the thread count — so the exact arithmetic is a
+/// pure function of `--jobs`. With any associative merge (given the
+/// in-order reduction) the result equals the serial fold. `None` when
+/// `total` is 0.
 pub fn par_fold_chunks<A, FInit, FFold, FMerge>(
     total: u64,
     init: FInit,
@@ -175,31 +173,9 @@ where
     FMerge: Fn(A, A) -> A,
 {
     let ranges = split_ranges(total, jobs());
-    match ranges.len() {
-        0 => None,
-        1 => Some(fold(ranges.into_iter().next().unwrap(), init())),
-        _ => {
-            let fold = &fold;
-            let init = &init;
-            let slots: Vec<Mutex<Option<A>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-            Pool::global().scope(|s| {
-                for (slot, range) in slots.iter().zip(ranges) {
-                    s.spawn(move |_| {
-                        let acc = fold(range, init());
-                        *slot.lock().expect("par_fold slot poisoned") = Some(acc);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("par_fold slot poisoned")
-                        .expect("every range folded exactly once")
-                })
-                .reduce(merge)
-        }
-    }
+    par_map_jobs(ranges.len(), &ranges, |range| fold(range.clone(), init()))
+        .into_iter()
+        .reduce(merge)
 }
 
 #[cfg(test)]

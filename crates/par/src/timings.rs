@@ -1,12 +1,11 @@
-//! Per-task timing capture — the scheduler's first observability hook.
+//! Per-task timing capture.
 //!
 //! When enabled (the `--timings` flag or `BPFREE_TIMINGS`), call sites
-//! that run meaningful units of work on the [`Pool`](crate::Pool) —
-//! engine artifact queries, experiment nodes — wrap them in [`timed`].
-//! Each completion appends an [`Entry`]: what kind of query ran, its
-//! key, its wall-clock, and which pool worker executed it (`None` for
-//! the main thread or a helping scope caller). The CLI drains the log
-//! after `exp run`/`exp all` and emits it as JSON.
+//! that run meaningful units of work — engine artifact queries,
+//! experiment renders — wrap them in [`timed`]. Each completion appends
+//! an [`Entry`]: what kind of query ran, its key and its wall-clock.
+//! The CLI drains the log after `exp run`/`exp all` and emits it as
+//! JSON.
 //!
 //! Disabled (the default), the fast path is one relaxed atomic load per
 //! call site — the key closure is never evaluated and nothing locks.
@@ -24,9 +23,6 @@ pub struct Entry {
     pub key: String,
     /// Wall-clock of the task body, in microseconds.
     pub micros: u64,
-    /// Pool worker that ran it, if any (see
-    /// [`current_worker`](crate::current_worker)).
-    pub worker: Option<usize>,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -55,7 +51,6 @@ pub fn timed<R>(kind: &'static str, key: impl FnOnce() -> String, f: impl FnOnce
         kind,
         key,
         micros: start.elapsed().as_micros() as u64,
-        worker: crate::current_worker(),
     };
     LOG.lock().expect("timings log poisoned").push(entry);
     result

@@ -70,10 +70,10 @@ pub trait SegmentedObserver: ExecObserver {
 
 impl BranchTrace {
     /// Replays this trace through `observer` split into
-    /// [`bpfree_par::jobs`] segments executed on the shared
-    /// work-stealing pool — the parallel tier. Equivalent to (and
-    /// bit-identical with) [`BranchTrace::replay`] for any conforming
-    /// [`SegmentedObserver`], at any job count.
+    /// [`bpfree_par::jobs`] segments replayed in parallel — the parallel
+    /// tier. Equivalent to (and bit-identical with)
+    /// [`BranchTrace::replay`] for any conforming [`SegmentedObserver`],
+    /// at any job count.
     pub fn replay_segmented<O: SegmentedObserver + Sync>(&self, observer: &mut O) {
         self.replay_segmented_jobs(bpfree_par::jobs(), observer);
     }
@@ -85,11 +85,11 @@ impl BranchTrace {
     ///
     /// The *segmentation* always follows `n_jobs` (so the merge
     /// structure, and hence the exact arithmetic, is a function of the
-    /// requested job count alone), but the concurrent execution width
-    /// is capped by [`bpfree_par::clamp_workers`] — the segments run as
-    /// tasks on the shared process-wide pool, and queueing more tasks
-    /// than the machine has cores only adds scheduling cost, while the
-    /// merge contract makes the result identical either way.
+    /// requested job count alone); the segments run through
+    /// [`bpfree_par::par_map_jobs`], whose thread count is capped by
+    /// [`bpfree_par::clamp_workers`]. More threads than the machine has
+    /// cores would only add scheduling cost, and the merge contract
+    /// makes the result identical either way.
     pub fn replay_segmented_jobs<O: SegmentedObserver + Sync>(
         &self,
         n_jobs: usize,
@@ -98,9 +98,8 @@ impl BranchTrace {
         observer.prepare(self);
         let n_jobs = n_jobs.max(1);
         let ranges = bpfree_par::split_ranges(self.len() as u64, n_jobs);
-        let workers = bpfree_par::clamp_workers(n_jobs);
         let shared: &O = observer;
-        let parts = bpfree_par::par_map_jobs(workers, &ranges, |range| {
+        let parts = bpfree_par::par_map_jobs(n_jobs, &ranges, |range| {
             let mut segment = shared.segment();
             segment.replay(self, range.start as usize..range.end as usize);
             segment

@@ -28,6 +28,8 @@
 //! assert!(result.instructions > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod datasets;
 mod registry;
 

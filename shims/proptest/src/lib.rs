@@ -14,6 +14,8 @@
 //! `prop_assert!`/`prop_assert_eq!`/`prop_assert_ne!`, and
 //! `#![proptest_config(...)]`.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};

@@ -9,6 +9,8 @@
 //! xoshiro256++ seeded via SplitMix64, which is the same construction
 //! upstream `SmallRng` uses on 64-bit targets.
 
+#![forbid(unsafe_code)]
+
 /// Seedable generators (subset of `rand::SeedableRng`).
 pub trait SeedableRng: Sized {
     type Seed;

@@ -60,6 +60,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bpfree_bench as bench;
 pub use bpfree_cache as cache;
 pub use bpfree_cfg as cfg;

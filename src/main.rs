@@ -30,14 +30,16 @@
 //! the repository benchmark, not from this binary:
 //! `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload W [--trace 1]`.
 
-use std::io;
-use std::path::PathBuf;
+#![forbid(unsafe_code)]
+
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use bpfree::bench::config;
-use bpfree::bench::registry::{self, Experiment};
-use bpfree::bench::sink::{CaptureSink, StdoutSink};
+use bpfree::bench::json::Json;
+use bpfree::bench::registry::{self, Experiment, Report};
 use bpfree::core::{
     evaluate, perfect_predictions, Attribution, BranchClass, BranchClassifier, CombinedPredictor,
     Direction, HeuristicKind,
@@ -155,9 +157,11 @@ fn load_program(path: &str, options: Options) -> Result<bpfree::ir::Program, Fai
 
 /// One subcommand's arguments, checked against what it takes: up to
 /// `max_positional` positionals in order, plus the flags it declares —
-/// `switches` stand alone, `valued` flags take the next argument. Any
-/// other flag, a missing value or a surplus positional is a usage error,
-/// so a typo never silently runs with the default.
+/// `switches` stand alone, `valued` flags take the next argument or the
+/// text after `=` (`--out-dir DIR`, `--out-dir=DIR`). Any other flag, a
+/// missing or empty value, an empty positional or a surplus positional
+/// is a usage error, so a typo never silently runs with the default and
+/// an empty path never means the current directory.
 struct CmdArgs {
     positional: Vec<String>,
     flags: Vec<(&'static str, Option<String>)>,
@@ -177,15 +181,22 @@ impl CmdArgs {
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+                _ => (arg.as_str(), None),
+            };
             if let Some(&name) = switches.iter().find(|&&s| s == arg) {
                 parsed.flags.push((name, None));
-            } else if let Some(&name) = valued.iter().find(|&&s| s == arg) {
-                let v = it
-                    .next()
+            } else if let Some(&name) = valued.iter().find(|&&s| s == flag) {
+                let v = inline
+                    .or_else(|| it.next().map(String::as_str))
+                    .filter(|v| !v.is_empty())
                     .ok_or_else(|| usage_err(format!("{name} needs a value")))?;
-                parsed.flags.push((name, Some(v.clone())));
+                parsed.flags.push((name, Some(v.to_string())));
             } else if arg.len() > 1 && arg.starts_with('-') {
                 return Err(usage_err(format!("unrecognized flag `{arg}`")));
+            } else if arg.is_empty() {
+                return Err(usage_err(format!("{cmd}: empty argument")));
             } else if parsed.positional.len() < max_positional {
                 parsed.positional.push(arg.clone());
             } else {
@@ -209,11 +220,16 @@ impl CmdArgs {
 
     /// The value of the last `name` flag given.
     fn value(&self, name: &str) -> Option<&str> {
+        self.values(name).pop()
+    }
+
+    /// The values of every `name` flag given, in order.
+    fn values(&self, name: &str) -> Vec<&str> {
         self.flags
             .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, v)| v.as_deref())
+            .filter(|(n, _)| *n == name)
+            .filter_map(|(_, v)| v.as_deref())
+            .collect()
     }
 
     fn number(&self, name: &str) -> Result<Option<u64>, Failure> {
@@ -484,95 +500,42 @@ fn cmd_exp(args: &[String]) -> Result<(), Failure> {
             Ok(())
         }
         Some("run") => {
-            let opts = ExpOpts::parse(&args[1..], false)?;
-            if opts.names.is_empty() {
+            let valued = &["--out-dir", "--image"];
+            let args = CmdArgs::parse("exp run", &args[1..], usize::MAX, &[], valued)?;
+            if args.positional.is_empty() {
                 return Err(usage_err(
                     "exp run needs at least one experiment name (see `bpfree exp list`)",
                 ));
             }
-            let exps: Vec<&'static dyn Experiment> = opts
-                .names
+            let exps: Vec<&'static dyn Experiment> = args
+                .positional
                 .iter()
                 .map(|n| resolve_experiment(n))
                 .collect::<Result<_, _>>()?;
-            run_exps(&exps, opts, "run")
+            run_exps(&exps, &args, "run")
         }
         Some("all") => {
-            let opts = ExpOpts::parse(&args[1..], true)?;
-            for n in &opts.skip {
+            let valued = &["--out-dir", "--image", "--skip"];
+            let args = CmdArgs::parse("exp all", &args[1..], usize::MAX, &[], valued)?;
+            if let Some(stray) = args.positional.first() {
+                return Err(usage_err(format!(
+                    "exp all takes no experiment names (got `{stray}`); use `exp run` or `--skip`"
+                )));
+            }
+            let skip = args.values("--skip");
+            for n in &skip {
                 resolve_experiment(n)?;
             }
             let exps: Vec<&'static dyn Experiment> = registry::all()
                 .iter()
                 .copied()
-                .filter(|e| !opts.skip.iter().any(|s| s == e.name()))
+                .filter(|e| !skip.contains(&e.name()))
                 .collect();
-            run_exps(&exps, opts, "all")
+            run_exps(&exps, &args, "all")
         }
         _ => Err(usage_err(
             "exp needs a subcommand: `list`, `run NAME...`, or `all`",
         )),
-    }
-}
-
-/// Arguments to `exp run` / `exp all`.
-struct ExpOpts {
-    names: Vec<String>,
-    skip: Vec<String>,
-    out_dir: Option<PathBuf>,
-    image: Option<PathBuf>,
-}
-
-impl ExpOpts {
-    fn parse(args: &[String], allow_skip: bool) -> Result<ExpOpts, Failure> {
-        let mut opts = ExpOpts {
-            names: Vec::new(),
-            skip: Vec::new(),
-            out_dir: None,
-            image: None,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--out-dir" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| usage_err("--out-dir needs a value"))?;
-                    opts.out_dir = Some(PathBuf::from(v));
-                }
-                s if s.starts_with("--out-dir=") => {
-                    opts.out_dir = Some(PathBuf::from(&s["--out-dir=".len()..]));
-                }
-                "--image" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| usage_err("--image needs a value"))?;
-                    opts.image = Some(PathBuf::from(v));
-                }
-                s if s.starts_with("--image=") => {
-                    opts.image = Some(PathBuf::from(&s["--image=".len()..]));
-                }
-                "--skip" if allow_skip => {
-                    let v = it.next().ok_or_else(|| usage_err("--skip needs a value"))?;
-                    opts.skip.push(v.clone());
-                }
-                s if s.starts_with("--skip=") && allow_skip => {
-                    opts.skip.push(s["--skip=".len()..].to_string());
-                }
-                s if s.starts_with('-') => {
-                    return Err(usage_err(format!("unrecognized flag `{s}`")));
-                }
-                _ => opts.names.push(arg.clone()),
-            }
-        }
-        if allow_skip {
-            if let Some(stray) = opts.names.first() {
-                return Err(usage_err(format!(
-                    "exp all takes no experiment names (got `{stray}`); use `exp run` or `--skip`"
-                )));
-            }
-        }
-        Ok(opts)
     }
 }
 
@@ -603,9 +566,7 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
             // from the cache image where possible), then snapshot every
             // memo into the image at PATH.
             let engine = config::engine();
-            let exps: Vec<&'static dyn Experiment> = registry::all().to_vec();
-            let mut sink = bpfree::bench::sink::DiscardSink::new();
-            registry::run_experiments(&exps, engine, &mut sink, true)
+            registry::run_experiments(registry::all(), engine, true)
                 .map_err(|e| runtime_err(e.to_string()))?;
             let (entries, bytes) = engine
                 .export_image(&path)
@@ -707,14 +668,14 @@ fn persist(engine: &bpfree::engine::Engine) {
 /// `--out-dir` with a manifest. One process, one engine: every
 /// (benchmark, dataset) is compiled and simulated at most once for the
 /// whole batch, which is the point of `exp all`.
-fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Result<(), Failure> {
+fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Result<(), Failure> {
     let rt = |e: io::Error| runtime_err(e.to_string());
     let engine = config::engine();
     // An explicit suite image pre-fills every memo the batch would
     // otherwise compute (on top of the cache image the engine mounted
     // itself); a structurally corrupt `--image` is a hard error, but
     // entries that fail live revalidation just fall back to recompute.
-    if let Some(img) = &opts.image {
+    if let Some(img) = args.value("--image").map(Path::new) {
         let report = engine
             .mount_image(img)
             .map_err(|e| runtime_err(format!("cannot mount `{}`: {e}", img.display())))?;
@@ -726,12 +687,15 @@ fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Resu
             report.bytes
         );
     }
+    let out_dir = args.value("--out-dir").map(Path::new);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(rt)?;
+    }
     let start = Instant::now();
-    match opts.out_dir {
+    let reports = registry::run_experiments(exps, engine, true).map_err(rt)?;
+    match out_dir {
         Some(dir) => {
-            let mut sink = CaptureSink::new(&dir).map_err(rt)?;
-            registry::run_experiments(exps, engine, &mut sink, true).map_err(rt)?;
-            let manifest = sink.finish().map_err(rt)?;
+            let manifest = write_capture(dir, exps, &reports).map_err(rt)?;
             eprintln!(
                 "[bpfree] captured {} experiments under {} ({})",
                 exps.len(),
@@ -740,8 +704,11 @@ fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Resu
             );
         }
         None => {
-            let mut sink = StdoutSink::new();
-            registry::run_experiments(exps, engine, &mut sink, true).map_err(rt)?;
+            let mut out = io::stdout().lock();
+            for report in &reports {
+                out.write_all(&report.bytes).map_err(rt)?;
+            }
+            out.flush().map_err(rt)?;
         }
     }
     persist(engine);
@@ -757,10 +724,42 @@ fn run_exps(exps: &[&'static dyn Experiment], opts: ExpOpts, mode: &str) -> Resu
     Ok(())
 }
 
+/// Writes each report to `<dir>/<name>.txt` (the bytes `exp` prints)
+/// and a `manifest.json` with paper references and each experiment's
+/// rendering wall-clock; returns the manifest's path.
+fn write_capture(
+    dir: &Path,
+    exps: &[&'static dyn Experiment],
+    reports: &[Report],
+) -> io::Result<PathBuf> {
+    let mut experiments = Vec::with_capacity(exps.len());
+    for (exp, report) in exps.iter().zip(reports) {
+        let file = format!("{}.txt", exp.name());
+        std::fs::write(dir.join(&file), &report.bytes)?;
+        experiments.push(
+            Json::obj()
+                .field("name", exp.name())
+                .field("paper_ref", exp.paper_ref())
+                .field("file", file)
+                .field("millis", report.millis)
+                .build(),
+        );
+    }
+    let manifest = Json::obj()
+        .field(
+            "paper",
+            "Ball & Larus, Branch Prediction for Free, PLDI 1993",
+        )
+        .field("experiments", experiments)
+        .build();
+    let path = dir.join("manifest.json");
+    std::fs::write(&path, format!("{}\n", manifest.pretty()))?;
+    Ok(path)
+}
+
 /// Drains the per-task timing log (`--timings` / `BPFREE_TIMINGS`) and
 /// writes it as JSON to stderr or the configured file.
 fn emit_timings(out: &config::TimingsOut) -> io::Result<()> {
-    use bpfree::bench::json::Json;
     let tasks: Vec<Json> = bpfree::bench::timings::drain()
         .iter()
         .map(|t| {
@@ -768,18 +767,11 @@ fn emit_timings(out: &config::TimingsOut) -> io::Result<()> {
                 .field("kind", t.kind)
                 .field("key", t.key.as_str())
                 .field("micros", t.micros)
-                .field(
-                    "worker",
-                    match t.worker {
-                        Some(w) => Json::UInt(w as u64),
-                        None => Json::Null,
-                    },
-                )
                 .build()
         })
         .collect();
     let doc = Json::obj()
-        .field("schema", "bpfree-timings/1")
+        .field("schema", "bpfree-timings/2")
         .field("tasks", tasks)
         .build();
     match out {

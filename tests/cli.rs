@@ -355,6 +355,39 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// An empty path value is a usage error before any work, never the
+/// current directory: run in an empty directory, each command exits 2
+/// with the usage text and leaves the directory as it was.
+#[test]
+fn empty_path_values_are_usage_errors() {
+    let cwd = scratch_dir("empty-paths");
+    let cases: &[&[&str]] = &[
+        &["exp", "run", "graph12", "--out-dir="],
+        &["exp", "run", "graph12", "--out-dir", ""],
+        &["exp", "all", "--out-dir="],
+        &["exp", "run", "graph12", "--image="],
+        &["exp", "run", "graph12", "--image", ""],
+        &["exp", "run", "table7", "--cache-dir="],
+        &["exp", "run", "table7", "--cache-dir", ""],
+        &["image", "build", ""],
+        &["image", "verify", ""],
+        &["image", "ls", ""],
+    ];
+    for args in cases {
+        let out = bpfree().args(*args).current_dir(&cwd).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let left: Vec<_> = std::fs::read_dir(&cwd)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
 /// A valid suite image cut one byte short.
 fn truncated_image() -> Vec<u8> {
     use bpfree::cache::image::{Artifact, ImageBuilder};
