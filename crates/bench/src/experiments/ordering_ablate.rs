@@ -2,8 +2,14 @@
 //! pruning vs. Monte-Carlo sampling over all 5040 orders, plus the
 //! paper's cheap pairwise-order construction.
 //!
-//! Checks that (a) pruning does not change the exact result, (b) sampling
-//! converges to the same winners, and (c) how the pairwise order ranks.
+//! Shows (a) what each sweep costs, (b) how their winners' trial shares
+//! compare, and (c) how the pairwise order ranks. Both sweeps find the
+//! same minimum rate for every subset, since pruning never drops a
+//! minimum, but almost every subset's minimum is shared by several
+//! orders. The exact sweep credits the lowest order index on the Pareto
+//! front, the sampled sweep the lowest index of all 5040, so their
+//! trial shares differ on ties by design: the gap is the tie-break, not
+//! sampling noise, whatever the agreement line says.
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -93,7 +99,10 @@ impl Experiment for OrderingAblate {
             )?;
         }
 
-        // Agreement check: the exact top winner should lead the sample too.
+        // Agreement check: does the exact top winner lead the sample too?
+        // Usually not, because the sweeps break ties differently (see the
+        // module docs). The printed reason predates that finding and stays
+        // as it is, because `exp all` stdout is pinned byte for byte.
         let agree = exact
             .first()
             .map(|e| sampled.first().map(|s| s.order == e.order).unwrap_or(false))

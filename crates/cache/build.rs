@@ -1,13 +1,17 @@
 //! Exports `BPFREE_CODE_FINGERPRINT`: a 64-bit FNV-1a hash of the
 //! relative path and bytes of every file under `src/` of `bpfree-engine`
-//! and each package it depends on. Every cache key includes it, so an
-//! edit to any of that code turns every cached entry into a miss.
+//! and each package it depends on, and of the suite's Cmm programs. It
+//! covers everything a cached artifact is built from: the code, the
+//! sources (`include_str!`d into `bpfree-suite`) and the datasets
+//! (generated by `bpfree-suite` and the rand shim). Every suite image is
+//! stamped with it, so after an edit to any of those files no image
+//! written before the edit mounts.
 
 use std::path::{Path, PathBuf};
 
-/// The `src/` trees of `bpfree-engine`'s dependency closure, relative
-/// to the workspace root.
-const TREES: [&str; 10] = [
+/// The `src/` trees of `bpfree-engine`'s dependency closure and the
+/// suite's programs, relative to the workspace root.
+const TREES: [&str; 11] = [
     "crates/ir/src",
     "crates/cfg/src",
     "crates/lang/src",
@@ -15,6 +19,7 @@ const TREES: [&str; 10] = [
     "crates/par/src",
     "crates/core/src",
     "crates/suite/src",
+    "crates/suite/programs",
     "crates/cache/src",
     "crates/engine/src",
     "shims/rand/src",

@@ -14,30 +14,32 @@
 //! the `traces_are_served_zero_copy` test asserts via
 //! [`bpfree_sim::trace_seq_allocs`].
 //!
-//! # File layout (cache format v7)
+//! # File layout (cache format v8)
 //!
 //! All multi-byte fields are little-endian. The file is:
 //!
 //! ```text
-//! [ 64-byte header | section payloads… | string table | directory ]
+//! [ 72-byte header | section payloads… | string table | directory ]
 //! ```
 //!
-//! **Header** (64 bytes):
+//! **Header** (72 bytes):
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"BPFIMG07"` |
+//! | 0      | 8    | magic `b"BPFIMG08"` |
 //! | 8      | 4    | endian marker `0x0A0B0C0D` (reads scrambled on a big-endian writer) |
-//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 7) |
+//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 8) |
 //! | 16     | 8    | entry count |
 //! | 24     | 8    | directory offset (absolute, 8-aligned, dir is last) |
 //! | 32     | 8    | string-table offset (absolute) |
 //! | 40     | 8    | total file length |
-//! | 48     | 8    | FNV-1a 64 checksum of header bytes 0..48 |
-//! | 56     | 8    | FNV-1a 64 checksum of the string table + directory (bytes `strings_off..EOF`) |
+//! | 48     | 8    | build fingerprint of the writing build ([`crate::BUILD_FINGERPRINT`]) |
+//! | 56     | 8    | FNV-1a 64 checksum of header bytes 0..56 |
+//! | 64     | 8    | FNV-1a 64 checksum of the string table + directory (bytes `strings_off..EOF`) |
 //!
 //! **Section payloads** each start 8-aligned (zero padding between
-//! them). **Directory entries** are fixed 64-byte records:
+//! them). **Directory entries** are fixed 48-byte records, one per
+//! (kind, benchmark, options fingerprint, dataset):
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
@@ -45,20 +47,18 @@
 //! | 4      | 4+4  | benchmark name: offset + length into the string table |
 //! | 12     | 4+4  | options fingerprint: offset + length into the string table |
 //! | 20     | 4    | dataset index (`u32::MAX` = not dataset-scoped) |
-//! | 24     | 8    | content key (the raw 64-bit `*_key_hash`) |
-//! | 32     | 8    | payload offset (absolute) |
-//! | 40     | 8    | payload length |
-//! | 48     | 8    | FNV-1a 64 checksum of the payload bytes |
-//! | 56     | 8    | reserved, zero |
+//! | 24     | 8    | payload offset (absolute) |
+//! | 32     | 8    | payload length |
+//! | 40     | 8    | FNV-1a 64 checksum of the payload bytes |
 //!
 //! # Writing: deterministic and streamed
 //!
 //! [`ImageBuilder::write_to`] sorts the directory by (kind, name,
-//! fingerprint, dataset, key) and dedups strings in first-use order, so
+//! fingerprint, dataset) and dedups strings in first-use order, so
 //! two builds from the same *borrowed* [`Artifact`]s are
 //! **byte-identical** regardless of insertion order. It then encodes,
 //! checksums and writes one payload at a time, then the string table
-//! and directory, and patches the 64-byte header (offsets, checksums)
+//! and directory, and patches the 72-byte header (offsets, checksums)
 //! in last: peak memory is the largest payload, not the image.
 //!
 //! # Integrity
@@ -68,7 +68,9 @@
 //! string table slices' UTF-8, and **every section checksum** before
 //! returning. Any failure — truncation, bit flip, wrong version —
 //! yields `Err`: the engine treats the cache as empty and recomputes,
-//! so a corrupt image can cost time, never correctness. Payload
+//! so a corrupt image can cost time, never correctness. An image that
+//! opens but carries another build's fingerprint
+//! ([`SuiteImage::fingerprint`]) is the engine's to refuse. Payload
 //! *content* is additionally validated structurally by each typed
 //! accessor, which returns `None` (not a panic) on any malformed
 //! payload that happens to checksum correctly.
@@ -80,25 +82,24 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bpfree_core::ordering::{BenchOrderData, Group, GroupKey, OrderingStudy};
 use bpfree_core::{BranchClass, BranchClassifier, Direction, HeuristicTable};
 use bpfree_ir::{BlockId, BranchRef, FuncId, Program};
 use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, EdgeProfile, RunResult, TraceEvent};
 
 use crate::{
-    Fnv, OrderingArtifacts, PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts,
+    PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts, BUILD_FINGERPRINT,
     FORMAT_VERSION,
 };
 
 /// The image magic: format family + the two-digit format version.
-pub const MAGIC: [u8; 8] = *b"BPFIMG07";
+pub const MAGIC: [u8; 8] = *b"BPFIMG08";
 
 /// Little-endian byte-order marker; reads scrambled if the file was
 /// written with the opposite endianness.
 const ENDIAN_MARK: u32 = 0x0A0B_0C0D;
 
-const HEADER_LEN: usize = 64;
-const DIR_ENTRY_LEN: usize = 64;
+const HEADER_LEN: usize = 72;
+const DIR_ENTRY_LEN: usize = 48;
 
 /// What a directory entry stores — one tag per artifact kind the
 /// engine memoizes.
@@ -113,18 +114,15 @@ pub enum SectionKind {
     /// One dataset's replayable trace ([`TraceArtifacts`]), sequence
     /// served zero-copy.
     Trace,
-    /// A roster-level ordering study ([`OrderingArtifacts`]).
-    Ordering,
 }
 
 impl SectionKind {
     /// All kinds, in tag order.
-    pub const ALL: [SectionKind; 5] = [
+    pub const ALL: [SectionKind; 4] = [
         SectionKind::Compile,
         SectionKind::Prediction,
         SectionKind::Run,
         SectionKind::Trace,
-        SectionKind::Ordering,
     ];
 
     fn tag(self) -> u32 {
@@ -142,7 +140,6 @@ impl SectionKind {
             SectionKind::Prediction => "prediction",
             SectionKind::Run => "run",
             SectionKind::Trace => "trace",
-            SectionKind::Ordering => "ordering",
         }
     }
 }
@@ -152,23 +149,19 @@ impl SectionKind {
 pub struct ImageEntry {
     /// The artifact kind.
     pub kind: SectionKind,
-    /// The benchmark name (empty for roster-level ordering entries).
+    /// The benchmark name.
     pub name: String,
     /// The compile-options fingerprint the artifact was built under.
     pub opt: String,
     /// The dataset index within the benchmark's dataset list, for
     /// dataset-scoped kinds (run, trace).
     pub dataset: Option<u32>,
-    /// The raw 64-bit content hash (`*_key_hash`) the artifact was
-    /// keyed by at build time. Mount revalidates this against a hash
-    /// recomputed from *live* inputs before trusting the payload.
-    pub key: u64,
     payload_off: usize,
     payload_len: usize,
 }
 
 impl ImageEntry {
-    /// Payload size in bytes (excluding the 64-byte directory record).
+    /// Payload size in bytes (excluding the 48-byte directory record).
     pub fn payload_bytes(&self) -> usize {
         self.payload_len
     }
@@ -230,10 +223,11 @@ pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// 64-bit FNV-1a.
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.0
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn align8(n: usize) -> usize {
@@ -474,102 +468,6 @@ pub(crate) fn decode_trace_payload(
     })
 }
 
-pub(crate) fn encode_ordering_payload(benches: &[BenchOrderData], rates: &[Vec<f64>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, benches.len() as u32);
-    for b in benches {
-        put_u32(&mut out, b.name.len() as u32);
-        out.extend_from_slice(b.name.as_bytes());
-        put_u64(&mut out, b.total_dynamic());
-        put_u32(&mut out, b.groups().len() as u32);
-        for g in b.groups() {
-            out.push(g.key.applies);
-            out.push(g.key.predicts_taken);
-            out.push(u8::from(g.key.default_taken));
-            put_u64(&mut out, g.taken);
-            put_u64(&mut out, g.fallthru);
-        }
-    }
-    put_u32(&mut out, rates.len() as u32);
-    put_u32(&mut out, benches.len() as u32);
-    for row in rates {
-        for r in row {
-            put_u64(&mut out, r.to_bits());
-        }
-    }
-    out
-}
-
-pub(crate) fn decode_ordering_payload(bytes: &[u8]) -> Option<OrderingArtifacts> {
-    let mut c = Cur::new(bytes);
-    let n_benches = c.u32()? as usize;
-    if n_benches > c.remaining() {
-        return None;
-    }
-    let mut benches = Vec::with_capacity(n_benches);
-    for _ in 0..n_benches {
-        let name_len = c.u32()? as usize;
-        let name = std::str::from_utf8(c.take(name_len)?).ok()?;
-        if name.is_empty() {
-            return None;
-        }
-        let total_dynamic = c.u64()?;
-        let n_groups = c.u32()? as usize;
-        if n_groups > c.remaining() / 19 {
-            return None;
-        }
-        let mut groups = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let applies = c.u8()?;
-            let predicts_taken = c.u8()?;
-            let default_taken = match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let taken = c.u64()?;
-            let fallthru = c.u64()?;
-            // Seven heuristics: masks live in the low 7 bits, and a
-            // prediction bit without its applies bit is structurally
-            // impossible — reject outright.
-            if applies > 0x7f || predicts_taken & !applies != 0 {
-                return None;
-            }
-            groups.push(Group {
-                key: GroupKey {
-                    applies,
-                    predicts_taken,
-                    default_taken,
-                },
-                taken,
-                fallthru,
-            });
-        }
-        benches.push(BenchOrderData::from_parts(
-            name.to_string(),
-            groups,
-            total_dynamic,
-        ));
-    }
-    let n_rows = c.u32()? as usize;
-    let n_cols = c.u32()? as usize;
-    if n_cols != benches.len() || n_rows.checked_mul(n_cols)?.checked_mul(8)? != c.remaining() {
-        return None;
-    }
-    let mut rates = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            row.push(f64::from_bits(c.u64()?));
-        }
-        rates.push(row);
-    }
-    if !c.done() {
-        return None;
-    }
-    Some(OrderingArtifacts { benches, rates })
-}
-
 // ---- builder ----
 
 /// One artifact to pack, borrowed from wherever it lives (the engine's
@@ -585,8 +483,6 @@ pub enum Artifact<'a> {
     Run(&'a EdgeProfile, RunResult),
     /// One dataset's replayable trace and the run result it rides with.
     Trace(&'a BranchTrace, RunResult),
-    /// A roster's condensed order data and 5040 × n miss-rate matrix.
-    Ordering(&'a OrderingStudy),
 }
 
 impl Artifact<'_> {
@@ -596,7 +492,6 @@ impl Artifact<'_> {
             Artifact::Prediction(..) => SectionKind::Prediction,
             Artifact::Run(..) => SectionKind::Run,
             Artifact::Trace(..) => SectionKind::Trace,
-            Artifact::Ordering(_) => SectionKind::Ordering,
         }
     }
 
@@ -608,7 +503,6 @@ impl Artifact<'_> {
             ),
             Artifact::Run(profile, run) => encode_run_payload(profile, run),
             Artifact::Trace(trace, run) => encode_trace_payload(trace, run),
-            Artifact::Ordering(study) => encode_ordering_payload(study.benches(), study.rates()),
         }
     }
 }
@@ -617,7 +511,6 @@ struct PendingEntry<'a> {
     name: &'a str,
     opt: &'a str,
     dataset: u32,
-    key: u64,
     artifact: Artifact<'a>,
 }
 
@@ -625,35 +518,47 @@ struct PendingEntry<'a> {
 /// image. Insertion order never matters: [`ImageBuilder::write_to`]
 /// sorts the directory first, so two builds over the same artifacts are
 /// byte-identical.
-#[derive(Default)]
 pub struct ImageBuilder<'a> {
+    fingerprint: u64,
     entries: Vec<PendingEntry<'a>>,
 }
 
+impl Default for ImageBuilder<'_> {
+    fn default() -> Self {
+        ImageBuilder::stamped(BUILD_FINGERPRINT)
+    }
+}
+
 impl<'a> ImageBuilder<'a> {
-    /// An empty builder.
+    /// An empty builder whose image is stamped with this build's
+    /// fingerprint.
     pub fn new() -> ImageBuilder<'a> {
         ImageBuilder::default()
     }
 
-    /// Adds one artifact under its directory metadata: the benchmark
-    /// name (empty for a roster-level ordering entry), the
-    /// compile-options fingerprint, the dataset index for run and trace
-    /// entries, and the content key (`*_key_hash`) that mount
-    /// revalidates against the live suite.
+    /// An empty builder whose image is stamped with `fingerprint`, as
+    /// another build would write it.
+    pub fn stamped(fingerprint: u64) -> ImageBuilder<'a> {
+        ImageBuilder {
+            fingerprint,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Adds one artifact under its directory address: the benchmark
+    /// name, the compile-options fingerprint, and the dataset index for
+    /// run and trace entries.
     pub fn add(
         &mut self,
         name: &'a str,
         opt: &'a str,
         dataset: Option<u32>,
-        key: u64,
         artifact: Artifact<'a>,
     ) {
         self.entries.push(PendingEntry {
             name,
             opt,
             dataset: dataset.unwrap_or(u32::MAX),
-            key,
             artifact,
         });
     }
@@ -665,7 +570,7 @@ impl<'a> ImageBuilder<'a> {
     /// count and the image size in bytes.
     pub fn write_to<W: Write + Seek>(mut self, out: &mut W) -> io::Result<(usize, u64)> {
         self.entries
-            .sort_by_key(|e| (e.artifact.kind(), e.name, e.opt, e.dataset, e.key));
+            .sort_by_key(|e| (e.artifact.kind(), e.name, e.opt, e.dataset));
 
         // String table, deduped in first-use order over sorted entries.
         let mut strings = Vec::<u8>::new();
@@ -709,11 +614,9 @@ impl<'a> ImageBuilder<'a> {
             put_u32(&mut tail, opt_at.0);
             put_u32(&mut tail, opt_at.1);
             put_u32(&mut tail, e.dataset);
-            put_u64(&mut tail, e.key);
             put_u64(&mut tail, payload_off as u64);
             put_u64(&mut tail, payload_len as u64);
             put_u64(&mut tail, payload_sum);
-            put_u64(&mut tail, 0);
         }
         out.write_all(&tail)?;
         let total_len = strings_off + tail.len();
@@ -727,6 +630,7 @@ impl<'a> ImageBuilder<'a> {
         put_u64(&mut header, dir_off as u64);
         put_u64(&mut header, strings_off as u64);
         put_u64(&mut header, total_len as u64);
+        put_u64(&mut header, self.fingerprint);
         let head_sum = fnv(&header);
         put_u64(&mut header, head_sum);
         put_u64(&mut header, fnv(&tail));
@@ -781,6 +685,7 @@ fn pad8(out: &mut impl Write, pos: usize) -> io::Result<usize> {
 /// borrow from the one shared buffer; traces are served zero-copy.
 pub struct SuiteImage {
     buf: Arc<Vec<u8>>,
+    fingerprint: u64,
     entries: Vec<ImageEntry>,
 }
 
@@ -798,7 +703,7 @@ impl SuiteImage {
         let b = &buf;
         let err = |m: &str| Err(format!("suite image: {m}"));
         if b.len() < HEADER_LEN {
-            return err("shorter than the 64-byte header");
+            return err("shorter than the 72-byte header");
         }
         if b[..8] != MAGIC {
             return err("bad magic");
@@ -810,6 +715,7 @@ impl SuiteImage {
         let dir_off = c.u64().unwrap();
         let strings_off = c.u64().unwrap();
         let total_len = c.u64().unwrap();
+        let fingerprint = c.u64().unwrap();
         let head_sum = c.u64().unwrap();
         let tail_sum = c.u64().unwrap();
         if endian != ENDIAN_MARK {
@@ -818,7 +724,7 @@ impl SuiteImage {
         if version != FORMAT_VERSION {
             return err("format version mismatch");
         }
-        if head_sum != fnv(&b[..48]) {
+        if head_sum != fnv(&b[..56]) {
             return err("header checksum mismatch");
         }
         if total_len != b.len() as u64 {
@@ -853,15 +759,11 @@ impl SuiteImage {
             let opt_off = c.u32().unwrap() as usize;
             let opt_len = c.u32().unwrap() as usize;
             let dataset = c.u32().unwrap();
-            let key = c.u64().unwrap();
             let payload_off = usize::try_from(c.u64().unwrap())
                 .map_err(|_| format!("suite image: entry {i}: huge payload offset"))?;
             let payload_len = usize::try_from(c.u64().unwrap())
                 .map_err(|_| format!("suite image: entry {i}: huge payload length"))?;
             let payload_sum = c.u64().unwrap();
-            if c.u64().unwrap() != 0 {
-                return Err(format!("suite image: entry {i}: nonzero reserved bytes"));
-            }
             let string_at = |off: usize, len: usize| -> Result<String, String> {
                 let s = off
                     .checked_add(len)
@@ -889,15 +791,21 @@ impl SuiteImage {
                 name,
                 opt,
                 dataset: (dataset != u32::MAX).then_some(dataset),
-                key,
                 payload_off,
                 payload_len,
             });
         }
         Ok(SuiteImage {
             buf: Arc::new(buf),
+            fingerprint,
             entries,
         })
+    }
+
+    /// The build fingerprint the image is stamped with: the writing
+    /// build's [`crate::BUILD_FINGERPRINT`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The decoded directory, in on-disk (sorted) order.
@@ -963,14 +871,6 @@ impl SuiteImage {
         }
         decode_trace_payload(&self.buf, e.payload_off, e.payload_len)
     }
-
-    /// Decodes an ordering entry.
-    pub fn ordering(&self, e: &ImageEntry) -> Option<OrderingArtifacts> {
-        if e.kind != SectionKind::Ordering {
-            return None;
-        }
-        decode_ordering_payload(self.payload(e))
-    }
 }
 
 #[cfg(test)]
@@ -980,12 +880,11 @@ mod tests {
 
     fn sample_image(s: &Sample) -> Vec<u8> {
         let mut b = ImageBuilder::new();
-        b.add("sample", "O", Some(0), 5, Artifact::Trace(&s.trace, s.run));
-        b.add("sample", "O", Some(0), 4, Artifact::Run(&s.profile, s.run));
-        b.add("", "O", None, 6, Artifact::Ordering(&s.study));
+        b.add("sample", "O", Some(0), Artifact::Trace(&s.trace, s.run));
+        b.add("sample", "O", Some(0), Artifact::Run(&s.profile, s.run));
         let prediction = Artifact::Prediction(&s.classifier, &s.table);
-        b.add("sample", "O", None, 3, prediction);
-        b.add("sample", "O", None, 1, Artifact::Compile(&s.program));
+        b.add("sample", "O", None, prediction);
+        b.add("sample", "O", None, Artifact::Compile(&s.program));
         b.finish()
     }
 
@@ -993,13 +892,17 @@ mod tests {
     fn roundtrip_every_kind() {
         let s = sample();
         let img = SuiteImage::from_bytes(sample_image(&s)).expect("opens");
-        assert_eq!(img.entries().len(), 5);
+        assert_eq!(
+            img.fingerprint(),
+            BUILD_FINGERPRINT,
+            "stamped by this build"
+        );
+        assert_eq!(img.entries().len(), 4);
         // Directory is sorted by kind regardless of insertion order.
         let kinds: Vec<_> = img.entries().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, SectionKind::ALL.to_vec());
 
         let e = img.find(SectionKind::Compile, "sample", "O", None).unwrap();
-        assert_eq!(e.key, 1);
         assert_eq!(img.compile(e).unwrap(), s.program);
 
         let e = img
@@ -1020,9 +923,13 @@ mod tests {
         assert_eq!(got.trace, s.trace);
         assert_eq!(got.run, s.run);
 
-        let e = img.find(SectionKind::Ordering, "", "O", None).unwrap();
-        let got = img.ordering(e).unwrap();
-        assert_eq!(got.rates.len(), 5040);
+        // Another build's stamp survives the round trip, and only the
+        // stamp differs.
+        let mut b = ImageBuilder::stamped(!BUILD_FINGERPRINT);
+        b.add("sample", "O", None, Artifact::Compile(&s.program));
+        let other = SuiteImage::from_bytes(b.finish()).expect("opens");
+        assert_eq!(other.fingerprint(), !BUILD_FINGERPRINT);
+        assert_eq!(other.entries().len(), 1);
     }
 
     #[test]
@@ -1056,13 +963,13 @@ mod tests {
             Artifact::Run(&s.profile, s.run),
         );
         let mut b1 = ImageBuilder::new();
-        b1.add("a", "O", None, 1, compile);
-        b1.add("a", "O", Some(0), 2, run);
-        b1.add("a", "O", Some(1), 3, run);
+        b1.add("a", "O", None, compile);
+        b1.add("a", "O", Some(0), run);
+        b1.add("a", "O", Some(1), run);
         let mut b2 = ImageBuilder::new();
-        b2.add("a", "O", Some(1), 3, run);
-        b2.add("a", "O", None, 1, compile);
-        b2.add("a", "O", Some(0), 2, run);
+        b2.add("a", "O", Some(1), run);
+        b2.add("a", "O", None, compile);
+        b2.add("a", "O", Some(0), run);
         assert_eq!(b1.finish(), b2.finish(), "byte-identical double build");
     }
 
@@ -1071,7 +978,7 @@ mod tests {
         let bytes = sample_image(&sample());
         assert!(SuiteImage::from_bytes(Vec::new()).is_err(), "empty");
         assert!(
-            SuiteImage::from_bytes(bytes[..63].to_vec()).is_err(),
+            SuiteImage::from_bytes(bytes[..71].to_vec()).is_err(),
             "sub-header"
         );
         let mut bad = bytes.clone();
@@ -1125,7 +1032,6 @@ mod tests {
                         SectionKind::Prediction => assert!(img.prediction(e).is_some()),
                         SectionKind::Run => assert!(img.run(e).is_some()),
                         SectionKind::Trace => assert!(img.trace(e).is_some()),
-                        SectionKind::Ordering => assert!(img.ordering(e).is_some()),
                     }
                 }
             }
@@ -1138,7 +1044,7 @@ mod tests {
         let run = img.find(SectionKind::Run, "sample", "O", Some(0)).unwrap();
         assert!(img.trace(run).is_none());
         assert!(img.compile(run).is_none());
-        assert!(img.ordering(run).is_none());
+        assert!(img.prediction(run).is_none());
         let trace = img
             .find(SectionKind::Trace, "sample", "O", Some(0))
             .unwrap();
@@ -1155,8 +1061,8 @@ mod tests {
         let path = dir.join("suite.img");
         let build = || {
             let mut b = ImageBuilder::new();
-            b.add("sample", "O", None, 1, Artifact::Compile(&s.program));
-            b.add("sample", "O", Some(0), 5, Artifact::Trace(&s.trace, s.run));
+            b.add("sample", "O", None, Artifact::Compile(&s.program));
+            b.add("sample", "O", Some(0), Artifact::Trace(&s.trace, s.run));
             b
         };
         let (n, bytes) = build().write(&path).expect("writes");

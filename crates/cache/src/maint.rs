@@ -1,9 +1,9 @@
 //! Cache-directory inventory: the scan behind `bpfree cache stat`.
 //!
 //! The cache is one file, [`crate::image_path`], rewritten whole from
-//! revalidated artifacts whenever a run computes something, so there is
-//! nothing to garbage-collect: the inventory is simply the image's
-//! directory.
+//! the running build's artifacts whenever a run computes something, so
+//! there is nothing to garbage-collect: the inventory is simply the
+//! image's directory.
 
 use std::path::Path;
 
@@ -75,9 +75,9 @@ mod tests {
         let dir = temp_dir("stat");
         let s = crate::tests::sample();
         let mut b = ImageBuilder::new();
-        b.add("a", "O", None, 1, Artifact::Compile(&s.program));
-        b.add("b", "O", None, 2, Artifact::Compile(&s.program));
-        b.add("a", "O", Some(0), 3, Artifact::Run(&s.profile, s.run));
+        b.add("a", "O", None, Artifact::Compile(&s.program));
+        b.add("b", "O", None, Artifact::Compile(&s.program));
+        b.add("a", "O", Some(0), Artifact::Run(&s.profile, s.run));
         let (_, bytes) = b.write(&crate::image_path(&dir)).unwrap();
         // Files other than the image are not the cache's business.
         std::fs::write(dir.join("notes.md"), "not a cache entry").unwrap();
@@ -92,7 +92,7 @@ mod tests {
         assert!(rows.iter().all(|&(_, _, b)| b > 0));
 
         // A damaged image is reported, not silently counted as empty.
-        std::fs::write(crate::image_path(&dir), b"BPFIMG07 but truncated").unwrap();
+        std::fs::write(crate::image_path(&dir), b"BPFIMG08 but truncated").unwrap();
         let err = scan(&dir).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);

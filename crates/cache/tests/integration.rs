@@ -53,20 +53,15 @@ fn opt() -> &'static str {
 }
 
 /// Adds `f`'s compile, prediction and dataset-0 run entries (and its
-/// trace with `traced`) to `b`, under the keys the engine uses.
+/// trace with `traced`) to `b`.
 fn add_fresh<'a>(b: &mut ImageBuilder<'a>, f: &'a Fresh, traced: bool) {
-    let (name, src) = (f.bench.name, f.bench.source);
-    let ds = &f.bench.datasets()[0];
-    let key = bpfree_cache::compile_key_hash(name, src, opt());
-    b.add(name, opt(), None, key, Artifact::Compile(&f.program));
-    let key = bpfree_cache::prediction_key_hash(name, src, opt());
+    let name = f.bench.name;
+    b.add(name, opt(), None, Artifact::Compile(&f.program));
     let prediction = Artifact::Prediction(&f.classifier, &f.table);
-    b.add(name, opt(), None, key, prediction);
-    let key = bpfree_cache::run_key_hash(name, src, opt(), ds);
-    b.add(name, opt(), Some(0), key, Artifact::Run(&f.profile, f.run));
+    b.add(name, opt(), None, prediction);
+    b.add(name, opt(), Some(0), Artifact::Run(&f.profile, f.run));
     if traced {
-        let key = bpfree_cache::trace_key_hash(name, src, opt(), ds);
-        b.add(name, opt(), Some(0), key, Artifact::Trace(&f.trace, f.run));
+        b.add(name, opt(), Some(0), Artifact::Trace(&f.trace, f.run));
     }
 }
 
@@ -138,17 +133,14 @@ fn store_then_lookup_restores_everything() {
 #[test]
 fn trace_replay_rebuilds_the_run_entry() {
     let f = fresh("eqntott");
-    let ds = &f.bench.datasets()[0];
-    let key = bpfree_cache::trace_key_hash(f.bench.name, f.bench.source, opt(), ds);
     let mut b = ImageBuilder::new();
     let art = Artifact::Trace(&f.trace, f.run);
-    b.add("eqntott", opt(), Some(0), key, art);
+    b.add("eqntott", opt(), Some(0), art);
     let img = SuiteImage::from_bytes(b.finish()).expect("opens");
 
     let e = img
         .find(SectionKind::Trace, "eqntott", opt(), Some(0))
         .unwrap();
-    assert_eq!(e.key, key);
     let t2 = img.trace(e).unwrap();
     let mut profiler = EdgeProfiler::new();
     t2.trace.replay(&mut profiler);
@@ -170,9 +162,10 @@ fn corruption_is_a_miss_not_a_panic() {
     assert!(SuiteImage::from_bytes(bytes.clone()).is_ok());
 
     assert!(SuiteImage::from_bytes(bytes[..bytes.len() / 3].to_vec()).is_err());
-    // The header, the first payload (the compile entry's IR text starts
-    // right after the 64-byte header), and the directory at the tail.
-    for at in [20, 70, bytes.len() - 20] {
+    // The header, its build stamp, the first payload (the compile
+    // entry's IR text starts right after the 72-byte header), and the
+    // directory at the tail.
+    for at in [20, 50, 80, bytes.len() - 20] {
         let mut garbled = bytes.clone();
         garbled[at] ^= 0x21;
         assert!(SuiteImage::from_bytes(garbled).is_err(), "byte {at}");
@@ -192,35 +185,6 @@ fn corruption_is_a_miss_not_a_panic() {
         4
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn keys_differ_across_benchmarks_kinds_and_opt_levels() {
-    let key = |name: &str, o: &str| {
-        let b = bpfree_suite::by_name(name).unwrap();
-        let ds = &b.datasets()[0];
-        [
-            bpfree_cache::compile_key_hash(b.name, b.source, o),
-            bpfree_cache::prediction_key_hash(b.name, b.source, o),
-            bpfree_cache::run_key_hash(b.name, b.source, o, ds),
-            bpfree_cache::trace_key_hash(b.name, b.source, o, ds),
-        ]
-    };
-    let grep = key("grep", opt());
-    assert_eq!(grep, key("grep", opt()), "stable");
-    for (i, a) in grep.iter().enumerate() {
-        for b in &grep[i + 1..] {
-            assert_ne!(a, b, "kind tags never collide");
-        }
-    }
-    let compress = key("compress", opt());
-    assert!(grep.iter().zip(&compress).all(|(a, b)| a != b), "benchmark");
-
-    // Regression: PR 1's single-key scheme ignored compile options, so
-    // an -O0 build (opt_ablate) could poison the -O cache. Every kind
-    // keys on the options fingerprint.
-    let o0 = key("grep", Options::o0().fingerprint());
-    assert!(grep.iter().zip(&o0).all(|(a, b)| a != b), "options");
 }
 
 /// Prediction rows from one program must be refused against a different
@@ -286,22 +250,4 @@ fn cached_artifacts_give_identical_experiment_results() {
         assert_eq!(a.trial_fraction.to_bits(), b.trial_fraction.to_bits());
         assert_eq!(a.mean_miss_rate.to_bits(), b.mean_miss_rate.to_bits());
     }
-
-    // And the study itself round-trips through the image bit for bit.
-    let key = 0x5eed;
-    let mut b = ImageBuilder::new();
-    b.add("", opt(), None, key, Artifact::Ordering(&imaged_study));
-    let img = SuiteImage::from_bytes(b.finish()).expect("opens");
-    let e = img.find(SectionKind::Ordering, "", opt(), None).unwrap();
-    let restored = img
-        .ordering(e)
-        .unwrap()
-        .instantiate(fresh_study.benches())
-        .expect("live data matches");
-    assert!(restored
-        .rates()
-        .iter()
-        .flatten()
-        .map(|r| r.to_bits())
-        .eq(fresh_study.rates().iter().flatten().map(|r| r.to_bits())));
 }

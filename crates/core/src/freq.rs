@@ -240,8 +240,9 @@ pub fn estimate_block_frequencies(
 /// probability* (the probability of returning to the head per entry),
 /// and scale the head's incoming frequency by `1/(1 - cp)`. Exact for
 /// reducible CFGs in one pass, vs. the damped iteration of
-/// [`estimate_block_frequencies`]; the `freq_propagation` bench and the
-/// equivalence test keep the two honest against each other.
+/// [`estimate_block_frequencies`]; the unit test
+/// `structural_matches_iterative_on_the_suite_shapes` keeps the two
+/// honest against each other.
 pub fn estimate_block_frequencies_structural(
     program: &Program,
     func: FuncId,

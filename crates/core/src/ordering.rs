@@ -400,9 +400,7 @@ impl Iterator for KSubsets {
 /// evaluation. Branches with identical heuristic rows and default
 /// directions are merged.
 ///
-/// `PartialEq` compares the condensed content (name, groups, totals) —
-/// what the on-disk ordering cache entry revalidates against a freshly
-/// condensed live copy before trusting its persisted rate matrix.
+/// `PartialEq` compares the condensed content (name, groups, totals).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchOrderData {
     /// The benchmark's name.
@@ -522,18 +520,6 @@ impl BenchOrderData {
         }
     }
 
-    /// Reassembles condensed data from its parts (the warm path of the
-    /// on-disk ordering cache). The caller is responsible for the
-    /// grouping invariants; [`BenchOrderData::build`] output compared
-    /// via `==` is how the cache validates them.
-    pub fn from_parts(name: String, groups: Vec<Group>, total_dynamic: u64) -> BenchOrderData {
-        BenchOrderData {
-            name,
-            groups,
-            total_dynamic,
-        }
-    }
-
     /// The condensed groups, sorted by key.
     pub fn groups(&self) -> &[Group] {
         &self.groups
@@ -639,23 +625,6 @@ impl OrderingStudy {
                     .collect()
             })
             .collect();
-        OrderingStudy::from_parts(benches, rates)
-    }
-
-    /// Assembles a study from an already-computed rate matrix (the warm
-    /// path of the on-disk ordering cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rates` is 5040 rows of `benches.len()` columns —
-    /// the cache layer validates dimensions *before* calling this.
-    pub fn from_parts(benches: Vec<BenchOrderData>, rates: Vec<Vec<f64>>) -> OrderingStudy {
-        let orders = all_orders();
-        assert_eq!(rates.len(), orders.len(), "one rate row per order");
-        assert!(
-            rates.iter().all(|r| r.len() == benches.len()),
-            "one rate column per benchmark"
-        );
         OrderingStudy {
             benches,
             orders,
@@ -771,7 +740,17 @@ impl OrderingStudy {
     /// how often each order wins. Returns winners sorted by frequency
     /// (descending), with the overall (all-benchmark) mean rate attached.
     ///
-    /// Uses Pareto pruning; exact over all subsets. The combination
+    /// Exact over all subsets, with only the Pareto front
+    /// ([`OrderingStudy::pareto_front`]) as candidates. Every other
+    /// order is dominated by a front order, and f64 addition is
+    /// monotone, so the front's minimum is every subset's true minimum
+    /// rate. Most subsets share that minimum among several orders,
+    /// though, and the one credited is the lowest order index *on the
+    /// front*. [`OrderingStudy::subset_experiment_sampled`] credits the
+    /// lowest index of all 5040 orders instead, which is often off the
+    /// front, so the two tallies differ on ties by design.
+    ///
+    /// The combination
     /// space is split into contiguous rank ranges enumerated
     /// independently per worker with per-worker `wins` tallies summed at
     /// the end — every subset's winner is scheduling-independent, so the
@@ -818,6 +797,11 @@ impl OrderingStudy {
     /// instead of enumerating all of them, and — unlike the exact
     /// version — scans **all** 5040 orders rather than the Pareto front,
     /// serving as the ablation baseline for the pruning optimisation.
+    /// Each sample's minimum rate is the one the front would find, but
+    /// a tie goes to the lowest index of all 5040 orders, not to the
+    /// lowest on the front: on tied subsets the two sweeps credit
+    /// different orders, so their trial shares differ by design, not
+    /// by sampling noise alone.
     ///
     /// Every subset is drawn serially from the one seeded stream, one
     /// byte per benchmark index; the samples are then split into
@@ -1257,28 +1241,6 @@ mod tests {
         let r_none = d.miss_rate(&[]);
         for r in [r_full, r_part, r_none] {
             assert!((0.0..=1.0).contains(&r));
-        }
-    }
-
-    #[test]
-    fn from_parts_roundtrips_a_study() {
-        let (d1, _, _) = bench_data("a", SRC);
-        let (d2, _, _) = bench_data(
-            "b",
-            "fn main() -> int {
-                int i; int s;
-                for (i = 0; i < 25; i = i + 1) { if (i > 20) { s = s + 1; } }
-                return s;
-            }",
-        );
-        let study = OrderingStudy::new_serial(vec![d1.clone(), d2.clone()]);
-        let rebuilt = OrderingStudy::from_parts(vec![d1, d2], study.rates().to_vec());
-        assert_eq!(study.rates(), rebuilt.rates());
-        assert_eq!(study.pareto_front(), rebuilt.pareto_front());
-        let (wa, wb) = (study.subset_experiment(1), rebuilt.subset_experiment(1));
-        assert_eq!(wa.len(), wb.len());
-        for (a, b) in wa.iter().zip(&wb) {
-            assert_eq!((&a.order, a.trials), (&b.order, b.trials));
         }
     }
 }

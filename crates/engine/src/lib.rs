@@ -23,11 +23,10 @@
 //!   training on the run's own profile;
 //! * [`Engine::ordering_study`] — the 5040-order miss-rate matrix of a
 //!   whole benchmark roster, condensed per benchmark into
-//!   [`BenchOrderData`] groups (see [`Engine::order_data`]) and
-//!   persisted as a roster-level `ordering` cache entry, so a warm
-//!   process restores the matrix without evaluating a single ordering
-//!   ([`Engine::orderings`] counts real matrix builds the way
-//!   [`Engine::analyses`] counts analysis passes).
+//!   [`BenchOrderData`] groups (see [`Engine::order_data`]). It is
+//!   built once per process, in a few milliseconds, from the members'
+//!   predictions and dataset-0 runs, and never persisted
+//!   ([`Engine::orderings`] counts the builds).
 //!
 //! Each artifact is computed **at most once per process** (a
 //! `Mutex<HashMap<Key, Arc<OnceLock<V>>>>` memo: the map lock is held
@@ -79,7 +78,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::path::PathBuf;
@@ -299,8 +298,8 @@ pub struct Engine {
 
 impl Engine {
     /// A fresh engine. With [`EngineConfig::use_cache`] it starts from
-    /// the cache image, `<cache_dir>/suite.img`: every entry that
-    /// revalidates against the live suite is mounted into the memos
+    /// the cache image, `<cache_dir>/suite.img`: if this build wrote
+    /// it, every entry that passes its checks is mounted into the memos
     /// (see [`Engine::mount_image`]), exactly as `--image` would. A
     /// missing, truncated, corrupt or older-version image counts as an
     /// empty cache, with one verbose note. [`Engine::persist`] writes
@@ -361,10 +360,9 @@ impl Engine {
         self.analyses.load(Ordering::Relaxed)
     }
 
-    /// How many 5040-order rate matrices this engine has actually
-    /// computed. Memo and cache hits don't count: a warm run that
-    /// restores the roster's `ordering` entry from disk reports zero,
-    /// which is exactly what the CI parity job asserts.
+    /// How many 5040-order rate matrices this engine has built. The
+    /// matrix is not cached on disk, so every process that reads a
+    /// roster's study builds it once; memo hits don't count.
     pub fn orderings(&self) -> u64 {
         self.orderings.load(Ordering::Relaxed)
     }
@@ -569,16 +567,12 @@ impl Engine {
 
     /// The [`OrderingStudy`] of a whole roster: condensed
     /// [`BenchOrderData`] per benchmark plus the 5040 × n miss-rate
-    /// matrix. Memoized per (roster, Options) and persisted as a
-    /// roster-level `ordering` cache entry keyed by every member's
-    /// (name, source, reference dataset), the options fingerprint, and
-    /// the Default-predictor seed. A cache hit revalidates the stored
-    /// groups against the live condensed data and restores the matrix
-    /// bit-for-bit without evaluating a single ordering; any mismatch
-    /// falls through to a clean recompute ([`Engine::orderings`] counts
-    /// the real matrix builds). A cold build runs serially on the
-    /// calling thread; [`Engine::warm`] with a [`Need::Ordering`]
-    /// profiles the members in parallel first.
+    /// matrix. Memoized per (roster, Options) for the life of the
+    /// process and never persisted: the matrix is a few milliseconds of
+    /// work over the members' predictions and dataset-0 runs, which are
+    /// cached ([`Engine::orderings`] counts the builds). A build runs
+    /// serially on the calling thread; [`Engine::warm`] with a
+    /// [`Need::Ordering`] profiles the members in parallel first.
     pub fn ordering_study(&self, benches: &[&Benchmark], opt: Options) -> Arc<OrderingStudy> {
         let roster: Vec<&str> = benches.iter().map(|b| b.name).collect();
         self.ordering_studies
@@ -742,15 +736,10 @@ impl Engine {
     /// hits; a cold caller just computes the members' runs here, one at
     /// a time.
     fn build_ordering(&self, benches: &[&Benchmark], opt: Options) -> Arc<OrderingStudy> {
-        let fp = opt.fingerprint();
         let live: Vec<BenchOrderData> = benches
             .iter()
             .map(|&b| (*self.order_data(b, opt)).clone())
             .collect();
-        self.note(
-            "miss",
-            format_args!("ordering {} benches [{fp}]", benches.len()),
-        );
         self.orderings.fetch_add(1, Ordering::Relaxed);
         Arc::new(OrderingStudy::new_serial(live))
     }
@@ -805,20 +794,22 @@ impl Engine {
     }
 
     /// Mounts a suite image (see [`bpfree_cache::image`]): one buffered
-    /// read, then every entry whose content key revalidates against the
-    /// *live* suite (current sources, options, regenerated datasets) is
-    /// offered straight into the memos. After mounting a complete
-    /// image, every counter on this engine stays at zero through a full
-    /// experiment sweep — no compiles, no analyses, no simulations, no
-    /// trace recordings, no matrix builds, and so no decodes — and traces
-    /// borrow their index sequences from the image buffer (zero decode
+    /// read, then, if the image is stamped with this build's
+    /// [`bpfree_cache::BUILD_FINGERPRINT`], every entry that passes its
+    /// checks is offered straight into the memos. After mounting a
+    /// complete image, a full experiment sweep compiles, analyzes,
+    /// simulates, records and decodes nothing; it only rebuilds the
+    /// ordering matrix ([`Engine::orderings`]). Traces borrow their
+    /// index sequences from the image buffer (zero decode
     /// allocations). [`Engine::new`] mounts the cache image this way;
     /// `--image` mounts another one.
     ///
-    /// Entries that fail revalidation are skipped, not errors: the
-    /// engine recomputes them on demand exactly as if they were absent.
-    /// A structurally corrupt image (bad magic, checksum, truncation)
-    /// is a clean `Err` and mounts nothing.
+    /// An image from another build mounts nothing: every entry counts
+    /// as skipped, and the engine computes on demand as if the image
+    /// were absent. Entries that fail their own checks are skipped the
+    /// same way. Neither is an error. A structurally corrupt image (bad
+    /// magic, checksum, truncation) is a clean `Err` and mounts
+    /// nothing.
     ///
     /// Dataset generation during the mount is uncounted (datasets are
     /// process-local inputs, not cached artifacts).
@@ -829,14 +820,20 @@ impl Engine {
             skipped: 0,
             bytes: img.total_bytes() as u64,
         };
-        // Which (bench, opt) pairs had prediction / reference-run
-        // entries mounted: ordering studies validate against live
-        // condensed data, so they only mount on top of fully mounted
-        // members (otherwise the validation itself would recompute).
-        let mut preds = HashSet::new();
-        let mut runs0 = HashSet::new();
+        if img.fingerprint() != bpfree_cache::BUILD_FINGERPRINT {
+            report.skipped = img.entries().len();
+            if self.config.verbose {
+                eprintln!(
+                    "[bpfree-engine] skip image {}: stale build (written by {:016x}, this is {:016x})",
+                    path.display(),
+                    img.fingerprint(),
+                    bpfree_cache::BUILD_FINGERPRINT
+                );
+            }
+            return Ok(report);
+        }
         for e in img.entries() {
-            if self.mount_entry(&img, e, &mut preds, &mut runs0).is_some() {
+            if self.mount_entry(&img, e).is_some() {
                 report.mounted += 1;
             } else {
                 report.skipped += 1;
@@ -853,186 +850,92 @@ impl Engine {
         Ok(report)
     }
 
-    /// Mounts one image entry — the one key-and-revalidate routine every
-    /// persisted artifact passes through before it is served; `None`
-    /// means "skip and recompute on demand", never an error. The
-    /// directory is sorted by kind in dependency order (compile →
-    /// prediction → run → trace → ordering), so dependents can peek at
-    /// what earlier entries mounted.
-    fn mount_entry(
-        &self,
-        img: &SuiteImage,
-        e: &ImageEntry,
-        preds: &mut HashSet<(&'static str, Options)>,
-        runs0: &mut HashSet<(&'static str, Options)>,
-    ) -> Option<()> {
+    /// Mounts one entry of an image this build wrote — the one check
+    /// routine every persisted artifact passes through before it is
+    /// served; `None` means "skip and compute on demand", never an
+    /// error. The directory is sorted by kind in dependency order
+    /// (compile → prediction → run → trace), so every other kind is
+    /// checked against the program its benchmark's compile entry
+    /// mounted.
+    fn mount_entry(&self, img: &SuiteImage, e: &ImageEntry) -> Option<()> {
         let opt = options_from_fingerprint(&e.opt)?;
-
-        if e.kind == SectionKind::Ordering {
-            let art = img.ordering(e)?;
-            let roster = art
-                .benches
-                .iter()
-                .map(|bd| {
-                    let bench = bpfree_suite::by_name(&bd.name)?;
-                    let slot = (bench.name, opt);
-                    (preds.contains(&slot) && runs0.contains(&slot)).then_some(bench)
-                })
-                .collect::<Option<Vec<_>>>()?;
-            if self.ordering_key(&roster, opt) != Some(e.key) {
-                return None;
-            }
-            // Validate the stored groups against live condensed data —
-            // all memo hits thanks to the member checks above.
-            let live: Vec<BenchOrderData> = roster
-                .iter()
-                .map(|b| (*self.order_data(b, opt)).clone())
-                .collect();
-            let study = art.instantiate(&live)?;
-            let names: Vec<&str> = roster.iter().map(|b| b.name).collect();
-            self.ordering_studies
-                .offer((names.join(","), opt), Arc::new(study));
-            return Some(());
-        }
-
         let bench = bpfree_suite::by_name(&e.name)?;
-        let dataset = e.dataset.map(|d| d as usize);
-        if self.entry_key(e.kind, &bench, opt, dataset) != Some(e.key) {
-            return None;
-        }
         let slot = (bench.name, opt);
         if e.kind == SectionKind::Compile {
             self.programs.offer(slot, Arc::new(img.compile(e)?));
             return Some(());
         }
-        // Every other kind is checked against the program it belongs to.
         let program = self.programs.peek(&slot)?;
-        match e.kind {
-            SectionKind::Prediction => {
-                let (classifier, table) = img.prediction(e)?.instantiate(&program)?;
-                self.predictions.offer(
-                    slot,
-                    Predicted {
-                        classifier: Arc::new(classifier),
-                        table: Arc::new(table),
-                    },
-                );
-                preds.insert(slot);
-            }
-            SectionKind::Run => {
-                let hit = img.run(e)?;
-                if !names_live_branches(&program, hit.profile.iter().map(|(b, _)| b)) {
-                    return None;
-                }
-                let bundle = RunBundle {
-                    profile: Arc::new(hit.profile),
-                    result: hit.run,
-                };
-                self.runs.offer((bench.name, opt, dataset?), bundle);
-                if dataset == Some(0) {
-                    runs0.insert(slot);
-                }
-            }
-            SectionKind::Trace => {
-                let hit = img.trace(e)?;
-                if !names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch)) {
-                    return None;
-                }
-                let trace = Arc::new(hit.trace);
-                // A trace subsumes a run: rebuild the bundle from the
-                // O(dict) tally. No-op if the run entry itself already
-                // mounted (kind order guarantees it came first).
-                let bundle = RunBundle {
-                    profile: Arc::new(trace.edge_profile()),
-                    result: hit.run,
-                };
-                self.runs.offer((bench.name, opt, dataset?), bundle);
-                self.traces.offer((bench.name, opt, dataset?), trace);
-                if dataset == Some(0) {
-                    runs0.insert(slot);
-                }
-            }
-            SectionKind::Compile | SectionKind::Ordering => unreachable!("handled above"),
+        if e.kind == SectionKind::Prediction {
+            let (classifier, table) = img.prediction(e)?.instantiate(&program)?;
+            self.predictions.offer(
+                slot,
+                Predicted {
+                    classifier: Arc::new(classifier),
+                    table: Arc::new(table),
+                },
+            );
+            return Some(());
         }
+        // Runs and traces name one of the benchmark's datasets.
+        let index = e.dataset? as usize;
+        if index >= self.datasets(&bench).len() {
+            return None;
+        }
+        let key = (bench.name, opt, index);
+        if e.kind == SectionKind::Run {
+            let hit = img.run(e)?;
+            if !names_live_branches(&program, hit.profile.iter().map(|(b, _)| b)) {
+                return None;
+            }
+            let bundle = RunBundle {
+                profile: Arc::new(hit.profile),
+                result: hit.run,
+            };
+            self.runs.offer(key, bundle);
+            return Some(());
+        }
+        let hit = img.trace(e)?;
+        if !names_live_branches(&program, hit.trace.dict().iter().map(|ev| ev.branch)) {
+            return None;
+        }
+        let trace = Arc::new(hit.trace);
+        // A trace subsumes a run: rebuild the bundle from the O(dict)
+        // tally. No-op if the run entry itself already mounted (kind
+        // order guarantees it came first).
+        let bundle = RunBundle {
+            profile: Arc::new(trace.edge_profile()),
+            result: hit.run,
+        };
+        self.runs.offer(key, bundle);
+        self.traces.offer(key, trace);
         Some(())
     }
 
-    /// The content key of one benchmark's artifact of `kind` — what
-    /// [`Engine::export_image`] stores and [`Engine::mount_entry`]
-    /// recomputes from the live suite. `None` for an ordering (see
-    /// [`Engine::ordering_key`]) or a run/trace whose dataset does not
-    /// exist.
-    fn entry_key(
-        &self,
-        kind: SectionKind,
-        bench: &Benchmark,
-        opt: Options,
-        dataset: Option<usize>,
-    ) -> Option<u64> {
-        let (name, source, fp) = (bench.name, bench.source, opt.fingerprint());
-        Some(match kind {
-            SectionKind::Compile => bpfree_cache::compile_key_hash(name, source, fp),
-            SectionKind::Prediction => bpfree_cache::prediction_key_hash(name, source, fp),
-            SectionKind::Run | SectionKind::Trace => {
-                let datasets = self.datasets(bench);
-                let ds = datasets.get(dataset?)?;
-                if kind == SectionKind::Run {
-                    bpfree_cache::run_key_hash(name, source, fp, ds)
-                } else {
-                    bpfree_cache::trace_key_hash(name, source, fp, ds)
-                }
-            }
-            SectionKind::Ordering => return None,
-        })
-    }
-
-    /// The content key of `roster`'s ordering study under `opt`.
-    fn ordering_key(&self, roster: &[Benchmark], opt: Options) -> Option<u64> {
-        let datasets: Vec<Arc<Vec<Dataset>>> = roster.iter().map(|b| self.datasets(b)).collect();
-        let members = roster
-            .iter()
-            .zip(&datasets)
-            .map(|(b, ds)| Some((b.name, b.source, ds.first()?)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(bpfree_cache::ordering_key_hash(
-            &members,
-            opt.fingerprint(),
-            DEFAULT_SEED,
-        ))
-    }
-
-    /// Streams every filled memo into a suite image at `path` (temp
-    /// file + atomic rename; see [`bpfree_cache::image::ImageBuilder`]):
-    /// payloads are encoded one at a time straight from the memoized
-    /// artifacts, so the export never holds a second copy of them. The
-    /// export is deterministic: two exports of the same engine state
-    /// are byte-identical. Returns the entry count and the image size in
-    /// bytes.
+    /// Streams every filled memo into a suite image at `path`, stamped
+    /// with this build's fingerprint (temp file + atomic rename; see
+    /// [`bpfree_cache::image::ImageBuilder`]): payloads are encoded one
+    /// at a time straight from the memoized artifacts, so the export
+    /// never holds a second copy of them. The export is deterministic:
+    /// two exports of the same engine state are byte-identical. Returns
+    /// the entry count and the image size in bytes.
     pub fn export_image(&self, path: &std::path::Path) -> std::io::Result<(usize, u64)> {
-        let bench = |name: &str| bpfree_suite::by_name(name);
         let programs = self.programs.entries();
         let predictions = self.predictions.entries();
         let runs = self.runs.entries();
         let traces = self.traces.entries();
-        let studies = self.ordering_studies.entries();
 
         let mut b = ImageBuilder::new();
-        let mut add = |kind, name: &'static str, opt: Options, idx: Option<usize>, art| {
-            if let Some(key) = bench(name).and_then(|bn| self.entry_key(kind, &bn, opt, idx)) {
-                b.add(name, opt.fingerprint(), idx.map(|i| i as u32), key, art);
-            }
-        };
         for ((name, opt), program) in &programs {
-            let art = Artifact::Compile(program);
-            add(SectionKind::Compile, name, *opt, None, art);
+            b.add(name, opt.fingerprint(), None, Artifact::Compile(program));
         }
         for ((name, opt), p) in &predictions {
             let art = Artifact::Prediction(&p.classifier, &p.table);
-            add(SectionKind::Prediction, name, *opt, None, art);
+            b.add(name, opt.fingerprint(), None, art);
         }
         for ((name, opt, idx), bundle) in &runs {
             let art = Artifact::Run(&bundle.profile, bundle.result);
-            add(SectionKind::Run, name, *opt, Some(*idx), art);
+            b.add(name, opt.fingerprint(), Some(*idx as u32), art);
         }
         for ((name, opt, idx), trace) in &traces {
             // The run result rides along with every trace entry; the
@@ -1040,13 +943,7 @@ impl Engine {
             // by-product).
             if let Some(bundle) = self.runs.peek(&(*name, *opt, *idx)) {
                 let art = Artifact::Trace(trace, bundle.result);
-                add(SectionKind::Trace, name, *opt, Some(*idx), art);
-            }
-        }
-        for ((roster, opt), study) in &studies {
-            let members = roster.split(',').map(bench).collect::<Option<Vec<_>>>();
-            if let Some(key) = members.and_then(|m| self.ordering_key(&m, *opt)) {
-                b.add("", opt.fingerprint(), None, key, Artifact::Ordering(study));
+                b.add(name, opt.fingerprint(), Some(*idx as u32), art);
             }
         }
         b.write(path)
@@ -1054,18 +951,15 @@ impl Engine {
 
     /// Rewrites the cache image, `<cache_dir>/suite.img`, from this
     /// engine's memos — only with [`EngineConfig::use_cache`] set and
-    /// only if one of the five counters of persisted work is non-zero,
+    /// only if one of the four counters of persisted work is non-zero,
     /// so a run served entirely from the image leaves it untouched (a
-    /// decode alone persists nothing). Each write replaces the whole
-    /// file with revalidated artifacts (nothing stale piles up; between
-    /// concurrent processes the last writer wins). Returns the export's
-    /// `(entries, bytes)`, or `None` if nothing was written.
+    /// decode or a matrix build alone persists nothing). Each write
+    /// replaces the whole file with this build's artifacts (nothing
+    /// stale piles up; between concurrent processes the last writer
+    /// wins). Returns the export's `(entries, bytes)`, or `None` if
+    /// nothing was written.
     pub fn persist(&self) -> std::io::Result<Option<(usize, u64)>> {
-        let work = self.compiles()
-            + self.analyses()
-            + self.simulations()
-            + self.trace_records()
-            + self.orderings();
+        let work = self.compiles() + self.analyses() + self.simulations() + self.trace_records();
         if !self.config.use_cache || work == 0 {
             return Ok(None);
         }
@@ -1079,7 +973,8 @@ impl Engine {
 pub struct MountReport {
     /// Entries offered into the memos.
     pub mounted: usize,
-    /// Entries that failed live revalidation and will recompute on
+    /// Entries not mounted — all of them if another build wrote the
+    /// image, else those that failed their checks. They compute on
     /// demand.
     pub skipped: usize,
     /// Image size — the warm start's entire read volume.
@@ -1088,8 +983,8 @@ pub struct MountReport {
 
 /// Does every site in `sites` name a conditional branch of `program`?
 ///
-/// Cache keys cover the benchmark source, but a stored profile row or
-/// trace dictionary event is only as good as the bytes on disk. One
+/// The image's stamp covers the benchmark source, but a stored profile
+/// row or trace dictionary event is only as good as the bytes on disk. One
 /// that names another `(func, block)` would index past the dense
 /// per-site tables downstream, or quietly move counts off a real
 /// branch, so every cached run and trace is checked here before it is
@@ -1104,8 +999,8 @@ fn names_live_branches(program: &Program, mut sites: impl Iterator<Item = Branch
     })
 }
 
-/// Resolves a compile-options fingerprint (as stored in cache keys and
-/// image directories) back to the [`Options`] it names. The fingerprint
+/// Resolves a compile-options fingerprint (as stored in image
+/// directories) back to the [`Options`] it names. The fingerprint
 /// space is tiny and closed, so this is a total inverse of
 /// [`Options::fingerprint`].
 pub fn options_from_fingerprint(fp: &str) -> Option<Options> {
@@ -1234,12 +1129,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The ordering warm-path property: a second engine over the same
-    /// cache directory restores the roster's 5040-order rate matrix
-    /// bit-for-bit from the image's `ordering` entry — zero matrix
-    /// builds — and an image without that entry forces exactly one.
+    /// The matrix is not cached, so a second engine over the same cache
+    /// directory builds it once more, from mounted predictions and runs
+    /// alone, bit-identical to the cold engine's, and writes nothing
+    /// back.
     #[test]
-    fn warm_cache_restores_ordering_matrix_without_rebuild() {
+    fn warm_engine_rebuilds_the_ordering_matrix_bit_identically() {
         let dir = std::env::temp_dir().join(format!(
             "bpfree-engine-ordering-test-{}",
             std::process::id()
@@ -1261,53 +1156,124 @@ mod tests {
         assert!(Arc::ptr_eq(&s1, &s1b));
         assert_eq!(cold.orderings(), 1);
         cold.persist().unwrap();
+        let image = std::fs::read(bpfree_cache::image_path(&dir)).unwrap();
 
-        let warm = Engine::new(config.clone());
+        let warm = Engine::new(config);
         let s2 = warm.ordering_study(&refs, opt);
-        assert_eq!(warm.orderings(), 0, "warm run rebuilds no matrix");
+        assert_eq!(warm.orderings(), 1, "the matrix is rebuilt, not mounted");
+        assert_eq!(warm.analyses(), 0, "member predictions hit");
+        assert_eq!(warm.simulations(), 0, "member runs hit");
         assert_eq!(s2.benches(), s1.benches());
-        for (a, b) in s1.rates().iter().zip(s2.rates()) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "bit-exact restored rates");
-            }
-        }
+        assert!(s1.rates().iter().flatten().map(|r| r.to_bits()).eq(s2
+            .rates()
+            .iter()
+            .flatten()
+            .map(|r| r.to_bits())));
+        assert!(warm.persist().unwrap().is_none(), "a rebuild is no work");
+        assert_eq!(
+            std::fs::read(bpfree_cache::image_path(&dir)).unwrap(),
+            image
+        );
 
-        // An image that lacks only the ordering entry — persisted by an
-        // engine that warmed every member but never built the matrix —
-        // forces exactly one rebuild; the member artifacts still hit.
-        std::fs::remove_dir_all(&dir).unwrap();
-        let members_only = Engine::new(config.clone());
-        members_only.warm(&[
-            Need::Runs {
-                bench: "grep",
-                opt,
-                datasets: 1,
-                traced: false,
-            },
-            Need::Runs {
-                bench: "eqntott",
-                opt,
-                datasets: 1,
-                traced: false,
-            },
-        ]);
-        assert_eq!(members_only.orderings(), 0);
-        members_only.persist().unwrap();
-        let half = Engine::new(config);
-        let s3 = half.ordering_study(&refs, opt);
-        assert_eq!(half.orderings(), 1, "missing entry falls back to compute");
-        assert_eq!(half.analyses(), 0, "member predictions still hit");
-        assert_eq!(half.simulations(), 0, "member runs still hit");
-        assert_eq!(s3.benches(), s1.benches());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An image stamped by another build mounts nothing, whatever its
+    /// entries hold: the engine recomputes every artifact, and a cached
+    /// engine writes the image back under this build's stamp.
+    #[test]
+    fn an_image_from_another_build_mounts_nothing() {
+        let dir =
+            std::env::temp_dir().join(format!("bpfree-engine-stale-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b = bpfree_suite::by_name("grep").unwrap();
+        let opt = Options::default();
+        let fp = opt.fingerprint();
+        let cold = engine();
+        let c = cold.compiled(&b, opt);
+        let r = cold.run(&b, opt, 0);
+
+        let mut stale = ImageBuilder::stamped(!bpfree_cache::BUILD_FINGERPRINT);
+        stale.add(b.name, fp, None, Artifact::Compile(&c.program));
+        stale.add(
+            b.name,
+            fp,
+            None,
+            Artifact::Prediction(&c.classifier, &c.table),
+        );
+        stale.add(b.name, fp, Some(0), Artifact::Run(&r.profile, r.result));
+        let path = bpfree_cache::image_path(&dir);
+        stale.write(&path).unwrap();
+
+        let fresh = engine();
+        let report = fresh.mount_image(&path).unwrap();
+        assert_eq!((report.mounted, report.skipped), (0, 3));
+        let c2 = fresh.compiled(&b, opt);
+        let r2 = fresh.run(&b, opt, 0);
+        assert_eq!(fresh.compiles(), 1, "the program recompiles");
+        assert_eq!(fresh.analyses(), 1, "the predictions recompute");
+        assert_eq!(fresh.simulations(), 1, "the run recomputes");
+        assert_eq!(*c2.program, *c.program);
+        assert_eq!(*r2.profile, *r.profile);
+
+        // As the cache image: nothing mounts, and the recomputed
+        // artifacts go back under this build's stamp.
+        let cached = Engine::new(cached_config(&dir));
+        let _ = cached.run(&b, opt, 0);
+        assert_eq!(cached.simulations(), 1);
+        cached.persist().unwrap();
+        let img = SuiteImage::open(&path).unwrap();
+        assert_eq!(img.fingerprint(), bpfree_cache::BUILD_FINGERPRINT);
+        let report = engine().mount_image(&path).unwrap();
+        assert_eq!((report.mounted, report.skipped), (2, 0), "compile + run");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One benchmark stored at two compile options is two sets of
+    /// entries, and each is served to its own memo slot: an `-O0`
+    /// artifact (`opt_ablate` reads them) never stands in for the `-O`
+    /// one.
+    #[test]
+    fn opt_levels_mount_into_their_own_slots() {
+        let dir =
+            std::env::temp_dir().join(format!("bpfree-engine-opts-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b = bpfree_suite::by_name("grep").unwrap();
+        let opts = [Options::default(), Options::o0()];
+        let cold = engine();
+        for opt in opts {
+            let _ = cold.compiled(&b, opt);
+            let _ = cold.run(&b, opt, 0);
+        }
+        let path = dir.join("suite.img");
+        let (n, _) = cold.export_image(&path).unwrap();
+        assert_eq!(n, 6, "a compile, prediction and run entry per options");
+
+        let warm = engine();
+        let report = warm.mount_image(&path).unwrap();
+        assert_eq!((report.mounted, report.skipped), (6, 0));
+        for opt in opts {
+            let (c, cold_c) = (warm.compiled(&b, opt), cold.compiled(&b, opt));
+            assert_eq!(*c.program, *cold_c.program, "{opt:?}");
+            assert!(c.classifier.rows().eq(cold_c.classifier.rows()));
+            assert!(c.table.rows().eq(cold_c.table.rows()));
+            let (r, cold_r) = (warm.run(&b, opt, 0), cold.run(&b, opt, 0));
+            assert_eq!(*r.profile, *cold_r.profile, "{opt:?}");
+            assert_eq!(r.result, cold_r.result);
+        }
+        let (o, o0) = (warm.program(&b, opts[0]), warm.program(&b, opts[1]));
+        assert_ne!(*o, *o0, "the two programs differ");
+        assert_eq!(warm.compiles() + warm.analyses() + warm.simulations(), 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The image's end-to-end property: exporting a fully worked engine
     /// to a suite image and mounting it into a fresh engine serves
-    /// *every* artifact — programs, predictions, runs, traces, the
-    /// ordering matrix — with every work counter at exactly zero
-    /// (decodes included: nothing simulates, so nothing decodes),
+    /// *every* cached artifact — programs, predictions, runs, traces —
+    /// with every work counter at exactly zero (decodes included:
+    /// nothing simulates, so nothing decodes) but the one matrix build,
     /// traces borrowed from the image buffer, and two exports
     /// byte-identical (deterministic layout).
     #[test]
@@ -1332,7 +1298,7 @@ mod tests {
 
         let img = dir.join("suite.img");
         let (n, bytes) = cold.export_image(&img).unwrap();
-        assert!(n >= 7, "compiles, predictions, runs, traces, ordering");
+        assert_eq!(n, 8, "a compile, prediction, run and trace per member");
         assert_eq!(bytes, std::fs::metadata(&img).unwrap().len());
         // Determinism: a second export of the same state is
         // byte-identical.
@@ -1346,10 +1312,7 @@ mod tests {
 
         let warm = Engine::new(EngineConfig::no_cache());
         let report = warm.mount_image(&img).unwrap();
-        assert_eq!(
-            report.mounted, n,
-            "every entry revalidates against the live suite"
-        );
+        assert_eq!(report.mounted, n, "every entry passes its checks");
         assert_eq!(report.skipped, 0);
         assert_eq!(report.bytes, bytes);
 
@@ -1374,7 +1337,7 @@ mod tests {
         assert_eq!(s2.benches(), s1.benches());
         for (a, b) in s1.rates().iter().zip(s2.rates()) {
             for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "bit-exact mounted rates");
+                assert_eq!(x.to_bits(), y.to_bits(), "bit-exact rebuilt rates");
             }
         }
 
@@ -1388,7 +1351,7 @@ mod tests {
             0,
             "zero trace recordings when mounted"
         );
-        assert_eq!(warm.orderings(), 0, "zero matrix builds when mounted");
+        assert_eq!(warm.orderings(), 1, "the matrix is rebuilt, not mounted");
 
         // And the cold engine counted each kind of real work.
         assert!(cold.compiles() > 0);

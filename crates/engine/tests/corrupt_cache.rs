@@ -68,27 +68,11 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
     let mut rows: Vec<_> = run1.profile.iter().collect();
     rows[0].0.func = FuncId(FOREIGN_FUNC);
     let bad_profile: EdgeProfile = rows.into_iter().collect();
-    let datasets = cold.datasets(&bench);
-    let (name, src) = (bench.name, bench.source);
+    let name = bench.name;
     let mut b = ImageBuilder::new();
-    let key = bpfree_cache::compile_key_hash(name, src, fp);
-    b.add(name, fp, None, key, Artifact::Compile(&program));
-    let key = bpfree_cache::trace_key_hash(name, src, fp, &datasets[0]);
-    b.add(
-        name,
-        fp,
-        Some(0),
-        key,
-        Artifact::Trace(&bad_trace, run0.result),
-    );
-    let key = bpfree_cache::run_key_hash(name, src, fp, &datasets[1]);
-    b.add(
-        name,
-        fp,
-        Some(1),
-        key,
-        Artifact::Run(&bad_profile, run1.result),
-    );
+    b.add(name, fp, None, Artifact::Compile(&program));
+    b.add(name, fp, Some(0), Artifact::Trace(&bad_trace, run0.result));
+    b.add(name, fp, Some(1), Artifact::Run(&bad_profile, run1.result));
     let dir = temp_cache("foreign-corrupt");
     b.write(&image_path(&dir)).unwrap();
 
@@ -126,8 +110,9 @@ fn entries_naming_foreign_sites_are_recomputed_and_restored() {
 }
 
 /// The same check on a mounted suite image: a trace naming a foreign
-/// function and a run naming a block that is no branch are skipped, and
-/// the engine recomputes them on demand.
+/// function, a run naming a block that is no branch and a run naming a
+/// dataset the benchmark does not have are skipped, and the engine
+/// recomputes the first two on demand.
 #[test]
 fn mounted_entries_naming_foreign_sites_are_skipped() {
     let bench = bpfree_suite::by_name("grep").unwrap();
@@ -137,7 +122,7 @@ fn mounted_entries_naming_foreign_sites_are_skipped() {
     let trace0 = clean.trace(&bench, opt, 0);
     let run0 = clean.run(&bench, opt, 0);
     let program = clean.program(&bench, opt);
-    let dataset = &clean.datasets(&bench)[0];
+    let past_the_end = clean.datasets(&bench).len() as u32;
 
     let bad_trace = foreign_trace(&trace0);
     // The run's row moves to a real block that ends in no branch.
@@ -153,26 +138,13 @@ fn mounted_entries_naming_foreign_sites_are_skipped() {
     rows[0].0 = BranchRef { func, block };
     let bad_profile: EdgeProfile = rows.into_iter().collect();
 
-    let (name, src) = (bench.name, bench.source);
+    let name = bench.name;
     let mut b = ImageBuilder::new();
-    let key = bpfree_cache::compile_key_hash(name, src, fp);
-    b.add(name, fp, None, key, Artifact::Compile(&program));
-    let key = bpfree_cache::run_key_hash(name, src, fp, dataset);
-    b.add(
-        name,
-        fp,
-        Some(0),
-        key,
-        Artifact::Run(&bad_profile, run0.result),
-    );
-    let key = bpfree_cache::trace_key_hash(name, src, fp, dataset);
-    b.add(
-        name,
-        fp,
-        Some(0),
-        key,
-        Artifact::Trace(&bad_trace, run0.result),
-    );
+    b.add(name, fp, None, Artifact::Compile(&program));
+    b.add(name, fp, Some(0), Artifact::Run(&bad_profile, run0.result));
+    b.add(name, fp, Some(0), Artifact::Trace(&bad_trace, run0.result));
+    let clean_run = Artifact::Run(&run0.profile, run0.result);
+    b.add(name, fp, Some(past_the_end), clean_run);
     let dir = temp_cache("foreign-image");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("suite.img");
@@ -180,7 +152,7 @@ fn mounted_entries_naming_foreign_sites_are_skipped() {
 
     let warm = Engine::new(EngineConfig::no_cache());
     let report = warm.mount_image(&path).unwrap();
-    assert_eq!((report.mounted, report.skipped), (1, 2), "only the program");
+    assert_eq!((report.mounted, report.skipped), (1, 3), "only the program");
     assert_eq!(*warm.trace(&bench, opt, 0), *trace0);
     assert_eq!(*warm.run(&bench, opt, 0).profile, *run0.profile);
     assert_eq!(warm.simulations(), 1);

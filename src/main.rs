@@ -11,7 +11,7 @@
 //! bpfree exp run NAME...            regenerate paper tables/figures
 //! bpfree exp all [--image PATH]     the whole reproduction, one process
 //! bpfree image build PATH           pack every suite artifact into one image
-//! bpfree image verify PATH          integrity + live-suite revalidation
+//! bpfree image verify PATH          integrity + built-by-this-build check
 //! bpfree image ls PATH              list an image's directory
 //! bpfree cache stat                 inventory the cache image
 //! ```
@@ -138,7 +138,7 @@ fn print_usage() {
     eprintln!("  bpfree image build PATH           pack every suite artifact into one");
     eprintln!("                                    zero-copy warm-start image");
     eprintln!("  bpfree image verify PATH          check an image's integrity and");
-    eprintln!("                                    revalidate it against the live suite");
+    eprintln!("                                    check it was built by this build");
     eprintln!("  bpfree image ls PATH              list an image's directory");
     eprintln!("  bpfree cache stat                 inventory the cache image (DIR/suite.img)");
     eprintln!("  bpfree --version                  print the version");
@@ -551,7 +551,7 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 }
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
-/// image (cache format v7, see `bpfree::cache::image`).
+/// image (cache format v8, see `bpfree::cache::image`).
 fn cmd_image(args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
         let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;
@@ -580,9 +580,13 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
         Some("verify") => {
             let path = path_arg("verify")?;
             // Structural integrity first (magic, checksums, bounds),
-            // then a real mount against the live suite: every entry
-            // either revalidates or is reported as skipped.
-            let engine = bpfree::engine::Engine::new(bpfree::engine::EngineConfig::no_cache());
+            // then a real mount: an image from another build skips every
+            // entry, and each entry of this build's either passes its
+            // checks or is skipped. Skips are explained on stderr.
+            let engine = bpfree::engine::Engine::new(bpfree::engine::EngineConfig {
+                verbose: true,
+                ..bpfree::engine::EngineConfig::no_cache()
+            });
             let report = engine
                 .mount_image(&path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
@@ -600,18 +604,17 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
             let img = bpfree::cache::image::SuiteImage::open(&path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
             println!(
-                "{:<10} {:<11} {:<18} {:>7} {:>10} key",
+                "{:<10} {:<11} {:<18} {:>7} {:>10}",
                 "kind", "bench", "options", "dataset", "bytes"
             );
             for e in img.entries() {
                 println!(
-                    "{:<10} {:<11} {:<18} {:>7} {:>10} {:016x}",
+                    "{:<10} {:<11} {:<18} {:>7} {:>10}",
                     e.kind.name(),
-                    if e.name.is_empty() { "-" } else { &e.name },
+                    e.name,
                     e.opt,
                     e.dataset.map_or("-".to_string(), |d| d.to_string()),
-                    e.payload_bytes(),
-                    e.key
+                    e.payload_bytes()
                 );
             }
             println!(
@@ -673,8 +676,9 @@ fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Res
     let engine = config::engine();
     // An explicit suite image pre-fills every memo the batch would
     // otherwise compute (on top of the cache image the engine mounted
-    // itself); a structurally corrupt `--image` is a hard error, but
-    // entries that fail live revalidation just fall back to recompute.
+    // itself); a structurally corrupt `--image` is a hard error, but one
+    // from another build, or entries that fail their checks, just fall
+    // back to recompute.
     if let Some(img) = args.value("--image").map(Path::new) {
         let report = engine
             .mount_image(img)

@@ -393,7 +393,7 @@ fn truncated_image() -> Vec<u8> {
     use bpfree::cache::image::{Artifact, ImageBuilder};
     let program = bpfree::lang::compile(PROGRAM).unwrap();
     let mut b = ImageBuilder::new();
-    b.add("grep", "O", None, 1, Artifact::Compile(&program));
+    b.add("grep", "O", None, Artifact::Compile(&program));
     let mut bytes = b.finish();
     bytes.pop();
     bytes
@@ -440,6 +440,29 @@ fn damaged_or_unwritable_cache_never_changes_output() {
     assert!(stderr.contains("cannot write the cache image"), "{stderr}");
     assert_eq!(std::fs::read_to_string(&file).unwrap(), "a regular file");
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// An empty `BPFREE_CACHE_DIR` is unset, not the current directory: the
+/// cache lands under `$CARGO_TARGET_DIR/bpfree-cache`.
+#[test]
+fn empty_cache_dir_variable_is_unset() {
+    let cwd = scratch_dir("empty-cache-env");
+    let out = bpfree()
+        .args(["bench", "grep"])
+        .current_dir(&cwd)
+        .env("BPFREE_CACHE_DIR", "")
+        .env("CARGO_TARGET_DIR", "T")
+        .env_remove("BPFREE_NO_CACHE")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        !cwd.join("suite.img").exists(),
+        "the cache went into the cwd"
+    );
+    assert!(cwd.join("T/bpfree-cache/suite.img").is_file(), "{stderr}");
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 /// Listing experiments never opens the cache, however broken it is.
