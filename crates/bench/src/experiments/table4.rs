@@ -49,7 +49,7 @@ impl Experiment for Table4 {
             "pareto front: {} of 5040 orders; enumerating C({n},{k}) subsets...",
             study.pareto_front().len()
         );
-        let winners = study.subset_experiment(k);
+        let (winners, _) = study.paper_subset_experiment();
         let total_trials: u64 = winners.iter().map(|w| w.trials).sum();
 
         writeln!(

@@ -10,13 +10,15 @@
 //!   any contiguous range split;
 //! * the tiled sampled sweep ([`sampled_sweep_wins`]) picks the same
 //!   winner for every sample as the naive per-sample scan over all
-//!   orders, and so the same tallies at any chunk split;
+//!   orders, and so the same tallies at any chunk split — also when it
+//!   scans only the [`creditable_orders`] and maps the wins back, and
+//!   the pruned set is exactly the naive O(n²) definition's;
 //! * per-order [`FirstHit`] tables resolve every applies mask to the
 //!   same heuristic the 7-way first-hit scan finds, across all 5040
 //!   orders;
 //! * on real suite data, the study's 5040-order rate matrix equals the
 //!   per-order 7-way scan ([`BenchOrderData::miss_rate`]) bit for bit,
-//!   and its mean-pruned Pareto front equals the full O(n²) domination
+//!   and its sum-pruned Pareto front equals the full O(n²) domination
 //!   scan.
 //!
 //! The real rate matrix is full of ties (many orders resolve every
@@ -25,8 +27,8 @@
 //! rule is what the kernels must get right.
 
 use bpfree_core::ordering::{
-    all_orders, sampled_sweep_wins, subset_sweep_wins, BenchOrderData, FirstHit, KSubsets,
-    OrderingStudy,
+    all_orders, creditable_orders, sampled_sweep_wins, subset_sweep_wins, BenchOrderData, FirstHit,
+    KSubsets, OrderingStudy,
 };
 use bpfree_core::{BranchClassifier, HeuristicKind, HeuristicTable, DEFAULT_SEED};
 use proptest::prelude::*;
@@ -240,6 +242,59 @@ proptest! {
     }
 }
 
+/// The definition of [`creditable_orders`], checked against every
+/// lower index: order `i` stays unless some `j < i` is no worse on every
+/// benchmark.
+fn naive_creditable(rates: &[Vec<f64>]) -> Vec<usize> {
+    (0..rates.len())
+        .filter(|&i| !(0..i).any(|j| rates[j].iter().zip(&rates[i]).all(|(rj, ri)| rj <= ri)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sampled study's prune: the sum-pruned scan keeps exactly the
+    /// naive definition's orders, and sweeping only those rows, with the
+    /// wins mapped back to order indices, credits every sample to the
+    /// naive full scan's winner, at any chunk split.
+    #[test]
+    fn creditable_prune_keeps_every_sampled_winner(
+        (rates, k, subsets, parts) in sampled_strategy()
+    ) {
+        let kept = creditable_orders(&rates);
+        prop_assert_eq!(&kept, &naive_creditable(&rates));
+        prop_assert_eq!(kept.first(), Some(&0));
+        let rows: Vec<Vec<f64>> = kept.iter().map(|&o| rates[o].clone()).collect();
+        let mapped_back = |wins: &[u64]| {
+            let mut full = vec![0u64; rates.len()];
+            for (&o, &w) in kept.iter().zip(wins) {
+                full[o] = w;
+            }
+            full
+        };
+
+        let mut naive_wins = vec![0u64; rates.len()];
+        for subset in subsets.chunks_exact(k) {
+            let want = naive_sampled_winner(&rates, subset);
+            let mut one = vec![0u64; rows.len()];
+            sampled_sweep_wins(&rows, k, subset, &mut one);
+            let mut expect = vec![0u64; rates.len()];
+            expect[want] = 1;
+            prop_assert_eq!(mapped_back(&one), expect, "sample {:?}", subset);
+            naive_wins[want] += 1;
+        }
+
+        let samples = (subsets.len() / k) as u64;
+        let mut split = vec![0u64; rows.len()];
+        for r in bpfree_par::split_ranges(samples, parts) {
+            let chunk = &subsets[r.start as usize * k..r.end as usize * k];
+            sampled_sweep_wins(&rows, k, chunk, &mut split);
+        }
+        prop_assert_eq!(mapped_back(&split), naive_wins);
+    }
+}
+
 /// Exhaustive (not sampled) first-hit check: every one of the 5040
 /// orders, every 7-bit applies mask, table load == 7-way scan.
 #[test]
@@ -279,7 +334,7 @@ fn naive_rate_matrix(benches: &[BenchOrderData]) -> Vec<Vec<f64>> {
 }
 
 /// The seed-path Pareto prune: every order checked against **all**
-/// others (no mean-sorted early exit). `j` dominates `i` when it is no
+/// others (no sum-sorted early exit). `j` dominates `i` when it is no
 /// worse on every benchmark and either better somewhere or, on an
 /// identical row, earlier — so of a run of tied rows only the first
 /// survives.
@@ -312,8 +367,9 @@ fn suite_order_data(names: &[&str]) -> Vec<BenchOrderData> {
         .collect()
 }
 
-/// The study's first-hit rate matrix and mean-pruned Pareto front equal
-/// the naive loops on real, tie-heavy suite data.
+/// The study's first-hit rate matrix and sum-pruned Pareto front equal
+/// the naive loops on real, tie-heavy suite data, and the front is a
+/// subset of the sampled study's creditable orders.
 #[test]
 fn rate_matrix_and_pareto_front_match_naive_loops_on_suite_data() {
     let data = suite_order_data(&["xlisp", "compress", "espresso"]);
@@ -339,4 +395,11 @@ fn rate_matrix_and_pareto_front_match_naive_loops_on_suite_data() {
     );
 
     assert_eq!(study.pareto_front(), naive_pareto(&naive).as_slice());
+    let kept = creditable_orders(study.rates());
+    assert_eq!(kept, naive_creditable(&naive));
+    assert!(
+        study.pareto_front().iter().all(|o| kept.contains(o)),
+        "front {:?} is not within the creditable orders {kept:?}",
+        study.pareto_front()
+    );
 }

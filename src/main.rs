@@ -62,42 +62,84 @@ fn runtime_err(msg: impl Into<String>) -> Failure {
     Failure::Runtime(msg.into())
 }
 
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        runtime_err(e.to_string())
+    }
+}
+
+/// Standard output, the one writer every command prints through. A
+/// reader that closes the pipe early (`bpfree list | head -1`) only ends
+/// the output: later writes are dropped, so the command still finishes
+/// its work (`exp run|all` still writes the cache image) and exits 0
+/// without a message. Any other write error fails the command.
+struct Out {
+    stdout: io::Stdout,
+    closed: bool,
+}
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match self.stdout.write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                result => return result,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match self.stdout.flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                result => return result,
+            }
+        }
+        Ok(())
+    }
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut Out {
+        stdout: io::stdout(),
+        closed: false,
+    };
     let result = (|| {
         // The standard experiment flags (--jobs/--no-cache/--cache-dir)
         // may appear anywhere; whatever remains belongs to the command.
         let (cfg, rest) = config::extract(raw).map_err(Failure::Usage)?;
         match rest.first().map(String::as_str) {
-            Some("compile") => cmd_compile(&rest[1..]),
+            Some("compile") => cmd_compile(out, &rest[1..]),
             Some("run") => {
                 config::apply(cfg);
-                cmd_run(&rest[1..])
+                cmd_run(out, &rest[1..])
             }
             Some("predict") => {
                 config::apply(cfg);
-                cmd_predict(&rest[1..])
+                cmd_predict(out, &rest[1..])
             }
-            Some("cfg") => cmd_cfg(&rest[1..]),
+            Some("cfg") => cmd_cfg(out, &rest[1..]),
             Some("bench") => {
                 config::apply(cfg);
-                cmd_bench(&rest[1..])
+                cmd_bench(out, &rest[1..])
             }
             Some("exp") => {
                 config::apply(cfg);
-                cmd_exp(&rest[1..])
+                cmd_exp(out, &rest[1..])
             }
             Some("image") => {
                 config::apply(cfg);
-                cmd_image(&rest[1..])
+                cmd_image(out, &rest[1..])
             }
             Some("cache") => {
                 config::apply(cfg);
-                cmd_cache(&rest[1..])
+                cmd_cache(out, &rest[1..])
             }
-            Some("list") => cmd_list(&rest[1..]),
+            Some("list") => cmd_list(out, &rest[1..]),
             Some("--version" | "-V") => {
-                println!("bpfree {}", env!("CARGO_PKG_VERSION"));
+                writeln!(out, "bpfree {}", env!("CARGO_PKG_VERSION"))?;
                 Ok(())
             }
             Some("--help" | "-h") | None => {
@@ -108,7 +150,8 @@ fn main() -> ExitCode {
                 Err(usage_err(format!("unrecognized flag `{other}`")))
             }
             Some(other) => Err(usage_err(format!("unknown command `{other}`"))),
-        }
+        }?;
+        out.flush().map_err(Failure::from)
     })();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -242,7 +285,7 @@ impl CmdArgs {
     }
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), Failure> {
+fn cmd_compile(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("compile", args, 1, &["--o0"], &[])?;
     let path = args.first("compile needs a file")?;
     let options = if args.has("--o0") {
@@ -251,11 +294,11 @@ fn cmd_compile(args: &[String]) -> Result<(), Failure> {
         Options::default()
     };
     let program = load_program(path, options)?;
-    print!("{program}");
+    write!(out, "{program}")?;
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), Failure> {
+fn cmd_run(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("run", args, 1, &[], &["--fuel"])?;
     let path = args.first("run needs a file")?;
     let fuel = args.number("--fuel")?.unwrap_or(SimConfig::default().fuel);
@@ -267,12 +310,12 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     let result = Simulator::with_config(&program, config)
         .run(&mut NullObserver)
         .map_err(|e| runtime_err(e.to_string()))?;
-    println!("exit: {}", result.exit);
-    println!("instructions: {}", result.instructions);
+    writeln!(out, "exit: {}", result.exit)?;
+    writeln!(out, "instructions: {}", result.instructions)?;
     Ok(())
 }
 
-fn cmd_predict(args: &[String]) -> Result<(), Failure> {
+fn cmd_predict(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("predict", args, 1, &[], &[])?;
     let path = args.first("predict needs a file")?;
     let program = load_program(path, Options::default())?;
@@ -286,10 +329,11 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
         .map_err(|e| runtime_err(e.to_string()))?;
     let profile = profiler.into_profile();
 
-    println!(
+    writeln!(
+        out,
         "{:<20} {:<8} {:<10} {:<9} {:>9} {:>9} {:>6}",
         "branch", "class", "rule", "predicts", "taken", "fallthru", "miss%"
-    );
+    )?;
     let mut branches = program.branches();
     branches.sort();
     for b in branches {
@@ -299,7 +343,8 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
             Some(Direction::FallThru) => c.taken,
             None => c.total(),
         };
-        println!(
+        writeln!(
+            out,
             "{:<20} {:<8} {:<10} {:<9} {:>9} {:>9} {:>6}",
             format!("{}:{}", program.func(b.func).name(), b.block),
             match classifier.class(b) {
@@ -323,7 +368,7 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
             } else {
                 format!("{:.0}", 100.0 * miss as f64 / c.total() as f64)
             }
-        );
+        )?;
     }
     let report = evaluate(&predictions, &profile, &classifier);
     let perfect = evaluate(
@@ -331,19 +376,20 @@ fn cmd_predict(args: &[String]) -> Result<(), Failure> {
         &profile,
         &classifier,
     );
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "overall: {:.1}% miss ({:.1}% perfect bound) over {} dynamic branches",
         100.0 * report.all.miss_rate(),
         100.0 * perfect.all.miss_rate(),
         report.all.dynamic
-    );
+    )?;
     Ok(())
 }
 
 /// Emits each requested function's CFG as Graphviz dot, with loop heads
 /// shaded, backedges dashed, and predicted edges bold.
-fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
+fn cmd_cfg(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("cfg", args, 1, &[], &["--func"])?;
     let path = args.first("cfg needs a file")?;
     let program = load_program(path, Options::default())?;
@@ -357,45 +403,47 @@ fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
     let predictions = predictor.predictions();
 
-    println!("digraph bpfree {{");
-    println!("  node [shape=box, fontname=monospace];");
+    writeln!(out, "digraph bpfree {{")?;
+    writeln!(out, "  node [shape=box, fontname=monospace];")?;
     for fid in program.func_ids() {
         let func = program.func(fid);
         if only.is_some_and(|name| func.name() != name) {
             continue;
         }
         let analysis = classifier.analysis(&program, fid);
-        println!("  subgraph cluster_{} {{", fid.index());
-        println!("    label=\"{}\";", func.name());
+        writeln!(out, "  subgraph cluster_{} {{", fid.index())?;
+        writeln!(out, "    label=\"{}\";", func.name())?;
         for bid in func.block_ids() {
             let style = if analysis.loops.is_head(bid) {
                 ", style=filled, fillcolor=lightgrey"
             } else {
                 ""
             };
-            println!(
+            writeln!(
+                out,
                 "    n{}_{} [label=\"{} ({} instrs)\"{}];",
                 fid.index(),
                 bid.index(),
                 bid,
                 func.block(bid).instrs.len(),
                 style
-            );
+            )?;
         }
         for bid in func.block_ids() {
             use bpfree::ir::Terminator;
-            let mk = |dst: bpfree::ir::BlockId, attrs: &str| {
-                println!(
+            let mk = |out: &mut Out, dst: bpfree::ir::BlockId, attrs: &str| {
+                writeln!(
+                    out,
                     "    n{}_{} -> n{}_{} [{}];",
                     fid.index(),
                     bid.index(),
                     fid.index(),
                     dst.index(),
                     attrs
-                );
+                )
             };
             match &func.block(bid).term {
-                Terminator::Jump(t) => mk(*t, ""),
+                Terminator::Jump(t) => mk(out, *t, "")?,
                 Terminator::Branch {
                     taken, fallthru, ..
                 } => {
@@ -419,24 +467,26 @@ fn cmd_cfg(args: &[String]) -> Result<(), Failure> {
                         }
                     };
                     mk(
+                        out,
                         *taken,
                         &format!("{}{}label=T", dash(*taken), bold(Direction::Taken)),
-                    );
+                    )?;
                     mk(
+                        out,
                         *fallthru,
                         &format!("{}{}label=F", dash(*fallthru), bold(Direction::FallThru)),
-                    );
+                    )?;
                 }
                 Terminator::Ret { .. } => {}
             }
         }
-        println!("  }}");
+        writeln!(out, "  }}")?;
     }
-    println!("}}");
+    writeln!(out, "}}")?;
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), Failure> {
+fn cmd_bench(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("bench", args, 1, &[], &["--dataset"])?;
     let name = args.first("bench needs a benchmark name")?;
     let bench = bpfree::suite::by_name(name)
@@ -458,44 +508,69 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     let report = evaluate(&predictor.predictions(), profile, classifier);
     let perfect = evaluate(&perfect_predictions(program, profile), profile, classifier);
 
-    println!("benchmark: {} — {}", bench.name, bench.description);
-    println!("dataset: {} of {}", dataset, engine.datasets(&bench).len());
-    println!("instructions: {}", result.instructions);
-    println!("dynamic branches: {}", profile.total_branches());
-    println!("non-loop share: {:.0}%", 100.0 * report.nonloop_fraction());
-    println!(
+    writeln!(out, "benchmark: {} — {}", bench.name, bench.description)?;
+    writeln!(
+        out,
+        "dataset: {} of {}",
+        dataset,
+        engine.datasets(&bench).len()
+    )?;
+    writeln!(out, "instructions: {}", result.instructions)?;
+    writeln!(out, "dynamic branches: {}", profile.total_branches())?;
+    writeln!(
+        out,
+        "non-loop share: {:.0}%",
+        100.0 * report.nonloop_fraction()
+    )?;
+    writeln!(
+        out,
         "heuristic miss: loop {:.1}%, non-loop {:.1}%, all {:.1}%",
         100.0 * report.loop_branches.miss_rate(),
         100.0 * report.nonloop.miss_rate(),
         100.0 * report.all.miss_rate()
-    );
-    println!("perfect bound: all {:.1}%", 100.0 * perfect.all.miss_rate());
+    )?;
+    writeln!(
+        out,
+        "perfect bound: all {:.1}%",
+        100.0 * perfect.all.miss_rate()
+    )?;
     Ok(())
 }
 
-fn cmd_list(args: &[String]) -> Result<(), Failure> {
+fn cmd_list(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     CmdArgs::parse("list", args, 0, &[], &[])?;
-    println!("{:<11} {:<4} {:<5} description", "name", "lang", "spec");
+    writeln!(
+        out,
+        "{:<11} {:<4} {:<5} description",
+        "name", "lang", "spec"
+    )?;
     for b in bpfree::suite::all() {
-        println!(
+        writeln!(
+            out,
             "{:<11} {:<4} {:<5} {}",
             b.name,
             b.lang.to_string(),
             if b.spec { "*" } else { "" },
             b.description
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `bpfree exp list|run|all` — the registered experiments.
-fn cmd_exp(args: &[String]) -> Result<(), Failure> {
+fn cmd_exp(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("list") => {
             CmdArgs::parse("exp list", &args[1..], 0, &[], &[])?;
-            println!("{:<16} {:<26} description", "name", "paper");
+            writeln!(out, "{:<16} {:<26} description", "name", "paper")?;
             for e in registry::all() {
-                println!("{:<16} {:<26} {}", e.name(), e.paper_ref(), e.description());
+                writeln!(
+                    out,
+                    "{:<16} {:<26} {}",
+                    e.name(),
+                    e.paper_ref(),
+                    e.description()
+                )?;
             }
             Ok(())
         }
@@ -512,7 +587,7 @@ fn cmd_exp(args: &[String]) -> Result<(), Failure> {
                 .iter()
                 .map(|n| resolve_experiment(n))
                 .collect::<Result<_, _>>()?;
-            run_exps(&exps, &args, "run")
+            run_exps(out, &exps, &args, "run")
         }
         Some("all") => {
             let valued = &["--out-dir", "--image", "--skip"];
@@ -531,7 +606,7 @@ fn cmd_exp(args: &[String]) -> Result<(), Failure> {
                 .copied()
                 .filter(|e| !skip.contains(&e.name()))
                 .collect();
-            run_exps(&exps, &args, "all")
+            run_exps(out, &exps, &args, "all")
         }
         _ => Err(usage_err(
             "exp needs a subcommand: `list`, `run NAME...`, or `all`",
@@ -552,7 +627,7 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
 /// image (cache format v8, see `bpfree::cache::image`).
-fn cmd_image(args: &[String]) -> Result<(), Failure> {
+fn cmd_image(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
         let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;
         Ok(PathBuf::from(
@@ -572,9 +647,9 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
                 .export_image(&path)
                 .map_err(|e| runtime_err(e.to_string()))?;
             persist(engine);
-            println!("image: {}", path.display());
-            println!("entries: {entries}");
-            println!("bytes: {bytes}");
+            writeln!(out, "image: {}", path.display())?;
+            writeln!(out, "entries: {entries}")?;
+            writeln!(out, "bytes: {bytes}")?;
             Ok(())
         }
         Some("verify") => {
@@ -590,38 +665,42 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
             let report = engine
                 .mount_image(&path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
-            println!(
+            writeln!(
+                out,
                 "{}: ok — {} entries mounted, {} skipped, {} bytes",
                 path.display(),
                 report.mounted,
                 report.skipped,
                 report.bytes
-            );
+            )?;
             Ok(())
         }
         Some("ls") => {
             let path = path_arg("ls")?;
             let img = bpfree::cache::image::SuiteImage::open(&path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
-            println!(
+            writeln!(
+                out,
                 "{:<10} {:<11} {:<18} {:>7} {:>10}",
                 "kind", "bench", "options", "dataset", "bytes"
-            );
+            )?;
             for e in img.entries() {
-                println!(
+                writeln!(
+                    out,
                     "{:<10} {:<11} {:<18} {:>7} {:>10}",
                     e.kind.name(),
                     e.name,
                     e.opt,
                     e.dataset.map_or("-".to_string(), |d| d.to_string()),
                     e.payload_bytes()
-                );
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "{} entries, {} bytes total",
                 img.entries().len(),
                 img.total_bytes()
-            );
+            )?;
             Ok(())
         }
         _ => Err(usage_err(
@@ -633,7 +712,7 @@ fn cmd_image(args: &[String]) -> Result<(), Failure> {
 /// `bpfree cache stat` — what the cache image holds, per artifact
 /// kind. Honors `--cache-dir` / `BPFREE_CACHE_DIR` like every other
 /// command.
-fn cmd_cache(args: &[String]) -> Result<(), Failure> {
+fn cmd_cache(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     if args.first().map(String::as_str) != Some("stat") {
         return Err(usage_err("cache needs a subcommand: `stat`"));
     }
@@ -642,16 +721,17 @@ fn cmd_cache(args: &[String]) -> Result<(), Failure> {
     let path = bpfree::cache::image_path(dir);
     let stat = bpfree::cache::maint::scan(dir)
         .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
-    println!("cache image: {}", path.display());
-    println!("{:<10} {:>8} {:>12}", "kind", "entries", "bytes");
+    writeln!(out, "cache image: {}", path.display())?;
+    writeln!(out, "{:<10} {:>8} {:>12}", "kind", "entries", "bytes")?;
     for (kind, n, bytes) in stat.by_kind() {
-        println!("{:<10} {n:>8} {bytes:>12}", kind.name());
+        writeln!(out, "{:<10} {n:>8} {bytes:>12}", kind.name())?;
     }
-    println!(
+    writeln!(
+        out,
         "total: {} entries, {} bytes",
         stat.entries.len(),
         stat.total_bytes()
-    );
+    )?;
     Ok(())
 }
 
@@ -671,8 +751,12 @@ fn persist(engine: &bpfree::engine::Engine) {
 /// `--out-dir` with a manifest. One process, one engine: every
 /// (benchmark, dataset) is compiled and simulated at most once for the
 /// whole batch, which is the point of `exp all`.
-fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Result<(), Failure> {
-    let rt = |e: io::Error| runtime_err(e.to_string());
+fn run_exps(
+    out: &mut Out,
+    exps: &[&'static dyn Experiment],
+    args: &CmdArgs,
+    mode: &str,
+) -> Result<(), Failure> {
     let engine = config::engine();
     // An explicit suite image pre-fills every memo the batch would
     // otherwise compute (on top of the cache image the engine mounted
@@ -693,13 +777,13 @@ fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Res
     }
     let out_dir = args.value("--out-dir").map(Path::new);
     if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(rt)?;
+        std::fs::create_dir_all(dir)?;
     }
     let start = Instant::now();
-    let reports = registry::run_experiments(exps, engine, true).map_err(rt)?;
+    let reports = registry::run_experiments(exps, engine, true)?;
     match out_dir {
         Some(dir) => {
-            let manifest = write_capture(dir, exps, &reports).map_err(rt)?;
+            let manifest = write_capture(dir, exps, &reports)?;
             eprintln!(
                 "[bpfree] captured {} experiments under {} ({})",
                 exps.len(),
@@ -708,11 +792,10 @@ fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Res
             );
         }
         None => {
-            let mut out = io::stdout().lock();
             for report in &reports {
-                out.write_all(&report.bytes).map_err(rt)?;
+                out.write_all(&report.bytes)?;
             }
-            out.flush().map_err(rt)?;
+            out.flush()?;
         }
     }
     persist(engine);
@@ -722,8 +805,8 @@ fn run_exps(exps: &[&'static dyn Experiment], args: &CmdArgs, mode: &str) -> Res
         start.elapsed().as_secs_f64(),
         engine.simulations()
     );
-    if let Some(out) = &config::config().timings {
-        emit_timings(out).map_err(rt)?;
+    if let Some(timings) = &config::config().timings {
+        emit_timings(timings)?;
     }
     Ok(())
 }

@@ -480,3 +480,39 @@ fn exp_list_never_opens_the_cache() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+/// A reader that closes the pipe early only ends the output: with the
+/// read end of stdout dropped right after spawn, each command exits 0
+/// without a panic, and a cold `exp run` still writes the cache image.
+#[test]
+fn a_closed_stdout_pipe_only_ends_the_output() {
+    let tmp = scratch_dir("closed-pipe");
+    let cache = tmp.join("cache");
+    let cases: [Vec<&std::ffi::OsStr>; 3] = [
+        vec!["list".as_ref()],
+        vec!["exp".as_ref(), "list".as_ref()],
+        vec![
+            "exp".as_ref(),
+            "run".as_ref(),
+            "table1".as_ref(),
+            "--cache-dir".as_ref(),
+            cache.as_os_str(),
+        ],
+    ];
+    for args in &cases {
+        let mut child = bpfree()
+            .args(args)
+            .env_remove("BPFREE_NO_CACHE")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(bpfree::cache::image_path(&cache).is_file());
+    let _ = std::fs::remove_dir_all(&tmp);
+}
