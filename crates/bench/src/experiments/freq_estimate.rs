@@ -11,7 +11,7 @@
 use std::io::{self, Write};
 
 use bpfree_core::freq::{estimate_branch_block_frequencies, spearman, Confidence};
-use bpfree_core::{CombinedPredictor, HeuristicKind};
+use bpfree_core::CombinedPredictor;
 use bpfree_engine::Engine;
 
 use crate::load_suite_on;
@@ -37,12 +37,8 @@ impl Experiment for FreqEstimate {
         // Calibrate confidences once, over the whole suite (leave-in
         // calibration: the point is realistic magnitudes, not generalisation;
         // Wu & Larus likewise reused corpus-measured hit rates).
-        let predictors: Vec<CombinedPredictor> = suite
-            .iter()
-            .map(|d| {
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order())
-            })
-            .collect();
+        let predictors: Vec<CombinedPredictor> =
+            suite.iter().map(|d| d.combined_predictor()).collect();
         let calibrated = Confidence::calibrate(
             suite
                 .iter()
@@ -63,17 +59,11 @@ impl Experiment for FreqEstimate {
         writeln!(w, "{:-<53}", "")?;
         let mut rhos = Vec::new();
         for (d, cp) in suite.iter().zip(&predictors) {
-            let est = estimate_branch_block_frequencies(
-                &d.program,
-                &d.classifier,
-                cp,
-                Confidence::default(),
-            );
-            let cal = estimate_branch_block_frequencies(&d.program, &d.classifier, cp, calibrated);
+            let est = estimate_branch_block_frequencies(&d.program, cp, Confidence::default());
+            let cal = estimate_branch_block_frequencies(&d.program, cp, calibrated);
             // Strawman: all branches 50/50 (structure-only estimation).
             let flat = estimate_branch_block_frequencies(
                 &d.program,
-                &d.classifier,
                 cp,
                 Confidence {
                     loop_branch: 0.5,

@@ -8,7 +8,7 @@
 
 use std::io::{self, Write};
 
-use bpfree_core::{evaluate, perfect_predictions, CombinedPredictor, HeuristicKind};
+use bpfree_core::{evaluate, perfect_predictions};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
@@ -47,8 +47,7 @@ impl Experiment for Graph13 {
         let mut max_spread: f64 = 0.0;
         let mut spread_bench = String::new();
         for d in load_suite_on(engine) {
-            let cp =
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
+            let cp = d.combined_predictor();
             let heuristic = cp.predictions();
             let mut rates = Vec::new();
             for (i, ds) in d.datasets(engine).iter().enumerate() {

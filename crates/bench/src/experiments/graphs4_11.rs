@@ -12,10 +12,9 @@
 use std::io::{self, Write};
 
 use bpfree_core::ipbc::IpbcAnalyzer;
-use bpfree_core::{
-    loop_rand_predictions, perfect_predictions, CombinedPredictor, HeuristicKind, DEFAULT_SEED,
-};
+use bpfree_core::{loop_rand_predictions, perfect_predictions, DEFAULT_SEED};
 use bpfree_engine::Engine;
+use bpfree_sim::TraceKernel;
 
 use crate::registry::{Experiment, Needs};
 use crate::{pct, BenchData};
@@ -52,8 +51,7 @@ impl Experiment for Graphs4To11 {
             let bench = bpfree_suite::by_name(name).expect("trace benchmark is in the suite");
             let d = BenchData::load(engine, bench);
             let perfect = perfect_predictions(&d.program, &d.profile);
-            let cp =
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
+            let cp = d.combined_predictor();
             let heuristic = cp.predictions();
             let loop_rand = loop_rand_predictions(&d.program, &d.classifier, DEFAULT_SEED);
 
@@ -64,10 +62,9 @@ impl Experiment for Graphs4To11 {
             analyzer.add_predictor("Perfect", &perfect);
             // The perfect predictor above trained on this run's own edge
             // profile, so the sequence analysis cannot share the live pass.
-            // Replaying the recorded branch trace (segmented in parallel,
-            // honouring --jobs) is bit-identical for the analyzer and
-            // costs no interpreter pass.
-            trace.replay_segmented(&mut analyzer);
+            // The fused kernel scores the recorded branch trace instead,
+            // bit-identical to replaying it and at no interpreter pass.
+            analyzer.replay_trace(&trace);
             let dists = analyzer.finish();
 
             writeln!(w, "== {} ==", d.bench.name)?;

@@ -10,7 +10,7 @@
 
 use std::io::{self, Write};
 
-use bpfree_core::{evaluate, CombinedPredictor, HeuristicKind};
+use bpfree_core::{evaluate, CombinedPredictor, HeuristicKind, DEFAULT_SEED};
 use bpfree_engine::Engine;
 use bpfree_lang::Options;
 
@@ -23,10 +23,12 @@ fn run_at(engine: &Engine, bench: &bpfree_suite::Benchmark, options: Options) ->
     // collide with the -O artifacts the other experiments share.
     let compiled = engine.compiled(bench, options);
     let run = engine.run(bench, options, 0);
-    let cp = CombinedPredictor::new(
+    let cp = CombinedPredictor::from_table(
         &compiled.program,
         &compiled.classifier,
-        HeuristicKind::paper_order(),
+        &compiled.table,
+        &HeuristicKind::paper_order(),
+        DEFAULT_SEED,
     );
     let r = evaluate(&cp.predictions(), &run.profile, &compiled.classifier);
     (r.all.miss_rate(), r.nonloop.miss_rate())

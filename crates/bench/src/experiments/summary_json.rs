@@ -6,7 +6,7 @@ use std::io::{self, Write};
 
 use bpfree_core::{
     evaluate, loop_rand_predictions, perfect_predictions, random_predictions, taken_predictions,
-    ClassStats, CombinedPredictor, HeuristicKind, Report, DEFAULT_SEED,
+    ClassStats, Report, DEFAULT_SEED,
 };
 use bpfree_engine::Engine;
 
@@ -53,8 +53,7 @@ impl Experiment for SummaryJson {
         let suite = load_suite_on(engine);
         let n = suite.len() as f64;
         for d in suite {
-            let cp =
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
+            let cp = d.combined_predictor();
             let heuristic = evaluate(&cp.predictions(), &d.profile, &d.classifier);
             let perfect = evaluate(
                 &perfect_predictions(&d.program, &d.profile),

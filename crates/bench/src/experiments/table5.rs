@@ -7,7 +7,7 @@
 
 use std::io::{self, Write};
 
-use bpfree_core::{evaluate_with_attribution, CombinedPredictor, HeuristicKind};
+use bpfree_core::{evaluate_with_attribution, HeuristicKind};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
@@ -43,7 +43,7 @@ impl Experiment for Table5 {
         let mut sums: Vec<Vec<(f64, f64)>> = vec![Vec::new(); columns.len()];
 
         for d in load_suite_on(engine) {
-            let cp = CombinedPredictor::new(&d.program, &d.classifier, order);
+            let cp = d.combined_predictor();
             let att = evaluate_with_attribution(&cp, &d.profile, &d.classifier);
             write!(w, "{:<11}", d.bench.name)?;
             for (ci, c) in columns.iter().enumerate() {

@@ -8,10 +8,7 @@
 
 use std::io::{self, Write};
 
-use bpfree_core::{
-    evaluate, evaluate_with_attribution, loop_rand_predictions, CombinedPredictor, HeuristicKind,
-    DEFAULT_SEED,
-};
+use bpfree_core::{evaluate, evaluate_with_attribution, loop_rand_predictions, DEFAULT_SEED};
 use bpfree_engine::Engine;
 
 use crate::registry::Experiment;
@@ -41,8 +38,7 @@ impl Experiment for Table6 {
         writeln!(w, "{:-<60}", "")?;
 
         for d in load_suite_on(engine) {
-            let cp =
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
+            let cp = d.combined_predictor();
             let att = evaluate_with_attribution(&cp, &d.profile, &d.classifier);
 
             // Heuristics-only stats (the non-Default sources), aggregated

@@ -7,8 +7,7 @@
 use std::io::{self, Write};
 
 use bpfree_core::{
-    evaluate, loop_rand_predictions, random_predictions, taken_predictions, CombinedPredictor,
-    HeuristicKind, DEFAULT_SEED,
+    evaluate, loop_rand_predictions, random_predictions, taken_predictions, DEFAULT_SEED,
 };
 use bpfree_engine::Engine;
 
@@ -46,8 +45,7 @@ impl Experiment for Table7 {
 
         let mut rows = Vec::new();
         for d in load_suite_on(engine) {
-            let cp =
-                CombinedPredictor::new(&d.program, &d.classifier, HeuristicKind::paper_order());
+            let cp = d.combined_predictor();
             let r = evaluate(&cp.predictions(), &d.profile, &d.classifier);
             let lr = evaluate(
                 &loop_rand_predictions(&d.program, &d.classifier, DEFAULT_SEED),

@@ -37,7 +37,9 @@ pub use bpfree_par::timings;
 
 use std::sync::Arc;
 
-use bpfree_core::{BranchClassifier, HeuristicTable};
+use bpfree_core::{
+    BranchClassifier, CombinedPredictor, HeuristicKind, HeuristicTable, DEFAULT_SEED,
+};
 use bpfree_engine::Engine;
 use bpfree_ir::Program;
 use bpfree_lang::Options;
@@ -79,6 +81,19 @@ impl BenchData {
             profile: run.profile,
             run: run.result,
         }
+    }
+
+    /// The paper's combined predictor (paper heuristic order, default
+    /// seed), built from the engine's heuristic table rather than a
+    /// fresh one.
+    pub fn combined_predictor(&self) -> CombinedPredictor {
+        CombinedPredictor::from_table(
+            &self.program,
+            &self.classifier,
+            &self.table,
+            &HeuristicKind::paper_order(),
+            DEFAULT_SEED,
+        )
     }
 
     /// The replayable branch trace of the reference dataset. Recording

@@ -11,8 +11,8 @@
 //! sequence is served as a [`ByteView`] window straight into the image
 //! bytes ([`BranchTrace::from_borrowed_parts`]), so a warm start
 //! performs zero per-trace sequence decode allocations — the property
-//! the `traces_are_served_zero_copy` test asserts via
-//! [`bpfree_sim::trace_seq_allocs`].
+//! the `traces_are_served_zero_copy` test asserts by finding a mounted
+//! trace's sequence inside the image buffer.
 //!
 //! # File layout (cache format v8)
 //!
@@ -84,7 +84,7 @@ use std::sync::Arc;
 
 use bpfree_core::{BranchClass, BranchClassifier, Direction, HeuristicTable};
 use bpfree_ir::{BlockId, BranchRef, FuncId, Program};
-use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, EdgeProfile, RunResult, TraceEvent};
+use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, EdgeProfile, RunResult, TraceEvent, TraceSeq};
 
 use crate::{
     PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts, BUILD_FINGERPRINT,
@@ -365,14 +365,17 @@ pub(crate) fn decode_run_payload(bytes: &[u8]) -> Option<RunArtifacts> {
 }
 
 /// Trace payload: 40-byte fixed header, then `n_dict` 24-byte
-/// dictionary records, then the raw index sequence — one byte per event
-/// when the dictionary fits in 256 entries (the borrowed zero-copy
-/// representation), else four. With an 8-aligned payload the sequence
-/// itself starts 8-aligned too (40 + 24·k ≡ 0 mod 8).
+/// dictionary records, then the raw index sequence in the trace's own
+/// width — one byte per event when the dictionary fits in 256 entries
+/// (the borrowed zero-copy representation), else four. With an
+/// 8-aligned payload the sequence itself starts 8-aligned too
+/// (40 + 24·k ≡ 0 mod 8).
 pub(crate) fn encode_trace_payload(trace: &BranchTrace, run: RunResult) -> Vec<u8> {
     let dict = trace.dict();
-    let narrow = dict.len() <= 256;
-    let width = if narrow { 1 } else { 4 };
+    let width = match trace.seq() {
+        TraceSeq::Narrow(_) => 1,
+        TraceSeq::Wide(_) => 4,
+    };
     let mut out = Vec::with_capacity(40 + dict.len() * 24 + trace.len() * width);
     put_i64(&mut out, run.exit);
     put_u64(&mut out, run.instructions);
@@ -388,11 +391,12 @@ pub(crate) fn encode_trace_payload(trace: &BranchTrace, run: RunResult) -> Vec<u
         out.push(u8::from(e.taken));
         out.extend_from_slice(&[0; 7]);
     }
-    if narrow {
-        out.extend(trace.indices().map(|i| i as u8));
-    } else {
-        for i in trace.indices() {
-            put_u32(&mut out, i);
+    match trace.seq() {
+        TraceSeq::Narrow(seq) => out.extend_from_slice(seq),
+        TraceSeq::Wide(seq) => {
+            for &i in seq {
+                put_u32(&mut out, i);
+            }
         }
     }
     out
@@ -455,7 +459,6 @@ pub(crate) fn decode_trace_payload(
     } else {
         // Wide sequences (dictionary past 256 entries) fall back to
         // owned storage — the one image path that still decodes.
-        bpfree_sim::note_trace_seq_alloc();
         let mut seq = Vec::with_capacity(n_events);
         for _ in 0..n_events {
             seq.push(c.u32()?);
@@ -863,8 +866,7 @@ impl SuiteImage {
 
     /// Decodes a trace entry. The index sequence is **borrowed** from
     /// the image buffer (zero-copy) whenever the dictionary fits in 256
-    /// entries — which is every suite trace; see
-    /// [`bpfree_sim::trace_seq_allocs`].
+    /// entries — which is every suite trace.
     pub fn trace(&self, e: &ImageEntry) -> Option<TraceArtifacts> {
         if e.kind != SectionKind::Trace {
             return None;
@@ -939,17 +941,12 @@ mod tests {
         let e = img
             .find(SectionKind::Trace, "sample", "O", Some(0))
             .unwrap();
-        let before = bpfree_sim::trace_seq_allocs();
         let got = img.trace(e).unwrap();
-        assert_eq!(
-            bpfree_sim::trace_seq_allocs(),
-            before,
-            "mounted trace decode must not allocate a sequence"
-        );
-        // Borrowed storage: no widened u32 sequence exists…
-        assert!(got.trace.seq_u32().is_none(), "seq is borrowed, not owned");
-        // …and the u8 view points into the image buffer itself.
-        let seq8 = got.trace.seq_u8().unwrap();
+        // The byte-wide sequence is a window into the image buffer
+        // itself, not a decoded copy.
+        let TraceSeq::Narrow(seq8) = got.trace.seq() else {
+            panic!("a suite-sized dictionary is stored byte-wide");
+        };
         let buf_range = img.buf.as_ptr() as usize..img.buf.as_ptr() as usize + img.buf.len();
         assert!(buf_range.contains(&(seq8.as_ptr() as usize)));
         assert_eq!(got.trace, s.trace);

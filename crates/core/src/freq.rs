@@ -235,120 +235,6 @@ pub fn estimate_block_frequencies(
     BlockFrequencies { freqs }
 }
 
-/// Structural frequency propagation (Wu & Larus, MICRO 1994): process
-/// natural loops innermost-first, compute each loop's *cyclic
-/// probability* (the probability of returning to the head per entry),
-/// and scale the head's incoming frequency by `1/(1 - cp)`. Exact for
-/// reducible CFGs in one pass, vs. the damped iteration of
-/// [`estimate_block_frequencies`]; the unit test
-/// `structural_matches_iterative_on_the_suite_shapes` keeps the two
-/// honest against each other.
-pub fn estimate_block_frequencies_structural(
-    program: &Program,
-    func: FuncId,
-    probs: &BranchProbabilities,
-    classifier: &BranchClassifier,
-) -> BlockFrequencies {
-    let f = program.func(func);
-    let analysis = classifier.analysis(program, func);
-    let n = f.blocks().len();
-
-    // Out-edges with probabilities.
-    let mut out_edges: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for bid in f.block_ids() {
-        match &f.block(bid).term {
-            Terminator::Jump(t) => out_edges[bid.index()].push((t.index(), 1.0)),
-            Terminator::Branch {
-                taken, fallthru, ..
-            } => {
-                let p = probs.taken(BranchRef { func, block: bid });
-                out_edges[bid.index()].push((taken.index(), p));
-                out_edges[bid.index()].push((fallthru.index(), 1.0 - p));
-            }
-            Terminator::Ret { .. } => {}
-        }
-    }
-
-    // Cyclic probability per loop head, innermost loops first (heads
-    // sorted by decreasing nesting depth; `heads()` iterates in
-    // ascending block order, so ties resolve deterministically).
-    let mut heads: Vec<_> = analysis.loops.heads().collect();
-    heads.sort_by_key(|h| std::cmp::Reverse(analysis.loops.depth(*h)));
-    let mut cyclic: Vec<Option<f64>> = vec![None; n];
-
-    for head in heads {
-        // Propagate a unit of flow from the head through the loop body
-        // (already-solved inner loops amplify by their own factor), and
-        // accumulate what returns along the backedges.
-        let body = &analysis
-            .loops
-            .natural_loop(head)
-            .expect("head has a loop")
-            .body;
-        let mut flow = vec![0.0f64; n];
-        flow[head.index()] = 1.0;
-        // Process body blocks in reverse postorder so each block's inflow
-        // is complete before it distributes (reducible loops only).
-        let order: Vec<usize> = analysis
-            .dfs
-            .reverse_postorder()
-            .iter()
-            .map(|b| b.index())
-            .filter(|b| body.contains(bpfree_ir::BlockId(*b as u32)))
-            .collect();
-        let mut back_in = 0.0f64;
-        for &b in &order {
-            let mut amount = flow[b];
-            if b != head.index() {
-                if amount == 0.0 {
-                    continue;
-                }
-                // An inner loop head multiplies flow by its trip factor.
-                if let Some(cp) = cyclic[b] {
-                    amount /= (1.0 - cp).max(0.02);
-                    flow[b] = amount;
-                }
-            }
-            for &(dst, p) in &out_edges[b] {
-                let contribution = amount * p;
-                if dst == head.index() {
-                    back_in += contribution;
-                } else if body.contains(bpfree_ir::BlockId(dst as u32)) {
-                    flow[dst] += contribution;
-                }
-            }
-        }
-        cyclic[head.index()] = Some(back_in.min(0.98));
-    }
-
-    // Final acyclic pass over the whole function: RPO, amplifying at
-    // loop heads, ignoring backedges (their effect is in the factor).
-    let mut freqs = vec![0.0f64; n];
-    freqs[0] = 1.0;
-    for b in analysis.dfs.reverse_postorder() {
-        let bi = b.index();
-        let mut amount = freqs[bi];
-        if let Some(cp) = cyclic[bi] {
-            amount /= (1.0 - cp).max(0.02);
-            freqs[bi] = amount;
-        }
-        if amount == 0.0 {
-            continue;
-        }
-        for &(dst, p) in &out_edges[bi] {
-            // Skip backedges: already folded into the cyclic factor.
-            if analysis
-                .loops
-                .is_backedge(*b, bpfree_ir::BlockId(dst as u32))
-            {
-                continue;
-            }
-            freqs[dst] += amount * p;
-        }
-    }
-    BlockFrequencies { freqs }
-}
-
 /// Spearman rank correlation between two paired samples — the metric for
 /// "does the estimator order hot blocks like the real profile does".
 ///
@@ -451,11 +337,9 @@ impl BranchFrequencies {
 /// program, flattened for comparison against a profile.
 pub fn estimate_branch_block_frequencies(
     program: &Program,
-    classifier: &BranchClassifier,
     predictor: &CombinedPredictor,
     confidence: Confidence,
 ) -> BranchFrequencies {
-    let _ = classifier;
     let probs = BranchProbabilities::from_predictor(program, predictor, confidence);
     let mut entries = Vec::new();
     for fid in program.func_ids() {
@@ -556,12 +440,12 @@ mod tests {
             }
             return acc;
         }";
-        let (p, c, cp) = setup(src);
+        let (p, _, cp) = setup(src);
         let mut prof = EdgeProfiler::new();
         Simulator::new(&p).run(&mut prof).unwrap();
         let profile = prof.into_profile();
 
-        let est = estimate_branch_block_frequencies(&p, &c, &cp, Confidence::default());
+        let est = estimate_branch_block_frequencies(&p, &cp, Confidence::default());
         let mut pairs: Vec<(f64, f64)> = Vec::new();
         for (b, freq) in est.iter() {
             let counts = profile.counts(b);
@@ -572,38 +456,6 @@ mod tests {
         let (a, b): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
         let rho = spearman(&a, &b);
         assert!(rho > 0.7, "rank correlation {rho}");
-    }
-
-    #[test]
-    fn structural_matches_iterative_on_the_suite_shapes() {
-        // Nested loops, branches in bodies, early exits: the two solvers
-        // must agree closely on every block.
-        let src = "global int acc;
-        fn main() -> int {
-            int i; int j; int k;
-            for (i = 0; i < 20; i = i + 1) {
-                if (i % 4 == 0) { acc = acc + 1; }
-                for (j = 0; j < 10; j = j + 1) {
-                    if (j > 7) { acc = acc + 2; }
-                    k = 0;
-                    do { k = k + 1; } while (k < 3);
-                }
-            }
-            return acc;
-        }";
-        let (p, c, cp) = setup(src);
-        let probs = BranchProbabilities::from_predictor(&p, &cp, Confidence::default());
-        let fid = p.entry();
-        let iterative = estimate_block_frequencies(&p, fid, &probs);
-        let structural = estimate_block_frequencies_structural(&p, fid, &probs, &c);
-        for b in p.func(fid).block_ids() {
-            let (a, s) = (iterative.get(b), structural.get(b));
-            let scale = a.abs().max(s.abs()).max(1.0);
-            assert!(
-                (a - s).abs() / scale < 0.02,
-                "block {b}: iterative {a} vs structural {s}"
-            );
-        }
     }
 
     #[test]

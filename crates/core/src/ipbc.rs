@@ -21,16 +21,18 @@
 //! one sequence counter per predictor, replacing materialised trace
 //! files.
 
-use std::ops::Range;
-use std::sync::Arc;
-
 use bpfree_ir::{BranchRef, Program, Terminator};
-use bpfree_sim::{BranchTrace, ExecObserver, SegmentedObserver, TraceSegment};
+use bpfree_sim::{BranchTrace, ExecObserver, TraceEvent, TraceKernel, TraceSeq};
 
 use crate::predictors::{Direction, Predictions};
 
 /// Number of histogram buckets (bucket `j` covers lengths `10j..10j+9`).
 pub const N_BUCKETS: usize = 1000;
+
+/// The histogram bucket of a sequence of `len` instructions.
+fn bucket(len: u64) -> usize {
+    ((len / 10) as usize).min(N_BUCKETS - 1)
+}
 
 /// Sequence-length statistics for one predictor over one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +67,7 @@ impl SequenceDist {
     }
 
     fn record_sequence(&mut self, len: u64) {
-        let bucket = ((len / 10) as usize).min(N_BUCKETS - 1);
+        let bucket = bucket(len);
         self.counts[bucket] += 1;
         self.length_sums[bucket] += len;
     }
@@ -203,7 +205,6 @@ pub struct IpbcAnalyzer<'p> {
     dense: Vec<DensePredictions>,
     dists: Vec<SequenceDist>,
     current_len: Vec<u64>,
-    fused: Option<Arc<FusedTables>>,
 }
 
 impl<'p> IpbcAnalyzer<'p> {
@@ -214,7 +215,6 @@ impl<'p> IpbcAnalyzer<'p> {
             dense: Vec::new(),
             dists: Vec::new(),
             current_len: Vec::new(),
-            fused: None,
         }
     }
 
@@ -247,275 +247,76 @@ impl<'p> IpbcAnalyzer<'p> {
         }
         self.dists
     }
-}
 
-/// Per-trace lookup tables shared (via `Arc`) by every replay segment:
-/// for each dictionary entry, its instruction count and a bitmask of
-/// which registered predictors mispredict it. Built once in `prepare`,
-/// they turn the per-event work of the fused kernel into a single
-/// packed array read — no hashing, no observer dispatch, and no
-/// per-predictor work on correctly-predicted events.
-struct FusedTables {
-    /// `entries[d]` = (instruction count, miss mask over the predictors)
-    /// of dictionary entry `d`.
-    entries: Vec<(u64, u64)>,
-    /// `entries` zero-padded to exactly 256 slots when the dictionary
-    /// fits (always, in practice). Indexed with the byte-wide sequence
-    /// from [`BranchTrace::seq_u8`], a `u8` index into a fixed-size
-    /// 256-entry array needs no bounds check in the hot loop.
-    packed: Option<Box<[(u64, u64); 256]>>,
-}
-
-fn miss_mask(dense: &[DensePredictions], e: &bpfree_sim::TraceEvent) -> u64 {
-    let mut m = 0u64;
-    for (p, d) in dense.iter().enumerate() {
-        if d.predicts_taken(e.branch) != Some(e.taken) {
-            m |= 1 << p;
+    /// Which registered predictors mispredict `event`, one bit each.
+    fn miss_mask(&self, event: &TraceEvent) -> u64 {
+        let mut mask = 0u64;
+        for (p, dense) in self.dense.iter().enumerate() {
+            if dense.predicts_taken(event.branch) != Some(event.taken) {
+                mask |= 1 << p;
+            }
         }
+        mask
     }
-    m
 }
 
-impl FusedTables {
-    fn build(dense: &[DensePredictions], trace: &BranchTrace) -> FusedTables {
+/// The fused kernel: one serial pass over the trace's dictionary
+/// indices that scores every registered predictor at once, with no
+/// observer dispatch and no per-event prediction lookup.
+impl TraceKernel for IpbcAnalyzer<'_> {
+    fn replay_trace(&mut self, trace: &BranchTrace) {
+        // Per dictionary entry: its instruction count and which
+        // predictors mispredict it. A correctly predicted event is then
+        // one table read and one add; a break walks only the set bits.
         let entries: Vec<(u64, u64)> = trace
             .dict()
             .iter()
-            .map(|e| (e.instrs, miss_mask(dense, e)))
+            .map(|e| (e.instrs, self.miss_mask(e)))
             .collect();
-        let packed = (entries.len() <= 256).then(|| {
-            let mut t = Box::new([(0u64, 0u64); 256]);
-            t[..entries.len()].copy_from_slice(&entries);
-            t
-        });
-        FusedTables { entries, packed }
-    }
-}
-
-/// One predictor's order-dependent state over one segment. The run that
-/// is open when the segment starts cannot be bucketed locally — its
-/// total length depends on earlier segments — so the length closed by
-/// the *first* break is parked in `first_break` and the still-open tail
-/// in `len`; `merge` stitches both across the boundary.
-struct SegmentState {
-    counts: Vec<u64>,
-    length_sums: Vec<u64>,
-    breaks: u64,
-    first_break: Option<u64>,
-    len: u64,
-}
-
-impl SegmentState {
-    fn new() -> SegmentState {
-        SegmentState {
-            counts: vec![0; N_BUCKETS],
-            length_sums: vec![0; N_BUCKETS],
-            breaks: 0,
-            first_break: None,
-            len: 0,
-        }
-    }
-
-    fn record_sequence(&mut self, len: u64) {
-        let bucket = ((len / 10) as usize).min(N_BUCKETS - 1);
-        self.counts[bucket] += 1;
-        self.length_sums[bucket] += len;
-    }
-}
-
-/// The per-worker state of segmented IPBC analysis (see
-/// [`SegmentedObserver`]). Replays its slice with the fused kernel: a
-/// single event-major scan over precomputed per-dictionary-entry
-/// instruction counts and miss bitmasks, instead of per-event
-/// [`ExecObserver`] dispatch plus a prediction lookup per predictor.
-pub struct IpbcSegment {
-    tables: Arc<FusedTables>,
-    states: Vec<SegmentState>,
-    /// Branch events in this segment (same for every predictor).
-    events: u64,
-    /// Instructions in this segment (same for every predictor).
-    instrs: u64,
-}
-
-/// Per-predictor stride of the fused kernel's flat local histogram:
-/// a power of two ≥ `N_BUCKETS` so the bucket offset is a shift. Each
-/// cell is a `u128` holding the length sum in its high half and the
-/// sequence count in its low half, so one break is one read-modify-
-/// write; the count side cannot carry into the sums before 2⁶⁴ breaks.
-const HIST_SHIFT: usize = 10;
-const _: () = assert!(N_BUCKETS <= 1 << HIST_SHIFT);
-
-impl TraceSegment for IpbcSegment {
-    fn replay(&mut self, trace: &BranchTrace, range: Range<usize>) {
-        let tables = Arc::clone(&self.tables);
-        self.events += range.len() as u64;
-
-        // Each predictor's open-run length is a distance from one
-        // running position: `len_p = pos - start_p`. A correctly-
-        // predicted event then costs one packed table read and one add
-        // for all predictors; breaks walk only the set mask bits and
-        // write into a flat shift-indexed histogram, folded back into
-        // the (pointer-chasing) `SegmentState`s once at the end. `base`
-        // keeps the subtraction in u64 if states carry an open run in
-        // from an earlier call.
-        //
-        // The scan runs in two phases. The *prefix* loop tracks which
-        // predictors still owe their first break of the call — that
-        // break closes a run that may span the segment boundary, so its
-        // length is parked in `first` (bit in `seen`) rather than
-        // bucketed. Once every predictor has broken (almost immediately
-        // on real traces) the *main* loop drops that test: each break
-        // is one unconditional histogram read-modify-write.
-        let n = self.states.len();
-        let states = &mut self.states;
-        let mut hist = vec![0u128; n << HIST_SHIFT];
+        // Each predictor's open run is a distance from one running
+        // position, `pos - start[p]`; `base` carries in runs left open
+        // by an earlier replay. Breaks land in a per-predictor
+        // histogram of `u128` cells, length sum in the high half and
+        // sequence count in the low half, so a break is one
+        // read-modify-write; the count cannot carry into the sum before
+        // 2^64 breaks.
+        let base = self.current_len.iter().copied().max().unwrap_or(0);
         let mut start = [0u64; 64];
-        let mut first = [0u64; 64];
-        let base: u64 = states.iter().map(|s| s.len).max().unwrap_or(0);
-        for (p, st) in states.iter().enumerate() {
-            start[p] = base - st.len;
+        for (s, &len) in start.iter_mut().zip(&self.current_len) {
+            *s = base - len;
         }
+        let mut hist = vec![[0u128; N_BUCKETS]; self.dists.len()];
         let mut pos = base;
-        let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        let mut seen: u64 = 0;
-
-        if let (Some(seq8), Some(packed)) = (trace.seq_u8(), tables.packed.as_deref()) {
-            let s = &seq8[range.clone()];
-            let mut i = 0;
-            while i < s.len() && seen != full {
-                let e = packed[s[i] as usize];
-                i += 1;
-                pos += e.0;
-                let mut m = e.1;
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let len = pos - start[p];
-                    if seen & (1 << p) == 0 {
-                        seen |= 1 << p;
-                        first[p] = len;
-                    } else {
-                        let off = (p << HIST_SHIFT) | ((len / 10) as usize).min(N_BUCKETS - 1);
-                        // SAFETY: miss masks only set bits below `n`, so
-                        // `p < n`, and the bucket is `< 2^HIST_SHIFT`
-                        // (const-asserted), so `off < n << HIST_SHIFT`,
-                        // the histogram's length.
-                        unsafe { *hist.get_unchecked_mut(off) += ((len as u128) << 64) | 1 };
-                    }
-                    start[p] = pos;
-                }
+        let mut step = |idx: usize| {
+            let (instrs, mut misses) = entries[idx];
+            pos += instrs;
+            while misses != 0 {
+                // A set bit is below 64; the mask lets the compiler see
+                // it, so indexing `start` needs no bounds check.
+                let p = (misses.trailing_zeros() & 63) as usize;
+                misses &= misses - 1;
+                let len = pos - start[p];
+                hist[p][bucket(len)] += (u128::from(len) << 64) | 1;
+                start[p] = pos;
             }
-            for &idx in &s[i..] {
-                let e = packed[idx as usize];
-                pos += e.0;
-                let mut m = e.1;
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let len = pos - start[p];
-                    let off = (p << HIST_SHIFT) | ((len / 10) as usize).min(N_BUCKETS - 1);
-                    // SAFETY: as in the prefix loop.
-                    unsafe { *hist.get_unchecked_mut(off) += ((len as u128) << 64) | 1 };
-                    start[p] = pos;
-                }
-            }
-        } else {
-            // Word-wide fallback for dictionaries past 256 entries.
-            // Borrowed (image-mounted) traces always have ≤ 256 dict
-            // entries, so only owned wide sequences reach here.
-            let entries = &tables.entries[..];
-            let seq = trace
-                .seq_u32()
-                .expect("dictionaries past 256 entries use wide sequence storage");
-            for &idx in &seq[range.clone()] {
-                let e = entries[idx as usize];
-                pos += e.0;
-                let mut m = e.1;
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let len = pos - start[p];
-                    if seen & (1 << p) == 0 {
-                        seen |= 1 << p;
-                        first[p] = len;
-                    } else {
-                        let off = (p << HIST_SHIFT) | ((len / 10) as usize).min(N_BUCKETS - 1);
-                        hist[off] += ((len as u128) << 64) | 1;
-                    }
-                    start[p] = pos;
-                }
-            }
+        };
+        match trace.seq() {
+            TraceSeq::Narrow(seq) => seq.iter().for_each(|&i| step(usize::from(i))),
+            TraceSeq::Wide(seq) => seq.iter().for_each(|&i| step(i as usize)),
         }
 
-        self.instrs += pos - base;
-        for (p, st) in states.iter_mut().enumerate() {
-            st.len = pos - start[p];
-            let mut bucketed = 0u64;
-            for bucket in 0..N_BUCKETS {
-                let cell = hist[(p << HIST_SHIFT) | bucket];
-                st.counts[bucket] += cell as u64;
-                st.length_sums[bucket] += (cell >> 64) as u64;
-                bucketed += cell as u64;
+        let tail = trace.trailing_instrs();
+        for (p, dist) in self.dists.iter_mut().enumerate() {
+            for (b, &cell) in hist[p].iter().enumerate() {
+                dist.counts[b] += cell as u64;
+                dist.length_sums[b] += (cell >> 64) as u64;
             }
-            if seen & (1 << p) != 0 {
-                if st.breaks == 0 {
-                    // First break this segment has ever seen: the run it
-                    // closed was open at the segment boundary, so park
-                    // its length for `merge` to stitch.
-                    st.first_break = Some(first[p]);
-                } else {
-                    st.record_sequence(first[p]);
-                }
-                st.breaks += 1 + bucketed;
-            }
-        }
-    }
-}
-
-impl SegmentedObserver for IpbcAnalyzer<'_> {
-    type Segment = IpbcSegment;
-
-    fn prepare(&mut self, trace: &BranchTrace) {
-        self.fused = Some(Arc::new(FusedTables::build(&self.dense, trace)));
-    }
-
-    fn segment(&self) -> IpbcSegment {
-        let tables = self
-            .fused
-            .as_ref()
-            .expect("IpbcAnalyzer::prepare runs before segments are created");
-        IpbcSegment {
-            tables: Arc::clone(tables),
-            states: self.dists.iter().map(|_| SegmentState::new()).collect(),
-            events: 0,
-            instrs: 0,
-        }
-    }
-
-    fn merge(&mut self, parts: Vec<IpbcSegment>) {
-        for part in parts {
-            for (i, state) in part.states.into_iter().enumerate() {
-                let dist = &mut self.dists[i];
-                dist.total_branches += part.events;
-                dist.total_instructions += part.instrs;
-                dist.mispredicted += state.breaks;
-                dist.breaks += state.breaks;
-                for (bucket, (&c, &s)) in state.counts.iter().zip(&state.length_sums).enumerate() {
-                    dist.counts[bucket] += c;
-                    dist.length_sums[bucket] += s;
-                }
-                match state.first_break {
-                    // The segment's first break closed the run that was
-                    // open across the boundary: its full length is the
-                    // parent's open tail plus the segment's prefix.
-                    Some(first) => {
-                        dist.record_sequence(self.current_len[i] + first);
-                        self.current_len[i] = state.len;
-                    }
-                    // Break-free segment: the open run just grows.
-                    None => self.current_len[i] += state.len,
-                }
-            }
+            let breaks: u64 = hist[p].iter().map(|&cell| cell as u64).sum();
+            dist.breaks += breaks;
+            dist.mispredicted += breaks;
+            dist.total_branches += trace.len() as u64;
+            dist.total_instructions += pos - base + tail;
+            self.current_len[p] = pos - start[p] + tail;
         }
     }
 }
@@ -550,6 +351,34 @@ impl ExecObserver for IpbcAnalyzer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_kernel_carries_the_trailing_run_of_a_branch_free_trace() {
+        let program = bpfree_lang::compile("fn main() -> int { return 7; }").unwrap();
+        let mut recorder = bpfree_sim::TraceRecorder::new();
+        bpfree_sim::Simulator::new(&program)
+            .run(&mut recorder)
+            .unwrap();
+        let trace = recorder.into_trace();
+        assert!(trace.is_empty() && trace.trailing_instrs() > 0);
+        let analyzer = || {
+            let mut a = IpbcAnalyzer::new(&program);
+            a.add_predictor("none", &Predictions::new());
+            a
+        };
+        let (mut reference, mut fused) = (analyzer(), analyzer());
+        trace.replay(&mut reference);
+        fused.replay_trace(&trace);
+        let dists = fused.finish();
+        assert_eq!(dists, reference.finish());
+        assert_eq!(dists[0].breaks, 0);
+        assert_eq!(dists[0].total_instructions, trace.trailing_instrs());
+        assert_eq!(
+            dists[0].bucket_counts().iter().sum::<u64>(),
+            1,
+            "one open run"
+        );
+    }
 
     #[test]
     fn an_analyzer_scores_up_to_64_predictors_and_panics_past_them() {
@@ -594,9 +423,16 @@ mod tests {
 
         let mut serial = analyzer(&predictors);
         trace.replay(&mut serial);
-        let mut segmented = analyzer(&predictors);
-        trace.replay_segmented_jobs(3, &mut segmented);
-        assert_eq!(segmented.finish(), serial.finish());
+        let mut fused = analyzer(&predictors);
+        fused.replay_trace(&trace);
+        assert_eq!(fused.finish(), serial.finish());
+
+        // The repo benchmark's entry point is the same kernel.
+        let mut via_benchmark_name = analyzer(&predictors);
+        trace.replay_segmented(&mut via_benchmark_name);
+        let mut fused = analyzer(&predictors);
+        fused.replay_trace(&trace);
+        assert_eq!(via_benchmark_name.finish(), fused.finish());
 
         let mut full = analyzer(&predictors);
         let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -51,6 +51,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod classify;
 mod eval;

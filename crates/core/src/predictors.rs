@@ -267,29 +267,20 @@ pub struct CombinedPredictor {
 
 impl CombinedPredictor {
     /// Builds the predictor with the given heuristic priority order and
-    /// the default random seed.
+    /// the default random seed, building the heuristic table first.
     pub fn new(
         program: &Program,
         classifier: &BranchClassifier,
         order: impl IntoIterator<Item = HeuristicKind>,
     ) -> CombinedPredictor {
-        CombinedPredictor::with_seed(program, classifier, order, DEFAULT_SEED)
-    }
-
-    /// Builds the predictor with an explicit Default seed.
-    pub fn with_seed(
-        program: &Program,
-        classifier: &BranchClassifier,
-        order: impl IntoIterator<Item = HeuristicKind>,
-        seed: u64,
-    ) -> CombinedPredictor {
         let order: Vec<HeuristicKind> = order.into_iter().collect();
         let table = HeuristicTable::build(program, classifier);
-        CombinedPredictor::from_table(program, classifier, &table, &order, seed)
+        CombinedPredictor::from_table(program, classifier, &table, &order, DEFAULT_SEED)
     }
 
     /// Builds the predictor from a precomputed heuristic table (the
-    /// ordering experiments construct many predictors from one table).
+    /// engine's cached one, or one table shared by many orders) and an
+    /// explicit Default seed.
     pub fn from_table(
         program: &Program,
         classifier: &BranchClassifier,

@@ -1,14 +1,20 @@
-//! Differential properties of segmented IPBC analysis: for random
+//! The fused IPBC kernel against the reference replay: for random
 //! predictor assignments and random traces over a real compiled
-//! program, segmented replay of an `IpbcAnalyzer` (the fused kernel
-//! plus run-stitching merge) must produce *exactly* the distributions
-//! serial replay produces — every bucket, every counter — at any
-//! segment count.
+//! program, [`TraceKernel::replay_trace`] on an `IpbcAnalyzer` must
+//! produce *exactly* the distributions that streaming the same trace
+//! through the analyzer's `ExecObserver` ([`BranchTrace::replay`])
+//! produces — every bucket, every counter — whether the trace stores
+//! its sequence one byte per event, four bytes per event, or borrows
+//! the bytes from a shared buffer the way a mounted suite image does.
+
+use std::sync::Arc;
 
 use bpfree_core::ipbc::IpbcAnalyzer;
 use bpfree_core::{Direction, Predictions};
 use bpfree_ir::{BranchRef, Program, Terminator};
-use bpfree_sim::{BranchTrace, TraceEvent};
+use bpfree_sim::{
+    BranchTrace, ByteView, ExecObserver, TraceEvent, TraceKernel, TraceRecorder, TraceSeq,
+};
 use proptest::prelude::*;
 
 /// A fixed program with a healthy number of branch sites; the traces
@@ -55,9 +61,8 @@ fn branch_sites(p: &Program) -> Vec<BranchRef> {
     sites
 }
 
-/// A random (possibly partial) prediction set: 0 = unpredicted,
-/// 1 = taken, 2 = fall-through, zipped against the program's sites
-/// (over-provisioned so the exact site count doesn't matter).
+/// A random (possibly partial) prediction set: one choice per site,
+/// 0 = unpredicted, 1 = taken, 2 = fall-through.
 fn arb_predictions(n_sites: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..3, n_sites..=n_sites)
 }
@@ -74,74 +79,138 @@ fn to_predictions(sites: &[BranchRef], choices: &[u8]) -> Predictions {
     p
 }
 
-/// A random trace whose events reference the program's real branch
-/// sites (instruction counts up to 30, sequences up to 300 events).
-fn arb_trace() -> impl Strategy<Value = BranchTrace> {
+/// The parts of a random trace over the program's real branch sites:
+/// a dictionary of `dict_len` entries (instruction counts mostly short,
+/// sometimes thousands, so runs reach the last histogram bucket), up to
+/// 400 indices into it, and a trailing instruction count.
+fn arb_parts(
+    dict_len: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Vec<TraceEvent>, Vec<u32>, u64)> {
+    let n_sites = branch_sites(program()).len();
+    let instrs = prop_oneof![4 => 0u64..30, 1 => 0u64..4000];
+    let entry = (instrs, 0..n_sites, any::<bool>());
+    proptest::collection::vec(entry, dict_len).prop_flat_map(|raw| {
+        let sites = branch_sites(program());
+        let dict: Vec<TraceEvent> = raw
+            .iter()
+            .map(|&(instrs, site, taken)| TraceEvent {
+                instrs,
+                branch: sites[site],
+                taken,
+            })
+            .collect();
+        let n = dict.len() as u32;
+        (
+            Just(dict),
+            proptest::collection::vec(0..n, 0..400),
+            0u64..15,
+        )
+    })
+}
+
+fn arb_trace(dict_len: std::ops::Range<usize>) -> impl Strategy<Value = BranchTrace> {
+    arb_parts(dict_len).prop_map(|(dict, seq, tail)| {
+        BranchTrace::from_parts(dict, seq, tail).expect("indices in range")
+    })
+}
+
+/// Three predictors from random per-site choices.
+fn arb_predictors() -> impl Strategy<Value = Vec<Predictions>> {
     let sites = branch_sites(program());
-    let n_sites = sites.len() as u32;
-    proptest::collection::vec((0u64..30, 0..n_sites, any::<bool>()), 1..10).prop_flat_map(
-        move |raw| {
-            let sites = branch_sites(program());
-            let dict: Vec<TraceEvent> = raw
-                .iter()
-                .map(|&(instrs, site, taken)| TraceEvent {
-                    instrs,
-                    branch: sites[site as usize],
-                    taken,
-                })
-                .collect();
-            let n = dict.len() as u32;
-            (
-                Just(dict),
-                proptest::collection::vec(0..n, 0..300),
-                0u64..15,
-            )
-                .prop_map(|(dict, seq, tail)| {
-                    BranchTrace::from_parts(dict, seq, tail).expect("indices in range")
-                })
-        },
-    )
+    proptest::collection::vec(arb_predictions(sites.len()), 3..=3)
+        .prop_map(move |choices| choices.iter().map(|c| to_predictions(&sites, c)).collect())
+}
+
+/// The kernel and the reference replay agree on `trace` after one pass,
+/// and after two passes (the second starts with every predictor's run
+/// still open).
+fn check_kernel(trace: &BranchTrace, predictors: &[Predictions]) {
+    let analyzer = || {
+        let mut a = IpbcAnalyzer::new(program());
+        for (i, p) in predictors.iter().enumerate() {
+            a.add_predictor(format!("p{i}"), p);
+        }
+        a
+    };
+    for passes in 1..=2 {
+        let (mut reference, mut fused) = (analyzer(), analyzer());
+        for _ in 0..passes {
+            trace.replay(&mut reference);
+            fused.replay_trace(trace);
+        }
+        assert_eq!(fused.finish(), reference.finish(), "passes={passes}");
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Segmented IPBC analysis ≡ serial, for three random predictors
-    /// scored simultaneously, at segment counts spanning 1 to beyond
-    /// the event count. `SequenceDist` derives `PartialEq`, so this
-    /// compares every bucket of every histogram.
+    /// Dictionaries of at most 256 entries: the byte-wide store.
     #[test]
-    fn segmented_ipbc_equals_serial(
-        trace in arb_trace(),
-        c1 in arb_predictions(16),
-        c2 in arb_predictions(16),
-        c3 in arb_predictions(16),
-        jobs in 1usize..10,
+    fn kernel_matches_replay_on_narrow_traces(
+        trace in arb_trace(1..12),
+        predictors in arb_predictors(),
     ) {
-        let p = program();
-        let sites = branch_sites(p);
-        let preds = [
-            to_predictions(&sites, &c1),
-            to_predictions(&sites, &c2),
-            to_predictions(&sites, &c3),
-        ];
-
-        let mut serial = IpbcAnalyzer::new(p);
-        for (i, pr) in preds.iter().enumerate() {
-            serial.add_predictor(format!("p{i}"), pr);
-        }
-        trace.replay(&mut serial);
-        let serial_dists = serial.finish();
-
-        for jobs in [1, 2, jobs, trace.len(), trace.len() + 3] {
-            let mut seg = IpbcAnalyzer::new(p);
-            for (i, pr) in preds.iter().enumerate() {
-                seg.add_predictor(format!("p{i}"), pr);
-            }
-            trace.replay_segmented_jobs(jobs, &mut seg);
-            let seg_dists = seg.finish();
-            prop_assert_eq!(&seg_dists, &serial_dists, "jobs={}", jobs);
-        }
+        prop_assert!(matches!(trace.seq(), TraceSeq::Narrow(_)));
+        check_kernel(&trace, &predictors);
     }
 
+    /// Dictionaries past 256 entries: the word-wide store.
+    #[test]
+    fn kernel_matches_replay_on_wide_traces(
+        trace in arb_trace(257..320),
+        predictors in arb_predictors(),
+    ) {
+        prop_assert!(matches!(trace.seq(), TraceSeq::Wide(_)));
+        check_kernel(&trace, &predictors);
+    }
+
+    /// Byte-wide indices borrowed from inside a larger buffer, as a
+    /// mounted image serves them; the trace equals its owned twin.
+    #[test]
+    fn kernel_matches_replay_on_borrowed_traces(
+        (dict, seq, tail) in arb_parts(1..12),
+        offset in 0usize..16,
+        predictors in arb_predictors(),
+    ) {
+        let mut buf = vec![0xFF; offset];
+        buf.extend(seq.iter().map(|&i| i as u8));
+        buf.extend_from_slice(&[0xFF; 5]);
+        let view = ByteView::new(Arc::new(buf), offset, seq.len()).expect("in bounds");
+        let borrowed = BranchTrace::from_borrowed_parts(dict.clone(), view, tail)
+            .expect("indices in range");
+        let owned = BranchTrace::from_parts(dict, seq, tail).expect("indices in range");
+        prop_assert_eq!(&borrowed, &owned);
+        check_kernel(&borrowed, &predictors);
+    }
+
+    /// A recorded trace is stored byte-wide exactly when its dictionary
+    /// has at most 256 entries, and the kernel scores it either way.
+    #[test]
+    fn recorded_traces_are_byte_wide_exactly_up_to_256_entries(
+        distinct in 250usize..262,
+        repeats in proptest::collection::vec(any::<usize>(), 0..300),
+        predictors in arb_predictors(),
+    ) {
+        let sites = branch_sites(program());
+        // `distinct` different events: instruction counts tell them apart.
+        let events: Vec<TraceEvent> = (0..distinct)
+            .map(|i| TraceEvent {
+                instrs: i as u64,
+                branch: sites[i % sites.len()],
+                taken: i % 3 == 0,
+            })
+            .collect();
+        let mut rec = TraceRecorder::new();
+        let order = events.iter().chain(repeats.iter().map(|&i| &events[i % distinct]));
+        for e in order {
+            rec.on_instrs(e.instrs);
+            rec.on_branch(e.branch, e.taken);
+        }
+        rec.on_instrs(4);
+        let trace = rec.into_trace();
+        prop_assert_eq!(trace.dict().len(), distinct);
+        prop_assert_eq!(matches!(trace.seq(), TraceSeq::Narrow(_)), distinct <= 256);
+        check_kernel(&trace, &predictors);
+    }
 }

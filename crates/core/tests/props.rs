@@ -135,7 +135,7 @@ proptest! {
         let order = all_orders()[order_idx];
         let fast = data.miss_rate(&order);
 
-        let cp = CombinedPredictor::with_seed(&p, &c, order, 1234);
+        let cp = CombinedPredictor::from_table(&p, &c, &table, &order, 1234);
         let r = evaluate(&cp.predictions(), &profile, &c);
         let direct = if r.nonloop.dynamic == 0 {
             0.0

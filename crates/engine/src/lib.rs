@@ -1325,8 +1325,8 @@ mod tests {
             let t = warm.trace(b, opt, 0);
             assert_eq!(*t, *cold.trace(b, opt, 0));
             assert!(
-                t.seq_u8().is_some(),
-                "mounted trace borrows its sequence from the image buffer"
+                matches!(t.seq(), bpfree_sim::TraceSeq::Narrow(_)),
+                "mounted trace serves its sequence byte-wide"
             );
             let r = warm.run(b, opt, 0);
             let cold_r = cold.run(b, opt, 0);

@@ -2,7 +2,7 @@
 //!
 //! The suite image is read into one heap buffer and every borrowed
 //! artifact — most importantly the byte-wide trace sequences behind
-//! [`crate::BranchTrace::seq_u8`] — is served as a window into that
+//! [`crate::BranchTrace::seq`] — is served as a window into that
 //! buffer. [`ByteView`] is that window: an `Arc<Vec<u8>>` plus a
 //! bounds-checked `(offset, length)` pair, so a mounted trace holds the
 //! image alive without copying a byte and without any self-referential

@@ -97,6 +97,13 @@ unsafe fn eval_cond(cond: BcCond, regs: &[i64], base: u32, fflag: bool) -> bool 
 /// Runs `bc` to completion against `sim`'s memory/fuel state, returning
 /// the entry function's `(int, float)` results. Mirrors the tree
 /// walker's observable behaviour exactly (events, errors, counters).
+///
+/// `#[inline]` gives every codegen unit that calls the loop its own
+/// internal copy, which LLVM specializes to its callers. One shared copy
+/// runs only as fast as the calling crate's codegen-unit split allows:
+/// in the repo benchmark's binary it ran the `programs` workload about
+/// 15% slower whenever the loop and its caller landed in different units.
+#[inline]
 pub(crate) fn run<O: ExecObserver>(
     sim: &mut Simulator<'_>,
     bc: &BytecodeProgram,

@@ -56,7 +56,5 @@ pub use error::SimError;
 pub use interp::{InterpTier, RunResult, SimConfig, Simulator};
 pub use observer::{CountingObserver, ExecObserver, NullObserver, Pair};
 pub use profile::{EdgeCounts, EdgeProfile, EdgeProfiler};
-pub use replay::{SegmentedObserver, TraceSegment};
-pub use trace::{
-    note_trace_seq_alloc, trace_seq_allocs, BranchTrace, TraceEvent, TraceRecorder, TraceTally,
-};
+pub use replay::TraceKernel;
+pub use trace::{BranchTrace, TraceEvent, TraceRecorder, TraceSeq, TraceTally};

@@ -206,8 +206,8 @@ impl EdgeProfiler {
             .collect()
     }
 
-    /// Merges everything `other` observed into this profiler — how
-    /// segmented replay folds per-segment profilers back together.
+    /// Merges everything `other` observed into this profiler, as if it
+    /// had observed both streams.
     pub fn absorb(&mut self, other: EdgeProfiler) {
         for (b, c) in other.counts.iter() {
             if c.total() > 0 {

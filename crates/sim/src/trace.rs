@@ -8,50 +8,21 @@
 //! keep (and cache), and [`BranchTrace::replay`] feeds it back to any
 //! [`ExecObserver`] without re-running the interpreter.
 //!
-//! # Fidelity
-//!
-//! Replay coalesces the straight-line instruction counts between two
-//! branch events into a single [`ExecObserver::on_instrs`] call. Any
-//! observer that accumulates counts (every observer in this workspace)
-//! sees bit-identical totals at every branch event; only the block-level
-//! granularity of `on_instrs` calls differs from the live run.
-//!
 //! # Representation
 //!
 //! Executions revisit the same few branch sites millions of times, so
 //! the trace is dictionary-compressed: the distinct `(instrs, branch,
 //! taken)` events are interned once and the execution is a sequence of
-//! dictionary indices. The suite's largest traced benchmark (~1.7M
-//! branch events) fits in a few megabytes.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! dictionary indices. The sequence is stored one byte per event
+//! whenever the dictionary has at most 256 entries, as every suite
+//! trace's does, and four bytes per event otherwise. The suite's largest
+//! traced benchmark (~1.7M branch events) fits in under two megabytes.
 
 use bpfree_ir::BranchRef;
 
 use crate::bytes::ByteView;
 use crate::observer::ExecObserver;
 use crate::profile::{EdgeProfile, SiteTable};
-
-/// Process-wide count of owned trace-sequence materializations —
-/// every allocation that decodes or widens a sequence buffer (the
-/// image's wide-sequence decode, the lazy byte-wide copy behind
-/// [`BranchTrace::seq_u8`]). The mounted suite image serves sequences
-/// as borrowed [`ByteView`]s, so a fully mounted warm run leaves this
-/// counter untouched; the image tests use the delta as their
-/// zero-allocation proof.
-static SEQ_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-wide sequence-materialization counter.
-pub fn trace_seq_allocs() -> u64 {
-    SEQ_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Records one owned sequence materialization. Public so the cache
-/// image's wide-sequence decoder can report its allocations to the same
-/// counter.
-pub fn note_trace_seq_alloc() {
-    SEQ_ALLOCS.fetch_add(1, Ordering::Relaxed);
-}
 
 /// One branch execution: the straight-line instructions since the
 /// previous branch event (this branch's block included), the branch
@@ -120,25 +91,39 @@ impl TraceTally {
     }
 }
 
-#[derive(Debug, Clone)]
+/// The dictionary indices of a trace, in the width they are stored in.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceSeq<'a> {
+    /// One byte per event: the dictionary has at most 256 entries.
+    Narrow(&'a [u8]),
+    /// Four bytes per event: the dictionary has more than 256 entries.
+    Wide(&'a [u32]),
+}
+
+/// The one sequence store. Its width is a function of the dictionary
+/// size, so equal traces always store their sequences alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum SeqStore {
-    /// Owned wide indices, with a lazily-built byte-wide copy for
-    /// small dictionaries (see [`BranchTrace::seq_u8`]). The copy is
-    /// derived data — excluded from equality, built at most once.
-    Wide(Vec<u32>, std::sync::OnceLock<Vec<u8>>),
-    /// Byte-wide indices borrowed from a shared buffer (the mounted
-    /// suite image). Only constructed for dictionaries ≤ 256 entries.
-    Borrowed(ByteView),
+    /// Byte-wide indices, used whenever the dictionary has at most 256
+    /// entries: owned by a recorded or rebuilt trace, or borrowed from
+    /// a shared buffer (the mounted suite image).
+    Narrow(ByteView),
+    /// Word-wide indices, only for dictionaries past 256 entries.
+    Wide(Vec<u32>),
 }
 
 impl Default for SeqStore {
     fn default() -> SeqStore {
-        SeqStore::Wide(Vec::new(), std::sync::OnceLock::new())
+        SeqStore::Narrow(ByteView::from_vec(Vec::new()))
     }
 }
 
 /// A dictionary-compressed branch-event trace of one execution.
-#[derive(Debug, Clone, Default)]
+///
+/// Equality is over the logical trace (dictionary, index sequence,
+/// trailing run), whether the sequence is owned or borrowed; the tally
+/// is a function of those.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BranchTrace {
     dict: Vec<TraceEvent>,
     seq: SeqStore,
@@ -146,31 +131,20 @@ pub struct BranchTrace {
     tally: TraceTally,
 }
 
-/// Equality is over the logical trace (dictionary, index sequence,
-/// trailing run) regardless of sequence storage width; the tally is a
-/// deterministic function of those, so it does not participate.
-impl PartialEq for BranchTrace {
-    fn eq(&self, other: &BranchTrace) -> bool {
-        if self.dict != other.dict || self.trailing_instrs != other.trailing_instrs {
-            return false;
-        }
-        match (&self.seq, &other.seq) {
-            (SeqStore::Wide(a, _), SeqStore::Wide(b, _)) => a == b,
-            _ => self.indices().eq(other.indices()),
-        }
-    }
-}
-
-impl Eq for BranchTrace {}
-
 impl BranchTrace {
     /// Assembles a trace whose sequence indices are known to be in
-    /// range, computing the tally as part of construction.
+    /// range, computing the tally and narrowing the sequence to one
+    /// byte per event when the dictionary allows it.
     fn assemble(dict: Vec<TraceEvent>, seq: Vec<u32>, trailing_instrs: u64) -> BranchTrace {
         let tally = TraceTally::build(&dict, &seq, trailing_instrs);
+        let seq = if dict.len() <= 256 {
+            SeqStore::Narrow(ByteView::from_vec(seq.iter().map(|&i| i as u8).collect()))
+        } else {
+            SeqStore::Wide(seq)
+        };
         BranchTrace {
             dict,
-            seq: SeqStore::Wide(seq, std::sync::OnceLock::new()),
+            seq,
             trailing_instrs,
             tally,
         }
@@ -214,7 +188,7 @@ impl BranchTrace {
         let tally = TraceTally::from_counts(&dict, counts, trailing_instrs);
         Some(BranchTrace {
             dict,
-            seq: SeqStore::Borrowed(seq),
+            seq: SeqStore::Narrow(seq),
             trailing_instrs,
             tally,
         })
@@ -225,46 +199,22 @@ impl BranchTrace {
         &self.dict
     }
 
-    /// The execution as wide dictionary indices, or `None` when the
-    /// sequence is stored byte-wide (mounted from an image). A `None`
-    /// here implies [`BranchTrace::seq_u8`] is `Some`, so every caller
-    /// has a zero-copy path.
-    pub fn seq_u32(&self) -> Option<&[u32]> {
+    /// The execution as dictionary indices in their stored width:
+    /// [`TraceSeq::Narrow`] exactly when the dictionary has at most 256
+    /// entries. Suite traces intern at most about a hundred distinct
+    /// events, so kernels that stream them read one byte per event.
+    pub fn seq(&self) -> TraceSeq<'_> {
         match &self.seq {
-            SeqStore::Wide(s, _) => Some(s),
-            SeqStore::Borrowed(_) => None,
+            SeqStore::Narrow(v) => TraceSeq::Narrow(v.as_slice()),
+            SeqStore::Wide(s) => TraceSeq::Wide(s),
         }
     }
 
     /// The execution as dictionary indices, in order.
     pub fn indices(&self) -> impl Iterator<Item = u32> + '_ {
-        match &self.seq {
-            SeqStore::Wide(s, _) => IdxIter::Wide(s.iter()),
-            SeqStore::Borrowed(v) => IdxIter::Bytes(v.as_slice().iter()),
-        }
-    }
-
-    /// The sequence as byte-wide indices, or `None` when the dictionary
-    /// has more than 256 entries. Real traces intern a few dozen
-    /// distinct events, so replay kernels that stream the sequence can
-    /// read a quarter of the memory — and index a 256-entry lookup
-    /// table without bounds checks. Traces mounted from a suite image
-    /// already store byte-wide indices and answer borrowed image bytes
-    /// directly; owned wide traces build the byte copy on first use,
-    /// then cache it for the life of the trace (replays are the hot
-    /// path; construction is not).
-    pub fn seq_u8(&self) -> Option<&[u8]> {
-        match &self.seq {
-            SeqStore::Borrowed(v) => Some(v.as_slice()),
-            SeqStore::Wide(s, seq8) => {
-                if self.dict.len() > 256 {
-                    return None;
-                }
-                Some(seq8.get_or_init(|| {
-                    note_trace_seq_alloc();
-                    s.iter().map(|&i| i as u8).collect()
-                }))
-            }
+        match self.seq() {
+            TraceSeq::Narrow(s) => IdxIter::Narrow(s.iter()),
+            TraceSeq::Wide(s) => IdxIter::Wide(s.iter()),
         }
     }
 
@@ -275,9 +225,9 @@ impl BranchTrace {
 
     /// Number of branch events.
     pub fn len(&self) -> usize {
-        match &self.seq {
-            SeqStore::Wide(s, _) => s.len(),
-            SeqStore::Borrowed(v) => v.len(),
+        match self.seq() {
+            TraceSeq::Narrow(s) => s.len(),
+            TraceSeq::Wide(s) => s.len(),
         }
     }
 
@@ -315,60 +265,12 @@ impl BranchTrace {
     pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         self.indices().map(|i| self.dict[i as usize])
     }
-
-    /// Streams the recorded execution into `observer`, as if the program
-    /// ran again (with straight-line runs coalesced — see the module
-    /// docs). Any number of observers can replay the same trace, so one
-    /// interpreter pass serves every post-hoc analysis.
-    ///
-    /// This is the serial reference; see [`BranchTrace::replay_segmented`]
-    /// for the parallel tier and [`BranchTrace::tally`] for the O(dict)
-    /// tier, both provably equivalent for their supported observers.
-    pub fn replay<O: ExecObserver + ?Sized>(&self, observer: &mut O) {
-        self.replay_events(0..self.len(), observer);
-        if self.trailing_instrs > 0 {
-            observer.on_instrs(self.trailing_instrs);
-        }
-    }
-
-    /// Streams the events of one contiguous index range (no trailing
-    /// instructions) — the building block segmented replay hands each
-    /// worker.
-    pub fn replay_events<O: ExecObserver + ?Sized>(
-        &self,
-        range: std::ops::Range<usize>,
-        observer: &mut O,
-    ) {
-        fn stream<O: ExecObserver + ?Sized>(
-            dict: &[TraceEvent],
-            indices: impl Iterator<Item = usize>,
-            observer: &mut O,
-        ) {
-            for idx in indices {
-                let event = dict[idx];
-                if event.instrs > 0 {
-                    observer.on_instrs(event.instrs);
-                }
-                observer.on_branch(event.branch, event.taken);
-            }
-        }
-        match &self.seq {
-            SeqStore::Wide(s, _) => {
-                stream(&self.dict, s[range].iter().map(|&i| i as usize), observer)
-            }
-            SeqStore::Borrowed(v) => stream(
-                &self.dict,
-                v.as_slice()[range].iter().map(|&i| i as usize),
-                observer,
-            ),
-        }
-    }
 }
 
 /// Width-erasing iterator behind [`BranchTrace::indices`].
 enum IdxIter<'a> {
+    Narrow(std::slice::Iter<'a, u8>),
     Wide(std::slice::Iter<'a, u32>),
-    Bytes(std::slice::Iter<'a, u8>),
 }
 
 impl Iterator for IdxIter<'_> {
@@ -376,15 +278,15 @@ impl Iterator for IdxIter<'_> {
 
     fn next(&mut self) -> Option<u32> {
         match self {
+            IdxIter::Narrow(it) => it.next().map(|&b| u32::from(b)),
             IdxIter::Wide(it) => it.next().copied(),
-            IdxIter::Bytes(it) => it.next().map(|&b| u32::from(b)),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
+            IdxIter::Narrow(it) => it.size_hint(),
             IdxIter::Wide(it) => it.size_hint(),
-            IdxIter::Bytes(it) => it.size_hint(),
         }
     }
 }
@@ -588,28 +490,51 @@ mod tests {
             rec.on_branch(b(4), i % 3 == 0);
         }
         rec.on_instrs(7);
-        let wide = rec.into_trace();
-        let bytes: Vec<u8> = wide.seq_u8().unwrap().to_vec();
-        let borrowed = BranchTrace::from_borrowed_parts(
-            wide.dict().to_vec(),
-            ByteView::from_vec(bytes),
-            wide.trailing_instrs(),
-        )
-        .unwrap();
+        let owned = rec.into_trace();
+        let TraceSeq::Narrow(bytes) = owned.seq() else {
+            panic!("a 4-entry dictionary is stored byte-wide");
+        };
+        // Serve the bytes from inside a larger buffer, as the image does.
+        let mut buf = vec![0xAA; 3];
+        buf.extend_from_slice(bytes);
+        let view = ByteView::new(std::sync::Arc::new(buf), 3, bytes.len()).unwrap();
+        let borrowed =
+            BranchTrace::from_borrowed_parts(owned.dict().to_vec(), view, owned.trailing_instrs())
+                .unwrap();
 
-        assert_eq!(borrowed, wide);
-        assert_eq!(borrowed.tally(), wide.tally());
-        assert_eq!(borrowed.total_instructions(), wide.total_instructions());
-        assert_eq!(borrowed.edge_profile(), wide.edge_profile());
-        assert!(borrowed.seq_u32().is_none());
-        assert_eq!(borrowed.seq_u8().unwrap(), wide.seq_u8().unwrap());
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed.tally(), owned.tally());
+        assert_eq!(borrowed.total_instructions(), owned.total_instructions());
+        assert_eq!(borrowed.edge_profile(), owned.edge_profile());
+        assert!(borrowed.indices().eq(owned.indices()));
 
         let mut a = CountingObserver::default();
         let mut b_ = CountingObserver::default();
         borrowed.replay(&mut a);
-        wide.replay(&mut b_);
-        assert_eq!(a.instructions, b_.instructions);
-        assert_eq!(a.taken, b_.taken);
+        owned.replay(&mut b_);
+        assert_eq!(a, b_);
+    }
+
+    #[test]
+    fn storage_is_byte_wide_exactly_up_to_256_entries() {
+        let dict = |n: u64| -> Vec<TraceEvent> {
+            (0..n)
+                .map(|i| TraceEvent {
+                    instrs: i,
+                    branch: b(0),
+                    taken: true,
+                })
+                .collect()
+        };
+        let narrow = BranchTrace::from_parts(dict(256), vec![255, 0], 0).unwrap();
+        assert!(matches!(narrow.seq(), TraceSeq::Narrow(&[255, 0])));
+        let wide = BranchTrace::from_parts(dict(257), vec![255, 0], 0).unwrap();
+        assert!(matches!(wide.seq(), TraceSeq::Wide(&[255, 0])));
+        assert!(narrow.indices().eq(wide.indices()));
+        assert!(matches!(
+            BranchTrace::default().seq(),
+            TraceSeq::Narrow(&[])
+        ));
     }
 
     #[test]

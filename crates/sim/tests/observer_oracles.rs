@@ -4,14 +4,13 @@
 //! [`BranchRef`] and by whole [`TraceEvent`]s instead. Over random event
 //! streams and over the real streams of suite benchmarks, both must give
 //! equal profiles, identical traces (dictionary order included), and
-//! equal results after `absorb` and after segmented replay.
+//! equal results after `absorb` and after replay.
 
 use std::collections::HashMap;
 
 use bpfree_ir::{BlockId, BranchRef, FuncId};
 use bpfree_sim::{
-    BranchTrace, CountingObserver, EdgeProfile, EdgeProfiler, ExecObserver, Pair, TraceEvent,
-    TraceRecorder,
+    BranchTrace, EdgeProfile, EdgeProfiler, ExecObserver, Pair, TraceEvent, TraceRecorder,
 };
 use proptest::prelude::*;
 
@@ -76,9 +75,8 @@ fn oracle() -> Oracle {
 }
 
 /// Both sides saw the same stream: equal profiles, identical traces,
-/// and a segmented replay of the dense trace at `jobs` that lands on
-/// the oracle's serial replay.
-fn assert_agree(dense: Dense, oracle: Oracle, jobs: usize, what: &str) {
+/// and a replay of the dense trace that lands on the oracle's replay.
+fn assert_agree(dense: Dense, oracle: Oracle, what: &str) {
     let Pair(profiler, recorder) = dense;
     let Pair(oracle_profiler, oracle_recorder) = oracle;
     let profile = profiler.into_profile();
@@ -103,14 +101,9 @@ fn assert_agree(dense: Dense, oracle: Oracle, jobs: usize, what: &str) {
     let mut serial = OracleProfiler::default();
     expected.replay(&mut serial);
     assert_eq!(serial.profile, profile, "{what}: oracle replay");
-    let mut segmented = EdgeProfiler::new();
-    trace.replay_segmented_jobs(jobs, &mut segmented);
-    assert_eq!(segmented.into_profile(), profile, "{what}: jobs={jobs}");
-    let (mut seg_count, mut serial_count) =
-        (CountingObserver::default(), CountingObserver::default());
-    trace.replay_segmented_jobs(jobs, &mut seg_count);
-    expected.replay(&mut serial_count);
-    assert_eq!(seg_count, serial_count, "{what}: counts, jobs={jobs}");
+    let mut replayed = EdgeProfiler::new();
+    trace.replay(&mut replayed);
+    assert_eq!(replayed.into_profile(), profile, "{what}: replay");
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -163,11 +156,11 @@ proptest! {
 
     /// One stream into both implementations.
     #[test]
-    fn dense_observers_match_hash_oracles(events in arb_stream(), jobs in 1usize..9) {
+    fn dense_observers_match_hash_oracles(events in arb_stream()) {
         let (mut d, mut o) = (dense(), oracle());
         feed(&events, &mut d);
         feed(&events, &mut o);
-        assert_agree(d, o, jobs, "random stream");
+        assert_agree(d, o, "random stream");
     }
 
     /// A stream split in two and folded back with `absorb` profiles
@@ -203,6 +196,6 @@ fn dense_observers_match_hash_oracles_on_suite_streams() {
         let run = bench.run_with(&program, dataset, &mut fan).expect("runs");
         let Pair(d, o) = fan;
         assert!(run.instructions > 0);
-        assert_agree(d, o, 3, name);
+        assert_agree(d, o, name);
     }
 }
