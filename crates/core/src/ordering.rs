@@ -17,7 +17,8 @@
 //! one scans only the Pareto front (an order dominated on every
 //! benchmark can never be an argmin), the sampled one only the
 //! [`creditable_orders`] (no lower-index order is at least as good on
-//! every benchmark, so the lowest-index argmin is never lost).
+//! every benchmark, so the lowest-index argmin is never lost). Both
+//! score their subsets with one serial kernel, [`PrefixSums`].
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -58,61 +59,35 @@ fn permute(items: &mut Order, k: usize, out: &mut Vec<Order>) {
     }
 }
 
-/// Streaming enumerator of the k-element subsets of `{0, .., n-1}` in
-/// lexicographic order, startable at any rank — the workhorse of the
-/// C(22,11) subset experiment, where workers each enumerate a contiguous
-/// rank range independently.
-///
-/// Subsets are visited via [`KSubsets::for_each_subset`] (no per-item
-/// allocation) or the [`Iterator`] implementation (clones each subset).
+/// The k-element subsets of `{0, .., n-1}` in lexicographic order, the
+/// C(22,11) subset experiment's enumeration.
 ///
 /// # Example
 ///
 /// ```
 /// use bpfree_core::ordering::KSubsets;
 /// assert_eq!(KSubsets::count(4, 2), 6);
-/// let all: Vec<Vec<usize>> = KSubsets::all(4, 2).collect();
-/// assert_eq!(all[0], [0, 1]);
-/// assert_eq!(all[5], [2, 3]);
-/// // Ranks 2.. of the same enumeration:
-/// let tail: Vec<Vec<usize>> = KSubsets::range(4, 2, 2, 4).collect();
-/// assert_eq!(all[2..], tail[..]);
+/// let mut all = Vec::new();
+/// KSubsets::new(4, 2).for_each_subset_from(|subset, from| all.push((subset.to_vec(), from)));
+/// assert_eq!(all.len(), 6);
+/// assert_eq!(all[0], (vec![0, 1], 0));
+/// // [0, 3] -> [1, 2]: slot 0 changed, so both slots are new.
+/// assert_eq!(all[3], (vec![1, 2], 0));
+/// // [1, 2] -> [1, 3]: slot 0 is shared.
+/// assert_eq!(all[4], (vec![1, 3], 1));
+/// assert_eq!(all[5], (vec![2, 3], 0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct KSubsets {
-    subset: Vec<usize>,
     n: usize,
     k: usize,
-    remaining: u64,
-    /// True until the first `advance()`, which yields the start subset.
-    fresh: bool,
 }
 
 impl KSubsets {
-    /// All `C(n, k)` subsets, first to last.
-    pub fn all(n: usize, k: usize) -> KSubsets {
-        KSubsets::range(n, k, 0, KSubsets::count(n, k))
-    }
-
-    /// `len` subsets starting at lexicographic rank `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n` or the range overruns `C(n, k)`.
-    pub fn range(n: usize, k: usize, start: u64, len: u64) -> KSubsets {
-        assert!(k <= n, "subset size {k} exceeds {n} elements");
-        let total = KSubsets::count(n, k);
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= total),
-            "rank range {start}+{len} overruns C({n},{k}) = {total}"
-        );
-        KSubsets {
-            subset: KSubsets::unrank(n, k, start),
-            n,
-            k,
-            remaining: len,
-            fresh: true,
-        }
+    /// The `C(n, k)` subsets of size `k` of `{0, .., n-1}` (none when
+    /// `k > n`).
+    pub fn new(n: usize, k: usize) -> KSubsets {
+        KSubsets { n, k }
     }
 
     /// `C(n, k)`, saturating at `u64::MAX` for astronomically large
@@ -132,139 +107,108 @@ impl KSubsets {
         c as u64
     }
 
-    /// The subset at lexicographic rank `rank` (combinatorial number
-    /// system).
-    fn unrank(n: usize, k: usize, mut rank: u64) -> Vec<usize> {
-        let mut subset = Vec::with_capacity(k);
-        let mut v = 0usize;
-        for slot in 0..k {
-            loop {
-                // Subsets starting with `v` at this slot.
-                let block = KSubsets::count(n - 1 - v, k - 1 - slot);
-                if rank < block {
-                    break;
-                }
-                rank -= block;
-                v += 1;
+    /// Passes every subset, first to last, to `f` together with the
+    /// **first changed slot**: slots `0..from` equal the previous
+    /// subset's, slots `from..k` are new (`from` is 0 on the first
+    /// subset). A consumer that keeps per-slot partial results, such as
+    /// [`PrefixSums`], recomputes only from `from`.
+    pub fn for_each_subset_from(self, mut f: impl FnMut(&[usize], usize)) {
+        let KSubsets { n, k } = self;
+        if k > n {
+            return;
+        }
+        let mut subset: Vec<usize> = (0..k).collect();
+        let mut from = 0;
+        loop {
+            f(&subset, from);
+            // Lexicographic successor: bump the rightmost slot that can
+            // still grow and reset every slot after it.
+            let Some(slot) = (0..k).rev().find(|&i| subset[i] != i + n - k) else {
+                return;
+            };
+            subset[slot] += 1;
+            for j in slot + 1..k {
+                subset[j] = subset[j - 1] + 1;
             }
-            subset.push(v);
-            v += 1;
-        }
-        subset
-    }
-
-    /// Advances to the next subset; `false` when the range is exhausted.
-    /// The first call yields the range's start subset unchanged.
-    fn advance(&mut self) -> bool {
-        self.advance_from().is_some()
-    }
-
-    /// Advances to the next subset, reporting the **first changed slot**:
-    /// slots `0..slot` are unchanged from the previous subset, slots
-    /// `slot..k` are new. The first call yields the range's start subset
-    /// with slot 0 (everything is "new"). `None` when exhausted.
-    ///
-    /// This is what makes prefix-reuse summation possible: a consumer
-    /// keeping per-slot partial results only recomputes from `slot`.
-    fn advance_from(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.fresh {
-            self.fresh = false;
-            return Some(0);
-        }
-        // Lexicographic successor: bump the rightmost bumpable slot and
-        // reset everything after it.
-        let (n, k) = (self.n, self.k);
-        for i in (0..k).rev() {
-            if self.subset[i] != i + n - k {
-                self.subset[i] += 1;
-                for j in i + 1..k {
-                    self.subset[j] = self.subset[j - 1] + 1;
-                }
-                return Some(i);
-            }
-        }
-        unreachable!("range length was validated against C(n, k)")
-    }
-
-    /// Streams every subset in the range to `f` without allocating per
-    /// item.
-    pub fn for_each_subset(mut self, mut f: impl FnMut(&[usize])) {
-        while self.advance() {
-            f(&self.subset);
-        }
-    }
-
-    /// Like [`KSubsets::for_each_subset`], but also passes the first
-    /// slot that changed since the previous subset (0 on the first
-    /// yield). Because enumeration is lexicographic, slots before it are
-    /// a shared prefix with the previous subset.
-    pub fn for_each_subset_from(mut self, mut f: impl FnMut(&[usize], usize)) {
-        while let Some(slot) = self.advance_from() {
-            f(&self.subset, slot);
+            from = slot;
         }
     }
 }
 
-/// The prefix-reuse subset sweep: for each of the `len` k-subsets of
-/// `{0..n-1}` starting at lexicographic rank `start`, find the candidate
-/// with the minimal rate sum over the subset (first strict minimum wins
-/// ties) and bump its `wins` tally.
+/// The subset-sweep kernel both subset experiments run: per subset of
+/// benchmarks, the candidate order with the lowest rate sum over the
+/// subset.
 ///
 /// `cols` is benchmark-major: `cols[b][ci]` is candidate `ci`'s rate on
-/// benchmark `b`, so extending every candidate's partial sum by one
-/// benchmark is a single contiguous vector add. A per-slot stack of
-/// partial-sum vectors is kept across subsets; the lexicographic
-/// successor only changes slots from the first bumped one, so only
-/// those rows are recomputed — amortized ~1 vector add per subset
-/// instead of `k`.
+/// benchmark `b`, so adding one benchmark to every candidate's partial
+/// sum is one contiguous vector add. The kernel keeps one stack of
+/// per-slot partial sums: row `slot` holds every candidate's sum over
+/// the subset's first `slot + 1` benchmarks. A call recomputes the rows
+/// from `from` on and trusts the rows below it, so the lexicographic
+/// walk ([`KSubsets::for_each_subset_from`]) does about one vector add
+/// per subset, and a drawn sample (`from` = 0) does `k`.
 ///
-/// Each `partial[slot]` entry is built as the exact left-to-right fold
-/// `(((0.0 + r₀) + r₁) + …)` the naive per-candidate gather loop
-/// computes, so every sum — and therefore every winner — is
-/// bit-identical to the naive sweep.
-pub fn subset_sweep_wins(
-    cols: &[Vec<f64>],
-    n: usize,
-    k: usize,
-    start: u64,
-    len: u64,
-    wins: &mut [u64],
-) {
-    let c = wins.len();
-    debug_assert!(cols.len() == n && cols.iter().all(|col| col.len() == c));
-    // partial[slot * c + ci]: candidate ci's rate sum over the current
-    // subset's first slot+1 benchmarks.
-    let mut partial = vec![0.0f64; k * c];
-    KSubsets::range(n, k, start, len).for_each_subset_from(|subset, from| {
-        for slot in from..k {
-            let col = &cols[subset[slot]][..c];
+/// Each row is built as the left-to-right fold `((0.0 + r₀) + r₁) + …`
+/// in the subset's slot order, the sum a naive per-candidate gather
+/// loop computes, and the first strict minimum wins, so every winner is
+/// the naive scan's, ties included.
+#[derive(Debug, Clone)]
+pub struct PrefixSums {
+    candidates: usize,
+    /// `partial[slot * candidates + ci]`: candidate `ci`'s rate sum over
+    /// the current subset's first `slot + 1` benchmarks.
+    partial: Vec<f64>,
+}
+
+impl PrefixSums {
+    /// An empty stack for `candidates` candidate columns.
+    pub fn new(candidates: usize) -> PrefixSums {
+        PrefixSums {
+            candidates,
+            partial: Vec::new(),
+        }
+    }
+
+    /// The index of the candidate with the lowest rate sum over
+    /// `subset`'s benchmarks, the lowest index among equal sums.
+    ///
+    /// Rows `0..from` must hold the sums of the previous call's subset,
+    /// whose first `from` benchmarks `subset` shares; the first call
+    /// passes 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` is empty, names a benchmark past `cols`, or a
+    /// column is shorter than the candidate count.
+    pub fn winner(&mut self, cols: &[Vec<f64>], subset: &[usize], from: usize) -> usize {
+        let c = self.candidates;
+        self.partial.resize(subset.len() * c, 0.0);
+        for (slot, &b) in subset.iter().enumerate().skip(from) {
+            let col = &cols[b][..c];
+            let (below, row) = self.partial.split_at_mut(slot * c);
+            let row = &mut row[..c];
             if slot == 0 {
-                for (dst, &r) in partial[..c].iter_mut().zip(col) {
+                for (dst, &r) in row.iter_mut().zip(col) {
                     *dst = 0.0 + r;
                 }
             } else {
-                let (prev, cur) = partial.split_at_mut(slot * c);
-                let prev = &prev[(slot - 1) * c..];
-                for (ci, dst) in cur[..c].iter_mut().enumerate() {
-                    *dst = prev[ci] + col[ci];
+                let prev = &below[(slot - 1) * c..];
+                for ((dst, &p), &r) in row.iter_mut().zip(prev).zip(col) {
+                    *dst = p + r;
                 }
             }
         }
-        let sums = &partial[(k - 1) * c..];
-        let mut best = 0usize;
+        let last = subset.len().checked_sub(1).expect("a non-empty subset");
+        let mut best = 0;
         let mut best_rate = f64::INFINITY;
-        for (ci, &s) in sums.iter().enumerate() {
-            if s < best_rate {
-                best_rate = s;
+        for (ci, &sum) in self.partial[last * c..].iter().enumerate() {
+            if sum < best_rate {
+                best_rate = sum;
                 best = ci;
             }
         }
-        wins[best] += 1;
-    });
+        best
+    }
 }
 
 /// The orders of an order-major rate matrix (`rates[o][b]`) that a
@@ -321,147 +265,6 @@ fn undominated(rates: &[Vec<f64>], beats: impl Fn(usize, usize) -> bool) -> Vec<
                 .any(|&j| j != i && beats(j, i))
         })
         .collect()
-}
-
-/// Orders per tile of [`sampled_sweep_wins`]: one tile of 22 benchmark
-/// columns is 44 KiB, about one L1 data cache.
-const SAMPLE_TILE: usize = 256;
-
-/// Orders summed together in registers by [`sampled_sweep_wins`]: 16
-/// lanes are eight SSE2 accumulators, enough independent add chains to
-/// hide the add latency without spilling.
-const SAMPLE_LANES: usize = 16;
-
-/// Register blocks per tile column.
-const SAMPLE_BLOCKS: usize = SAMPLE_TILE / SAMPLE_LANES;
-
-/// One benchmark's column of a tile: the rates of 256 consecutive
-/// orders, in register blocks.
-type TileColumn = [[f64; SAMPLE_LANES]; SAMPLE_BLOCKS];
-
-/// The sampled subset sweep over a chunk of pre-drawn samples: for each
-/// sample, find the row with the minimal rate sum over the sample's
-/// benchmarks (first strict minimum wins ties) and bump its `wins`
-/// tally.
-///
-/// `rates` is row-major (`rates[o][b]`, as [`OrderingStudy::rates`],
-/// or the [`creditable_orders`] rows of it that
-/// [`OrderingStudy::subset_experiment_sampled`] passes); `subsets` holds
-/// `k` benchmark indices per sample, in drawn order. Rows are visited
-/// in tiles of 256: each tile is copied into one benchmark-major
-/// buffer, so a sample's sums over 16 consecutive rows are `k`
-/// contiguous 16-lane adds kept in registers. Register blocks past the
-/// last row are not summed (with the 55 creditable rows of the
-/// 22-benchmark roster, 12 of the tile's 16). Every sum is the
-/// left-to-right fold `((0.0 + r₀) + r₁) + …` in drawn order, which for
-/// rates ≥ +0.0 is bit-identical to `iter().sum()`; lanes and tiles are
-/// compared in ascending row index with a strict `<`, so the winner is
-/// the naive scan's.
-///
-/// # Panics
-///
-/// Panics unless `wins` has one slot per row, there are between 1 and
-/// 65536 rows, `subsets` is whole samples of `k ≥ 1`, and every index
-/// is below the rows' length.
-pub fn sampled_sweep_wins(rates: &[Vec<f64>], k: usize, subsets: &[u8], wins: &mut [u64]) {
-    let c = rates.len();
-    assert_eq!(wins.len(), c, "one tally slot per row");
-    assert!((1..=1 << 16).contains(&c), "{c} rows do not fit u16");
-    assert!(
-        k >= 1 && subsets.len().is_multiple_of(k),
-        "samples of {k} indices"
-    );
-    let n = rates[0].len();
-    let samples = subsets.len() / k;
-    let mut best_rate = vec![f64::INFINITY; samples];
-    let mut best = vec![0u16; samples];
-    // tile[b][j / LANES][j % LANES]: the rate of order `t0 + j` on
-    // benchmark b. Lanes past the last order hold +inf, which never wins.
-    let mut tile: Vec<TileColumn> = vec![[[f64::INFINITY; SAMPLE_LANES]; SAMPLE_BLOCKS]; n];
-    for t0 in (0..c).step_by(SAMPLE_TILE) {
-        for j in 0..SAMPLE_TILE {
-            let (blk, lane) = (j / SAMPLE_LANES, j % SAMPLE_LANES);
-            match rates.get(t0 + j) {
-                Some(row) => {
-                    for (col, &r) in tile.iter_mut().zip(&row[..n]) {
-                        col[blk][lane] = r;
-                    }
-                }
-                None => tile
-                    .iter_mut()
-                    .for_each(|col| col[blk][lane] = f64::INFINITY),
-            }
-        }
-        // Blocks holding at least one row; later ones are all +inf.
-        let blocks = (c - t0).div_ceil(SAMPLE_LANES).min(SAMPLE_BLOCKS);
-        let mut cols: Vec<&TileColumn> = Vec::with_capacity(k);
-        for (s, subset) in subsets.chunks_exact(k).enumerate() {
-            cols.clear();
-            cols.extend(subset.iter().map(|&b| &tile[usize::from(b)]));
-            let (first, rest) = cols.split_first().expect("k >= 1");
-            let (mut rate, mut order) = (best_rate[s], best[s]);
-            for blk in 0..blocks {
-                let mut acc = first[blk].map(|r| 0.0 + r);
-                for col in rest {
-                    for (a, &r) in acc.iter_mut().zip(&col[blk]) {
-                        *a += r;
-                    }
-                }
-                // Almost no block beats the best so far: test all lanes
-                // branch-free first, and scan in lane order only on a hit.
-                if acc.iter().fold(false, |hit, &sum| hit | (sum < rate)) {
-                    for (lane, &sum) in acc.iter().enumerate() {
-                        if sum < rate {
-                            rate = sum;
-                            order = (t0 + blk * SAMPLE_LANES + lane) as u16;
-                        }
-                    }
-                }
-            }
-            best_rate[s] = rate;
-            best[s] = order;
-        }
-    }
-    for o in best {
-        wins[usize::from(o)] += 1;
-    }
-}
-
-/// Merges two per-order win tallies (the `par_fold_chunks` merge of
-/// both subset sweeps).
-fn add_tallies(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-    a
-}
-
-/// `size_hint` for a remaining count that may exceed `usize`: an exact
-/// `(r, Some(r))` when it fits, an explicit `(usize::MAX, None)` (lower
-/// bound saturated, upper bound unknown) when it does not — on 32-bit
-/// targets a `u64` count can genuinely overflow `usize`, and claiming an
-/// exact truncated upper bound there would be a lie.
-fn saturating_size_hint(remaining: u128) -> (usize, Option<usize>) {
-    match usize::try_from(remaining) {
-        Ok(r) => (r, Some(r)),
-        Err(_) => (usize::MAX, None),
-    }
-}
-
-impl Iterator for KSubsets {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.advance() {
-            Some(self.subset.clone())
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        saturating_size_hint(u128::from(self.remaining))
-    }
 }
 
 /// One benchmark's non-loop branches, condensed for fast order
@@ -745,18 +548,10 @@ impl OrderingStudy {
         (self.orders[o], self.average_rate(o))
     }
 
-    /// Pareto-prunes order indices: keeps only orders not dominated by
-    /// another order on every benchmark (ties broken toward the earlier
-    /// index, which also deduplicates identical rows). The scan runs
-    /// serially on the calling thread, once, under the study's
-    /// `OnceLock`: the sum-pruned scan (see [`creditable_orders`]) is
-    /// cheap enough that parallelism buys nothing here.
-    pub fn pareto_order_indices(&self) -> Vec<usize> {
-        self.pareto_front().to_vec()
-    }
-
-    /// [`OrderingStudy::pareto_order_indices`], computed once per study
-    /// and cached.
+    /// Pareto-prunes order indices, computed once per study and cached:
+    /// keeps only orders not dominated by another order on every
+    /// benchmark (ties broken toward the earlier index, which also
+    /// deduplicates identical rows), ascending.
     pub fn pareto_front(&self) -> &[usize] {
         self.pareto.get_or_init(|| {
             let rates = &self.rates;
@@ -781,21 +576,9 @@ impl OrderingStudy {
     /// lowest index of all 5040 orders instead, which is often off the
     /// front, so the two tallies differ on ties by design.
     ///
-    /// The combination
-    /// space is split into contiguous rank ranges enumerated
-    /// independently per worker with per-worker `wins` tallies summed at
-    /// the end — every subset's winner is scheduling-independent, so the
-    /// result is bit-identical to the serial enumeration at any thread
-    /// count.
-    ///
-    /// The inner loop is the prefix-reuse kernel
-    /// ([`subset_sweep_wins`]): consecutive lexicographic subsets share
-    /// a prefix, so per-slot partial-sum vectors over benchmark-major
-    /// transposed candidate columns are recomputed only from the first
-    /// bumped slot — amortized ~1 contiguous vector add per subset
-    /// instead of `k` gathered adds per candidate. Every partial sum is
-    /// exactly the left-to-right prefix of the naive per-candidate
-    /// summation, so sums, argmins, and tallies are all bit-identical.
+    /// The subsets are walked in lexicographic order on the calling
+    /// thread, and [`PrefixSums`] recomputes each one's sums only from
+    /// the first slot that changed: about one vector add per subset.
     ///
     /// Every call sweeps again; [`OrderingStudy::paper_subset_experiment`]
     /// is the k = n/2 sweep computed once per study.
@@ -804,26 +587,13 @@ impl OrderingStudy {
         let n = self.benches.len();
         assert!(k >= 1, "subset size must be at least 1");
         assert!(k <= n, "subset size {k} exceeds {n} benchmarks");
-        // Benchmark-major transposed candidate rates: cols[b][ci], so
-        // adding benchmark b to every candidate's partial sum is one
-        // contiguous vector add.
-        let cols: Vec<Vec<f64>> = (0..n)
-            .map(|b| candidates.iter().map(|&o| self.rates[o][b]).collect())
-            .collect();
-        let trials = KSubsets::count(n, k);
-
-        let wins = bpfree_par::par_fold_chunks(
-            trials,
-            || vec![0u64; candidates.len()],
-            |range, mut wins| {
-                let len = range.end - range.start;
-                subset_sweep_wins(&cols, n, k, range.start, len, &mut wins);
-                wins
-            },
-            add_tallies,
-        )
-        .unwrap_or_else(|| vec![0u64; candidates.len()]);
-        self.common_orders(candidates.iter().copied().zip(wins), trials)
+        let cols = self.columns(candidates);
+        let mut sums = PrefixSums::new(candidates.len());
+        let mut wins = vec![0u64; candidates.len()];
+        KSubsets::new(n, k).for_each_subset_from(|subset, from| {
+            wins[sums.winner(&cols, subset, from)] += 1;
+        });
+        self.common_orders(candidates.iter().copied().zip(wins), KSubsets::count(n, k))
     }
 
     /// [`OrderingStudy::subset_experiment`] at the paper's k = n/2
@@ -858,19 +628,15 @@ impl OrderingStudy {
     /// at least as good on every benchmark, so it can never be the
     /// lowest-index minimum, and dropping it leaves every sample's
     /// winner as the full 5040-order scan's. On the roster's 20,000
-    /// samples of 11 that is about 14 M adds instead of 1.1 G.
+    /// samples of 11 that is about 12 M adds instead of 1.1 G.
     ///
-    /// Every subset is drawn serially from the one seeded stream, one
-    /// byte per benchmark index; the samples are then split into
-    /// contiguous chunks swept in parallel, each by
-    /// [`sampled_sweep_wins`] over the kept rows, and the per-chunk
-    /// tallies merged in order. Every sample's winner is
-    /// scheduling-independent, so the result is identical at any
-    /// `--jobs`.
+    /// Each sample is drawn from the one seeded stream (shuffle the
+    /// benchmark indices, take the first `k`) and scored at once by
+    /// [`PrefixSums`] from slot 0, in drawn order, on the calling thread.
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ k ≤ n ≤ 256` for `n` benchmarks.
+    /// Panics unless `1 ≤ k ≤ n` for `n` benchmarks.
     pub fn subset_experiment_sampled(
         &self,
         k: usize,
@@ -881,32 +647,25 @@ impl OrderingStudy {
         use rand::SeedableRng;
         let n = self.benches.len();
         assert!(k >= 1 && k <= n, "bad subset size {k} of {n}");
-        assert!(n <= 256, "{n} benchmarks do not fit u8 indices");
+        let kept = creditable_orders(&self.rates);
+        let cols = self.columns(&kept);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        let mut indices: Vec<u8> = (0..n).map(|b| b as u8).collect();
-        let len = usize::try_from(n_samples)
-            .ok()
-            .and_then(|s| s.checked_mul(k))
-            .expect("the samples fit in memory");
-        let mut subsets = Vec::with_capacity(len);
+        let mut indices: Vec<usize> = (0..n).collect();
+        let mut sums = PrefixSums::new(kept.len());
+        let mut wins = vec![0u64; kept.len()];
         for _ in 0..n_samples {
             indices.shuffle(&mut rng);
-            subsets.extend_from_slice(&indices[..k]);
+            wins[sums.winner(&cols, &indices[..k], 0)] += 1;
         }
-        let kept = creditable_orders(&self.rates);
-        let rows: Vec<Vec<f64>> = kept.iter().map(|&o| self.rates[o].clone()).collect();
-        let wins = bpfree_par::par_fold_chunks(
-            n_samples,
-            || vec![0u64; rows.len()],
-            |range, mut wins| {
-                let chunk = &subsets[range.start as usize * k..range.end as usize * k];
-                sampled_sweep_wins(&rows, k, chunk, &mut wins);
-                wins
-            },
-            add_tallies,
-        )
-        .unwrap_or_else(|| vec![0u64; rows.len()]);
         self.common_orders(kept.into_iter().zip(wins), n_samples)
+    }
+
+    /// The rates of `orders` in the benchmark-major layout [`PrefixSums`]
+    /// reads: `cols[b][ci]` is order `orders[ci]`'s rate on benchmark `b`.
+    fn columns(&self, orders: &[usize]) -> Vec<Vec<f64>> {
+        (0..self.benches.len())
+            .map(|b| orders.iter().map(|&o| self.rates[o][b]).collect())
+            .collect()
     }
 
     /// Table 4 rows from `(order index, wins)` tallies in ascending order
@@ -1077,7 +836,7 @@ mod tests {
             }",
         );
         let study = OrderingStudy::new_serial(vec![d1, d2]);
-        let front = study.pareto_order_indices();
+        let front = study.pareto_front();
         assert!(!front.is_empty());
         assert!(front.len() <= 5040);
         // The global best must be on the front.
@@ -1145,16 +904,25 @@ mod tests {
         assert!(winners.windows(2).all(|w| w[0].trials >= w[1].trials));
     }
 
-    /// Eight readers at `--jobs 2` ask for the paper's study at once
-    /// while its sweep itself runs in parallel: all get the one stored
-    /// result (same allocation, same recorded duration), it is the
-    /// uncached k = n/2 sweep row for row, and its duration is the
-    /// sweep's, not zero.
+    /// Eight threads ask for the paper's study at once (a barrier
+    /// releases them together): all get the one stored result (same
+    /// allocation, same recorded duration), it is the uncached k = n/2
+    /// sweep row for row, and its duration is the sweep's, not zero.
     #[test]
     fn paper_subset_experiment_is_swept_once_and_shared() {
         let study = four_bench_study();
-        let readers: Vec<usize> = (0..8).collect();
-        let seen = bpfree_par::par_map_jobs(2, &readers, |_| study.paper_subset_experiment());
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<_> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        study.paper_subset_experiment()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
         let (winners, elapsed) = study.paper_subset_experiment();
         for (other, other_elapsed) in seen {
             assert!(std::ptr::eq(other, winners), "a second allocation");
@@ -1171,9 +939,16 @@ mod tests {
         }
     }
 
+    /// Every subset of the walk, in order.
+    fn walk(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut all = Vec::new();
+        KSubsets::new(n, k).for_each_subset_from(|subset, _| all.push(subset.to_vec()));
+        all
+    }
+
     #[test]
     fn ksubsets_enumerates_lexicographically() {
-        let all: Vec<Vec<usize>> = KSubsets::all(5, 3).collect();
+        let all = walk(5, 3);
         assert_eq!(all.len() as u64, KSubsets::count(5, 3));
         assert_eq!(all.len(), 10);
         assert_eq!(all[0], [0, 1, 2]);
@@ -1184,72 +959,11 @@ mod tests {
         }
         assert!(all.windows(2).all(|w| w[0] < w[1]), "lexicographic order");
         // Edge cases.
-        assert_eq!(
-            KSubsets::all(4, 0).collect::<Vec<_>>(),
-            [Vec::<usize>::new()]
-        );
-        assert_eq!(KSubsets::all(4, 4).collect::<Vec<_>>(), [vec![0, 1, 2, 3]]);
+        assert_eq!(walk(4, 0), [Vec::<usize>::new()]);
+        assert_eq!(walk(4, 4), [vec![0, 1, 2, 3]]);
+        assert_eq!(walk(3, 5), Vec::<Vec<usize>>::new());
         assert_eq!(KSubsets::count(22, 11), 705_432);
         assert_eq!(KSubsets::count(3, 5), 0);
-    }
-
-    #[test]
-    fn ksubsets_ranges_reassemble_the_full_enumeration() {
-        let (n, k) = (9, 4);
-        let all: Vec<Vec<usize>> = KSubsets::all(n, k).collect();
-        let total = KSubsets::count(n, k);
-        for parts in [1usize, 2, 5, 126, 200] {
-            let mut reassembled = Vec::new();
-            for r in bpfree_par::split_ranges(total, parts) {
-                KSubsets::range(n, k, r.start, r.end - r.start)
-                    .for_each_subset(|s| reassembled.push(s.to_vec()));
-            }
-            assert_eq!(reassembled, all, "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn subset_experiment_is_identical_at_any_job_count() {
-        let (d1, _, _) = bench_data("a", SRC);
-        let (d2, _, _) = bench_data(
-            "b",
-            "fn main() -> int {
-                int i; int s;
-                for (i = 0; i < 25; i = i + 1) { if (i > 20) { s = s + 1; } }
-                return s;
-            }",
-        );
-        let (d3, _, _) = bench_data(
-            "c",
-            "global int g[4];
-            fn main() -> int {
-                int i;
-                for (i = 0; i < 16; i = i + 1) { if (i % 4 == 0) { g[1] = i; } }
-                return g[1];
-            }",
-        );
-        let study = OrderingStudy::new_serial(vec![d1, d2, d3]);
-        let reference = study.subset_experiment(2);
-        // par_fold_chunks folds each contiguous range separately; the
-        // merged tallies (and so the sorted rows) must not depend on how
-        // many ranges there are. Exercise the splitting directly rather
-        // than via the process-global job override (tests run in
-        // parallel and must not race on it).
-        for parts in [1usize, 2, 3] {
-            let trials = KSubsets::count(3, 2);
-            let ranges = bpfree_par::split_ranges(trials, parts);
-            let mut tally = 0u64;
-            for r in &ranges {
-                KSubsets::range(3, 2, r.start, r.end - r.start).for_each_subset(|_| tally += 1);
-            }
-            assert_eq!(tally, trials, "parts={parts}");
-        }
-        let again = study.subset_experiment(2);
-        for (a, b) in reference.iter().zip(&again) {
-            assert_eq!(a.order, b.order);
-            assert_eq!(a.trials, b.trials);
-            assert!((a.trial_fraction - b.trial_fraction).abs() < 1e-15);
-        }
     }
 
     #[test]
@@ -1268,30 +982,10 @@ mod tests {
     }
 
     #[test]
-    fn size_hint_saturates_explicitly_past_usize() {
-        assert_eq!(saturating_size_hint(0), (0, Some(0)));
-        assert_eq!(saturating_size_hint(705_432), (705_432, Some(705_432)));
-        assert_eq!(
-            saturating_size_hint(usize::MAX as u128),
-            (usize::MAX, Some(usize::MAX))
-        );
-        // One past usize::MAX: the lower bound saturates and the upper
-        // bound is honestly unknown, not a truncated lie.
-        assert_eq!(
-            saturating_size_hint(usize::MAX as u128 + 1),
-            (usize::MAX, None)
-        );
-        assert_eq!(saturating_size_hint(u128::MAX), (usize::MAX, None));
-        // The iterator wires through the same helper.
-        let it = KSubsets::all(5, 2);
-        assert_eq!(it.size_hint(), (10, Some(10)));
-    }
-
-    #[test]
     fn for_each_subset_from_reports_the_shared_prefix() {
         let (n, k) = (6, 3);
         let mut prev: Option<Vec<usize>> = None;
-        KSubsets::all(n, k).for_each_subset_from(|subset, from| {
+        KSubsets::new(n, k).for_each_subset_from(|subset, from| {
             match &prev {
                 None => assert_eq!(from, 0, "first yield recomputes everything"),
                 Some(p) => {

@@ -1,18 +1,15 @@
-//! Property tests pinning the ordering-study fast kernels to the naive
-//! seed-path loops they replaced.
+//! Property tests pinning the ordering-study kernels to naive loops.
 //!
-//! Five claims must hold *bit-exactly* (not just approximately) for the
+//! Four claims must hold *bit-exactly* (not just approximately) for the
 //! experiment stdout to stay byte-identical:
 //!
-//! * the prefix-reuse subset sweep ([`subset_sweep_wins`]) produces the
-//!   same per-subset f64 sums — same bits, same argmin, same tallies —
-//!   as the naive per-candidate gather loop, on any rate matrix and at
-//!   any contiguous range split;
-//! * the tiled sampled sweep ([`sampled_sweep_wins`]) picks the same
-//!   winner for every sample as the naive per-sample scan over all
-//!   orders, and so the same tallies at any chunk split — also when it
-//!   scans only the [`creditable_orders`] and maps the wins back, and
-//!   the pruned set is exactly the naive O(n²) definition's;
+//! * the subset-sweep kernel ([`PrefixSums`]) picks, for every subset,
+//!   the candidate the naive per-candidate gather loop picks: both when
+//!   the lexicographic walk ([`KSubsets`]) hands it the first changed
+//!   slot and when drawn samples start from slot 0;
+//! * sweeping only the [`creditable_orders`] credits every sample to the
+//!   full scan's winner, and the pruned set is exactly the naive O(n²)
+//!   definition's;
 //! * per-order [`FirstHit`] tables resolve every applies mask to the
 //!   same heuristic the 7-way first-hit scan finds, across all 5040
 //!   orders;
@@ -24,82 +21,39 @@
 //! The real rate matrix is full of ties (many orders resolve every
 //! branch group identically), so the matrices here draw rates from a few
 //! quantized values and duplicate rows: the first-strict-minimum tie
-//! rule is what the kernels must get right.
+//! rule is what the kernel must get right.
 
 use bpfree_core::ordering::{
-    all_orders, creditable_orders, sampled_sweep_wins, subset_sweep_wins, BenchOrderData, FirstHit,
-    KSubsets, OrderingStudy,
+    all_orders, creditable_orders, BenchOrderData, FirstHit, KSubsets, OrderingStudy, PrefixSums,
 };
 use bpfree_core::{BranchClassifier, HeuristicKind, HeuristicTable, DEFAULT_SEED};
 use proptest::prelude::*;
 
-/// The seed-path sweep: per subset, a scalar gather per candidate
-/// (`sum = 0.0; sum += rates[b]; …`), first strict minimum wins. The
-/// rate matrix here is candidate-major (`rates[ci][b]`), exactly as the
-/// pre-kernel code scanned it.
-fn naive_sweep(
-    rates: &[Vec<f64>],
-    n: usize,
-    k: usize,
-    start: u64,
-    len: u64,
-    wins: &mut [u64],
-    sums: &mut Vec<Vec<f64>>,
-) {
-    KSubsets::range(n, k, start, len).for_each_subset(|subset| {
-        let mut best = 0usize;
-        let mut best_rate = f64::INFINITY;
-        let mut row = Vec::with_capacity(rates.len());
-        for (ci, cand) in rates.iter().enumerate() {
-            let mut sum = 0.0;
-            for &b in subset {
-                sum += cand[b];
-            }
-            row.push(sum);
-            if sum < best_rate {
-                best_rate = sum;
-                best = ci;
-            }
+/// The naive scan: per candidate, a scalar gather over the subset in
+/// slot order (`sum = 0.0; sum += rates[b]; …`), first strict minimum
+/// wins. The rate matrix is candidate-major (`rates[ci][b]`).
+fn naive_winner(rates: &[Vec<f64>], subset: &[usize]) -> usize {
+    let mut best = 0usize;
+    let mut best_rate = f64::INFINITY;
+    for (ci, cand) in rates.iter().enumerate() {
+        let mut sum = 0.0;
+        for &b in subset {
+            sum += cand[b];
         }
-        sums.push(row);
-        wins[best] += 1;
-    });
+        if sum < best_rate {
+            best_rate = sum;
+            best = ci;
+        }
+    }
+    best
 }
 
-/// The fast sweep, additionally recording every subset's final sum
-/// vector so the test can compare raw bits, not just winners.
-fn fast_sweep_with_sums(
-    cols: &[Vec<f64>],
-    n: usize,
-    k: usize,
-    start: u64,
-    len: u64,
-    wins: &mut [u64],
-) -> Vec<Vec<f64>> {
-    // `subset_sweep_wins` only exposes tallies; re-derive the sums with
-    // the same per-slot prefix stack to check them bit-for-bit.
-    let c = wins.len();
-    let mut partial = vec![0.0f64; k * c];
-    let mut sums = Vec::new();
-    KSubsets::range(n, k, start, len).for_each_subset_from(|subset, from| {
-        for slot in from..k {
-            let col = &cols[subset[slot]][..c];
-            if slot == 0 {
-                for (dst, &r) in partial[..c].iter_mut().zip(col) {
-                    *dst = 0.0 + r;
-                }
-            } else {
-                let (prev, cur) = partial.split_at_mut(slot * c);
-                let prev = &prev[(slot - 1) * c..];
-                for (ci, dst) in cur[..c].iter_mut().enumerate() {
-                    *dst = prev[ci] + col[ci];
-                }
-            }
-        }
-        sums.push(partial[(k - 1) * c..].to_vec());
-    });
-    subset_sweep_wins(cols, n, k, start, len, wins);
-    sums
+/// `rates` (candidate-major) transposed into the benchmark-major
+/// columns [`PrefixSums`] reads.
+fn columns(rates: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    (0..rates[0].len())
+        .map(|b| rates.iter().map(|cand| cand[b]).collect())
+        .collect()
 }
 
 /// The few values a tie-heavy matrix draws its rates from. Besides
@@ -123,122 +77,71 @@ fn tie_heavy_matrix(c: usize, n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> 
     })
 }
 
-/// A tie-heavy rate matrix: `c` candidates × `n` benchmarks, plus a
-/// subset size `1..=n` and a worker-split count.
-fn matrix_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
-    (1usize..=10, 1usize..=16).prop_flat_map(|(n, c)| (tie_heavy_matrix(c, n), 1..=n, 1usize..=5))
+/// A tie-heavy rate matrix, `c` candidates × `n` benchmarks, plus a
+/// subset size `1..=n`.
+fn matrix_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
+    (1usize..=10, 1usize..=16).prop_flat_map(|(n, c)| (tie_heavy_matrix(c, n), 1..=n))
 }
 
 /// A sampled-sweep case: a tie-heavy matrix of `c` orders (1..=40, or
-/// the study's 5040) × `n ≤ 22` benchmarks, a sample size `k ≤ n`, up to
-/// 24 samples of `k` indices below `n`, and a chunk count.
-fn sampled_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, Vec<u8>, usize)> {
+/// the study's 5040) × `n ≤ 22` benchmarks, a sample size `k ≤ n`, and
+/// up to 24 samples of `k` indices below `n`.
+fn sampled_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, Vec<usize>)> {
     (prop_oneof![3 => 1usize..=40, 1 => Just(5040)], 1usize..=22)
         .prop_flat_map(|(c, n)| (tie_heavy_matrix(c, n), 1..=n, 1usize..=24))
         .prop_flat_map(|(rates, k, samples)| {
-            let n = rates[0].len() as u8;
+            let n = rates[0].len();
             (
                 Just(rates),
                 Just(k),
                 proptest::collection::vec(0..n, samples * k),
-                1usize..=6,
             )
         })
-}
-
-/// The per-sample scan the sampled study ran before it was tiled: the
-/// first order whose `iter().sum()` over the sample's rates is a strict
-/// minimum.
-fn naive_sampled_winner(rates: &[Vec<f64>], subset: &[u8]) -> usize {
-    let mut best = 0usize;
-    let mut best_rate = f64::INFINITY;
-    for (o, row) in rates.iter().enumerate() {
-        let sum: f64 = subset.iter().map(|&b| row[usize::from(b)]).sum();
-        if sum < best_rate {
-            best_rate = sum;
-            best = o;
-        }
-    }
-    best
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tentpole bit-identity: winner tallies AND per-subset f64 sums of
-    /// the prefix-reuse kernel equal the naive gather loop's, for any
-    /// random rate matrix, any k ≤ n, and any contiguous range split.
+    /// The exact sweep's mode: walking every k-subset lexicographically
+    /// and passing the first changed slot, the kernel picks the naive
+    /// gather's winner on every subset, for any tie-heavy matrix and
+    /// any k ≤ n.
     #[test]
-    fn prefix_kernel_is_bit_identical_to_naive_sweep(
-        (rates, k, parts) in matrix_strategy()
-    ) {
-        let c = rates.len();
+    fn prefix_kernel_is_bit_identical_to_naive_sweep((rates, k) in matrix_strategy()) {
         let n = rates[0].len();
-        // Benchmark-major transposition for the kernel.
-        let cols: Vec<Vec<f64>> = (0..n)
-            .map(|b| rates.iter().map(|cand| cand[b]).collect())
-            .collect();
-        let total = KSubsets::count(n, k);
+        let mut walk = Vec::new();
+        KSubsets::new(n, k).for_each_subset_from(|subset, from| walk.push((subset.to_vec(), from)));
+        prop_assert_eq!(walk.len() as u64, KSubsets::count(n, k));
 
-        let mut naive_wins = vec![0u64; c];
-        let mut naive_sums = Vec::new();
-        naive_sweep(&rates, n, k, 0, total, &mut naive_wins, &mut naive_sums);
-
-        // Whole-range fast sweep: sums bit-identical, tallies equal.
-        let mut fast_wins = vec![0u64; c];
-        let fast_sums = fast_sweep_with_sums(&cols, n, k, 0, total, &mut fast_wins);
-        prop_assert_eq!(&fast_wins, &naive_wins);
-        prop_assert_eq!(fast_sums.len(), naive_sums.len());
-        for (f, s) in fast_sums.iter().zip(&naive_sums) {
-            for (a, b) in f.iter().zip(s) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+        let cols = columns(&rates);
+        let mut sums = PrefixSums::new(rates.len());
+        for (subset, from) in &walk {
+            prop_assert_eq!(
+                sums.winner(&cols, subset, *from),
+                naive_winner(&rates, subset),
+                "subset {:?} from slot {}", subset, from
+            );
         }
-
-        // Split into contiguous worker ranges (what par_fold_chunks
-        // does): merged tallies must not depend on the split.
-        let mut split_wins = vec![0u64; c];
-        for r in bpfree_par::split_ranges(total, parts) {
-            subset_sweep_wins(&cols, n, k, r.start, r.end - r.start, &mut split_wins);
-        }
-        prop_assert_eq!(&split_wins, &naive_wins);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tiled sampled sweep picks the naive scan's winner for every
-    /// sample — across tile and lane boundaries, on tie-heavy matrices
-    /// of any order count — and its tallies do not depend on how the
-    /// samples are split into chunks.
+    /// The sampled sweep's mode: fed one drawn sample after another,
+    /// each from slot 0, the kernel picks the naive scan's winner for
+    /// every sample, on tie-heavy matrices of any order count.
     #[test]
-    fn sampled_kernel_matches_naive_scan(
-        (rates, k, subsets, parts) in sampled_strategy()
-    ) {
-        let c = rates.len();
-        let mut naive_wins = vec![0u64; c];
+    fn kernel_matches_naive_scan_on_drawn_samples((rates, k, subsets) in sampled_strategy()) {
+        let cols = columns(&rates);
+        let mut sums = PrefixSums::new(rates.len());
         for subset in subsets.chunks_exact(k) {
-            let want = naive_sampled_winner(&rates, subset);
-            let mut one = vec![0u64; c];
-            sampled_sweep_wins(&rates, k, subset, &mut one);
-            let mut expect = vec![0u64; c];
-            expect[want] = 1;
-            prop_assert_eq!(one, expect, "sample {:?}", subset);
-            naive_wins[want] += 1;
+            prop_assert_eq!(
+                sums.winner(&cols, subset, 0),
+                naive_winner(&rates, subset),
+                "sample {:?}", subset
+            );
         }
-
-        let mut whole = vec![0u64; c];
-        sampled_sweep_wins(&rates, k, &subsets, &mut whole);
-        prop_assert_eq!(&whole, &naive_wins);
-
-        let samples = (subsets.len() / k) as u64;
-        let mut split = vec![0u64; c];
-        for r in bpfree_par::split_ranges(samples, parts) {
-            let chunk = &subsets[r.start as usize * k..r.end as usize * k];
-            sampled_sweep_wins(&rates, k, chunk, &mut split);
-        }
-        prop_assert_eq!(&split, &naive_wins);
     }
 }
 
@@ -255,43 +158,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The sampled study's prune: the sum-pruned scan keeps exactly the
-    /// naive definition's orders, and sweeping only those rows, with the
-    /// wins mapped back to order indices, credits every sample to the
-    /// naive full scan's winner, at any chunk split.
+    /// naive definition's orders, and the kernel over only those rows,
+    /// with its winner mapped back to an order index, credits every
+    /// sample to the naive full scan's winner.
     #[test]
-    fn creditable_prune_keeps_every_sampled_winner(
-        (rates, k, subsets, parts) in sampled_strategy()
-    ) {
+    fn creditable_prune_keeps_every_sampled_winner((rates, k, subsets) in sampled_strategy()) {
         let kept = creditable_orders(&rates);
         prop_assert_eq!(&kept, &naive_creditable(&rates));
         prop_assert_eq!(kept.first(), Some(&0));
         let rows: Vec<Vec<f64>> = kept.iter().map(|&o| rates[o].clone()).collect();
-        let mapped_back = |wins: &[u64]| {
-            let mut full = vec![0u64; rates.len()];
-            for (&o, &w) in kept.iter().zip(wins) {
-                full[o] = w;
-            }
-            full
-        };
-
-        let mut naive_wins = vec![0u64; rates.len()];
+        let cols = columns(&rows);
+        let mut sums = PrefixSums::new(kept.len());
         for subset in subsets.chunks_exact(k) {
-            let want = naive_sampled_winner(&rates, subset);
-            let mut one = vec![0u64; rows.len()];
-            sampled_sweep_wins(&rows, k, subset, &mut one);
-            let mut expect = vec![0u64; rates.len()];
-            expect[want] = 1;
-            prop_assert_eq!(mapped_back(&one), expect, "sample {:?}", subset);
-            naive_wins[want] += 1;
+            prop_assert_eq!(
+                kept[sums.winner(&cols, subset, 0)],
+                naive_winner(&rates, subset),
+                "sample {:?}", subset
+            );
         }
-
-        let samples = (subsets.len() / k) as u64;
-        let mut split = vec![0u64; rows.len()];
-        for r in bpfree_par::split_ranges(samples, parts) {
-            let chunk = &subsets[r.start as usize * k..r.end as usize * k];
-            sampled_sweep_wins(&rows, k, chunk, &mut split);
-        }
-        prop_assert_eq!(mapped_back(&split), naive_wins);
     }
 }
 

@@ -447,16 +447,6 @@ impl Engine {
         })
     }
 
-    /// Shorthand for [`Engine::predictions`]`.classifier`.
-    pub fn classifier(&self, bench: &Benchmark, opt: Options) -> Arc<BranchClassifier> {
-        self.predictions(bench, opt).classifier
-    }
-
-    /// Shorthand for [`Engine::predictions`]`.table`.
-    pub fn table(&self, bench: &Benchmark, opt: Options) -> Arc<HeuristicTable> {
-        self.predictions(bench, opt).table
-    }
-
     /// The flat-bytecode lowering of `bench` under `opt`, decoded once
     /// per process and never persisted. Decoding is pure (no execution
     /// state), so one [`BytecodeProgram`] serves every dataset's run and
@@ -1003,7 +993,7 @@ fn names_live_branches(program: &Program, mut sites: impl Iterator<Item = Branch
 /// directories) back to the [`Options`] it names. The fingerprint
 /// space is tiny and closed, so this is a total inverse of
 /// [`Options::fingerprint`].
-pub fn options_from_fingerprint(fp: &str) -> Option<Options> {
+fn options_from_fingerprint(fp: &str) -> Option<Options> {
     [
         Options::default(),
         Options {

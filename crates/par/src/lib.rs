@@ -1,10 +1,9 @@
 //! Data parallelism for the experiment engine.
 //!
-//! The paper's sweeps are embarrassingly parallel: 5040 orderings × N
-//! benchmarks, C(22,11) = 705,432 subset trials, 23 independent
-//! compile+simulate pipelines. They need two primitives: an **ordered**
-//! parallel map ([`par_map_jobs`]) and an in-order range fold
-//! ([`par_fold_chunks`]). Each call runs on its own
+//! The engine's warm-up (23 independent compile+simulate pipelines and
+//! their extra datasets) and the rendering of the 19 experiments are
+//! embarrassingly parallel. Both run on one primitive, an **ordered**
+//! parallel map ([`par_map_jobs`]). Each call runs on its own
 //! [`std::thread::scope`] (the build environment has no crates.io
 //! access, so `rayon` is not an option): the calling thread works, a few
 //! scoped threads work beside it, and all of them are joined before the
@@ -14,20 +13,18 @@
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical to the serial loop at any thread count**:
-//! [`par_map_jobs`] writes each output into its input's slot (order
-//! preserved), and [`par_fold_chunks`] gives every range its own
-//! accumulator over a contiguous index range, merging them in range
-//! order at the end. Nothing here depends on scheduling.
+//! Results are **identical to the serial loop at any thread count**:
+//! [`par_map_jobs`] writes each output into its input's slot, so the
+//! output order is the input order whatever the schedule. Each item's
+//! own work is serial.
 //!
 //! # Job-count resolution
 //!
 //! [`jobs`] resolves, in priority order: the process-wide override set
 //! by [`set_jobs`] (the binaries' `--jobs N` flag) → the `BPFREE_JOBS`
-//! environment variable → [`available_parallelism`]. The requested
-//! count drives the *arithmetic* (how work splits); [`clamp_workers`]
-//! caps the *thread* side at what the machine can actually run, so
-//! `--jobs 64` on a 4-core box computes the 64-way split on 4 threads.
+//! environment variable → [`available_parallelism`]. [`clamp_workers`]
+//! caps the threads a call starts at what the machine can run, so
+//! `--jobs 64` on a 4-core box runs 4 threads.
 
 #![forbid(unsafe_code)]
 
@@ -72,10 +69,7 @@ pub fn available_parallelism() -> usize {
 
 /// The one rule for turning a *requested* job count into a *thread*
 /// count: at least one, at most the machine's available parallelism.
-/// Splitting arithmetic (segment ranges, fold chunks) must keep
-/// following the requested count — that is what keeps results a pure
-/// function of `--jobs` — while anything that occupies an OS thread
-/// goes through here.
+/// Anything that occupies an OS thread goes through here.
 pub fn clamp_workers(n_jobs: usize) -> usize {
     n_jobs.max(1).min(available_parallelism())
 }
@@ -133,51 +127,6 @@ where
         .collect()
 }
 
-/// Splits `[0, total)` into at most `parts` contiguous ranges of
-/// near-equal length (never empty; fewer ranges when `total < parts`).
-pub fn split_ranges(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let parts = (parts.max(1) as u64).min(total);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts as usize);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + u64::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Parallel fold over `[0, total)`: [`par_map_jobs`] runs `fold` on each
-/// range of `split_ranges(total, jobs())`, every range with its own
-/// accumulator seeded by `init`, and the accumulators are merged **in
-/// range order** with `merge`. The split follows [`jobs`] — the
-/// requested count, not the thread count — so the exact arithmetic is a
-/// pure function of `--jobs`. With any associative merge (given the
-/// in-order reduction) the result equals the serial fold. `None` when
-/// `total` is 0.
-pub fn par_fold_chunks<A, FInit, FFold, FMerge>(
-    total: u64,
-    init: FInit,
-    fold: FFold,
-    merge: FMerge,
-) -> Option<A>
-where
-    A: Send,
-    FInit: Fn() -> A + Sync,
-    FFold: Fn(std::ops::Range<u64>, A) -> A + Sync,
-    FMerge: Fn(A, A) -> A,
-{
-    let ranges = split_ranges(total, jobs());
-    par_map_jobs(ranges.len(), &ranges, |range| fold(range.clone(), init()))
-        .into_iter()
-        .reduce(merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,43 +144,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map_jobs(8, &[] as &[u64], |x| *x), Vec::<u64>::new());
         assert_eq!(par_map_jobs(8, &[5u64], |x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn split_ranges_partitions_exactly() {
-        for total in [0u64, 1, 7, 100, 705_432] {
-            for parts in [1usize, 2, 3, 11, 64] {
-                let ranges = split_ranges(total, parts);
-                let mut cursor = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, cursor, "contiguous");
-                    assert!(r.end > r.start, "non-empty");
-                    cursor = r.end;
-                }
-                assert_eq!(cursor, total, "covers [0,{total})");
-                assert!(ranges.len() <= parts.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn par_fold_matches_serial_sum() {
-        // Uses whatever jobs() resolves to; the result must not depend
-        // on it.
-        let total = 123_456u64;
-        let sum = par_fold_chunks(
-            total,
-            || 0u64,
-            |range, mut acc| {
-                for i in range {
-                    acc += i;
-                }
-                acc
-            },
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(sum, total * (total - 1) / 2);
     }
 
     #[test]

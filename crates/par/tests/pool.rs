@@ -1,17 +1,14 @@
-//! Guarantees of the two parallel primitives: a panicking task
-//! re-raises its own payload on the caller once its siblings finish,
-//! through nested calls too; `par_map_jobs`/`par_fold_chunks` are
+//! Guarantees of `par_map_jobs`, the one parallel primitive: a
+//! panicking task re-raises its own payload on the caller once its
+//! siblings finish, through nested calls too; the map is
 //! element-identical to the serial loop at random job counts and
-//! nesting depths; and a nesting stress test shaped like the real
-//! workload (a segmented replay inside a range fold inside an
-//! experiment map) keeps only a few threads alive at once.
+//! nesting depths; and nested maps keep only a few threads alive at
+//! once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bpfree_par::{
-    available_parallelism, clamp_workers, par_fold_chunks, par_map_jobs, split_ranges,
-};
+use bpfree_par::{clamp_workers, par_map_jobs};
 use proptest::prelude::*;
 
 /// The message a caught panic carried.
@@ -75,15 +72,6 @@ fn panic_inside_nested_scope_unwinds_through_both_scopes() {
     assert_eq!(message(payload), "inner boom");
 }
 
-/// The serial reference for the fold in the proptest below.
-fn serial_weighted_sum(total: u64, chunk_jobs: usize) -> u128 {
-    split_ranges(total, chunk_jobs)
-        .into_iter()
-        .map(|r| r.map(|i| u128::from(i) * 3 + 1).sum::<u128>())
-        .reduce(|a, b| a ^ b.rotate_left(7))
-        .unwrap_or(0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -95,22 +83,6 @@ proptest! {
         let expect: Vec<u64> = items.iter().map(|x| x * 17 + 3).collect();
         let got = par_map_jobs(jobs, &items, |x| x * 17 + 3);
         prop_assert_eq!(got, expect);
-    }
-
-    /// `par_fold_chunks` arithmetic is a pure function of the
-    /// requested split: a non-commutative merge (XOR of rotated chunk
-    /// sums) still matches the serial in-order reduction.
-    #[test]
-    fn par_fold_equals_serial_in_order_reduction(total in 1u64..5_000, jobs in 1usize..24) {
-        bpfree_par::set_jobs(jobs);
-        let got = par_fold_chunks(
-            total,
-            || 0u128,
-            |range, acc| acc + range.map(|i| u128::from(i) * 3 + 1).sum::<u128>(),
-            |a, b| a ^ b.rotate_left(7),
-        );
-        bpfree_par::set_jobs(0);
-        prop_assert_eq!(got, Some(serial_weighted_sum(total, jobs)));
     }
 
     /// Nested maps (a map inside every element of a map) stay
@@ -136,47 +108,45 @@ proptest! {
     }
 }
 
-/// Three layers of nesting shaped like the real batch: an
-/// experiment-style `par_map_jobs` whose elements run a replay-style
-/// `par_fold_chunks`, whose ranges each run a segment-style
-/// `par_map_jobs`. Every call joins its own threads before it returns,
-/// so at most (outer × fold × inner) widths of tasks run at once — a
-/// gauge checks that bound — and the result equals the serial
-/// computation exactly.
+/// Three layers of nested maps: every element of a map runs a map whose
+/// elements each run a map. The batch itself nests no parallel calls
+/// (each experiment renders serially inside the one render map), but a
+/// library caller may, so this pins the bound: every call joins its own
+/// threads before it returns, so at most `clamp_workers(2)` cubed tasks
+/// of the innermost layer are live at once (a gauge checks it), and the
+/// result equals the serial computation exactly.
 #[test]
 fn three_layer_nesting_stress() {
-    const ITEMS: u64 = 400;
-    let value = |e: u64, i: u64| (e * ITEMS + i) % 97;
+    const ITEMS: u64 = 40;
+    let value = |e: u64, m: u64, i: u64| (e * ITEMS * ITEMS + m * ITEMS + i) % 97;
     let experiments: Vec<u64> = (0..6).collect();
+    let items: Vec<u64> = (0..ITEMS).collect();
     let expected: Vec<u64> = experiments
         .iter()
-        .map(|&e| (0..ITEMS).map(|i| value(e, i)).sum())
+        .map(|&e| {
+            let row = |m| items.iter().map(|&i| value(e, m, i)).sum::<u64>();
+            items.iter().map(|&m| row(m)).sum()
+        })
         .collect();
     let live = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     let got = par_map_jobs(2, &experiments, |&e| {
-        par_fold_chunks(
-            ITEMS,
-            || 0u64,
-            |range, acc| {
-                let items: Vec<u64> = range.collect();
-                let values = par_map_jobs(2, &items, |&i| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    let v = value(e, i);
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    v
-                });
-                acc + values.iter().sum::<u64>()
-            },
-            |a, b| a + b,
-        )
-        .unwrap_or(0)
+        par_map_jobs(2, &items, |&m| {
+            par_map_jobs(2, &items, |&i| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                let v = value(e, m, i);
+                live.fetch_sub(1, Ordering::SeqCst);
+                v
+            })
+            .iter()
+            .sum::<u64>()
+        })
+        .iter()
+        .sum::<u64>()
     });
     assert_eq!(got, expected);
-    // The fold's width follows jobs(), which other tests in this binary
-    // change; every width is clamped to the machine.
-    let bound = clamp_workers(2) * available_parallelism() * clamp_workers(2);
+    let bound = clamp_workers(2).pow(3);
     let peak = peak.load(Ordering::SeqCst);
     assert!(peak <= bound, "{peak} tasks ran at once (bound {bound})");
 }

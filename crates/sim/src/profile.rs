@@ -109,16 +109,6 @@ impl EdgeProfile {
             e.fallthru += n;
         }
     }
-
-    /// Merges another profile into this one (summing counts) — e.g. to
-    /// aggregate multiple datasets.
-    pub fn merge(&mut self, other: &EdgeProfile) {
-        for (b, c) in other.iter() {
-            let e = self.counts.entry(b).or_default();
-            e.taken += c.taken;
-            e.fallthru += c.fallthru;
-        }
-    }
 }
 
 impl FromIterator<(BranchRef, EdgeCounts)> for EdgeProfile {
@@ -205,18 +195,6 @@ impl EdgeProfiler {
             .map(|(b, &c)| (b, c))
             .collect()
     }
-
-    /// Merges everything `other` observed into this profiler, as if it
-    /// had observed both streams.
-    pub fn absorb(&mut self, other: EdgeProfiler) {
-        for (b, c) in other.counts.iter() {
-            if c.total() > 0 {
-                let e = self.counts.slot(b);
-                e.taken += c.taken;
-                e.fallthru += c.fallthru;
-            }
-        }
-    }
 }
 
 impl ExecObserver for EdgeProfiler {
@@ -270,24 +248,5 @@ mod tests {
             fallthru: 5,
         };
         assert!(c.taken_majority());
-    }
-
-    #[test]
-    fn merge_sums_counts() {
-        let mut a = EdgeProfile::new();
-        a.record(br(0), true);
-        let mut b = EdgeProfile::new();
-        b.record(br(0), false);
-        b.record(br(1), true);
-        a.merge(&b);
-        assert_eq!(
-            a.counts(br(0)),
-            EdgeCounts {
-                taken: 1,
-                fallthru: 1
-            }
-        );
-        assert_eq!(a.n_sites(), 2);
-        assert_eq!(a.total_branches(), 3);
     }
 }

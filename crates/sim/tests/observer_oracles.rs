@@ -4,7 +4,7 @@
 //! [`BranchRef`] and by whole [`TraceEvent`]s instead. Over random event
 //! streams and over the real streams of suite benchmarks, both must give
 //! equal profiles, identical traces (dictionary order included), and
-//! equal results after `absorb` and after replay.
+//! equal results after replay.
 
 use std::collections::HashMap;
 
@@ -163,25 +163,6 @@ proptest! {
         assert_agree(d, o, "random stream");
     }
 
-    /// A stream split in two and folded back with `absorb` profiles
-    /// exactly like the oracle's `merge` — and like the unsplit stream.
-    #[test]
-    fn absorb_matches_oracle_merge(events in arb_stream(), cut in any::<usize>()) {
-        let (head, tail) = events.split_at(cut % (events.len() + 1));
-        let (mut a, mut b) = (EdgeProfiler::new(), EdgeProfiler::new());
-        feed(head, &mut a);
-        feed(tail, &mut b);
-        a.absorb(b);
-        let (mut oa, mut ob) = (OracleProfiler::default(), OracleProfiler::default());
-        feed(head, &mut oa);
-        feed(tail, &mut ob);
-        oa.profile.merge(&ob.profile);
-        let mut whole = OracleProfiler::default();
-        feed(&events, &mut whole);
-        let merged = a.into_profile();
-        prop_assert_eq!(&merged, &oa.profile);
-        prop_assert_eq!(&merged, &whole.profile);
-    }
 }
 
 /// The real event streams of small suite benchmarks, recorded by both

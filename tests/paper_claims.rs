@@ -282,10 +282,10 @@ fn paper_order_is_competitive() {
     );
 }
 
-/// The seeded serial loop `OrderingStudy::subset_experiment_sampled`
-/// ran before its sweep was tiled: per sample, shuffle the benchmark
-/// indices and take the first `k`, then scan all 5040 orders for the
-/// first strict minimum of `iter().sum()`. Returns (order index, trials)
+/// The naive seeded loop `OrderingStudy::subset_experiment_sampled`
+/// must match: per sample, shuffle the benchmark indices and take the
+/// first `k`, then scan all 5040 orders for the first strict minimum of
+/// `iter().sum()`. Returns (order index, trials)
 /// sorted by trials descending, stable over ascending index.
 fn serial_sampled_winners(
     rates: &[Vec<f64>],
@@ -320,7 +320,7 @@ fn serial_sampled_winners(
     out
 }
 
-/// Table 4's sampling check: the tiled, parallel sampled sweep over the
+/// Table 4's sampling check: the prefix-sum sampled sweep over the
 /// creditable orders only returns row for row what the serial seeded
 /// loop over all 5040 rows returns on a real matrix, and equal-trial
 /// winners list in ascending order index (two one-benchmark samples win
