@@ -23,15 +23,12 @@
 //! test oracle that no flag selects.
 //!
 //! The CLI pulls the standard flags out of a mixed argument list with
-//! [`extract`] and applies them with [`apply`]. [`apply`] is
-//! re-entrant: the first call wins and later calls (any experiment run
-//! in the same process, nested helpers, tests) observe the already
-//! installed configuration instead of racing to replace it. The engine
-//! itself is built lazily by [`engine`], so commands that never query
-//! an artifact (`exp list`, `run`, `predict`) never open the cache.
+//! [`extract`] once, applies the process-wide ones with
+//! [`Config::apply`], and builds an engine with [`Config::engine`] only
+//! in the commands that query artifacts, so the others (`exp list`,
+//! `run`, `predict`) never open the cache.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Where the per-task timing log goes when `--timings` is on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,9 +39,7 @@ pub enum TimingsOut {
     File(PathBuf),
 }
 
-/// Resolved configuration, also stored process-globally so [`engine`]
-/// and the CLI commands can honor it without threading it through every
-/// call site.
+/// Resolved configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Worker threads (`None` = machine default / `BPFREE_JOBS`).
@@ -78,45 +73,26 @@ fn timings_from_env() -> Option<TimingsOut> {
     }
 }
 
-static CONFIG: OnceLock<Config> = OnceLock::new();
-
-/// The active configuration ([`apply`]'s result, or the environment
-/// defaults if nothing called [`apply`]).
-pub fn config() -> &'static Config {
-    CONFIG.get_or_init(Config::default)
-}
-
-/// Stores `cfg` globally and applies its job count and timing switch.
-/// It does not build the engine: [`engine`] does that on first use, so
-/// the cache is only opened by commands that need it.
-///
-/// Re-entrant, first caller wins (matching `OnceLock` semantics): a
-/// second `apply` — e.g. an experiment run in-process after the CLI
-/// already configured itself — leaves the installed configuration
-/// untouched and returns it.
-pub fn apply(cfg: Config) -> &'static Config {
-    if CONFIG.set(cfg).is_ok() {
-        // First application: this config owns the process-wide knobs.
-        if let Some(n) = config().jobs {
+impl Config {
+    /// Applies the job count and the timing switch to the process.
+    pub fn apply(&self) {
+        if let Some(n) = self.jobs {
             bpfree_par::set_jobs(n);
         }
-        if config().timings.is_some() {
+        if self.timings.is_some() {
             bpfree_par::timings::enable();
         }
     }
-    config()
-}
 
-/// The process-wide artifact engine, configured from [`config`] (or the
-/// environment defaults if nothing called [`apply`]). The first call
-/// builds it, which mounts the cache image when caching is on.
-pub fn engine() -> &'static bpfree_engine::Engine {
-    let cfg = config();
-    bpfree_engine::install(bpfree_engine::EngineConfig {
-        use_cache: cfg.use_cache,
-        cache_dir: cfg.cache_dir.clone(),
-        ..bpfree_engine::EngineConfig::default()
-    })
+    /// An artifact engine for this configuration. Building it mounts the
+    /// cache image when caching is on.
+    pub fn engine(&self) -> bpfree_engine::Engine {
+        bpfree_engine::Engine::new(bpfree_engine::EngineConfig {
+            use_cache: self.use_cache,
+            cache_dir: self.cache_dir.clone(),
+            ..bpfree_engine::EngineConfig::default()
+        })
+    }
 }
 
 /// Pulls the standard experiment flags out of a mixed argument list,
@@ -237,23 +213,5 @@ mod tests {
             Some(TimingsOut::File(PathBuf::from("/tmp/t.json")))
         );
         assert!(p(&["--timings="]).is_err());
-    }
-
-    #[test]
-    fn apply_is_reentrant_first_wins() {
-        let first = apply(Config {
-            jobs: None,
-            use_cache: false,
-            cache_dir: PathBuf::from("/tmp/first"),
-            timings: None,
-        });
-        let second = apply(Config {
-            jobs: None,
-            use_cache: true,
-            cache_dir: PathBuf::from("/tmp/second"),
-            timings: None,
-        });
-        assert_eq!(first.cache_dir, second.cache_dir);
-        assert_eq!(second.cache_dir, PathBuf::from("/tmp/first"));
     }
 }

@@ -14,7 +14,7 @@
 //! the `traces_are_served_zero_copy` test asserts by finding a mounted
 //! trace's sequence inside the image buffer.
 //!
-//! # File layout (cache format v8)
+//! # File layout (cache format v9)
 //!
 //! All multi-byte fields are little-endian. The file is:
 //!
@@ -26,9 +26,9 @@
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"BPFIMG08"` |
+//! | 0      | 8    | magic `b"BPFIMG09"` |
 //! | 8      | 4    | endian marker `0x0A0B0C0D` (reads scrambled on a big-endian writer) |
-//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 8) |
+//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 9) |
 //! | 16     | 8    | entry count |
 //! | 24     | 8    | directory offset (absolute, 8-aligned, dir is last) |
 //! | 32     | 8    | string-table offset (absolute) |
@@ -38,7 +38,9 @@
 //! | 64     | 8    | FNV-1a 64 checksum of the string table + directory (bytes `strings_off..EOF`) |
 //!
 //! **Section payloads** each start 8-aligned (zero padding between
-//! them). **Directory entries** are fixed 48-byte records, one per
+//! them). Every payload is a little-endian byte encoding: a compile
+//! payload is the program's binary form ([`Program::to_bytes`]); the
+//! prediction, run and trace codecs live in this module. **Directory entries** are fixed 48-byte records, one per
 //! (kind, benchmark, options fingerprint, dataset):
 //!
 //! | offset | size | field |
@@ -92,7 +94,7 @@ use crate::{
 };
 
 /// The image magic: format family + the two-digit format version.
-pub const MAGIC: [u8; 8] = *b"BPFIMG08";
+pub const MAGIC: [u8; 8] = *b"BPFIMG09";
 
 /// Little-endian byte-order marker; reads scrambled if the file was
 /// written with the opposite endianness.
@@ -105,7 +107,8 @@ const DIR_ENTRY_LEN: usize = 48;
 /// engine memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SectionKind {
-    /// A compiled [`bpfree_ir::Program`], stored as IR text.
+    /// A compiled [`bpfree_ir::Program`], stored in its binary form
+    /// ([`Program::to_bytes`]).
     Compile,
     /// Per-branch prediction rows ([`PredictionArtifacts`]).
     Prediction,
@@ -478,7 +481,8 @@ pub(crate) fn decode_trace_payload(
 /// payload is encoded only when [`ImageBuilder::write_to`] reaches it.
 #[derive(Clone, Copy)]
 pub enum Artifact<'a> {
-    /// A compiled program, stored as IR text.
+    /// A compiled program, stored in its binary form
+    /// ([`Program::to_bytes`]).
     Compile(&'a Program),
     /// The dense prediction rows of a classifier + heuristic table.
     Prediction(&'a BranchClassifier, &'a HeuristicTable),
@@ -500,7 +504,7 @@ impl Artifact<'_> {
 
     fn encode(&self) -> Vec<u8> {
         match *self {
-            Artifact::Compile(program) => program.to_string().into_bytes(),
+            Artifact::Compile(program) => program.to_bytes(),
             Artifact::Prediction(classifier, table) => encode_prediction_payload(
                 &PredictionArtifacts::from_computed(classifier, table).rows,
             ),
@@ -838,14 +842,13 @@ impl SuiteImage {
         &self.buf[e.payload_off..e.payload_off + e.payload_len]
     }
 
-    /// Decodes a compile entry (re-parses the stored IR text). `None`
-    /// on kind mismatch or malformed payload.
+    /// Decodes a compile entry ([`Program::from_bytes`]). `None` on
+    /// kind mismatch or malformed payload.
     pub fn compile(&self, e: &ImageEntry) -> Option<Program> {
         if e.kind != SectionKind::Compile {
             return None;
         }
-        let ir = std::str::from_utf8(self.payload(e)).ok()?;
-        bpfree_ir::parse_program(ir).ok()
+        Program::from_bytes(self.payload(e))
     }
 
     /// Decodes a prediction entry.

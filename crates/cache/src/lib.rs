@@ -70,7 +70,7 @@ use bpfree_ir::{BranchRef, Program};
 use bpfree_sim::{BranchTrace, EdgeProfile, RunResult};
 
 /// Bump on any change to the image layout or a payload encoding.
-pub(crate) const FORMAT_VERSION: u32 = 8;
+pub(crate) const FORMAT_VERSION: u32 = 9;
 
 /// The build fingerprint every image this build writes is stamped
 /// with, and the only stamp it mounts: a hash of the sources of every

@@ -163,8 +163,8 @@ fn corruption_is_a_miss_not_a_panic() {
 
     assert!(SuiteImage::from_bytes(bytes[..bytes.len() / 3].to_vec()).is_err());
     // The header, its build stamp, the first payload (the compile
-    // entry's IR text starts right after the 72-byte header), and the
-    // directory at the tail.
+    // entry's program bytes start right after the 72-byte header), and
+    // the directory at the tail.
     for at in [20, 50, 80, bytes.len() - 20] {
         let mut garbled = bytes.clone();
         garbled[at] ^= 0x21;

@@ -179,15 +179,6 @@ impl BranchClassifier {
         self.loop_pred[self.id(branch).index()]
     }
 
-    /// [`BranchClassifier::loop_prediction`] by dense id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn loop_prediction_by_id(&self, id: BranchId) -> Option<Direction> {
-        self.loop_pred[id.index()]
-    }
-
     /// The program's `BranchRef ⇄ BranchId` side table.
     pub fn branch_table(&self) -> &BranchTable {
         &self.branches

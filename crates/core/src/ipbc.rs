@@ -125,14 +125,6 @@ impl SequenceDist {
         (N_BUCKETS as u64) * 10
     }
 
-    /// The plot series for the paper's graphs: `(length, cumulative
-    /// instruction fraction)` at every bucket boundary up to `max_len`.
-    pub fn instruction_cdf(&self, max_len: u64) -> Vec<(u64, f64)> {
-        (0..=max_len / 10)
-            .map(|j| (j * 10, self.cumulative_instructions_below(j * 10)))
-            .collect()
-    }
-
     /// The per-bucket sequence counts (for tests and custom plots).
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts

@@ -276,8 +276,7 @@ impl<K: Eq + Hash + Clone + Debug, V: Clone> Memo<K, V> {
     }
 }
 
-/// The artifact graph. See the crate docs; usually accessed through
-/// [`install`]/[`global`].
+/// The artifact graph. See the crate docs.
 pub struct Engine {
     config: EngineConfig,
     programs: Memo<CompileKey, Arc<Program>>,
@@ -1005,21 +1004,6 @@ fn options_from_fingerprint(fp: &str) -> Option<Options> {
     ]
     .into_iter()
     .find(|o| o.fingerprint() == fp)
-}
-
-static GLOBAL: OnceLock<Engine> = OnceLock::new();
-
-/// Installs the process-wide engine, first writer wins: if one is
-/// already installed, `config` is ignored and the existing engine is
-/// returned (mirroring how the experiment binaries apply CLI flags).
-pub fn install(config: EngineConfig) -> &'static Engine {
-    GLOBAL.get_or_init(|| Engine::new(config))
-}
-
-/// The process-wide engine, installing one with [`EngineConfig::default`]
-/// on first use.
-pub fn global() -> &'static Engine {
-    GLOBAL.get_or_init(|| Engine::new(EngineConfig::default()))
 }
 
 #[cfg(test)]

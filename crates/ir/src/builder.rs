@@ -134,32 +134,12 @@ impl FunctionBuilder {
         self.blocks[block.index()].1 = Some(term);
     }
 
-    /// Returns `true` if `block` already has a terminator.
-    pub fn is_terminated(&self, block: BlockId) -> bool {
-        self.blocks[block.index()].1.is_some()
-    }
-
     /// Reserves `words` of stack frame and returns the `SP`-relative word
     /// offset of the reservation.
     pub fn reserve_frame(&mut self, words: i64) -> i64 {
         let off = self.frame_words;
         self.frame_words += words;
         off
-    }
-
-    /// Number of blocks created so far.
-    pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Number of integer registers allocated so far (specials included).
-    pub fn reg_count(&self) -> u32 {
-        self.next_reg
-    }
-
-    /// Number of float registers allocated so far.
-    pub fn freg_count(&self) -> u32 {
-        self.next_freg
     }
 
     /// Produces the finished [`Function`].
@@ -181,7 +161,7 @@ impl FunctionBuilder {
                 }
             }
         }
-        Ok(Function::from_parts(
+        Ok(Function::assemble(
             self.name,
             blocks,
             self.params,

@@ -67,26 +67,6 @@ pub struct Function {
 }
 
 impl Function {
-    pub(crate) fn from_parts(
-        name: String,
-        blocks: Vec<Block>,
-        params: Vec<Reg>,
-        fparams: Vec<FReg>,
-        n_regs: u32,
-        n_fregs: u32,
-        frame_words: i64,
-    ) -> Function {
-        Function {
-            name,
-            blocks,
-            params,
-            fparams,
-            n_regs,
-            n_fregs,
-            frame_words,
-        }
-    }
-
     /// The function's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -308,15 +288,6 @@ impl Program {
         Some((FuncId(i as u32), &self.funcs[i]))
     }
 
-    /// The interned name id of `func` (shared by same-named functions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
-    pub fn func_name_id(&self, func: FuncId) -> NameId {
-        self.fn_name_ids[func.index()]
-    }
-
     /// The program's function-name interner.
     pub fn fn_names(&self) -> &Interner {
         &self.fn_names
@@ -342,8 +313,24 @@ impl Program {
         self.symbols.get(name).copied()
     }
 
-    pub(crate) fn set_symbols(&mut self, symbols: HashMap<String, GlobalSym>) {
-        self.symbols = symbols;
+    /// The program with `symbols` as its symbol table, each checked to
+    /// lie inside the global region.
+    pub(crate) fn with_symbols(
+        self,
+        symbols: HashMap<String, GlobalSym>,
+    ) -> Result<Program, ValidateError> {
+        for (name, sym) in &symbols {
+            let end = sym.offset.checked_add(sym.len);
+            if sym.offset < 0 || sym.len < 0 || end.is_none_or(|end| end > self.globals_words) {
+                return Err(ValidateError::GlobalOutOfRange {
+                    name: name.clone(),
+                    offset: sym.offset,
+                    len: sym.len,
+                    globals_words: self.globals_words,
+                });
+            }
+        }
+        Ok(Program { symbols, ..self })
     }
 
     /// Iterator over function ids in index order.
@@ -421,19 +408,7 @@ impl ProgramBuilder {
     ///
     /// Returns a [`ValidateError`] on any malformed function or symbol.
     pub fn finish(self, globals_words: i64) -> Result<Program, ValidateError> {
-        let mut p = Program::new(self.funcs, globals_words)?;
-        for (name, sym) in &self.symbols {
-            if sym.offset < 0 || sym.len < 0 || sym.offset + sym.len > globals_words {
-                return Err(ValidateError::GlobalOutOfRange {
-                    name: name.clone(),
-                    offset: sym.offset,
-                    len: sym.len,
-                    globals_words,
-                });
-            }
-        }
-        p.set_symbols(self.symbols);
-        Ok(p)
+        Program::new(self.funcs, globals_words)?.with_symbols(self.symbols)
     }
 }
 

@@ -35,11 +35,11 @@
 #![forbid(unsafe_code)]
 
 mod builder;
+mod codec;
 mod dense;
 mod display;
 mod function;
 mod instr;
-mod parse;
 mod reg;
 mod validate;
 
@@ -49,6 +49,5 @@ pub use function::{
     Block, BranchRef, FuncId, Function, GlobalSym, GlobalValues, Program, ProgramBuilder,
 };
 pub use instr::{BinOp, BlockId, Cond, FBinOp, FCmp, Instr, Terminator};
-pub use parse::{parse_program, ParseError};
 pub use reg::{FReg, Reg};
 pub use validate::ValidateError;

@@ -121,7 +121,7 @@ impl fmt::Display for ValidateError {
             } => write!(
                 f,
                 "global `{name}` at [{offset}, {}) exceeds the {globals_words}-word region",
-                offset + len
+                offset.saturating_add(*len)
             ),
             ValidateError::NegativeFrame { func, frame_words } => {
                 write!(f, "function `{func}` has negative frame size {frame_words}")
@@ -134,8 +134,9 @@ impl std::error::Error for ValidateError {}
 
 impl Program {
     /// Checks structural well-formedness: block targets in range, callees
-    /// exist with matching arity, register indices within the declared
-    /// counts, no degenerate branches, no negative frames.
+    /// exist with matching arity, register indices (parameters included)
+    /// within the declared counts, no degenerate branches, no negative
+    /// frames.
     ///
     /// # Errors
     ///
@@ -159,6 +160,20 @@ impl Program {
             return Err(ValidateError::NegativeFrame {
                 func: name,
                 frame_words: func.frame_words(),
+            });
+        }
+        if let Some(&reg) = func.params().iter().find(|r| r.0 >= func.n_regs()) {
+            return Err(ValidateError::BadReg {
+                func: name,
+                block: func.entry(),
+                reg,
+            });
+        }
+        if let Some(&reg) = func.fparams().iter().find(|r| r.0 >= func.n_fregs()) {
+            return Err(ValidateError::BadFReg {
+                func: name,
+                block: func.entry(),
+                reg,
             });
         }
         let n_blocks = func.blocks().len() as u32;
@@ -385,6 +400,22 @@ mod tests {
         b.set_term(e, ret());
         let err = Program::new(vec![b.finish().unwrap()], 0).unwrap_err();
         assert!(matches!(err, ValidateError::BadReg { .. }));
+    }
+
+    #[test]
+    fn parameter_outside_the_register_file_rejected() {
+        let main = |params, fparams| {
+            let blocks = vec![crate::function::Block {
+                instrs: vec![],
+                term: ret(),
+            }];
+            Function::assemble("main".into(), blocks, params, fparams, 4, 1, 0)
+        };
+        assert!(Program::new(vec![main(vec![Reg(3)], vec![FReg(0)])], 0).is_ok());
+        let err = Program::new(vec![main(vec![Reg(4)], vec![])], 0).unwrap_err();
+        assert!(matches!(err, ValidateError::BadReg { .. }));
+        let err = Program::new(vec![main(vec![], vec![FReg(1)])], 0).unwrap_err();
+        assert!(matches!(err, ValidateError::BadFReg { .. }));
     }
 
     #[test]

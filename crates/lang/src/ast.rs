@@ -12,13 +12,6 @@ pub enum Type {
     Ptr,
 }
 
-impl Type {
-    /// Are values of this type stored as integer words?
-    pub fn is_word(self) -> bool {
-        matches!(self, Type::Int | Type::Ptr)
-    }
-}
-
 impl std::fmt::Display for Type {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

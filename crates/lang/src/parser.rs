@@ -157,7 +157,7 @@ impl Parser {
         let mut items = Vec::new();
         while self.peek() != &TokenKind::Eof {
             match self.peek() {
-                TokenKind::KwGlobal => items.push(self.global()?),
+                TokenKind::KwGlobal => items.push(self.global_decl()?),
                 TokenKind::KwFn => items.push(self.function()?),
                 other => {
                     return Err(CompileError::parse(
@@ -170,7 +170,7 @@ impl Parser {
         Ok(Program { items })
     }
 
-    fn global(&mut self) -> Result<Item, CompileError> {
+    fn global_decl(&mut self) -> Result<Item, CompileError> {
         let start = self.peek_span();
         self.expect(TokenKind::KwGlobal)?;
         let ty = self.parse_type()?;

@@ -1,22 +1,38 @@
-//! Display ⇄ parse round-trip: every program the compiler can produce
-//! must print to text that parses back to an identical program.
+//! Binary round trip: every program the compiler can produce must
+//! encode to bytes that decode back to an identical program, and a
+//! damaged encoding must decode to `None` or to a valid program, never
+//! panic.
 
-use bpfree_ir::parse_program;
-use bpfree_lang::compile;
+use std::sync::OnceLock;
+
+use bpfree_ir::Program;
+use bpfree_lang::{compile, compile_with, Options};
 use proptest::prelude::*;
 
-fn roundtrip(src: &str) {
-    let p = compile(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
-    let text = p.to_string();
-    let q = parse_program(&text)
-        .unwrap_or_else(|e| panic!("parse-back failed: {e}\n--- text ---\n{text}"));
-    assert_eq!(p, q, "round-trip mismatch\n--- text ---\n{text}");
+/// The four option sets `Options::fingerprint` names.
+fn all_options() -> [Options; 4] {
+    let inline_only = Options {
+        inline: true,
+        simplify: false,
+    };
+    [
+        Options::default(),
+        inline_only,
+        Options::no_inline(),
+        Options::o0(),
+    ]
+}
+
+fn roundtrip(p: &Program) {
+    let bytes = p.to_bytes();
+    let q = Program::from_bytes(&bytes).unwrap_or_else(|| panic!("decode failed\n{p}"));
+    assert_eq!(*p, q, "round-trip mismatch\n{p}");
+    assert_eq!(q.to_bytes(), bytes, "re-encoding differs");
 }
 
 #[test]
 fn roundtrips_kitchen_sink() {
-    roundtrip(
-        "global int data[16];
+    let src = "global int data[16];
         global float ws[4];
         global int n;
         fn hash(int key) -> int { return key * 31 % 97; }
@@ -46,19 +62,53 @@ fn roundtrips_kitchen_sink() {
             found = scan(head, hash(105));
             if (avg() > 0.25 && found != 0) { n = n + 1; }
             return found * 10 + buf[3];
-        }",
-    );
+        }";
+    roundtrip(&compile(src).unwrap_or_else(|e| panic!("{}", e.render(src))));
+}
+
+/// The encoding of every suite benchmark under every option set, as
+/// the suite image stores them.
+fn suite_bytes() -> &'static [Vec<u8>] {
+    static BYTES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut all = Vec::new();
+        for b in bpfree_suite::all() {
+            for opt in all_options() {
+                let p = compile_with(b.source, opt).unwrap();
+                all.push(p.to_bytes());
+            }
+        }
+        all
+    })
 }
 
 #[test]
 fn roundtrips_every_suite_benchmark() {
     for b in bpfree_suite::all() {
-        let p = b.compile().unwrap();
-        let text = p.to_string();
-        let q =
-            parse_program(&text).unwrap_or_else(|e| panic!("{}: parse-back failed: {e}", b.name));
-        assert_eq!(p, q, "{} round-trip mismatch", b.name);
+        for opt in all_options() {
+            let p = compile_with(b.source, opt).unwrap();
+            roundtrip(&p);
+        }
     }
+    assert_eq!(suite_bytes().len(), 23 * 4);
+}
+
+/// One way to damage an encoding.
+#[derive(Debug, Clone)]
+enum Damage {
+    Truncate,
+    FlipBit(u8),
+    Overwrite(u8),
+    Append(Vec<u8>),
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::Truncate),
+        (0u8..8).prop_map(Damage::FlipBit),
+        any::<u8>().prop_map(Damage::Overwrite),
+        proptest::collection::vec(any::<u8>(), 1..9).prop_map(Damage::Append),
+    ]
 }
 
 proptest! {
@@ -92,7 +142,34 @@ proptest! {
              }}"
         );
         let p = compile(&src).unwrap_or_else(|e| panic!("{}", e.render(&src)));
-        let q = parse_program(&p.to_string()).unwrap();
+        let q = Program::from_bytes(&p.to_bytes()).unwrap();
         prop_assert_eq!(p, q);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// A suite program's bytes, truncated, with one bit flipped, one
+    /// byte overwritten or bytes appended, decode without a panic; what
+    /// does decode is valid and is exactly those bytes.
+    #[test]
+    fn damaged_suite_bytes_decode_to_none_or_a_valid_program(
+        which in 0usize..23 * 4,
+        at in any::<usize>(),
+        damage in damage(),
+    ) {
+        let mut bytes = suite_bytes()[which].clone();
+        let i = at % bytes.len();
+        match damage {
+            Damage::Truncate => bytes.truncate(i),
+            Damage::FlipBit(bit) => bytes[i] ^= 1 << bit,
+            Damage::Overwrite(v) => bytes[i] = v,
+            Damage::Append(tail) => bytes.extend(tail),
+        }
+        if let Some(p) = Program::from_bytes(&bytes) {
+            prop_assert!(p.validate().is_ok());
+            prop_assert_eq!(p.to_bytes(), bytes);
+        }
     }
 }

@@ -9,12 +9,13 @@
 //! Run with: `cargo run --release --example cross_dataset`
 
 use bpfree::core::{evaluate, perfect_predictions, CombinedPredictor, HeuristicKind};
+use bpfree::engine::{Engine, EngineConfig};
 use bpfree::lang::Options;
 
 fn main() {
-    // The engine memoizes (and, unless BPFREE_NO_CACHE is set, persists)
-    // every artifact queried below; repeated runs skip the simulations.
-    let engine = bpfree::engine::global();
+    // The engine memoizes every artifact queried below and, unless
+    // BPFREE_NO_CACHE is set, serves what the cache image already holds.
+    let engine = Engine::new(EngineConfig::default());
     println!(
         "{:<11} {:>14} {:>14} {:>12}",
         "benchmark", "profile(A->B)%", "program-based%", "perfect(B)%"

@@ -12,12 +12,13 @@
 use std::collections::HashSet;
 
 use bpfree::core::{CombinedPredictor, Direction, HeuristicKind};
+use bpfree::engine::{Engine, EngineConfig};
 use bpfree::ir::{BlockId, BranchRef, FuncId, Terminator};
 use bpfree::lang::Options;
 use bpfree::sim::BranchBlockCounter;
 
 fn main() {
-    let engine = bpfree::engine::global();
+    let engine = Engine::new(EngineConfig::default());
     let bench = bpfree::suite::by_name("gcc").expect("gcc analogue exists");
     let compiled = engine.compiled(&bench, Options::default());
     let (program, classifier) = (&compiled.program, &compiled.classifier);

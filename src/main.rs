@@ -110,33 +110,16 @@ fn main() -> ExitCode {
         // The standard experiment flags (--jobs/--no-cache/--cache-dir)
         // may appear anywhere; whatever remains belongs to the command.
         let (cfg, rest) = config::extract(raw).map_err(Failure::Usage)?;
+        cfg.apply();
         match rest.first().map(String::as_str) {
             Some("compile") => cmd_compile(out, &rest[1..]),
-            Some("run") => {
-                config::apply(cfg);
-                cmd_run(out, &rest[1..])
-            }
-            Some("predict") => {
-                config::apply(cfg);
-                cmd_predict(out, &rest[1..])
-            }
+            Some("run") => cmd_run(out, &rest[1..]),
+            Some("predict") => cmd_predict(out, &rest[1..]),
             Some("cfg") => cmd_cfg(out, &rest[1..]),
-            Some("bench") => {
-                config::apply(cfg);
-                cmd_bench(out, &rest[1..])
-            }
-            Some("exp") => {
-                config::apply(cfg);
-                cmd_exp(out, &rest[1..])
-            }
-            Some("image") => {
-                config::apply(cfg);
-                cmd_image(out, &rest[1..])
-            }
-            Some("cache") => {
-                config::apply(cfg);
-                cmd_cache(out, &rest[1..])
-            }
+            Some("bench") => cmd_bench(out, &cfg, &rest[1..]),
+            Some("exp") => cmd_exp(out, &cfg, &rest[1..]),
+            Some("image") => cmd_image(out, &cfg, &rest[1..]),
+            Some("cache") => cmd_cache(out, &cfg, &rest[1..]),
             Some("list") => cmd_list(out, &rest[1..]),
             Some("--version" | "-V") => {
                 writeln!(out, "bpfree {}", env!("CARGO_PKG_VERSION"))?;
@@ -486,7 +469,7 @@ fn cmd_cfg(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_bench(out: &mut Out, args: &[String]) -> Result<(), Failure> {
+fn cmd_bench(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
     let args = CmdArgs::parse("bench", args, 1, &[], &["--dataset"])?;
     let name = args.first("bench needs a benchmark name")?;
     let bench = bpfree::suite::by_name(name)
@@ -495,7 +478,7 @@ fn cmd_bench(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     // The artifact engine memoizes and (subject to --no-cache /
     // --cache-dir and their environment twins) persists everything this
     // command computes.
-    let engine = config::engine();
+    let engine = &cfg.engine();
     let compiled = engine.compiled(&bench, Options::default());
     let bundle = engine
         .try_run(&bench, Options::default(), dataset)
@@ -558,7 +541,7 @@ fn cmd_list(out: &mut Out, args: &[String]) -> Result<(), Failure> {
 }
 
 /// `bpfree exp list|run|all` — the registered experiments.
-fn cmd_exp(out: &mut Out, args: &[String]) -> Result<(), Failure> {
+fn cmd_exp(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("list") => {
             CmdArgs::parse("exp list", &args[1..], 0, &[], &[])?;
@@ -587,7 +570,7 @@ fn cmd_exp(out: &mut Out, args: &[String]) -> Result<(), Failure> {
                 .iter()
                 .map(|n| resolve_experiment(n))
                 .collect::<Result<_, _>>()?;
-            run_exps(out, &exps, &args, "run")
+            run_exps(out, cfg, &exps, &args, "run")
         }
         Some("all") => {
             let valued = &["--out-dir", "--image", "--skip"];
@@ -606,7 +589,7 @@ fn cmd_exp(out: &mut Out, args: &[String]) -> Result<(), Failure> {
                 .copied()
                 .filter(|e| !skip.contains(&e.name()))
                 .collect();
-            run_exps(out, &exps, &args, "all")
+            run_exps(out, cfg, &exps, &args, "all")
         }
         _ => Err(usage_err(
             "exp needs a subcommand: `list`, `run NAME...`, or `all`",
@@ -626,8 +609,8 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 }
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
-/// image (cache format v8, see `bpfree::cache::image`).
-fn cmd_image(out: &mut Out, args: &[String]) -> Result<(), Failure> {
+/// image (cache format v9, see `bpfree::cache::image`).
+fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
         let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;
         Ok(PathBuf::from(
@@ -640,7 +623,7 @@ fn cmd_image(out: &mut Out, args: &[String]) -> Result<(), Failure> {
             // Work the full experiment batch through the engine (warm
             // from the cache image where possible), then snapshot every
             // memo into the image at PATH.
-            let engine = config::engine();
+            let engine = &cfg.engine();
             registry::run_experiments(registry::all(), engine, true)
                 .map_err(|e| runtime_err(e.to_string()))?;
             let (entries, bytes) = engine
@@ -712,12 +695,12 @@ fn cmd_image(out: &mut Out, args: &[String]) -> Result<(), Failure> {
 /// `bpfree cache stat` — what the cache image holds, per artifact
 /// kind. Honors `--cache-dir` / `BPFREE_CACHE_DIR` like every other
 /// command.
-fn cmd_cache(out: &mut Out, args: &[String]) -> Result<(), Failure> {
+fn cmd_cache(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
     if args.first().map(String::as_str) != Some("stat") {
         return Err(usage_err("cache needs a subcommand: `stat`"));
     }
     CmdArgs::parse("cache stat", &args[1..], 0, &[], &[])?;
-    let dir = &config::config().cache_dir;
+    let dir = &cfg.cache_dir;
     let path = bpfree::cache::image_path(dir);
     let stat = bpfree::cache::maint::scan(dir)
         .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
@@ -753,11 +736,12 @@ fn persist(engine: &bpfree::engine::Engine) {
 /// whole batch, which is the point of `exp all`.
 fn run_exps(
     out: &mut Out,
+    cfg: &config::Config,
     exps: &[&'static dyn Experiment],
     args: &CmdArgs,
     mode: &str,
 ) -> Result<(), Failure> {
-    let engine = config::engine();
+    let engine = &cfg.engine();
     // An explicit suite image pre-fills every memo the batch would
     // otherwise compute (on top of the cache image the engine mounted
     // itself); a structurally corrupt `--image` is a hard error, but one
@@ -805,7 +789,7 @@ fn run_exps(
         start.elapsed().as_secs_f64(),
         engine.simulations()
     );
-    if let Some(timings) = &config::config().timings {
+    if let Some(timings) = &cfg.timings {
         emit_timings(timings)?;
     }
     Ok(())

@@ -442,6 +442,70 @@ fn damaged_or_unwritable_cache_never_changes_output() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// 64-bit FNV-1a, the suite image's checksum.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Overwrites the first payload of a suite image with `payload`, padded
+/// with spaces to the old length, and re-stamps the two checksums that
+/// cover it: the payload checksum in its directory record (bytes
+/// 40..48) and the header's checksum over the string table and the
+/// directory (header bytes 64..72).
+fn overwrite_first_payload(image: &mut [u8], payload: &[u8]) {
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let dir = word(image, 24) as usize;
+    let strings = word(image, 32) as usize;
+    let off = word(image, dir + 24) as usize;
+    let len = word(image, dir + 32) as usize;
+    assert!(payload.len() <= len);
+    image[off..off + len].fill(b' ');
+    image[off..off + payload.len()].copy_from_slice(payload);
+    let sum = fnv(&image[off..off + len]);
+    image[dir + 40..dir + 48].copy_from_slice(&sum.to_le_bytes());
+    let sum = fnv(&image[strings..]);
+    image[64..72].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A compile entry whose checksums hold but whose program is malformed
+/// is skipped, not a crash. The payloads are IR text that a text parser
+/// would have fed to a function builder: an instruction after `ret`,
+/// and a label past the block count.
+#[test]
+fn malformed_compile_entry_is_skipped_not_a_crash() {
+    use bpfree::cache::image::{Artifact, ImageBuilder};
+    let bench = bpfree::suite::by_name("grep").unwrap();
+    let program = bench.compile().unwrap();
+    let mut b = ImageBuilder::new();
+    let opt = bpfree::lang::Options::default().fingerprint();
+    b.add(bench.name, opt, None, Artifact::Compile(&program));
+    let clean = b.finish();
+    let dir = scratch_dir("malformed-compile");
+    let payloads = [
+        "; globals: 0 words\nfn main() [frame=0 words]\nL0:\n    ret\n    li $r0, 1\n",
+        "; globals: 0 words\nfn main() [frame=0 words]\nL0:\n    ret\nL7:\n    ret\n",
+    ];
+    for (i, payload) in payloads.iter().enumerate() {
+        let mut bytes = clean.clone();
+        overwrite_first_payload(&mut bytes, payload.as_bytes());
+        let path = dir.join(format!("malformed-{i}.img"));
+        std::fs::write(&path, &bytes).unwrap();
+        let out = bpfree()
+            .args(["image", "verify"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(stdout.contains("0 entries mounted, 1 skipped"), "{stdout}");
+        assert!(stderr.contains("skip image entry compile grep"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An empty `BPFREE_CACHE_DIR` is unset, not the current directory: the
 /// cache lands under `$CARGO_TARGET_DIR/bpfree-cache`.
 #[test]
