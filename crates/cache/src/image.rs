@@ -1,5 +1,5 @@
-//! The suite image: the cache's one on-disk format, a single packed
-//! binary file holding every artifact the engine memoizes, laid out for
+//! The suite image: the cache's one on-disk format, a single binary
+//! file holding every artifact the engine memoizes, laid out for
 //! zero-copy warm starts.
 //!
 //! The engine mounts `<cache dir>/suite.img` when it starts and rewrites
@@ -14,64 +14,48 @@
 //! the `traces_are_served_zero_copy` test asserts by finding a mounted
 //! trace's sequence inside the image buffer.
 //!
-//! # File layout (cache format v9)
+//! # File layout (cache format v10)
 //!
-//! All multi-byte fields are little-endian. The file is:
+//! Everything is written with the [`bpfree_ir::codec`] byte codec:
+//! integers little-endian, a string or a list a `u32` count followed by
+//! its elements. The file is:
 //!
 //! ```text
-//! [ 72-byte header | section payloads… | string table | directory ]
+//! magic b"BPFIMG10" | build fingerprint u64 | entry count u32 | entries… | checksum u64
 //! ```
 //!
-//! **Header** (72 bytes):
+//! The fingerprint is the writing build's [`crate::BUILD_FINGERPRINT`],
+//! and the checksum is the FNV-1a 64 hash of every byte before it. An
+//! entry is its address and its payload:
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"BPFIMG09"` |
-//! | 8      | 4    | endian marker `0x0A0B0C0D` (reads scrambled on a big-endian writer) |
-//! | 12     | 4    | format version (= the crate's `FORMAT_VERSION`, 9) |
-//! | 16     | 8    | entry count |
-//! | 24     | 8    | directory offset (absolute, 8-aligned, dir is last) |
-//! | 32     | 8    | string-table offset (absolute) |
-//! | 40     | 8    | total file length |
-//! | 48     | 8    | build fingerprint of the writing build ([`crate::BUILD_FINGERPRINT`]) |
-//! | 56     | 8    | FNV-1a 64 checksum of header bytes 0..56 |
-//! | 64     | 8    | FNV-1a 64 checksum of the string table + directory (bytes `strings_off..EOF`) |
+//! ```text
+//! kind u8 | benchmark name | options fingerprint | dataset u32 | payload byte string
+//! ```
 //!
-//! **Section payloads** each start 8-aligned (zero padding between
-//! them). Every payload is a little-endian byte encoding: a compile
-//! payload is the program's binary form ([`Program::to_bytes`]); the
-//! prediction, run and trace codecs live in this module. **Directory entries** are fixed 48-byte records, one per
-//! (kind, benchmark, options fingerprint, dataset):
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 4    | kind tag ([`SectionKind`]) |
-//! | 4      | 4+4  | benchmark name: offset + length into the string table |
-//! | 12     | 4+4  | options fingerprint: offset + length into the string table |
-//! | 20     | 4    | dataset index (`u32::MAX` = not dataset-scoped) |
-//! | 24     | 8    | payload offset (absolute) |
-//! | 32     | 8    | payload length |
-//! | 40     | 8    | FNV-1a 64 checksum of the payload bytes |
+//! The kind is a [`SectionKind`] tag and the dataset is `u32::MAX` for
+//! the kinds that are not dataset-scoped. A compile payload is the
+//! program's binary form ([`Program::to_bytes`]); the prediction, run
+//! and trace payloads are encoded in this module with the same codec.
+//! When a trace's dictionary fits in a byte, its event sequence is a
+//! byte string, one byte per event, served zero-copy.
 //!
 //! # Writing: deterministic and streamed
 //!
-//! [`ImageBuilder::write_to`] sorts the directory by (kind, name,
-//! fingerprint, dataset) and dedups strings in first-use order, so
-//! two builds from the same *borrowed* [`Artifact`]s are
-//! **byte-identical** regardless of insertion order. It then encodes,
-//! checksums and writes one payload at a time, then the string table
-//! and directory, and patches the 72-byte header (offsets, checksums)
-//! in last: peak memory is the largest payload, not the image.
+//! [`ImageBuilder::write_to`] sorts the entries by (kind, name,
+//! fingerprint, dataset), so two builds from the same *borrowed*
+//! [`Artifact`]s are **byte-identical** regardless of insertion order.
+//! It then encodes and writes one payload at a time, folding every byte
+//! into the checksum as it goes, and writes the checksum last: peak
+//! memory is the largest payload, not the image.
 //!
 //! # Integrity
 //!
-//! [`SuiteImage::open`] validates the magic, endian marker, version,
-//! header checksum, total length, every directory field's bounds, the
-//! string table slices' UTF-8, and **every section checksum** before
-//! returning. Any failure — truncation, bit flip, wrong version —
-//! yields `Err`: the engine treats the cache as empty and recomputes,
-//! so a corrupt image can cost time, never correctness. An image that
-//! opens but carries another build's fingerprint
+//! [`SuiteImage::open`] checks the magic and the checksum before it
+//! reads anything else, then requires the entries to span the file
+//! exactly. Any failure — truncation, a bit flip anywhere, another
+//! format — yields `Err`: the engine treats the cache as empty and
+//! recomputes, so a corrupt image can cost time, never correctness. An
+//! image that opens but carries another build's fingerprint
 //! ([`SuiteImage::fingerprint`]) is the engine's to refuse. Payload
 //! *content* is additionally validated structurally by each typed
 //! accessor, which returns `None` (not a panic) on any malformed
@@ -79,32 +63,22 @@
 //!
 //! [`BranchTrace::from_borrowed_parts`]: bpfree_sim::BranchTrace::from_borrowed_parts
 
-use std::collections::HashMap;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use bpfree_core::{BranchClass, BranchClassifier, Direction, HeuristicTable};
-use bpfree_ir::{BlockId, BranchRef, FuncId, Program};
+use bpfree_ir::codec::{put_bytes, put_list, Field, Reader};
+use bpfree_ir::{BranchRef, Program};
 use bpfree_sim::{BranchTrace, ByteView, EdgeCounts, EdgeProfile, RunResult, TraceEvent, TraceSeq};
 
-use crate::{
-    PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts, BUILD_FINGERPRINT,
-    FORMAT_VERSION,
-};
+use crate::{PredictionArtifacts, PredictionRow, RunArtifacts, TraceArtifacts, BUILD_FINGERPRINT};
 
 /// The image magic: format family + the two-digit format version.
-pub const MAGIC: [u8; 8] = *b"BPFIMG09";
+pub const MAGIC: [u8; 8] = *b"BPFIMG10";
 
-/// Little-endian byte-order marker; reads scrambled if the file was
-/// written with the opposite endianness.
-const ENDIAN_MARK: u32 = 0x0A0B_0C0D;
-
-const HEADER_LEN: usize = 72;
-const DIR_ENTRY_LEN: usize = 48;
-
-/// What a directory entry stores — one tag per artifact kind the
-/// engine memoizes.
+/// What an entry stores — one tag per artifact kind the engine
+/// memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SectionKind {
     /// A compiled [`bpfree_ir::Program`], stored in its binary form
@@ -128,12 +102,8 @@ impl SectionKind {
         SectionKind::Trace,
     ];
 
-    fn tag(self) -> u32 {
-        self as u32
-    }
-
-    fn from_tag(tag: u32) -> Option<SectionKind> {
-        SectionKind::ALL.get(tag as usize).copied()
+    fn from_tag(tag: u8) -> Option<SectionKind> {
+        SectionKind::ALL.get(usize::from(tag)).copied()
     }
 
     /// The lowercase kind name, as printed by `bpfree image ls`.
@@ -147,7 +117,7 @@ impl SectionKind {
     }
 }
 
-/// One decoded directory entry of an open image.
+/// One decoded entry address of an open image.
 #[derive(Debug, Clone)]
 pub struct ImageEntry {
     /// The artifact kind.
@@ -164,78 +134,40 @@ pub struct ImageEntry {
 }
 
 impl ImageEntry {
-    /// Payload size in bytes (excluding the 48-byte directory record).
+    /// Payload size in bytes (excluding the entry's address and length
+    /// prefix).
     pub fn payload_bytes(&self) -> usize {
         self.payload_len
     }
-}
 
-// ---- little-endian cursor over a payload slice ----
-
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.b.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.b.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
+    /// Reads one entry from `r`, whose bytes end at image offset `end`,
+    /// so that the payload's offset is known.
+    fn read(r: &mut Reader<'_>, end: usize) -> Option<ImageEntry> {
+        let kind = SectionKind::from_tag(u8::get(r)?)?;
+        let name = String::get(r)?;
+        let opt = String::get(r)?;
+        let dataset = u32::get(r)?;
+        let payload_len = r.bytes()?.len();
+        Some(ImageEntry {
+            kind,
+            name,
+            opt,
+            dataset: (dataset != u32::MAX).then_some(dataset),
+            payload_off: end - r.len() - payload_len,
+            payload_len,
+        })
     }
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// 64-bit FNV-1a.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// 64-bit FNV-1a of `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-fn align8(n: usize) -> usize {
-    n.div_ceil(8) * 8
-}
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 // ---- payload codecs ----
 
@@ -256,40 +188,24 @@ fn direction_from(b: u8) -> Option<Option<Direction>> {
     }
 }
 
-pub(crate) fn encode_prediction_payload(rows: &[PredictionRow]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + rows.len() * 17);
-    put_u32(&mut out, rows.len() as u32);
-    for r in rows {
-        put_u32(&mut out, r.branch.func.0);
-        put_u32(&mut out, r.branch.block.0);
-        out.push(match r.class {
-            BranchClass::NonLoop => 0,
-            BranchClass::Loop => 1,
-        });
-        out.push(direction_byte(r.loop_pred));
-        for &h in &r.heuristics {
-            out.push(direction_byte(h));
-        }
+/// A row is its branch, a loop flag, the loop prediction and the seven
+/// heuristic cells, each direction one byte.
+impl Field for PredictionRow {
+    const MIN_BYTES: usize = 17;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.branch.put(out);
+        (self.class == BranchClass::Loop).put(out);
+        out.push(direction_byte(self.loop_pred));
+        out.extend(self.heuristics.map(direction_byte));
     }
-    out
-}
-
-pub(crate) fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
-    let mut c = Cur::new(bytes);
-    let n = c.u32()? as usize;
-    if n > c.remaining() / 17 {
-        return None;
-    }
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let func = c.u32()?;
-        let block = c.u32()?;
-        let class = match c.u8()? {
-            0 => BranchClass::NonLoop,
-            1 => BranchClass::Loop,
-            _ => return None,
+    fn get(r: &mut Reader<'_>) -> Option<PredictionRow> {
+        let branch = BranchRef::get(r)?;
+        let class = if bool::get(r)? {
+            BranchClass::Loop
+        } else {
+            BranchClass::NonLoop
         };
-        let loop_pred = direction_from(c.u8()?)?;
+        let loop_pred = direction_from(u8::get(r)?)?;
         // The Loop ⇔ Some(loop_pred) invariant is structural, not a
         // matter of staleness — reject rows that violate it outright.
         if (class == BranchClass::Loop) != loop_pred.is_some() {
@@ -297,110 +213,90 @@ pub(crate) fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifa
         }
         let mut heuristics = [None; 7];
         for h in &mut heuristics {
-            *h = direction_from(c.u8()?)?;
+            *h = direction_from(u8::get(r)?)?;
         }
         // Heuristics only cover non-loop branches; a loop row with
         // heuristic cells is corrupt.
         if class == BranchClass::Loop && heuristics.iter().any(Option::is_some) {
             return None;
         }
-        rows.push(PredictionRow {
-            branch: BranchRef {
-                func: FuncId(func),
-                block: BlockId(block),
-            },
+        Some(PredictionRow {
+            branch,
             class,
             loop_pred,
             heuristics,
-        });
+        })
     }
-    if !c.done() {
-        return None;
-    }
-    Some(PredictionArtifacts { rows })
 }
 
+pub(crate) fn encode_prediction_payload(rows: &[PredictionRow]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + rows.len() * PredictionRow::MIN_BYTES);
+    put_list(rows, &mut out);
+    out
+}
+
+pub(crate) fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifacts> {
+    let mut r = Reader::new(bytes);
+    let rows = Vec::get(&mut r)?;
+    r.is_empty().then_some(PredictionArtifacts { rows })
+}
+
+/// A run payload: the exit value and instruction count, then one
+/// (branch, (taken, fall-through)) count per profiled site in strictly
+/// increasing branch order.
 pub(crate) fn encode_run_payload(profile: &EdgeProfile, run: RunResult) -> Vec<u8> {
-    let mut counts: Vec<(BranchRef, EdgeCounts)> = profile.iter().collect();
-    counts.sort_by_key(|(b, _)| *b);
+    let mut counts: Vec<(BranchRef, (u64, u64))> = profile
+        .iter()
+        .map(|(b, c)| (b, (c.taken, c.fallthru)))
+        .collect();
+    counts.sort_unstable_by_key(|&(b, _)| b);
     let mut out = Vec::with_capacity(20 + counts.len() * 24);
-    put_i64(&mut out, run.exit);
-    put_u64(&mut out, run.instructions);
-    put_u32(&mut out, counts.len() as u32);
-    for (b, c) in counts {
-        put_u32(&mut out, b.func.0);
-        put_u32(&mut out, b.block.0);
-        put_u64(&mut out, c.taken);
-        put_u64(&mut out, c.fallthru);
-    }
+    (run.exit, run.instructions).put(&mut out);
+    counts.put(&mut out);
     out
 }
 
 pub(crate) fn decode_run_payload(bytes: &[u8]) -> Option<RunArtifacts> {
-    let mut c = Cur::new(bytes);
-    let exit = c.i64()?;
-    let instructions = c.u64()?;
-    let n = c.u32()? as usize;
-    if n > c.remaining() / 24 {
+    let mut r = Reader::new(bytes);
+    let (exit, instructions): (i64, u64) = Field::get(&mut r)?;
+    let counts: Vec<(BranchRef, (u64, u64))> = Field::get(&mut r)?;
+    // The encoder writes each site once, in order: anything else would
+    // not survive a round trip.
+    if !r.is_empty() || !counts.windows(2).all(|w| w[0].0 < w[1].0) {
         return None;
     }
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let func = c.u32()?;
-        let block = c.u32()?;
-        let taken = c.u64()?;
-        let fallthru = c.u64()?;
-        counts.push((
-            BranchRef {
-                func: FuncId(func),
-                block: BlockId(block),
-            },
-            EdgeCounts { taken, fallthru },
-        ));
-    }
-    if !c.done() {
-        return None;
-    }
+    let profile = counts
+        .into_iter()
+        .map(|(b, (taken, fallthru))| (b, EdgeCounts { taken, fallthru }))
+        .collect();
     Some(RunArtifacts {
-        profile: counts.into_iter().collect(),
+        profile,
         run: RunResult { exit, instructions },
     })
 }
 
-/// Trace payload: 40-byte fixed header, then `n_dict` 24-byte
-/// dictionary records, then the raw index sequence in the trace's own
-/// width — one byte per event when the dictionary fits in 256 entries
-/// (the borrowed zero-copy representation), else four. With an
-/// 8-aligned payload the sequence itself starts 8-aligned too
-/// (40 + 24·k ≡ 0 mod 8).
+/// A trace payload: the run's exit value and instruction count, the
+/// trailing instruction count, the dictionary as (instrs, (branch,
+/// taken)) events, then the index sequence — a byte string when the
+/// dictionary has at most 256 entries (the borrowed zero-copy
+/// representation), else a list of `u32`s.
 pub(crate) fn encode_trace_payload(trace: &BranchTrace, run: RunResult) -> Vec<u8> {
-    let dict = trace.dict();
+    let dict: Vec<(u64, (BranchRef, bool))> = trace
+        .dict()
+        .iter()
+        .map(|e| (e.instrs, (e.branch, e.taken)))
+        .collect();
     let width = match trace.seq() {
         TraceSeq::Narrow(_) => 1,
         TraceSeq::Wide(_) => 4,
     };
-    let mut out = Vec::with_capacity(40 + dict.len() * 24 + trace.len() * width);
-    put_i64(&mut out, run.exit);
-    put_u64(&mut out, run.instructions);
-    put_u64(&mut out, trace.trailing_instrs());
-    put_u32(&mut out, dict.len() as u32);
-    out.push(width as u8);
-    out.extend_from_slice(&[0; 3]);
-    put_u64(&mut out, trace.len() as u64);
-    for e in dict {
-        put_u64(&mut out, e.instrs);
-        put_u32(&mut out, e.branch.func.0);
-        put_u32(&mut out, e.branch.block.0);
-        out.push(u8::from(e.taken));
-        out.extend_from_slice(&[0; 7]);
-    }
+    let mut out = Vec::with_capacity(32 + dict.len() * 17 + trace.len() * width);
+    (run.exit, run.instructions).put(&mut out);
+    trace.trailing_instrs().put(&mut out);
+    dict.put(&mut out);
     match trace.seq() {
-        TraceSeq::Narrow(seq) => out.extend_from_slice(seq),
-        TraceSeq::Wide(seq) => {
-            for &i in seq {
-                put_u32(&mut out, i);
-            }
-        }
+        TraceSeq::Narrow(seq) => put_bytes(seq, &mut out),
+        TraceSeq::Wide(seq) => put_list(seq, &mut out),
     }
     out
 }
@@ -414,61 +310,28 @@ pub(crate) fn decode_trace_payload(
     off: usize,
     len: usize,
 ) -> Option<TraceArtifacts> {
-    let bytes = buf.get(off..off.checked_add(len)?)?;
-    let mut c = Cur::new(bytes);
-    let exit = c.i64()?;
-    let instructions = c.u64()?;
-    let tail = c.u64()?;
-    let n_dict = c.u32()? as usize;
-    let width = c.u8()? as usize;
-    if c.take(3)? != [0; 3] {
-        return None;
-    }
-    let n_events = usize::try_from(c.u64()?).ok()?;
-    if !matches!(width, 1 | 4) || (width == 1) != (n_dict <= 256) {
-        return None;
-    }
-    if n_dict > c.remaining() / 24 {
-        return None;
-    }
-    let mut dict = Vec::with_capacity(n_dict);
-    for _ in 0..n_dict {
-        let instrs = c.u64()?;
-        let func = c.u32()?;
-        let block = c.u32()?;
-        let taken = match c.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        if c.take(7)? != [0; 7] {
-            return None;
-        }
-        dict.push(TraceEvent {
+    let mut r = Reader::new(buf.get(off..off.checked_add(len)?)?);
+    let (exit, instructions): (i64, u64) = Field::get(&mut r)?;
+    let tail = u64::get(&mut r)?;
+    let dict: Vec<(u64, (BranchRef, bool))> = Field::get(&mut r)?;
+    let dict = dict
+        .into_iter()
+        .map(|(instrs, (branch, taken))| TraceEvent {
             instrs,
-            branch: BranchRef {
-                func: FuncId(func),
-                block: BlockId(block),
-            },
+            branch,
             taken,
-        });
-    }
-    if c.remaining() != n_events.checked_mul(width)? {
-        return None;
-    }
-    let trace = if width == 1 {
-        let view = ByteView::new(Arc::clone(buf), off + c.pos, n_events)?;
+        })
+        .collect::<Vec<_>>();
+    let trace = if dict.len() <= 256 {
+        let n_events = r.bytes()?.len();
+        let view = ByteView::new(Arc::clone(buf), off + len - r.len() - n_events, n_events)?;
         BranchTrace::from_borrowed_parts(dict, view, tail)?
     } else {
         // Wide sequences (dictionary past 256 entries) fall back to
         // owned storage — the one image path that still decodes.
-        let mut seq = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            seq.push(c.u32()?);
-        }
-        BranchTrace::from_parts(dict, seq, tail)?
+        BranchTrace::from_parts(dict, Vec::get(&mut r)?, tail)?
     };
-    Some(TraceArtifacts {
+    r.is_empty().then_some(TraceArtifacts {
         trace,
         run: RunResult { exit, instructions },
     })
@@ -523,7 +386,7 @@ struct PendingEntry<'a> {
 
 /// Collects borrowed artifacts and streams them into one deterministic
 /// image. Insertion order never matters: [`ImageBuilder::write_to`]
-/// sorts the directory first, so two builds over the same artifacts are
+/// sorts the entries first, so two builds over the same artifacts are
 /// byte-identical.
 pub struct ImageBuilder<'a> {
     fingerprint: u64,
@@ -552,9 +415,9 @@ impl<'a> ImageBuilder<'a> {
         }
     }
 
-    /// Adds one artifact under its directory address: the benchmark
-    /// name, the compile-options fingerprint, and the dataset index for
-    /// run and trace entries.
+    /// Adds one artifact under its entry address: the benchmark name,
+    /// the compile-options fingerprint, and the dataset index for run
+    /// and trace entries.
     pub fn add(
         &mut self,
         name: &'a str,
@@ -570,88 +433,44 @@ impl<'a> ImageBuilder<'a> {
         });
     }
 
-    /// Streams the image into `out`, which must start empty at
-    /// position 0: a zeroed header, then each payload encoded and
-    /// written one at a time, the string table, the directory, and
-    /// finally the real header (seeking back to 0). Returns the entry
-    /// count and the image size in bytes.
-    pub fn write_to<W: Write + Seek>(mut self, out: &mut W) -> io::Result<(usize, u64)> {
+    /// Streams the image into `out`: the header, then each entry with
+    /// its payload encoded and written one at a time, then the checksum
+    /// of every byte written before it. Returns the entry count and the
+    /// image size in bytes.
+    pub fn write_to<W: Write>(mut self, out: &mut W) -> io::Result<(usize, u64)> {
         self.entries
             .sort_by_key(|e| (e.artifact.kind(), e.name, e.opt, e.dataset));
-
-        // String table, deduped in first-use order over sorted entries.
-        let mut strings = Vec::<u8>::new();
-        let mut interned = HashMap::<&str, (u32, u32)>::new();
-        let mut intern = |s: &'a str| {
-            *interned.entry(s).or_insert_with(|| {
-                let at = (strings.len() as u32, s.len() as u32);
-                strings.extend_from_slice(s.as_bytes());
-                at
-            })
+        let (mut sum, mut len) = (FNV_BASIS, 0u64);
+        let mut emit = |bytes: &[u8]| {
+            sum = fnv(sum, bytes);
+            len += bytes.len() as u64;
+            out.write_all(bytes)
         };
-        let string_refs: Vec<_> = self
-            .entries
-            .iter()
-            .map(|e| (intern(e.name), intern(e.opt)))
-            .collect();
-
-        out.write_all(&[0; HEADER_LEN])?;
-        let mut pos = HEADER_LEN;
-        let mut placed = Vec::with_capacity(self.entries.len());
+        let mut head = MAGIC.to_vec();
+        self.fingerprint.put(&mut head);
+        (self.entries.len() as u32).put(&mut head);
+        emit(&head)?;
         for e in &self.entries {
             let payload = e.artifact.encode();
-            pos = pad8(out, pos)?;
-            placed.push((pos, payload.len(), fnv(&payload)));
-            out.write_all(&payload)?;
-            pos += payload.len();
+            head.clear();
+            (e.artifact.kind() as u8).put(&mut head);
+            put_bytes(e.name.as_bytes(), &mut head);
+            put_bytes(e.opt.as_bytes(), &mut head);
+            e.dataset.put(&mut head);
+            (payload.len() as u32).put(&mut head);
+            emit(&head)?;
+            emit(&payload)?;
         }
-        let strings_off = pad8(out, pos)?;
-
-        // Everything from the string table to EOF is small and covered
-        // by one checksum, so it is assembled before it is written.
-        let mut tail = strings;
-        tail.resize(align8(tail.len()), 0);
-        let dir_off = strings_off + tail.len();
-        for ((e, &(payload_off, payload_len, payload_sum)), &(name_at, opt_at)) in
-            self.entries.iter().zip(&placed).zip(&string_refs)
-        {
-            put_u32(&mut tail, e.artifact.kind().tag());
-            put_u32(&mut tail, name_at.0);
-            put_u32(&mut tail, name_at.1);
-            put_u32(&mut tail, opt_at.0);
-            put_u32(&mut tail, opt_at.1);
-            put_u32(&mut tail, e.dataset);
-            put_u64(&mut tail, payload_off as u64);
-            put_u64(&mut tail, payload_len as u64);
-            put_u64(&mut tail, payload_sum);
-        }
-        out.write_all(&tail)?;
-        let total_len = strings_off + tail.len();
-        debug_assert_eq!(total_len, dir_off + self.entries.len() * DIR_ENTRY_LEN);
-
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        put_u32(&mut header, ENDIAN_MARK);
-        put_u32(&mut header, FORMAT_VERSION);
-        put_u64(&mut header, self.entries.len() as u64);
-        put_u64(&mut header, dir_off as u64);
-        put_u64(&mut header, strings_off as u64);
-        put_u64(&mut header, total_len as u64);
-        put_u64(&mut header, self.fingerprint);
-        let head_sum = fnv(&header);
-        put_u64(&mut header, head_sum);
-        put_u64(&mut header, fnv(&tail));
-        out.seek(SeekFrom::Start(0))?;
-        out.write_all(&header)?;
-        Ok((self.entries.len(), total_len as u64))
+        out.write_all(&sum.to_le_bytes())?;
+        Ok((self.entries.len(), len + 8))
     }
 
     /// The image bytes, built in memory.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = io::Cursor::new(Vec::new());
+        let mut out = Vec::new();
         self.write_to(&mut out)
             .expect("writing an image to memory cannot fail");
-        out.into_inner()
+        out
     }
 
     /// [`ImageBuilder::write_to`] a temp file next to `path`, then
@@ -678,14 +497,6 @@ impl<'a> ImageBuilder<'a> {
     }
 }
 
-/// Zero-pads from `pos` to the next multiple of 8; returns the new
-/// position.
-fn pad8(out: &mut impl Write, pos: usize) -> io::Result<usize> {
-    let to = align8(pos);
-    out.write_all(&[0; 8][..to - pos])?;
-    Ok(to)
-}
-
 // ---- reader ----
 
 /// An open, fully integrity-checked suite image. All typed accessors
@@ -698,8 +509,8 @@ pub struct SuiteImage {
 
 impl SuiteImage {
     /// Reads and validates an image file: one buffered read, then the
-    /// full header/directory/checksum validation described in the
-    /// module docs. Every failure mode is a clean `Err`.
+    /// checks described in the module docs. Every failure mode is a
+    /// clean `Err`.
     pub fn open(path: &Path) -> Result<SuiteImage, String> {
         let buf = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         SuiteImage::from_bytes(buf)
@@ -707,100 +518,26 @@ impl SuiteImage {
 
     /// [`SuiteImage::open`] over an in-memory buffer.
     pub fn from_bytes(buf: Vec<u8>) -> Result<SuiteImage, String> {
-        let b = &buf;
-        let err = |m: &str| Err(format!("suite image: {m}"));
-        if b.len() < HEADER_LEN {
-            return err("shorter than the 72-byte header");
+        let err = |m: &str| format!("suite image: {m}");
+        let Some((body, sum)) = buf.split_last_chunk::<8>() else {
+            return Err(err("shorter than its checksum"));
+        };
+        if !body.starts_with(&MAGIC) {
+            return Err(err("bad magic (not a format v10 image)"));
         }
-        if b[..8] != MAGIC {
-            return err("bad magic");
+        if fnv(FNV_BASIS, body) != u64::from_le_bytes(*sum) {
+            return Err(err("checksum mismatch"));
         }
-        let mut c = Cur::new(&b[8..HEADER_LEN]);
-        let endian = c.u32().unwrap();
-        let version = c.u32().unwrap();
-        let n_entries = c.u64().unwrap();
-        let dir_off = c.u64().unwrap();
-        let strings_off = c.u64().unwrap();
-        let total_len = c.u64().unwrap();
-        let fingerprint = c.u64().unwrap();
-        let head_sum = c.u64().unwrap();
-        let tail_sum = c.u64().unwrap();
-        if endian != ENDIAN_MARK {
-            return err("endianness mismatch");
-        }
-        if version != FORMAT_VERSION {
-            return err("format version mismatch");
-        }
-        if head_sum != fnv(&b[..56]) {
-            return err("header checksum mismatch");
-        }
-        if total_len != b.len() as u64 {
-            return err("total length mismatch (truncated or padded file)");
-        }
-        let dir_off = usize::try_from(dir_off).map_err(|_| "suite image: huge dir offset")?;
-        let strings_off =
-            usize::try_from(strings_off).map_err(|_| "suite image: huge strings offset")?;
-        let n = usize::try_from(n_entries).map_err(|_| "suite image: huge entry count")?;
-        if strings_off < HEADER_LEN || dir_off < strings_off || dir_off % 8 != 0 {
-            return err("section offsets out of order");
-        }
-        if n.checked_mul(DIR_ENTRY_LEN)
-            .and_then(|d| dir_off.checked_add(d))
-            != Some(b.len())
-        {
-            return err("directory does not span the file tail");
-        }
-        if tail_sum != fnv(&b[strings_off..]) {
-            return err("string table / directory checksum mismatch");
-        }
-        let strings = &b[strings_off..dir_off];
-
-        let mut entries = Vec::with_capacity(n);
+        let mut r = Reader::new(&body[MAGIC.len()..]);
+        let (fingerprint, n) = <(u64, u32)>::get(&mut r).ok_or_else(|| err("truncated header"))?;
+        let mut entries = Vec::new();
         for i in 0..n {
-            let rec = &b[dir_off + i * DIR_ENTRY_LEN..dir_off + (i + 1) * DIR_ENTRY_LEN];
-            let mut c = Cur::new(rec);
-            let kind = SectionKind::from_tag(c.u32().unwrap())
-                .ok_or_else(|| format!("suite image: entry {i}: unknown kind"))?;
-            let name_off = c.u32().unwrap() as usize;
-            let name_len = c.u32().unwrap() as usize;
-            let opt_off = c.u32().unwrap() as usize;
-            let opt_len = c.u32().unwrap() as usize;
-            let dataset = c.u32().unwrap();
-            let payload_off = usize::try_from(c.u64().unwrap())
-                .map_err(|_| format!("suite image: entry {i}: huge payload offset"))?;
-            let payload_len = usize::try_from(c.u64().unwrap())
-                .map_err(|_| format!("suite image: entry {i}: huge payload length"))?;
-            let payload_sum = c.u64().unwrap();
-            let string_at = |off: usize, len: usize| -> Result<String, String> {
-                let s = off
-                    .checked_add(len)
-                    .and_then(|end| strings.get(off..end))
-                    .ok_or_else(|| format!("suite image: entry {i}: string out of bounds"))?;
-                std::str::from_utf8(s)
-                    .map(str::to_string)
-                    .map_err(|_| format!("suite image: entry {i}: non-UTF-8 string"))
-            };
-            let name = string_at(name_off, name_len)?;
-            let opt = string_at(opt_off, opt_len)?;
-            let payload = payload_off
-                .checked_add(payload_len)
-                .filter(|&end| payload_off >= HEADER_LEN && end <= strings_off)
-                .map(|end| &b[payload_off..end])
-                .ok_or_else(|| format!("suite image: entry {i}: payload out of bounds"))?;
-            if fnv(payload) != payload_sum {
-                return Err(format!(
-                    "suite image: entry {i} ({} {name}): payload checksum mismatch",
-                    kind.name()
-                ));
-            }
-            entries.push(ImageEntry {
-                kind,
-                name,
-                opt,
-                dataset: (dataset != u32::MAX).then_some(dataset),
-                payload_off,
-                payload_len,
-            });
+            let e = ImageEntry::read(&mut r, body.len())
+                .ok_or_else(|| err(&format!("entry {i} is malformed")))?;
+            entries.push(e);
+        }
+        if !r.is_empty() {
+            return Err(err("bytes past the last entry"));
         }
         Ok(SuiteImage {
             buf: Arc::new(buf),
@@ -815,7 +552,7 @@ impl SuiteImage {
         self.fingerprint
     }
 
-    /// The decoded directory, in on-disk (sorted) order.
+    /// The decoded entry addresses, in on-disk (sorted) order.
     pub fn entries(&self) -> &[ImageEntry] {
         &self.entries
     }
@@ -903,7 +640,7 @@ mod tests {
             "stamped by this build"
         );
         assert_eq!(img.entries().len(), 4);
-        // Directory is sorted by kind regardless of insertion order.
+        // Entries are sorted by kind regardless of insertion order.
         let kinds: Vec<_> = img.entries().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, SectionKind::ALL.to_vec());
 
@@ -973,20 +710,25 @@ mod tests {
         assert_eq!(b1.finish(), b2.finish(), "byte-identical double build");
     }
 
+    /// `body` with the checksum of its bytes appended, as a writer would
+    /// stamp it.
+    fn stamped(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv(FNV_BASIS, &body);
+        body.extend(sum.to_le_bytes());
+        body
+    }
+
     #[test]
     fn open_rejects_structural_corruption() {
         let bytes = sample_image(&sample());
         assert!(SuiteImage::from_bytes(Vec::new()).is_err(), "empty");
         assert!(
-            SuiteImage::from_bytes(bytes[..71].to_vec()).is_err(),
-            "sub-header"
+            SuiteImage::from_bytes(stamped(MAGIC.to_vec())).is_err(),
+            "no header"
         );
-        let mut bad = bytes.clone();
-        bad[0] ^= 1;
-        assert!(SuiteImage::from_bytes(bad).is_err(), "magic");
-        let mut bad = bytes.clone();
-        bad[12] = 5;
-        assert!(SuiteImage::from_bytes(bad).is_err(), "version");
+        let mut older = bytes.clone();
+        older[..8].copy_from_slice(b"BPFIMG09");
+        assert!(SuiteImage::from_bytes(older).is_err(), "older format");
         let mut long = bytes.clone();
         long.push(0);
         assert!(SuiteImage::from_bytes(long).is_err(), "trailing bytes");
@@ -994,6 +736,22 @@ mod tests {
             SuiteImage::from_bytes(bytes[..bytes.len() - 1].to_vec()).is_err(),
             "truncation"
         );
+        // Behind a valid checksum, the entries must still span the
+        // file: the entry count follows the magic and the fingerprint,
+        // and the first entry's kind tag follows the count.
+        let body = &bytes[..bytes.len() - 8];
+        for n in [3u32, 5] {
+            let mut bad = body.to_vec();
+            bad[16..20].copy_from_slice(&n.to_le_bytes());
+            assert!(SuiteImage::from_bytes(stamped(bad)).is_err(), "{n} entries");
+        }
+        let mut bad = body.to_vec();
+        bad[20] = SectionKind::ALL.len() as u8;
+        assert!(
+            SuiteImage::from_bytes(stamped(bad)).is_err(),
+            "unknown kind"
+        );
+        assert!(SuiteImage::from_bytes(stamped(body.to_vec())).is_ok());
     }
 
     #[test]
@@ -1007,33 +765,20 @@ mod tests {
         }
     }
 
+    /// One checksum covers every byte and the image has no padding, so
+    /// flipping any one bit anywhere is refused.
     #[test]
-    fn bit_flips_never_panic_and_never_lie() {
-        let s = sample();
-        let bytes = sample_image(&s);
-        // A deterministic LCG walk over byte offsets; each flip either
-        // fails to open, or opens with the flip confined to padding —
-        // in which case every payload still decodes identically.
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        for _ in 0..200 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let at = (x >> 16) as usize % bytes.len();
-            let bit = 1u8 << ((x >> 8) % 8);
-            let mut flipped = bytes.clone();
-            flipped[at] ^= bit;
-            if let Ok(img) = SuiteImage::from_bytes(flipped) {
-                // Flip landed in inter-section padding: contents must
-                // be untouched.
-                for e in img.entries() {
-                    match e.kind {
-                        SectionKind::Compile => assert_eq!(img.compile(e).unwrap(), s.program),
-                        SectionKind::Prediction => assert!(img.prediction(e).is_some()),
-                        SectionKind::Run => assert!(img.run(e).is_some()),
-                        SectionKind::Trace => assert!(img.trace(e).is_some()),
-                    }
-                }
+    fn every_bit_flip_is_refused() {
+        let bytes = sample_image(&sample());
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    SuiteImage::from_bytes(flipped.clone()).is_err(),
+                    "bit {bit} of byte {at}"
+                );
+                flipped[at] ^= 1 << bit;
             }
         }
     }

@@ -50,8 +50,9 @@
 //!
 //! # Robustness
 //!
-//! A missing, truncated, corrupt or older-version image counts as an
-//! empty cache, and an image from another build mounts nothing: a
+//! A missing, truncated, corrupt or older-format image counts as an
+//! empty cache (the magic names the format, and one checksum covers
+//! every byte), and an image from another build mounts nothing: a
 //! corrupt or stale cache can cost time but never correctness.
 //! The engine rewrites the whole file at the end of a run that computed
 //! anything, to a temp file renamed into place, so a crashed run cannot
@@ -68,9 +69,6 @@ use std::path::{Path, PathBuf};
 use bpfree_core::{BranchClass, Direction};
 use bpfree_ir::{BranchRef, Program};
 use bpfree_sim::{BranchTrace, EdgeProfile, RunResult};
-
-/// Bump on any change to the image layout or a payload encoding.
-pub(crate) const FORMAT_VERSION: u32 = 9;
 
 /// The build fingerprint every image this build writes is stamped
 /// with, and the only stamp it mounts: a hash of the sources of every
@@ -212,11 +210,14 @@ mod tests {
     use super::*;
     use crate::image::{
         decode_prediction_payload, decode_run_payload, decode_trace_payload,
-        encode_prediction_payload, encode_run_payload, encode_trace_payload, put_i64, put_u32,
-        put_u64,
+        encode_prediction_payload, encode_run_payload, encode_trace_payload, SectionKind,
     };
     use bpfree_core::{BranchClassifier, HeuristicTable};
-    use std::sync::Arc;
+    use bpfree_ir::codec::Field;
+    use bpfree_ir::{BlockId, FuncId};
+    use bpfree_sim::{EdgeProfiler, Pair, TraceRecorder};
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     /// A small program's artifacts: one compile-and-run with a loop
     /// branch, a non-loop branch and a trace.
@@ -240,12 +241,9 @@ mod tests {
             }",
         )
         .unwrap();
-        let mut fan = bpfree_sim::Pair(
-            bpfree_sim::EdgeProfiler::new(),
-            bpfree_sim::TraceRecorder::new(),
-        );
+        let mut fan = Pair(EdgeProfiler::new(), TraceRecorder::new());
         let run = bpfree_sim::Simulator::new(&program).run(&mut fan).unwrap();
-        let bpfree_sim::Pair(profiler, recorder) = fan;
+        let Pair(profiler, recorder) = fan;
         let profile = profiler.into_profile();
         let classifier = BranchClassifier::analyze(&program);
         let table = HeuristicTable::build(&program, &classifier);
@@ -270,7 +268,7 @@ mod tests {
 
     #[test]
     fn compile_roundtrip() {
-        use crate::image::{Artifact, ImageBuilder, SectionKind, SuiteImage};
+        use crate::image::{Artifact, ImageBuilder, SuiteImage};
         let s = sample();
         let mut b = ImageBuilder::new();
         b.add("sample", "O", None, Artifact::Compile(&s.program));
@@ -318,7 +316,7 @@ mod tests {
         assert!(decode_prediction_payload(&short).is_none(), "short rows");
         // An over-long one: a trailing row the count does not cover.
         let mut long = bytes.clone();
-        long.extend_from_slice(&bytes[4..4 + 17]);
+        long.extend_from_slice(&bytes[4..4 + PredictionRow::MIN_BYTES]);
         assert!(decode_prediction_payload(&long).is_none(), "trailing rows");
     }
 
@@ -330,6 +328,41 @@ mod tests {
         assert_eq!(b.profile, s.profile);
         assert_eq!(b.run, s.run);
         assert!(decode_run_payload(&bytes[..bytes.len() - 1]).is_none());
+        // Sites come in strictly increasing order, each once.
+        let mut counts: Vec<(BranchRef, (u64, u64))> = s
+            .profile
+            .iter()
+            .map(|(b, c)| (b, (c.taken, c.fallthru)))
+            .collect();
+        assert!(counts.len() >= 2, "sample profiles two sites");
+        counts.sort_unstable_by_key(|&(b, _)| std::cmp::Reverse(b));
+        for counts in [counts.clone(), vec![counts[0]; 2]] {
+            let mut bytes = Vec::new();
+            (s.run.exit, s.run.instructions).put(&mut bytes);
+            counts.put(&mut bytes);
+            assert!(decode_run_payload(&bytes).is_none(), "{counts:?}");
+        }
+    }
+
+    /// A trace payload whose dictionary has 257 entries, so that its
+    /// sequence is stored four bytes per event: one event of dictionary
+    /// index `index`.
+    fn wide_trace_payload(index: u32) -> Vec<u8> {
+        let dict: Vec<(u64, (BranchRef, bool))> = (0..257)
+            .map(|block| {
+                let branch = BranchRef {
+                    func: FuncId(0),
+                    block: BlockId(block),
+                };
+                (1, (branch, false))
+            })
+            .collect();
+        let mut out = Vec::new();
+        (0i64, 0u64).put(&mut out); // exit, instructions
+        0u64.put(&mut out); // trailing instructions
+        dict.put(&mut out);
+        vec![index].put(&mut out);
+        out
     }
 
     #[test]
@@ -352,23 +385,117 @@ mod tests {
 
         // Wide sequence (dictionary past 256 entries): one event whose
         // index is the dictionary length.
-        let mut wide = Vec::new();
-        put_i64(&mut wide, 0); // exit
-        put_u64(&mut wide, 0); // instructions
-        put_u64(&mut wide, 0); // trailing instructions
-        put_u32(&mut wide, 257);
-        wide.extend_from_slice(&[4, 0, 0, 0]);
-        put_u64(&mut wide, 1); // events
-        for block in 0..257 {
-            put_u64(&mut wide, 1);
-            put_u32(&mut wide, 0);
-            put_u32(&mut wide, block);
-            wide.extend_from_slice(&[0; 8]);
+        assert!(
+            decode_trace(wide_trace_payload(256)).is_some(),
+            "last valid index"
+        );
+        assert!(
+            decode_trace(wide_trace_payload(257)).is_none(),
+            "wide index out of range"
+        );
+
+        // A dictionary whose instruction total overflows `u64`: the
+        // first event's instruction count, the first field after the
+        // dictionary's count, set to `u64::MAX` while other events
+        // count instructions too.
+        let first = s.trace.dict()[0].instrs * s.trace.tally().count(0);
+        assert!(s.trace.total_instructions() > first);
+        let mut huge = encode_trace_payload(&s.trace, s.run);
+        let at = 8 + 8 + 8 + 4;
+        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_trace(huge).is_none(), "instruction total overflows");
+    }
+
+    /// The prediction, run and trace payloads of three suite
+    /// benchmarks' dataset-0 artifacts, and the wide trace, each
+    /// checked to round-trip.
+    fn suite_payloads() -> &'static [(SectionKind, Vec<u8>)] {
+        static PAYLOADS: OnceLock<Vec<(SectionKind, Vec<u8>)>> = OnceLock::new();
+        PAYLOADS.get_or_init(|| {
+            let mut all = Vec::new();
+            for name in ["grep", "eqntott", "gcc"] {
+                let bench = bpfree_suite::by_name(name).expect("benchmark exists");
+                let program = bench.compile().expect("compiles");
+                let classifier = BranchClassifier::analyze(&program);
+                let table = HeuristicTable::build(&program, &classifier);
+                let mut fan = Pair(EdgeProfiler::new(), TraceRecorder::new());
+                let run = bench
+                    .run_with(&program, &bench.datasets()[0], &mut fan)
+                    .expect("runs");
+                let Pair(profiler, recorder) = fan;
+                let rows = PredictionArtifacts::from_computed(&classifier, &table).rows;
+                all.push((SectionKind::Prediction, encode_prediction_payload(&rows)));
+                let run_bytes = encode_run_payload(&profiler.into_profile(), run);
+                all.push((SectionKind::Run, run_bytes));
+                let trace_bytes = encode_trace_payload(&recorder.into_trace(), run);
+                all.push((SectionKind::Trace, trace_bytes));
+            }
+            all.push((SectionKind::Trace, wide_trace_payload(256)));
+            for (kind, bytes) in &all {
+                assert_eq!(reencode(*kind, bytes).as_ref(), Some(bytes), "{kind:?}");
+            }
+            all
+        })
+    }
+
+    /// Decodes `bytes` as a `kind` payload and encodes what decodes
+    /// again.
+    fn reencode(kind: SectionKind, bytes: &[u8]) -> Option<Vec<u8>> {
+        match kind {
+            SectionKind::Prediction => {
+                decode_prediction_payload(bytes).map(|p| encode_prediction_payload(&p.rows))
+            }
+            SectionKind::Run => {
+                decode_run_payload(bytes).map(|r| encode_run_payload(&r.profile, r.run))
+            }
+            SectionKind::Trace => decode_trace_payload(&Arc::new(bytes.to_vec()), 0, bytes.len())
+                .map(|t| encode_trace_payload(&t.trace, t.run)),
+            SectionKind::Compile => unreachable!("compile payloads are `Program::from_bytes`'s"),
         }
-        let mut ok = wide.clone();
-        put_u32(&mut ok, 256);
-        assert!(decode_trace(ok).is_some(), "last valid index");
-        put_u32(&mut wide, 257);
-        assert!(decode_trace(wide).is_none(), "wide index out of range");
+    }
+
+    /// One way to damage a payload.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        Truncate,
+        FlipBit(u8),
+        Overwrite(u8),
+        Append(Vec<u8>),
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::Truncate),
+            (0u8..8).prop_map(Damage::FlipBit),
+            any::<u8>().prop_map(Damage::Overwrite),
+            proptest::collection::vec(any::<u8>(), 1..9).prop_map(Damage::Append),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// A suite payload, truncated, with one bit flipped, one byte
+        /// overwritten or bytes appended, decodes without a panic; what
+        /// does decode re-encodes to exactly those bytes.
+        #[test]
+        fn damaged_payloads_decode_to_none_or_the_same_bytes(
+            which in any::<usize>(),
+            at in any::<usize>(),
+            damage in damage(),
+        ) {
+            let (kind, pristine) = &suite_payloads()[which % suite_payloads().len()];
+            let mut bytes = pristine.clone();
+            let i = at % bytes.len();
+            match damage {
+                Damage::Truncate => bytes.truncate(i),
+                Damage::FlipBit(bit) => bytes[i] ^= 1 << bit,
+                Damage::Overwrite(v) => bytes[i] = v,
+                Damage::Append(tail) => bytes.extend(tail),
+            }
+            if let Some(again) = reencode(*kind, &bytes) {
+                prop_assert_eq!(again, bytes);
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! The cache is one file, [`crate::image_path`], rewritten whole from
 //! the running build's artifacts whenever a run computes something, so
 //! there is nothing to garbage-collect: the inventory is simply the
-//! image's directory.
+//! image's entries.
 
 use std::path::Path;
 
@@ -12,7 +12,7 @@ use crate::image::{ImageEntry, SectionKind, SuiteImage};
 /// What a scan found in a cache directory.
 #[derive(Debug, Default, Clone)]
 pub struct CacheStat {
-    /// The cache image's directory, in on-disk (sorted) order; empty
+    /// The cache image's entries, in on-disk (sorted) order; empty
     /// when the directory holds no image.
     pub entries: Vec<ImageEntry>,
     /// The image's size in bytes (0 when there is none).

@@ -162,9 +162,9 @@ fn corruption_is_a_miss_not_a_panic() {
     assert!(SuiteImage::from_bytes(bytes.clone()).is_ok());
 
     assert!(SuiteImage::from_bytes(bytes[..bytes.len() / 3].to_vec()).is_err());
-    // The header, its build stamp, the first payload (the compile
-    // entry's program bytes start right after the 72-byte header), and
-    // the directory at the tail.
+    // The first entry's kind tag (right after the 20-byte header), its
+    // options string, its program bytes, and the trace payload at the
+    // tail.
     for at in [20, 50, 80, bytes.len() - 20] {
         let mut garbled = bytes.clone();
         garbled[at] ^= 0x21;

@@ -121,7 +121,7 @@ fn region_property(
 /// somewhere in the successor's dominated region, following paths only
 /// while the register stays live (not redefined).
 fn guard_deep(ctx: &BranchContext<'_>, depth: usize) -> Option<Direction> {
-    let operands = ctx.cond.uses();
+    let operands: Vec<Reg> = ctx.cond.uses().collect();
     let foperands: Vec<FReg> = if ctx.cond.uses_fflag() {
         ctx.func
             .block(ctx.block)
@@ -163,7 +163,7 @@ fn used_in_region(ctx: &BranchContext<'_>, s: BlockId, r: Reg, limit: usize) -> 
         let block = ctx.func.block(b);
         let mut defined = false;
         for instr in &block.instrs {
-            if instr.uses().contains(&r) {
+            if instr.uses().any(|u| u == r) {
                 return true;
             }
             if instr.def() == Some(r) {
@@ -175,7 +175,7 @@ fn used_in_region(ctx: &BranchContext<'_>, s: BlockId, r: Reg, limit: usize) -> 
             continue;
         }
         match &block.term {
-            Terminator::Branch { cond, .. } if cond.uses().contains(&r) => return true,
+            Terminator::Branch { cond, .. } if cond.uses().any(|u| u == r) => return true,
             Terminator::Ret { val: Some(v), .. } if *v == r => return true,
             _ => {}
         }
@@ -201,7 +201,7 @@ fn fused_in_region(ctx: &BranchContext<'_>, s: BlockId, r: FReg, limit: usize) -
         let block = ctx.func.block(b);
         let mut defined = false;
         for instr in &block.instrs {
-            if instr.fuses().contains(&r) {
+            if instr.fuses().any(|u| u == r) {
                 return true;
             }
             if instr.fdef() == Some(r) {

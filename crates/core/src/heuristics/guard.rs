@@ -18,7 +18,7 @@ use super::BranchContext;
 use crate::predictors::Direction;
 
 pub(super) fn predict(ctx: &BranchContext<'_>) -> Option<Direction> {
-    let operands = ctx.cond.uses();
+    let operands: Vec<Reg> = ctx.cond.uses().collect();
     let foperands = if ctx.cond.uses_fflag() {
         last_fcmp_operands(ctx)
     } else {
@@ -56,7 +56,7 @@ fn last_fcmp_operands(ctx: &BranchContext<'_>) -> Vec<FReg> {
 fn used_before_defined(ctx: &BranchContext<'_>, s: BlockId, r: Reg) -> bool {
     let block = ctx.func.block(s);
     for instr in &block.instrs {
-        if instr.uses().contains(&r) {
+        if instr.uses().any(|u| u == r) {
             return true;
         }
         if instr.def() == Some(r) {
@@ -64,7 +64,7 @@ fn used_before_defined(ctx: &BranchContext<'_>, s: BlockId, r: Reg) -> bool {
         }
     }
     match &block.term {
-        Terminator::Branch { cond, .. } => cond.uses().contains(&r),
+        Terminator::Branch { cond, .. } => cond.uses().any(|u| u == r),
         Terminator::Ret { val, .. } => *val == Some(r),
         Terminator::Jump(_) => false,
     }
@@ -74,7 +74,7 @@ fn used_before_defined(ctx: &BranchContext<'_>, s: BlockId, r: Reg) -> bool {
 fn fused_before_defined(ctx: &BranchContext<'_>, s: BlockId, r: FReg) -> bool {
     let block = ctx.func.block(s);
     for instr in &block.instrs {
-        if instr.fuses().contains(&r) {
+        if instr.fuses().any(|u| u == r) {
             return true;
         }
         if instr.fdef() == Some(r) {

@@ -842,7 +842,7 @@ impl Engine {
     /// Mounts one entry of an image this build wrote — the one check
     /// routine every persisted artifact passes through before it is
     /// served; `None` means "skip and compute on demand", never an
-    /// error. The directory is sorted by kind in dependency order
+    /// error. The entries are sorted by kind in dependency order
     /// (compile → prediction → run → trace), so every other kind is
     /// checked against the program its benchmark's compile entry
     /// mounted.

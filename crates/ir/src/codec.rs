@@ -1,8 +1,15 @@
-//! The binary form of a [`Program`]: how the suite image stores a
-//! compiled program, so that a warm run decodes it instead of
-//! recompiling.
+//! The workspace's one byte codec. A [`Field`] is a value with a
+//! binary form and a [`Reader`] decodes it. The codec gives a
+//! [`Program`] its binary form ([`Program::to_bytes`]), so that a warm
+//! run decodes a compiled program instead of recompiling it, and the
+//! suite image encodes every payload with it.
+//!
+//! Integers are little-endian. A list or a string is a `u32` count
+//! followed by its elements. Decoding is total: every read is
+//! bounds-checked, a count may not promise more elements than the bytes
+//! left can hold, and malformed bytes decode to `None`, never a panic.
 
-use crate::function::{Block, FuncId, Function, GlobalSym, Program};
+use crate::function::{Block, BranchRef, FuncId, Function, GlobalSym, Program};
 use crate::instr::{BinOp, BlockId, Cond, FBinOp, FCmp, Instr, Terminator};
 use crate::reg::{FReg, Reg};
 
@@ -40,11 +47,11 @@ impl Program {
     ///
     /// [`ProgramBuilder::finish`]: crate::ProgramBuilder::finish
     pub fn from_bytes(bytes: &[u8]) -> Option<Program> {
-        let mut r = Reader(bytes);
+        let mut r = Reader::new(bytes);
         let globals_words = i64::get(&mut r)?;
         let symbols: Vec<(String, GlobalSym)> = Field::get(&mut r)?;
         let funcs = Field::get(&mut r)?;
-        if !r.0.is_empty() || !symbols.windows(2).all(|w| w[0].0 < w[1].0) {
+        if !r.is_empty() || !symbols.windows(2).all(|w| w[0].0 < w[1].0) {
             return None;
         }
         let program = Program::new(funcs, globals_words).ok()?;
@@ -53,22 +60,46 @@ impl Program {
 }
 
 /// The bytes still to decode.
-struct Reader<'a>(&'a [u8]);
+pub struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader(bytes)
+    }
+
+    /// The next `n` bytes, borrowed, or `None` if fewer are left.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let (head, rest) = self.0.split_at_checked(n)?;
         self.0 = rest;
         Some(head)
     }
+
+    /// The next byte string ([`put_bytes`]), borrowed.
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = u32::get(self)? as usize;
+        self.take(n)
+    }
+
+    /// How many bytes are left.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Is every byte read?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// A value with a binary form.
-trait Field: Sized {
+pub trait Field: Sized {
     /// The fewest bytes a value encodes to: a list's count may not
     /// exceed the bytes left over this.
     const MIN_BYTES: usize;
+    /// Appends the value's bytes to `out`.
     fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value, or `None` if the bytes are not one.
     fn get(r: &mut Reader<'_>) -> Option<Self>;
 }
 
@@ -146,11 +177,19 @@ impl Field for bool {
     }
 }
 
-fn put_list<T: Field>(items: &[T], out: &mut Vec<u8>) {
+/// A list: its `u32` count, then each item.
+pub fn put_list<T: Field>(items: &[T], out: &mut Vec<u8>) {
     (items.len() as u32).put(out);
     for item in items {
         item.put(out);
     }
+}
+
+/// A byte string: the list form of `bytes`, written in one copy.
+/// [`Reader::bytes`] reads it back without one.
+pub fn put_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    (bytes.len() as u32).put(out);
+    out.extend_from_slice(bytes);
 }
 
 impl<T: Field> Field for Vec<T> {
@@ -170,10 +209,10 @@ impl<T: Field> Field for Vec<T> {
 impl Field for String {
     const MIN_BYTES: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
-        put_list(self.as_bytes(), out);
+        put_bytes(self.as_bytes(), out);
     }
     fn get(r: &mut Reader<'_>) -> Option<String> {
-        String::from_utf8(Vec::get(r)?).ok()
+        std::str::from_utf8(r.bytes()?).ok().map(str::to_owned)
     }
 }
 
@@ -185,6 +224,20 @@ impl<A: Field, B: Field> Field for (A, B) {
     }
     fn get(r: &mut Reader<'_>) -> Option<(A, B)> {
         Some((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl Field for BranchRef {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.func.put(out);
+        self.block.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<BranchRef> {
+        Some(BranchRef {
+            func: Field::get(r)?,
+            block: Field::get(r)?,
+        })
     }
 }
 
@@ -207,7 +260,7 @@ impl Field for GlobalSym {
 impl Field for Function {
     const MIN_BYTES: usize = 32;
     fn put(&self, out: &mut Vec<u8>) {
-        put_list(self.name().as_bytes(), out);
+        put_bytes(self.name().as_bytes(), out);
         self.n_regs().put(out);
         self.n_fregs().put(out);
         self.frame_words().put(out);

@@ -186,23 +186,27 @@ impl Instr {
         }
     }
 
-    /// Integer registers read by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Instr::Li { .. } | Instr::LiF { .. } | Instr::MoveF { .. } | Instr::BinF { .. } => {
-                vec![]
+    /// Integer registers read by this instruction, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
+        let (fixed, args): ([Option<Reg>; 2], &[Reg]) = match *self {
+            Instr::Move { rs, .. } | Instr::BinImm { rs, .. } | Instr::CvtIF { rs, .. } => {
+                ([Some(rs), None], &[])
             }
-            Instr::Move { rs, .. } => vec![*rs],
-            Instr::Bin { rs, rt, .. } => vec![*rs, *rt],
-            Instr::BinImm { rs, .. } => vec![*rs],
-            Instr::CvtIF { rs, .. } => vec![*rs],
-            Instr::CvtFI { .. } | Instr::CmpF { .. } => vec![],
-            Instr::Load { base, .. } | Instr::LoadF { base, .. } => vec![*base],
-            Instr::Store { rs, base, .. } => vec![*rs, *base],
-            Instr::StoreF { base, .. } => vec![*base],
-            Instr::Alloc { size, .. } => vec![*size],
-            Instr::Call { args, .. } => args.clone(),
-        }
+            Instr::Bin { rs, rt, .. } => ([Some(rs), Some(rt)], &[]),
+            Instr::Load { base, .. } | Instr::LoadF { base, .. } | Instr::StoreF { base, .. } => {
+                ([Some(base), None], &[])
+            }
+            Instr::Store { rs, base, .. } => ([Some(rs), Some(base)], &[]),
+            Instr::Alloc { size, .. } => ([Some(size), None], &[]),
+            Instr::Call { ref args, .. } => ([None, None], args),
+            Instr::Li { .. }
+            | Instr::LiF { .. }
+            | Instr::MoveF { .. }
+            | Instr::BinF { .. }
+            | Instr::CvtFI { .. }
+            | Instr::CmpF { .. } => ([None, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 
     /// Rewrites the integer destination register, if this instruction has
@@ -250,17 +254,17 @@ impl Instr {
         }
     }
 
-    /// Float registers read by this instruction.
-    pub fn fuses(&self) -> Vec<FReg> {
-        match self {
-            Instr::MoveF { fs, .. } => vec![*fs],
-            Instr::BinF { fs, ft, .. } => vec![*fs, *ft],
-            Instr::CvtFI { fs, .. } => vec![*fs],
-            Instr::CmpF { fs, ft, .. } => vec![*fs, *ft],
-            Instr::StoreF { fs, .. } => vec![*fs],
-            Instr::Call { fargs, .. } => fargs.clone(),
-            _ => vec![],
-        }
+    /// Float registers read by this instruction, in operand order.
+    pub fn fuses(&self) -> impl Iterator<Item = FReg> + '_ {
+        let (fixed, fargs): ([Option<FReg>; 2], &[FReg]) = match *self {
+            Instr::MoveF { fs, .. } | Instr::CvtFI { fs, .. } | Instr::StoreF { fs, .. } => {
+                ([Some(fs), None], &[])
+            }
+            Instr::BinF { fs, ft, .. } | Instr::CmpF { fs, ft, .. } => ([Some(fs), Some(ft)], &[]),
+            Instr::Call { ref fargs, .. } => ([None, None], fargs),
+            _ => ([None, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(fargs.iter().copied())
     }
 }
 
@@ -295,18 +299,19 @@ pub enum Cond {
 }
 
 impl Cond {
-    /// Integer registers this condition reads.
-    pub fn uses(&self) -> Vec<Reg> {
-        match *self {
+    /// Integer registers this condition reads, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+        let regs = match *self {
             Cond::Eqz(r)
             | Cond::Nez(r)
             | Cond::Lez(r)
             | Cond::Ltz(r)
             | Cond::Gez(r)
-            | Cond::Gtz(r) => vec![r],
-            Cond::Eq(a, b) | Cond::Ne(a, b) => vec![a, b],
-            Cond::FTrue | Cond::FFalse => vec![],
-        }
+            | Cond::Gtz(r) => [Some(r), None],
+            Cond::Eq(a, b) | Cond::Ne(a, b) => [Some(a), Some(b)],
+            Cond::FTrue | Cond::FFalse => [None, None],
+        };
+        regs.into_iter().flatten()
     }
 
     /// Does this condition read the floating-point flag?
@@ -396,9 +401,9 @@ mod tests {
             rt: Reg::GP,
         };
         assert_eq!(i.def(), Some(r0));
-        assert_eq!(i.uses(), vec![r1, Reg::GP]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), [r1, Reg::GP]);
         assert_eq!(i.fdef(), None);
-        assert!(i.fuses().is_empty());
+        assert_eq!(i.fuses().next(), None);
     }
 
     #[test]
@@ -424,8 +429,8 @@ mod tests {
         };
         assert!(i.is_call());
         assert_eq!(i.def(), Some(Reg::temp(6)));
-        assert_eq!(i.uses(), vec![Reg::temp(5)]);
-        assert_eq!(i.fuses(), vec![FReg(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), [Reg::temp(5)]);
+        assert_eq!(i.fuses().collect::<Vec<_>>(), [FReg(1)]);
     }
 
     #[test]

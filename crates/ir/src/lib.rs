@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 
 mod builder;
-mod codec;
+pub mod codec;
 mod dense;
 mod display;
 mod function;

@@ -235,10 +235,10 @@ impl Program {
         bid: BlockId,
         instr: &Instr,
     ) -> Result<(), ValidateError> {
-        for r in instr.uses().into_iter().chain(instr.def()) {
+        for r in instr.uses().chain(instr.def()) {
             check_reg(func, bid, r)?;
         }
-        for r in instr.fuses().into_iter().chain(instr.fdef()) {
+        for r in instr.fuses().chain(instr.fdef()) {
             check_freg(func, bid, r)?;
         }
         if let Instr::Call {

@@ -54,7 +54,7 @@ pub struct TraceTally {
 }
 
 impl TraceTally {
-    fn build(dict: &[TraceEvent], seq: &[u32], trailing_instrs: u64) -> TraceTally {
+    fn build(dict: &[TraceEvent], seq: &[u32], trailing_instrs: u64) -> Option<TraceTally> {
         let mut counts = vec![0u64; dict.len()];
         for &i in seq {
             counts[i as usize] += 1;
@@ -62,17 +62,23 @@ impl TraceTally {
         TraceTally::from_counts(dict, counts, trailing_instrs)
     }
 
-    fn from_counts(dict: &[TraceEvent], counts: Vec<u64>, trailing_instrs: u64) -> TraceTally {
+    /// `None` when the instruction total does not fit in `u64`, which
+    /// no recorded run reaches.
+    fn from_counts(
+        dict: &[TraceEvent],
+        counts: Vec<u64>,
+        trailing_instrs: u64,
+    ) -> Option<TraceTally> {
         let instructions = dict
             .iter()
             .zip(&counts)
-            .map(|(e, &c)| e.instrs * c)
-            .sum::<u64>()
-            + trailing_instrs;
-        TraceTally {
+            .try_fold(trailing_instrs, |sum, (e, &c)| {
+                sum.checked_add(e.instrs.checked_mul(c)?)
+            })?;
+        Some(TraceTally {
             counts,
             instructions,
-        }
+        })
     }
 
     /// Occurrences of each dictionary entry, indexed like the dict.
@@ -134,40 +140,42 @@ pub struct BranchTrace {
 impl BranchTrace {
     /// Assembles a trace whose sequence indices are known to be in
     /// range, computing the tally and narrowing the sequence to one
-    /// byte per event when the dictionary allows it.
-    fn assemble(dict: Vec<TraceEvent>, seq: Vec<u32>, trailing_instrs: u64) -> BranchTrace {
-        let tally = TraceTally::build(&dict, &seq, trailing_instrs);
+    /// byte per event when the dictionary allows it. `None` when the
+    /// instruction total overflows `u64`.
+    fn assemble(dict: Vec<TraceEvent>, seq: Vec<u32>, trailing_instrs: u64) -> Option<BranchTrace> {
+        let tally = TraceTally::build(&dict, &seq, trailing_instrs)?;
         let seq = if dict.len() <= 256 {
             SeqStore::Narrow(ByteView::from_vec(seq.iter().map(|&i| i as u8).collect()))
         } else {
             SeqStore::Wide(seq)
         };
-        BranchTrace {
+        Some(BranchTrace {
             dict,
             seq,
             trailing_instrs,
             tally,
-        }
+        })
     }
 
     /// Rebuilds a trace from its serialized parts, or `None` if any
-    /// sequence index is out of range (corrupt input).
+    /// sequence index is out of range or the instruction total
+    /// overflows `u64` (corrupt input).
     pub fn from_parts(dict: Vec<TraceEvent>, seq: Vec<u32>, trailing_instrs: u64) -> Option<Self> {
         let n = dict.len() as u32;
         if seq.iter().any(|&i| i >= n) {
             return None;
         }
-        Some(BranchTrace::assemble(dict, seq, trailing_instrs))
+        BranchTrace::assemble(dict, seq, trailing_instrs)
     }
 
     /// Rebuilds a trace whose sequence *borrows* byte-wide indices from
     /// a shared buffer (the mounted suite image) — no sequence
     /// allocation, no decode. Returns `None` when the dictionary has
-    /// more than 256 entries (byte indices could not address it) or any
-    /// index is out of range (corrupt input). The single validation
-    /// pass also computes the tally, so construction does exactly one
-    /// read of the borrowed bytes and allocates only the O(dict)
-    /// counts.
+    /// more than 256 entries (byte indices could not address it), any
+    /// index is out of range or the instruction total overflows `u64`
+    /// (corrupt input). The single validation pass also computes the
+    /// tally, so construction does exactly one read of the borrowed
+    /// bytes and allocates only the O(dict) counts.
     pub fn from_borrowed_parts(
         dict: Vec<TraceEvent>,
         seq: ByteView,
@@ -185,7 +193,7 @@ impl BranchTrace {
             }
             counts[i] += 1;
         }
-        let tally = TraceTally::from_counts(&dict, counts, trailing_instrs);
+        let tally = TraceTally::from_counts(&dict, counts, trailing_instrs)?;
         Some(BranchTrace {
             dict,
             seq: SeqStore::Narrow(seq),
@@ -345,6 +353,7 @@ impl TraceRecorder {
     /// Finalises the recording.
     pub fn into_trace(self) -> BranchTrace {
         BranchTrace::assemble(self.dict, self.seq, self.pending_instrs)
+            .expect("a run's instruction count fits in u64")
     }
 }
 

@@ -609,7 +609,7 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 }
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
-/// image (cache format v9, see `bpfree::cache::image`).
+/// image (cache format v10, see `bpfree::cache::image`).
 fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
     let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
         let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;

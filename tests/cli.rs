@@ -404,10 +404,27 @@ fn table6(extra: &[&std::ffi::OsStr]) -> std::process::Output {
     bpfree().args(args).args(extra).output().unwrap()
 }
 
-/// A damaged cache image is an empty cache: the run recomputes, prints
-/// exactly what `--no-cache` prints, and leaves a valid image behind.
-/// The same bytes named by `--image` are still a hard error, and a cache
-/// dir that cannot hold an image only costs the write.
+/// A format v9 image with no entries: the 72-byte header of an empty
+/// string table and directory, as the v9 writer laid it out (magic,
+/// endian marker, version, entry count, directory, string-table and
+/// file offsets, build stamp, then the header and tail checksums).
+fn v9_image() -> Vec<u8> {
+    let mut bytes = b"BPFIMG09".to_vec();
+    bytes.extend(0x0A0B_0C0Du32.to_le_bytes());
+    bytes.extend(9u32.to_le_bytes());
+    for word in [0, 72, 72, 72, bpfree::cache::BUILD_FINGERPRINT] {
+        bytes.extend(word.to_le_bytes());
+    }
+    bytes.extend(fnv(&bytes).to_le_bytes());
+    bytes.extend(fnv(&[]).to_le_bytes());
+    bytes
+}
+
+/// A damaged cache image, or one of an older format, is an empty cache:
+/// the run recomputes, prints exactly what `--no-cache` prints, and
+/// leaves a valid image of this format behind. The damaged bytes named
+/// by `--image` are still a hard error, and a cache dir that cannot
+/// hold an image only costs the write.
 #[test]
 fn damaged_or_unwritable_cache_never_changes_output() {
     let tmp = scratch_dir("damaged-cache");
@@ -415,14 +432,18 @@ fn damaged_or_unwritable_cache_never_changes_output() {
     assert!(reference.status.success());
 
     let image = bpfree::cache::image_path(&tmp);
-    std::fs::write(&image, truncated_image()).unwrap();
-    let out = table6(&["--cache-dir".as_ref(), tmp.as_os_str()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert_eq!(out.stdout, reference.stdout);
-    assert!(stderr.contains("empty cache"), "{stderr}");
-    let img = bpfree::cache::image::SuiteImage::open(&image).expect("a valid image");
-    assert!(!img.entries().is_empty());
+    for unusable in [truncated_image(), v9_image()] {
+        std::fs::write(&image, unusable).unwrap();
+        let out = table6(&["--cache-dir".as_ref(), tmp.as_os_str()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert_eq!(out.stdout, reference.stdout);
+        assert!(stderr.contains("empty cache"), "{stderr}");
+        let img = bpfree::cache::image::SuiteImage::open(&image).expect("a valid image");
+        assert!(!img.entries().is_empty());
+        let written = std::fs::read(&image).unwrap();
+        assert_eq!(written[..8], bpfree::cache::image::MAGIC);
+    }
 
     let bad = tmp.join("bad.img");
     std::fs::write(&bad, truncated_image()).unwrap();
@@ -449,30 +470,26 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Overwrites the first payload of a suite image with `payload`, padded
-/// with spaces to the old length, and re-stamps the two checksums that
-/// cover it: the payload checksum in its directory record (bytes
-/// 40..48) and the header's checksum over the string table and the
-/// directory (header bytes 64..72).
-fn overwrite_first_payload(image: &mut [u8], payload: &[u8]) {
-    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-    let dir = word(image, 24) as usize;
-    let strings = word(image, 32) as usize;
-    let off = word(image, dir + 24) as usize;
-    let len = word(image, dir + 32) as usize;
-    assert!(payload.len() <= len);
-    image[off..off + len].fill(b' ');
-    image[off..off + payload.len()].copy_from_slice(payload);
-    let sum = fnv(&image[off..off + len]);
-    image[dir + 40..dir + 48].copy_from_slice(&sum.to_le_bytes());
-    let sum = fnv(&image[strings..]);
-    image[64..72].copy_from_slice(&sum.to_le_bytes());
+/// Overwrites the payload `old` of a suite image with `new`, padded
+/// with spaces to the old length, and re-stamps the image's trailing
+/// checksum, which covers every byte before it.
+fn overwrite_payload(image: &mut [u8], old: &[u8], new: &[u8]) {
+    let off = image
+        .windows(old.len())
+        .position(|w| w == old)
+        .expect("the image holds the payload");
+    assert!(new.len() <= old.len());
+    image[off..off + old.len()].fill(b' ');
+    image[off..off + new.len()].copy_from_slice(new);
+    let end = image.len() - 8;
+    let sum = fnv(&image[..end]);
+    image[end..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// A compile entry whose checksums hold but whose program is malformed
-/// is skipped, not a crash. The payloads are IR text that a text parser
-/// would have fed to a function builder: an instruction after `ret`,
-/// and a label past the block count.
+/// A compile entry whose checksum holds but whose payload is malformed
+/// is skipped, not a crash. The malformed payloads are text, padded
+/// with spaces over grep's program bytes, that is no program's binary
+/// form.
 #[test]
 fn malformed_compile_entry_is_skipped_not_a_crash() {
     use bpfree::cache::image::{Artifact, ImageBuilder};
@@ -487,9 +504,10 @@ fn malformed_compile_entry_is_skipped_not_a_crash() {
         "; globals: 0 words\nfn main() [frame=0 words]\nL0:\n    ret\n    li $r0, 1\n",
         "; globals: 0 words\nfn main() [frame=0 words]\nL0:\n    ret\nL7:\n    ret\n",
     ];
+    let program_bytes = program.to_bytes();
     for (i, payload) in payloads.iter().enumerate() {
         let mut bytes = clean.clone();
-        overwrite_first_payload(&mut bytes, payload.as_bytes());
+        overwrite_payload(&mut bytes, &program_bytes, payload.as_bytes());
         let path = dir.join(format!("malformed-{i}.img"));
         std::fs::write(&path, &bytes).unwrap();
         let out = bpfree()
