@@ -12,18 +12,22 @@
 //! sampling noise, whatever the agreement line says.
 //!
 //! Neither sweep scans all 5040 orders, and both run serially on the
-//! thread that renders the experiment, through one kernel
-//! ([`bpfree_core::ordering::PrefixSums`]). The exact one is `table4`'s
-//! C(22,11) study, swept once per study
-//! ([`OrderingStudy::paper_subset_experiment`]); its line reports that
-//! sweep's own duration (about 25–50 ms on a 2-vCPU box), whichever
-//! experiment ran it. The sampled one scans only the 55 orders that
-//! can hold the lowest-index minimum
-//! ([`bpfree_core::ordering::creditable_orders`]), so its winners are
-//! the full 5040-order scan's and the `sampled (full 5040)` label still
-//! names the candidate set it credits; it takes about 10–15 ms (0.11–0.21
-//! s as a full scan). It runs first, so that while it runs `table4` can
-//! run the exact sweep on the other render thread.
+//! thread that renders the experiment, with one scoring rule
+//! ([`bpfree_core::ordering::subset_winner`]). The exact one is
+//! `table4`'s C(22,11) study, swept once per study
+//! ([`OrderingStudy::paper_subset_experiment`]); it scores the 60,502
+//! subsets of the 16 benchmarks on which its 12 candidates differ and
+//! credits each winner in bulk
+//! ([`bpfree_core::ordering::subset_tally`]). Its line reports that
+//! sweep's own duration (about 4–6 ms on a 2-vCPU box; 20–50 ms when it
+//! scored all 705,432 subsets), whichever experiment ran it. The
+//! sampled one scans only the 55 orders that can hold the lowest-index
+//! minimum ([`bpfree_core::ordering::creditable_orders`]), so its
+//! winners are the full 5040-order scan's and the `sampled (full
+//! 5040)` label still names the candidate set it credits; it takes
+//! about 10–15 ms (0.11–0.21 s as a full scan). It runs first, so that
+//! while it runs `table4` can run the exact sweep on the other render
+//! thread.
 
 use std::io::{self, Write};
 use std::time::Instant;

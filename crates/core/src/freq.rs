@@ -190,6 +190,11 @@ impl BlockFrequencies {
 /// Solves the flow equations for one function by damped Jacobi
 /// iteration. Backedge contributions are capped so pathological
 /// probability assignments still converge.
+///
+/// The incoming edges are built once, as one list sorted by target
+/// block with a stable sort, so every block sums its incoming products
+/// in block-scan order; each round fills one of two reused buffers
+/// from the other.
 pub fn estimate_block_frequencies(
     program: &Program,
     func: FuncId,
@@ -197,37 +202,43 @@ pub fn estimate_block_frequencies(
 ) -> BlockFrequencies {
     let f = program.func(func);
     let n = f.blocks().len();
-    // Incoming edges: (pred, probability of the pred->b edge).
-    let mut incoming: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    // Incoming edges: (block, pred, probability of the pred->block edge).
+    let mut incoming: Vec<(usize, usize, f64)> = Vec::new();
     for bid in f.block_ids() {
         match &f.block(bid).term {
-            Terminator::Jump(t) => incoming[t.index()].push((bid.index(), 1.0)),
+            Terminator::Jump(t) => incoming.push((t.index(), bid.index(), 1.0)),
             Terminator::Branch {
                 taken, fallthru, ..
             } => {
                 let p = probs.taken(BranchRef { func, block: bid });
-                incoming[taken.index()].push((bid.index(), p));
-                incoming[fallthru.index()].push((bid.index(), 1.0 - p));
+                incoming.push((taken.index(), bid.index(), p));
+                incoming.push((fallthru.index(), bid.index(), 1.0 - p));
             }
             Terminator::Ret { .. } => {}
         }
     }
+    incoming.sort_by_key(|&(b, _, _)| b);
+    // Block b's edges are incoming[start[b]..start[b + 1]].
+    let start: Vec<usize> = (0..=n)
+        .map(|b| incoming.partition_point(|&(to, _, _)| to < b))
+        .collect();
     let mut freqs = vec![0.0f64; n];
     freqs[0] = 1.0;
+    let mut next = vec![0.0f64; n];
     // Iterate; loops amplify frequencies geometrically and the products
     // are < 1, so this converges. Each Jacobi round moves flow one edge,
     // so deep loop nests need rounds proportional to the expected path
     // length; 20k rounds with an early exit bounds the cost.
     for _ in 0..20_000 {
-        let mut next = vec![0.0f64; n];
-        next[0] = 1.0;
-        for b in 0..n {
-            for &(p, prob) in &incoming[b] {
-                next[b] += freqs[p] * prob;
+        for (b, slot) in next.iter_mut().enumerate() {
+            let mut freq = if b == 0 { 1.0 } else { 0.0 };
+            for &(_, p, prob) in &incoming[start[b]..start[b + 1]] {
+                freq += freqs[p] * prob;
             }
+            *slot = freq;
         }
         let delta: f64 = next.iter().zip(&freqs).map(|(a, b)| (a - b).abs()).sum();
-        freqs = next;
+        std::mem::swap(&mut freqs, &mut next);
         if delta < 1e-9 {
             break;
         }

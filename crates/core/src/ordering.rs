@@ -18,7 +18,11 @@
 //! benchmark can never be an argmin), the sampled one only the
 //! [`creditable_orders`] (no lower-index order is at least as good on
 //! every benchmark, so the lowest-index argmin is never lost). Both
-//! score their subsets with one serial kernel, [`PrefixSums`].
+//! score a subset with [`subset_winner`]. The exact sweep
+//! ([`subset_tally`]) scores only the subsets of the benchmarks on which
+//! its candidates differ, and credits each winner with every way of
+//! filling the subset up with the other benchmarks wherever a rounding
+//! certificate proves the winner cannot change.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -60,7 +64,7 @@ fn permute(items: &mut Order, k: usize, out: &mut Vec<Order>) {
 }
 
 /// The k-element subsets of `{0, .., n-1}` in lexicographic order, the
-/// C(22,11) subset experiment's enumeration.
+/// subset experiment's enumeration.
 ///
 /// # Example
 ///
@@ -68,14 +72,8 @@ fn permute(items: &mut Order, k: usize, out: &mut Vec<Order>) {
 /// use bpfree_core::ordering::KSubsets;
 /// assert_eq!(KSubsets::count(4, 2), 6);
 /// let mut all = Vec::new();
-/// KSubsets::new(4, 2).for_each_subset_from(|subset, from| all.push((subset.to_vec(), from)));
-/// assert_eq!(all.len(), 6);
-/// assert_eq!(all[0], (vec![0, 1], 0));
-/// // [0, 3] -> [1, 2]: slot 0 changed, so both slots are new.
-/// assert_eq!(all[3], (vec![1, 2], 0));
-/// // [1, 2] -> [1, 3]: slot 0 is shared.
-/// assert_eq!(all[4], (vec![1, 3], 1));
-/// assert_eq!(all[5], (vec![2, 3], 0));
+/// KSubsets::new(4, 2).for_each_subset(|subset| all.push(subset.to_vec()));
+/// assert_eq!(all, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct KSubsets {
@@ -107,20 +105,15 @@ impl KSubsets {
         c as u64
     }
 
-    /// Passes every subset, first to last, to `f` together with the
-    /// **first changed slot**: slots `0..from` equal the previous
-    /// subset's, slots `from..k` are new (`from` is 0 on the first
-    /// subset). A consumer that keeps per-slot partial results, such as
-    /// [`PrefixSums`], recomputes only from `from`.
-    pub fn for_each_subset_from(self, mut f: impl FnMut(&[usize], usize)) {
+    /// Passes every subset, first to last, to `f`.
+    pub fn for_each_subset(self, mut f: impl FnMut(&[usize])) {
         let KSubsets { n, k } = self;
         if k > n {
             return;
         }
         let mut subset: Vec<usize> = (0..k).collect();
-        let mut from = 0;
         loop {
-            f(&subset, from);
+            f(&subset);
             // Lexicographic successor: bump the rightmost slot that can
             // still grow and reset every slot after it.
             let Some(slot) = (0..k).rev().find(|&i| subset[i] != i + n - k) else {
@@ -130,85 +123,159 @@ impl KSubsets {
             for j in slot + 1..k {
                 subset[j] = subset[j - 1] + 1;
             }
-            from = slot;
         }
     }
 }
 
-/// The subset-sweep kernel both subset experiments run: per subset of
-/// benchmarks, the candidate order with the lowest rate sum over the
-/// subset.
+/// The subset sweeps' scoring rule: the index of the candidate with the
+/// lowest rate sum over `subset`'s benchmarks, the lowest index among
+/// equal sums.
 ///
 /// `cols` is benchmark-major: `cols[b][ci]` is candidate `ci`'s rate on
-/// benchmark `b`, so adding one benchmark to every candidate's partial
-/// sum is one contiguous vector add. The kernel keeps one stack of
-/// per-slot partial sums: row `slot` holds every candidate's sum over
-/// the subset's first `slot + 1` benchmarks. A call recomputes the rows
-/// from `from` on and trusts the rows below it, so the lexicographic
-/// walk ([`KSubsets::for_each_subset_from`]) does about one vector add
-/// per subset, and a drawn sample (`from` = 0) does `k`.
+/// benchmark `b`, so adding one benchmark to every candidate's sum is
+/// one contiguous vector add into `sums`, which must hold one slot per
+/// candidate and is overwritten. Each sum is the left-to-right fold
+/// `((0.0 + r₀) + r₁) + …` in `subset`'s slot order, the sum a naive
+/// per-candidate gather computes, and the first strict minimum wins, so
+/// every winner is the naive scan's, ties included.
 ///
-/// Each row is built as the left-to-right fold `((0.0 + r₀) + r₁) + …`
-/// in the subset's slot order, the sum a naive per-candidate gather
-/// loop computes, and the first strict minimum wins, so every winner is
-/// the naive scan's, ties included.
-#[derive(Debug, Clone)]
-pub struct PrefixSums {
-    candidates: usize,
-    /// `partial[slot * candidates + ci]`: candidate `ci`'s rate sum over
-    /// the current subset's first `slot + 1` benchmarks.
-    partial: Vec<f64>,
+/// # Panics
+///
+/// Panics if `subset` names a benchmark past `cols`.
+pub fn subset_winner(cols: &[Vec<f64>], subset: &[usize], sums: &mut [f64]) -> usize {
+    add_columns(cols, subset, sums);
+    let mut best = 0;
+    for (ci, &sum) in sums.iter().enumerate() {
+        if sum < sums[best] {
+            best = ci;
+        }
+    }
+    best
 }
 
-impl PrefixSums {
-    /// An empty stack for `candidates` candidate columns.
-    pub fn new(candidates: usize) -> PrefixSums {
-        PrefixSums {
-            candidates,
-            partial: Vec::new(),
+/// Sets `sums[ci]` to candidate `ci`'s left-to-right rate sum over
+/// `subset`, starting from `0.0`.
+fn add_columns(cols: &[Vec<f64>], subset: &[usize], sums: &mut [f64]) {
+    sums.fill(0.0);
+    for &b in subset {
+        for (sum, &r) in sums.iter_mut().zip(&cols[b]) {
+            *sum += r;
         }
     }
+}
 
-    /// The index of the candidate with the lowest rate sum over
-    /// `subset`'s benchmarks, the lowest index among equal sums.
-    ///
-    /// Rows `0..from` must hold the sums of the previous call's subset,
-    /// whose first `from` benchmarks `subset` shares; the first call
-    /// passes 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` is empty, names a benchmark past `cols`, or a
-    /// column is shorter than the candidate count.
-    pub fn winner(&mut self, cols: &[Vec<f64>], subset: &[usize], from: usize) -> usize {
-        let c = self.candidates;
-        self.partial.resize(subset.len() * c, 0.0);
-        for (slot, &b) in subset.iter().enumerate().skip(from) {
-            let col = &cols[b][..c];
-            let (below, row) = self.partial.split_at_mut(slot * c);
-            let row = &mut row[..c];
-            if slot == 0 {
-                for (dst, &r) in row.iter_mut().zip(col) {
-                    *dst = 0.0 + r;
-                }
-            } else {
-                let prev = &below[(slot - 1) * c..];
-                for ((dst, &p), &r) in row.iter_mut().zip(prev).zip(col) {
-                    *dst = p + r;
-                }
-            }
-        }
-        let last = subset.len().checked_sub(1).expect("a non-empty subset");
-        let mut best = 0;
-        let mut best_rate = f64::INFINITY;
-        for (ci, &sum) in self.partial[last * c..].iter().enumerate() {
-            if sum < best_rate {
-                best_rate = sum;
-                best = ci;
-            }
-        }
-        best
+/// The exact subset sweep's tallies ([`subset_tally`]) and how they were
+/// reached.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubsetTally {
+    /// `wins[ci]`: the k-subsets of all benchmarks on which candidate
+    /// `ci` is [`subset_winner`].
+    pub wins: Vec<u64>,
+    /// Subsets of the informative benchmarks scored.
+    pub scored: u64,
+    /// Of those, the subsets no certificate covered, whose completions
+    /// were each scored by [`subset_winner`].
+    pub fallbacks: u64,
+}
+
+/// For every k-subset of the benchmarks of `cols` (benchmark-major, as
+/// [`subset_winner`] reads it), the candidate [`subset_winner`] picks,
+/// tallied per candidate — without scoring most subsets one by one.
+///
+/// A benchmark on which every candidate has bitwise the same rate is
+/// *constant*; the others are *informative*. The sweep enumerates only
+/// the m-subsets of the informative benchmarks (every m that a k-subset
+/// can hold) and, where it can certify the winner, credits it with all
+/// C(#constant, k − m) ways of filling the subset up with constant
+/// benchmarks: on the 22-benchmark roster's Pareto front, 60,502
+/// scorings instead of C(22,11) = 705,432.
+///
+/// The certificate: sum every candidate over the chosen informative
+/// benchmarks, in one column order for all. The *contenders* are the
+/// candidates whose sum lies within `margin` of the minimum. If each of
+/// them has the lowest-index contender's rate on every chosen
+/// benchmark, then on every completion their left-to-right sums add the
+/// same values in the same order and are bitwise equal. A constant
+/// column adds the same exact amount to every candidate, so the exact
+/// sums keep the gap the approximate ones show, and each sum of at most
+/// k terms is within γₖ₋₁·k·max|r| of exact (γₘ = m·u/(1 − m·u), u the
+/// unit roundoff). Every other candidate is then strictly larger, and
+/// the lowest-index contender is the first strict minimum on every
+/// completion, as long as `margin` ≥ 4·γₖ₋₁·k·max|r|. The sweep uses
+/// 8·k²·ε·max|r| (ε = 2u), which also covers rounding `min + margin`.
+/// The bound holds while no sum overflows, which miss rates in `[0, 1]`
+/// never come near.
+///
+/// A subset without a certificate falls back to the definition: each of
+/// its completions is scored on its own, merged into ascending
+/// benchmark order, by [`subset_winner`].
+///
+/// # Panics
+///
+/// Panics if the columns differ in length.
+pub fn subset_tally(cols: &[Vec<f64>], k: usize) -> SubsetTally {
+    let candidates = cols.first().map_or(0, Vec::len);
+    assert!(
+        cols.iter().all(|col| col.len() == candidates),
+        "every benchmark needs one rate per candidate"
+    );
+    let mut tally = SubsetTally {
+        wins: vec![0; candidates],
+        scored: 0,
+        fallbacks: 0,
+    };
+    if candidates == 0 {
+        return tally;
     }
+    let (constant, informative): (Vec<usize>, Vec<usize>) =
+        (0..cols.len()).partition(|&b| cols[b].iter().all(|r| r.to_bits() == cols[b][0].to_bits()));
+    let informative_cols: Vec<Vec<f64>> = informative.iter().map(|&b| cols[b].clone()).collect();
+    let max = cols.iter().flatten().fold(0.0f64, |m, r| m.max(r.abs()));
+    let margin = 8.0 * (k * k) as f64 * f64::EPSILON * max;
+    let mut sums = vec![0.0; candidates];
+    let mut full = Vec::with_capacity(k);
+    for m in k.saturating_sub(constant.len())..=k.min(informative.len()) {
+        let fill = k - m;
+        let completions = KSubsets::count(constant.len(), fill);
+        KSubsets::new(informative.len(), m).for_each_subset(|chosen| {
+            tally.scored += 1;
+            add_columns(&informative_cols, chosen, &mut sums);
+            if let Some(winner) = certified_winner(&informative_cols, chosen, &sums, margin) {
+                tally.wins[winner] += completions;
+                return;
+            }
+            tally.fallbacks += 1;
+            KSubsets::new(constant.len(), fill).for_each_subset(|filled| {
+                full.clear();
+                full.extend(chosen.iter().map(|&i| informative[i]));
+                full.extend(filled.iter().map(|&c| constant[c]));
+                full.sort_unstable();
+                tally.wins[subset_winner(cols, &full, &mut sums)] += 1;
+            });
+        });
+    }
+    tally
+}
+
+/// The lowest-index candidate within `margin` of the minimum of `sums`
+/// (each candidate's sum over `chosen`), if every such contender has its
+/// rate on every chosen benchmark; see [`subset_tally`].
+fn certified_winner(
+    cols: &[Vec<f64>],
+    chosen: &[usize],
+    sums: &[f64],
+    margin: f64,
+) -> Option<usize> {
+    let bound = sums.iter().fold(f64::INFINITY, |m, &s| m.min(s)) + margin;
+    let mut contenders = (0..sums.len()).filter(|&ci| sums[ci] <= bound);
+    let lead = contenders.next()?;
+    contenders
+        .all(|ci| {
+            chosen
+                .iter()
+                .all(|&b| cols[b][ci].to_bits() == cols[b][lead].to_bits())
+        })
+        .then_some(lead)
 }
 
 /// The orders of an order-major rate matrix (`rates[o][b]`) that a
@@ -237,7 +304,15 @@ fn no_worse(a: &[f64], b: &[f64]) -> bool {
 
 /// The rows `i` of `rates` for which no other row `j` `beats(j, i)`,
 /// ascending. `beats(j, i)` must imply [`no_worse`]`(rates[j],
-/// rates[i])`.
+/// rates[i])`, and may depend on `j` only through its row and through
+/// `j < i`, holding whenever `j < i` and the rows are bitwise equal.
+///
+/// Both tie rules in this module do. So a row with a lower-index
+/// bitwise copy is beaten, and whatever beats the first copy of a row
+/// can be replaced by the first copy of its own row (same rates, an
+/// index no higher). The scan therefore keeps only the first copy of
+/// each bitwise-distinct row (318 of 5040 on the 22-benchmark roster)
+/// and checks those against each other.
 ///
 /// A row `j` no worse than `i` on every benchmark has a row sum `<=`
 /// `i`'s, since both rows are summed left to right and f64 addition is
@@ -248,15 +323,20 @@ fn no_worse(a: &[f64], b: &[f64]) -> bool {
 /// own, while the ascending scan would wade through the globally-best
 /// rows first.
 fn undominated(rates: &[Vec<f64>], beats: impl Fn(usize, usize) -> bool) -> Vec<usize> {
+    let mut seen = std::collections::HashSet::new();
+    let distinct: Vec<usize> = (0..rates.len())
+        .filter(|&i| seen.insert(rates[i].iter().map(|r| r.to_bits()).collect::<Vec<u64>>()))
+        .collect();
     let sums: Vec<f64> = rates.iter().map(|row| row.iter().sum()).collect();
-    let mut by_sum: Vec<usize> = (0..rates.len()).collect();
+    let mut by_sum = distinct.clone();
     by_sum.sort_by(|&a, &b| {
         sums[a]
             .partial_cmp(&sums[b])
             .expect("miss rates are finite")
             .then(a.cmp(&b))
     });
-    (0..rates.len())
+    distinct
+        .into_iter()
         .filter(|&i| {
             let prefix = by_sum.partition_point(|&j| sums[j] <= sums[i]);
             !by_sum[..prefix]
@@ -576,9 +656,12 @@ impl OrderingStudy {
     /// lowest index of all 5040 orders instead, which is often off the
     /// front, so the two tallies differ on ties by design.
     ///
-    /// The subsets are walked in lexicographic order on the calling
-    /// thread, and [`PrefixSums`] recomputes each one's sums only from
-    /// the first slot that changed: about one vector add per subset.
+    /// The sweep runs on the calling thread through [`subset_tally`],
+    /// which scores only the subsets of the benchmarks on which the
+    /// front's rates differ (16 of 22 on the roster) and credits each
+    /// certified winner with every completion at once: 60,502 scorings
+    /// for C(22,11), each tally the one scoring all 705,432 subsets
+    /// would give.
     ///
     /// Every call sweeps again; [`OrderingStudy::paper_subset_experiment`]
     /// is the k = n/2 sweep computed once per study.
@@ -587,13 +670,11 @@ impl OrderingStudy {
         let n = self.benches.len();
         assert!(k >= 1, "subset size must be at least 1");
         assert!(k <= n, "subset size {k} exceeds {n} benchmarks");
-        let cols = self.columns(candidates);
-        let mut sums = PrefixSums::new(candidates.len());
-        let mut wins = vec![0u64; candidates.len()];
-        KSubsets::new(n, k).for_each_subset_from(|subset, from| {
-            wins[sums.winner(&cols, subset, from)] += 1;
-        });
-        self.common_orders(candidates.iter().copied().zip(wins), KSubsets::count(n, k))
+        let tally = subset_tally(&self.columns(candidates), k);
+        self.common_orders(
+            candidates.iter().copied().zip(tally.wins),
+            KSubsets::count(n, k),
+        )
     }
 
     /// [`OrderingStudy::subset_experiment`] at the paper's k = n/2
@@ -631,8 +712,9 @@ impl OrderingStudy {
     /// samples of 11 that is about 12 M adds instead of 1.1 G.
     ///
     /// Each sample is drawn from the one seeded stream (shuffle the
-    /// benchmark indices, take the first `k`) and scored at once by
-    /// [`PrefixSums`] from slot 0, in drawn order, on the calling thread.
+    /// benchmark indices, take the first `k`) and scored by
+    /// [`subset_winner`] on one row of accumulators, in drawn order, on
+    /// the calling thread.
     ///
     /// # Panics
     ///
@@ -651,17 +733,18 @@ impl OrderingStudy {
         let cols = self.columns(&kept);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut indices: Vec<usize> = (0..n).collect();
-        let mut sums = PrefixSums::new(kept.len());
+        let mut sums = vec![0.0; kept.len()];
         let mut wins = vec![0u64; kept.len()];
         for _ in 0..n_samples {
             indices.shuffle(&mut rng);
-            wins[sums.winner(&cols, &indices[..k], 0)] += 1;
+            wins[subset_winner(&cols, &indices[..k], &mut sums)] += 1;
         }
         self.common_orders(kept.into_iter().zip(wins), n_samples)
     }
 
-    /// The rates of `orders` in the benchmark-major layout [`PrefixSums`]
-    /// reads: `cols[b][ci]` is order `orders[ci]`'s rate on benchmark `b`.
+    /// The rates of `orders` in the benchmark-major layout
+    /// [`subset_winner`] reads: `cols[b][ci]` is order `orders[ci]`'s
+    /// rate on benchmark `b`.
     fn columns(&self, orders: &[usize]) -> Vec<Vec<f64>> {
         (0..self.benches.len())
             .map(|b| orders.iter().map(|&o| self.rates[o][b]).collect())
@@ -942,7 +1025,7 @@ mod tests {
     /// Every subset of the walk, in order.
     fn walk(n: usize, k: usize) -> Vec<Vec<usize>> {
         let mut all = Vec::new();
-        KSubsets::new(n, k).for_each_subset_from(|subset, _| all.push(subset.to_vec()));
+        KSubsets::new(n, k).for_each_subset(|subset| all.push(subset.to_vec()));
         all
     }
 
@@ -979,23 +1062,6 @@ mod tests {
         v.sort();
         assert_eq!(v, HeuristicKind::ALL.to_vec());
         let _ = c;
-    }
-
-    #[test]
-    fn for_each_subset_from_reports_the_shared_prefix() {
-        let (n, k) = (6, 3);
-        let mut prev: Option<Vec<usize>> = None;
-        KSubsets::new(n, k).for_each_subset_from(|subset, from| {
-            match &prev {
-                None => assert_eq!(from, 0, "first yield recomputes everything"),
-                Some(p) => {
-                    assert_eq!(p[..from], subset[..from], "unchanged prefix");
-                    assert_ne!(p[from], subset[from], "slot `from` really changed");
-                }
-            }
-            prev = Some(subset.to_vec());
-        });
-        assert!(prev.is_some());
     }
 
     #[test]

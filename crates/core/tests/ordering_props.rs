@@ -3,10 +3,12 @@
 //! Four claims must hold *bit-exactly* (not just approximately) for the
 //! experiment stdout to stay byte-identical:
 //!
-//! * the subset-sweep kernel ([`PrefixSums`]) picks, for every subset,
-//!   the candidate the naive per-candidate gather loop picks: both when
-//!   the lexicographic walk ([`KSubsets`]) hands it the first changed
-//!   slot and when drawn samples start from slot 0;
+//! * the exact sweep ([`subset_tally`]), which scores only the subsets
+//!   of the informative benchmarks and credits certified winners in
+//!   bulk, tallies every candidate exactly as the naive per-candidate
+//!   gather over all k-subsets does, and the scoring rule
+//!   ([`subset_winner`]) picks the naive gather's winner on every drawn
+//!   sample;
 //! * sweeping only the [`creditable_orders`] credits every sample to the
 //!   full scan's winner, and the pruned set is exactly the naive O(n²)
 //!   definition's;
@@ -21,13 +23,15 @@
 //! The real rate matrix is full of ties (many orders resolve every
 //! branch group identically), so the matrices here draw rates from a few
 //! quantized values and duplicate rows: the first-strict-minimum tie
-//! rule is what the kernel must get right.
+//! rule is what the kernels must get right.
 
 use bpfree_core::ordering::{
-    all_orders, creditable_orders, BenchOrderData, FirstHit, KSubsets, OrderingStudy, PrefixSums,
+    all_orders, creditable_orders, subset_tally, subset_winner, BenchOrderData, FirstHit, KSubsets,
+    OrderingStudy,
 };
 use bpfree_core::{BranchClassifier, HeuristicKind, HeuristicTable, DEFAULT_SEED};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// The naive scan: per candidate, a scalar gather over the subset in
 /// slot order (`sum = 0.0; sum += rates[b]; …`), first strict minimum
@@ -49,7 +53,7 @@ fn naive_winner(rates: &[Vec<f64>], subset: &[usize]) -> usize {
 }
 
 /// `rates` (candidate-major) transposed into the benchmark-major
-/// columns [`PrefixSums`] reads.
+/// columns the kernels read.
 fn columns(rates: &[Vec<f64>]) -> Vec<Vec<f64>> {
     (0..rates[0].len())
         .map(|b| rates.iter().map(|cand| cand[b]).collect())
@@ -77,12 +81,6 @@ fn tie_heavy_matrix(c: usize, n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> 
     })
 }
 
-/// A tie-heavy rate matrix, `c` candidates × `n` benchmarks, plus a
-/// subset size `1..=n`.
-fn matrix_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
-    (1usize..=10, 1usize..=16).prop_flat_map(|(n, c)| (tie_heavy_matrix(c, n), 1..=n))
-}
-
 /// A sampled-sweep case: a tie-heavy matrix of `c` orders (1..=40, or
 /// the study's 5040) × `n ≤ 22` benchmarks, a sample size `k ≤ n`, and
 /// up to 24 samples of `k` indices below `n`.
@@ -99,45 +97,146 @@ fn sampled_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, Vec<usize>
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// [`RATE_VALUES`] and their near neighbours: one ulp up or down, and
+/// `0.1 + ε`. A neighbour sums to within rounding of its value, so a
+/// certificate with too small a margin credits the wrong candidate.
+fn near_tie_values() -> Vec<f64> {
+    let mut values = RATE_VALUES.to_vec();
+    for v in [0.1f64, 0.2, 0.3, 1.0 / 3.0, 0.5] {
+        values.push(f64::from_bits(v.to_bits() + 1));
+        values.push(f64::from_bits(v.to_bits() - 1));
+    }
+    values.push(0.1 + f64::EPSILON);
+    values
+}
 
-    /// The exact sweep's mode: walking every k-subset lexicographically
-    /// and passing the first changed slot, the kernel picks the naive
-    /// gather's winner on every subset, for any tie-heavy matrix and
-    /// any k ≤ n.
-    #[test]
-    fn prefix_kernel_is_bit_identical_to_naive_sweep((rates, k) in matrix_strategy()) {
-        let n = rates[0].len();
-        let mut walk = Vec::new();
-        KSubsets::new(n, k).for_each_subset_from(|subset, from| walk.push((subset.to_vec(), from)));
-        prop_assert_eq!(walk.len() as u64, KSubsets::count(n, k));
-
-        let cols = columns(&rates);
-        let mut sums = PrefixSums::new(rates.len());
-        for (subset, from) in &walk {
-            prop_assert_eq!(
-                sums.winner(&cols, subset, *from),
-                naive_winner(&rates, subset),
-                "subset {:?} from slot {}", subset, from
+/// An exact-sweep case: a `c × n` matrix (`c` ≤ 12 candidates, `n` ≤ 12
+/// benchmarks) over [`near_tie_values`], about one row in eight a copy
+/// of an earlier one and about one benchmark in three forced constant
+/// (one value for every candidate), plus a subset size `1..=n`.
+fn exact_sweep_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
+    let values = near_tie_values();
+    (1usize..=12, 1usize..=12)
+        .prop_flat_map(move |(c, n)| {
+            let rate = (0..values.len()).prop_map({
+                let values = values.clone();
+                move |i| values[i]
+            });
+            let rows = proptest::collection::vec(
+                (0..4 * c, proptest::collection::vec(rate.clone(), n)),
+                c,
             );
-        }
+            let constant = proptest::collection::vec((0..3usize, rate), n);
+            (rows, constant, 1..=n)
+        })
+        .prop_map(|(drawn, constant, k)| {
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(drawn.len());
+            for (copy, row) in drawn {
+                let row = rows.get(copy).cloned().unwrap_or(row);
+                rows.push(row);
+            }
+            for (b, &(pick, value)) in constant.iter().enumerate() {
+                if pick == 0 {
+                    rows.iter_mut().for_each(|row| row[b] = value);
+                }
+            }
+            (rows, k)
+        })
+}
+
+/// The naive exact sweep: every k-subset in lexicographic order, scored
+/// by [`naive_winner`], tallied per candidate.
+fn naive_tally(rates: &[Vec<f64>], k: usize) -> Vec<u64> {
+    let mut wins = vec![0u64; rates.len()];
+    KSubsets::new(rates[0].len(), k)
+        .for_each_subset(|subset| wins[naive_winner(rates, subset)] += 1);
+    wins
+}
+
+/// The exact sweep's tallies equal the naive sweep's over all k-subsets
+/// on 1,500 near-tie matrices with constant columns, any k ≤ n. Across
+/// the cases both paths run: subsets credited in bulk by a certificate
+/// and subsets whose completions fall back to scoring one by one.
+#[test]
+fn certified_sweep_matches_naive_tallies() {
+    let strategy = exact_sweep_strategy();
+    let mut rng = TestRng::for_test("ordering_props::certified_sweep_matches_naive_tallies");
+    let (mut certified, mut fallbacks) = (0, 0);
+    for _ in 0..1_500 {
+        let (rates, k) = strategy.generate(&mut rng);
+        let tally = subset_tally(&columns(&rates), k);
+        assert_eq!(tally.wins, naive_tally(&rates, k), "k {k}, rates {rates:?}");
+        certified += tally.scored - tally.fallbacks;
+        fallbacks += tally.fallbacks;
+    }
+    assert!(certified > 0, "no subset was credited in bulk");
+    assert!(fallbacks > 0, "no subset fell back");
+}
+
+/// A matrix of `c` candidates × `n` benchmarks: every rate a full
+/// 53-bit draw from `[0, 1)`, so sums of different columns never come
+/// within rounding of each other, except where `shape(b)` gives
+/// benchmark `b` a fixed column.
+fn drawn_matrix(c: usize, n: usize, shape: impl Fn(usize) -> Option<Vec<f64>>) -> Vec<Vec<f64>> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+    let cols: Vec<Vec<f64>> = (0..n)
+        .map(|b| shape(b).unwrap_or_else(|| (0..c).map(|_| rng.gen()).collect()))
+        .collect();
+    (0..c)
+        .map(|ci| cols.iter().map(|col| col[ci]).collect())
+        .collect()
+}
+
+/// The roster's shape: 22 benchmarks, 6 of them constant, 12
+/// candidates, two of which share every rate. The sweep scores the
+/// Σ_{m=5}^{11} C(16, m) = 60,502 subsets of the 16 informative
+/// benchmarks, certifies every one (the only exact ties are the twin
+/// candidates, whose columns agree), and its tallies are the naive
+/// sweep's over all C(22,11) = 705,432 subsets.
+#[test]
+fn certified_sweep_scores_only_informative_subsets_on_the_roster_shape() {
+    let mut rates = drawn_matrix(12, 22, |b| (b % 4 == 1).then(|| vec![b as f64 / 32.0; 12]));
+    rates[9] = rates[4].clone();
+    let tally = subset_tally(&columns(&rates), 11);
+    assert_eq!(tally.scored, 60_502);
+    assert_eq!(tally.fallbacks, 0);
+    assert_eq!(tally.wins, naive_tally(&rates, 11));
+    assert_eq!(tally.wins.iter().sum::<u64>(), 705_432);
+    assert_eq!(tally.wins[9], 0, "the twin's ties go to the lower index");
+}
+
+/// More benchmarks than a 64-bit subset mask holds, with constant and
+/// exactly tied columns among them: k = 1 and k = 2 still match the
+/// naive sweep.
+#[test]
+fn certified_sweep_handles_rosters_past_64_benchmarks() {
+    let rates = drawn_matrix(5, 70, |b| match b % 5 {
+        0 => Some(vec![0.25; 5]),
+        1 => Some(vec![0.1, 0.2, 0.1, 0.3, 0.2]),
+        _ => None,
+    });
+    for k in [1, 2] {
+        let tally = subset_tally(&columns(&rates), k);
+        assert_eq!(tally.wins, naive_tally(&rates, k), "k = {k}");
+        assert_eq!(tally.wins.iter().sum::<u64>(), KSubsets::count(70, k));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The sampled sweep's mode: fed one drawn sample after another,
-    /// each from slot 0, the kernel picks the naive scan's winner for
-    /// every sample, on tie-heavy matrices of any order count.
+    /// The sampled sweep's scoring: fed one drawn sample after another
+    /// on one reused row of accumulators, [`subset_winner`] picks the
+    /// naive scan's winner for every sample, in drawn order, on
+    /// tie-heavy matrices of any order count.
     #[test]
     fn kernel_matches_naive_scan_on_drawn_samples((rates, k, subsets) in sampled_strategy()) {
         let cols = columns(&rates);
-        let mut sums = PrefixSums::new(rates.len());
+        let mut sums = vec![0.0; rates.len()];
         for subset in subsets.chunks_exact(k) {
             prop_assert_eq!(
-                sums.winner(&cols, subset, 0),
+                subset_winner(&cols, subset, &mut sums),
                 naive_winner(&rates, subset),
                 "sample {:?}", subset
             );
@@ -168,10 +267,10 @@ proptest! {
         prop_assert_eq!(kept.first(), Some(&0));
         let rows: Vec<Vec<f64>> = kept.iter().map(|&o| rates[o].clone()).collect();
         let cols = columns(&rows);
-        let mut sums = PrefixSums::new(kept.len());
+        let mut sums = vec![0.0; kept.len()];
         for subset in subsets.chunks_exact(k) {
             prop_assert_eq!(
-                kept[sums.winner(&cols, subset, 0)],
+                kept[subset_winner(&cols, subset, &mut sums)],
                 naive_winner(&rates, subset),
                 "sample {:?}", subset
             );

@@ -320,8 +320,8 @@ fn serial_sampled_winners(
     out
 }
 
-/// Table 4's sampling check: the prefix-sum sampled sweep over the
-/// creditable orders only returns row for row what the serial seeded
+/// Table 4's sampling check: the sampled sweep over the creditable
+/// orders only returns row for row what the serial seeded
 /// loop over all 5040 rows returns on a real matrix, and equal-trial
 /// winners list in ascending order index (two one-benchmark samples win
 /// one trial each). The matrix prunes to a few orders, so the oracle
