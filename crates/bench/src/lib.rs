@@ -19,21 +19,17 @@
 //! Each experiment declares what it reads ([`registry::Experiment::needs`]
 //! and [`registry::Experiment::traced`]); the batch runner has the
 //! engine compute the union in one parallel map before any experiment
-//! renders, and a warm run computes nothing at all. Jobs and the cache
-//! are controlled by the standard flags pulled out of the command line
-//! by [`config::extract`].
+//! renders, and a warm run computes nothing at all. The caller builds
+//! the engine, which fixes the cache, and sets the worker count with
+//! [`bpfree_par::set_jobs`]; the `bpfree` CLI does both from the flags
+//! each command takes.
 
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod experiments;
 pub mod json;
 pub mod registry;
 pub mod sink;
-
-/// The per-task timing log behind `--timings` (re-exported so the CLI
-/// can drain it without depending on `bpfree-par` directly).
-pub use bpfree_par::timings;
 
 use std::sync::Arc;
 
@@ -62,8 +58,8 @@ pub struct BenchData {
 impl BenchData {
     /// Loads one benchmark through `engine`: compile, analyze, build
     /// the heuristic table, and profile the reference dataset — each at
-    /// most once per process, and not at all when the on-disk cache
-    /// (see [`config`]) holds a current entry.
+    /// most once per process, and not at all when the engine's cache
+    /// image holds a current entry.
     ///
     /// # Panics
     ///

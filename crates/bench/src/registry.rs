@@ -14,7 +14,6 @@ use std::time::Instant;
 
 use bpfree_engine::{Engine, Need};
 use bpfree_lang::Options;
-use bpfree_par::timings::timed;
 
 use crate::experiments;
 
@@ -198,11 +197,7 @@ pub fn run_experiments(
         }
         let start = Instant::now();
         let mut bytes = Vec::new();
-        timed(
-            "experiment",
-            || exp.name().to_string(),
-            || exp.run(engine, &mut bytes),
-        )?;
+        exp.run(engine, &mut bytes)?;
         Ok(Report {
             bytes,
             millis: start.elapsed().as_millis() as u64,

@@ -59,8 +59,8 @@
 //! leave a half-written image and concurrent processes simply see the
 //! last complete one.
 //!
-//! Set `BPFREE_NO_CACHE=1` (or pass `--no-cache`) to bypass the cache
-//! entirely.
+//! An engine built with `use_cache` off (the CLI's `--no-cache`) never
+//! reads or writes the image.
 
 #![forbid(unsafe_code)]
 
@@ -177,29 +177,20 @@ pub struct TraceArtifacts {
     pub run: RunResult,
 }
 
-/// The cache directory: `BPFREE_CACHE_DIR`, else
-/// `$CARGO_TARGET_DIR/bpfree-cache`, else `target/bpfree-cache`. A
-/// variable set to the empty string counts as unset, as it does for
-/// `BPFREE_NO_CACHE`, so it never names the current directory.
+/// The default cache directory: `$CARGO_TARGET_DIR/bpfree-cache`, else
+/// `target/bpfree-cache`, following cargo's own setting. An empty
+/// `CARGO_TARGET_DIR` counts as unset, so the cache never lands in the
+/// current directory itself.
 pub fn default_dir() -> PathBuf {
-    let var = |name| std::env::var_os(name).filter(|v| !v.is_empty());
-    if let Some(dir) = var("BPFREE_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    let target = var("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| "target".into());
-    target.join("bpfree-cache")
+    std::env::var_os("CARGO_TARGET_DIR")
+        .filter(|v| !v.is_empty())
+        .map_or_else(|| "target".into(), PathBuf::from)
+        .join("bpfree-cache")
 }
 
 /// The cache image inside cache directory `dir`: `dir/suite.img`.
 pub fn image_path(dir: &Path) -> PathBuf {
     dir.join("suite.img")
-}
-
-/// Is the cache disabled via `BPFREE_NO_CACHE`?
-pub fn disabled_by_env() -> bool {
-    std::env::var_os("BPFREE_NO_CACHE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Each artifact kind round-trips through its image payload, and each

@@ -36,7 +36,15 @@
 //! processes skip the work entirely: [`Engine::new`] mounts it and
 //! [`Engine::persist`] writes it back. Warm and `--image` runs share
 //! one path, and the compute functions behind the memos never touch
-//! the disk.
+//! the disk. Where the cache lives, and whether it is used at all, is
+//! the caller's [`EngineConfig`]; the engine reads no environment
+//! variable.
+//!
+//! The work counters ([`Engine::compiles`], [`Engine::analyses`],
+//! [`Engine::decodes`], [`Engine::simulations`],
+//! [`Engine::trace_records`], [`Engine::orderings`]) are the memos'
+//! fill counts: a slot filled by its computation counts once, and a
+//! slot filled by a mount or as a by-product does not count at all.
 //!
 //! Queries compute on demand, on the calling thread. A caller that
 //! knows what it will read declares it up front as [`Need`]s, and
@@ -90,15 +98,14 @@ use bpfree_core::ordering::{BenchOrderData, OrderingStudy};
 use bpfree_core::{BranchClassifier, HeuristicTable, DEFAULT_SEED};
 use bpfree_ir::{BranchRef, Program};
 use bpfree_lang::Options;
-use bpfree_par::timings::timed;
 use bpfree_sim::{
     BranchTrace, BytecodeProgram, EdgeProfile, EdgeProfiler, InterpTier, Pair, RunResult,
     SimConfig, TraceRecorder,
 };
 use bpfree_suite::{Benchmark, Dataset, SuiteError};
 
-/// Engine configuration. [`Default`] honours the `BPFREE_NO_CACHE` and
-/// `BPFREE_CACHE_DIR` environment variables.
+/// Engine configuration. [`Default`] is the cache on, in
+/// [`bpfree_cache::default_dir`], with verbose notes.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Start from the cache image and let [`Engine::persist`] write it
@@ -119,7 +126,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            use_cache: !bpfree_cache::disabled_by_env(),
+            use_cache: true,
             cache_dir: bpfree_cache::default_dir(),
             verbose: true,
             tier: InterpTier::default(),
@@ -200,8 +207,13 @@ type RunKey = (&'static str, Options, usize);
 /// thread's wait on the slot always ends. An init that asks for its own
 /// key again would wait on itself forever inside the `OnceLock`, so the
 /// fill path panics instead, naming the key.
+///
+/// The memo counts the slots its inits fill ([`Memo::fills`]); a slot
+/// filled by [`Memo::offer`] (a mount, or a by-product) is no work and
+/// does not count. The engine's work counters are these counts.
 struct Memo<K, V> {
     slots: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    fills: AtomicU64,
 }
 
 thread_local! {
@@ -222,6 +234,7 @@ impl<K: Eq + Hash + Clone + Debug, V: Clone> Memo<K, V> {
     fn new() -> Memo<K, V> {
         Memo {
             slots: Mutex::new(HashMap::new()),
+            fills: AtomicU64::new(0),
         }
     }
 
@@ -246,7 +259,17 @@ impl<K: Eq + Hash + Clone + Debug, V: Clone> Memo<K, V> {
         );
         FILLING.with_borrow_mut(|filling| filling.push(id));
         let _filling = Filling(id);
-        slot.get_or_init(init).clone()
+        slot.get_or_init(|| {
+            let value = init();
+            self.fills.fetch_add(1, Ordering::Relaxed);
+            value
+        })
+        .clone()
+    }
+
+    /// How many slots an init has filled.
+    fn fills(&self) -> u64 {
+        self.fills.load(Ordering::Relaxed)
     }
 
     /// Fills the slot if nothing beat us to it (used when one
@@ -287,12 +310,6 @@ pub struct Engine {
     datasets: Memo<&'static str, Arc<Vec<Dataset>>>,
     order_data: Memo<CompileKey, Arc<BenchOrderData>>,
     ordering_studies: Memo<(String, Options), Arc<OrderingStudy>>,
-    simulations: AtomicU64,
-    analyses: AtomicU64,
-    orderings: AtomicU64,
-    compiles: AtomicU64,
-    decodes: AtomicU64,
-    trace_records: AtomicU64,
 }
 
 impl Engine {
@@ -314,12 +331,6 @@ impl Engine {
             datasets: Memo::new(),
             order_data: Memo::new(),
             ordering_studies: Memo::new(),
-            simulations: AtomicU64::new(0),
-            analyses: AtomicU64::new(0),
-            orderings: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
-            decodes: AtomicU64::new(0),
-            trace_records: AtomicU64::new(0),
         };
         if engine.config.use_cache {
             let path = bpfree_cache::image_path(&engine.config.cache_dir);
@@ -346,9 +357,11 @@ impl Engine {
     /// How many interpreter passes this engine has actually executed —
     /// the currency every other artifact is bought with. Memo and cache
     /// hits don't count; the [`Pair`] fan-out means one pass can serve
-    /// profile, run result, and trace together.
+    /// profile, run result, and trace together. Each computed run or
+    /// trace is exactly one pass (a trace pass offers its run, which
+    /// counts as no work).
     pub fn simulations(&self) -> u64 {
-        self.simulations.load(Ordering::Relaxed)
+        self.runs.fills() + self.traces.fills()
     }
 
     /// How many classifier + heuristic-table computations this engine
@@ -356,20 +369,20 @@ impl Engine {
     /// run that restores every prediction artifact from disk reports
     /// zero, which is exactly what the CI parity job asserts.
     pub fn analyses(&self) -> u64 {
-        self.analyses.load(Ordering::Relaxed)
+        self.predictions.fills()
     }
 
     /// How many 5040-order rate matrices this engine has built. The
     /// matrix is not cached on disk, so every process that reads a
     /// roster's study builds it once; memo hits don't count.
     pub fn orderings(&self) -> u64 {
-        self.orderings.load(Ordering::Relaxed)
+        self.ordering_studies.fills()
     }
 
     /// How many source-to-IR compilations this engine has actually
     /// executed. Memo, cache, and image hits don't count.
     pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
+        self.programs.fills()
     }
 
     /// How many bytecode-decode passes this engine has actually
@@ -377,25 +390,20 @@ impl Engine {
     /// result lives only in this process, so a run served from the
     /// image decodes nothing.
     pub fn decodes(&self) -> u64 {
-        self.decodes.load(Ordering::Relaxed)
+        self.decoded.fills()
     }
 
     /// How many branch traces this engine has actually *recorded* (via
     /// an instrumented interpreter pass). Memo, cache, and image hits
     /// don't count.
     pub fn trace_records(&self) -> u64 {
-        self.trace_records.load(Ordering::Relaxed)
+        self.traces.fills()
     }
 
     /// The benchmark's datasets, generated once per process.
     pub fn datasets(&self, bench: &Benchmark) -> Arc<Vec<Dataset>> {
-        self.datasets.get_or_init(bench.name, || {
-            timed(
-                "datasets",
-                || bench.name.to_string(),
-                || Arc::new(bench.datasets()),
-            )
-        })
+        self.datasets
+            .get_or_init(bench.name, || Arc::new(bench.datasets()))
     }
 
     /// The compiled program, branch classifier, and heuristic table for
@@ -421,13 +429,8 @@ impl Engine {
     ///
     /// If the benchmark source fails to compile (a suite bug).
     pub fn program(&self, bench: &Benchmark, opt: Options) -> Arc<Program> {
-        self.programs.get_or_init((bench.name, opt), || {
-            timed(
-                "compile",
-                || format!("{} [{}]", bench.name, opt.fingerprint()),
-                || self.build_program(bench, opt),
-            )
-        })
+        self.programs
+            .get_or_init((bench.name, opt), || self.build_program(bench, opt))
     }
 
     /// The prediction artifacts of `bench` under `opt`: branch
@@ -437,13 +440,8 @@ impl Engine {
     /// and performs zero CFG analyses ([`Engine::analyses`] stays
     /// flat).
     pub fn predictions(&self, bench: &Benchmark, opt: Options) -> Predicted {
-        self.predictions.get_or_init((bench.name, opt), || {
-            timed(
-                "analyze",
-                || format!("{} [{}]", bench.name, opt.fingerprint()),
-                || self.build_predictions(bench, opt),
-            )
-        })
+        self.predictions
+            .get_or_init((bench.name, opt), || self.build_predictions(bench, opt))
     }
 
     /// The flat-bytecode lowering of `bench` under `opt`, decoded once
@@ -452,14 +450,7 @@ impl Engine {
     /// trace of the `(benchmark, Options)` pair.
     pub fn decoded(&self, bench: &Benchmark, opt: Options) -> Arc<BytecodeProgram> {
         self.decoded.get_or_init((bench.name, opt), || {
-            timed(
-                "decode",
-                || format!("{} [{}]", bench.name, opt.fingerprint()),
-                || {
-                    self.decodes.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(BytecodeProgram::compile(&self.program(bench, opt)))
-                },
-            )
+            Arc::new(BytecodeProgram::compile(&self.program(bench, opt)))
         })
     }
 
@@ -484,11 +475,7 @@ impl Engine {
             index,
         })?;
         Ok(self.runs.get_or_init((bench.name, opt, index), || {
-            timed(
-                "run",
-                || format!("{}/{}", bench.name, dataset.name),
-                || self.compute_run(bench, opt, index, dataset),
-            )
+            self.compute_run(bench, opt, index, dataset)
         }))
     }
 
@@ -519,11 +506,7 @@ impl Engine {
             index,
         })?;
         Ok(self.traces.get_or_init((bench.name, opt, index), || {
-            timed(
-                "trace",
-                || format!("{}/{}", bench.name, dataset.name),
-                || self.compute_trace(bench, opt, index, dataset),
-            )
+            self.compute_trace(bench, opt, index, dataset)
         }))
     }
 
@@ -566,11 +549,7 @@ impl Engine {
         let roster: Vec<&str> = benches.iter().map(|b| b.name).collect();
         self.ordering_studies
             .get_or_init((roster.join(","), opt), || {
-                timed(
-                    "ordering",
-                    || format!("{} benches [{}]", benches.len(), opt.fingerprint()),
-                    || self.build_ordering(benches, opt),
-                )
+                self.build_ordering(benches, opt)
             })
     }
 
@@ -673,7 +652,6 @@ impl Engine {
         dataset: &Dataset,
         observer: &mut O,
     ) -> Result<RunResult, SuiteError> {
-        self.simulations.fetch_add(1, Ordering::Relaxed);
         match self.config.tier {
             InterpTier::Bytecode => {
                 let decoded = self.decoded(bench, opt);
@@ -700,7 +678,6 @@ impl Engine {
     fn build_program(&self, bench: &Benchmark, opt: Options) -> Arc<Program> {
         let fp = opt.fingerprint();
         self.note("miss", format_args!("compile {} [{fp}]", bench.name));
-        self.compiles.fetch_add(1, Ordering::Relaxed);
         let program = bpfree_lang::compile_with(bench.source, opt)
             .unwrap_or_else(|e| panic!("benchmark `{}` fails to compile: {e}", bench.name));
         Arc::new(program)
@@ -710,7 +687,6 @@ impl Engine {
         let fp = opt.fingerprint();
         let program = self.program(bench, opt);
         self.note("miss", format_args!("analyze {} [{fp}]", bench.name));
-        self.analyses.fetch_add(1, Ordering::Relaxed);
         let classifier = BranchClassifier::analyze(&program);
         let table = HeuristicTable::build(&program, &classifier);
         Predicted {
@@ -729,7 +705,6 @@ impl Engine {
             .iter()
             .map(|&b| (*self.order_data(b, opt)).clone())
             .collect();
-        self.orderings.fetch_add(1, Ordering::Relaxed);
         Arc::new(OrderingStudy::new_serial(live))
     }
 
@@ -766,7 +741,6 @@ impl Engine {
         );
         // One pass, two observers: profile and trace from the same
         // execution.
-        self.trace_records.fetch_add(1, Ordering::Relaxed);
         let mut pair = Pair(EdgeProfiler::new(), TraceRecorder::new());
         let result = self
             .simulate(bench, opt, &program, dataset, &mut pair)

@@ -20,15 +20,12 @@
 //!
 //! # Job-count resolution
 //!
-//! [`jobs`] resolves, in priority order: the process-wide override set
-//! by [`set_jobs`] (the binaries' `--jobs N` flag) → the `BPFREE_JOBS`
-//! environment variable → [`available_parallelism`]. [`clamp_workers`]
+//! [`jobs`] is the process-wide count set by [`set_jobs`] (the CLI's
+//! `--jobs N` flag), else [`available_parallelism`]. [`clamp_workers`]
 //! caps the threads a call starts at what the machine can run, so
 //! `--jobs 64` on a 4-core box runs 4 threads.
 
 #![forbid(unsafe_code)]
-
-pub mod timings;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,22 +38,13 @@ pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The effective worker count: [`set_jobs`] override, else `BPFREE_JOBS`,
-/// else the machine's available parallelism (at least 1).
+/// The effective worker count: the [`set_jobs`] override, else the
+/// machine's available parallelism (at least 1).
 pub fn jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
+    match JOBS_OVERRIDE.load(Ordering::Relaxed) {
+        0 => available_parallelism(),
+        explicit => explicit,
     }
-    if let Some(n) = std::env::var("BPFREE_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    available_parallelism()
 }
 
 /// [`std::thread::available_parallelism`] with the `Err` case collapsed

@@ -13,8 +13,8 @@ use bpfree::engine::{Engine, EngineConfig};
 use bpfree::lang::Options;
 
 fn main() {
-    // The engine memoizes every artifact queried below and, unless
-    // BPFREE_NO_CACHE is set, serves what the cache image already holds.
+    // The engine memoizes every artifact queried below and serves what
+    // the cache image in the default cache directory already holds.
     let engine = Engine::new(EngineConfig::default());
     println!(
         "{:<11} {:>14} {:>14} {:>12}",

@@ -21,10 +21,21 @@
 //! `--no-cache`) and, if they computed anything, rewrite it once at the
 //! end. `cache stat` lists it; every other command leaves it alone.
 //!
+//! Each command parses its own arguments and takes only the flags it
+//! uses, so a setting has one source, the command line:
+//!
+//! - `--no-cache` and `--cache-dir DIR` (default
+//!   `$CARGO_TARGET_DIR/bpfree-cache`, else `target/bpfree-cache`) on
+//!   `bench`, `exp run`, `exp all` and `image build`; `--cache-dir DIR`
+//!   on `cache stat`;
+//! - `--jobs N` (default: the machine's available parallelism) on
+//!   `exp run`, `exp all` and `image build`. The output is identical at
+//!   any `N`.
+//!
 //! Exit codes: 0 success, 1 runtime failure (bad input file, simulator
 //! error), 2 usage error (unknown command/experiment/benchmark/function,
-//! a flag the command does not take, a missing flag value). Only usage
-//! errors print the usage text.
+//! a flag the command does not take, a missing or malformed flag value).
+//! Only usage errors print the usage text.
 //!
 //! Wall-clock and per-layer timings of the whole reproduction come from
 //! the repository benchmark, not from this binary:
@@ -33,17 +44,18 @@
 #![forbid(unsafe_code)]
 
 use std::io::{self, Write};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bpfree::bench::config;
 use bpfree::bench::json::Json;
 use bpfree::bench::registry::{self, Experiment, Report};
 use bpfree::core::{
     evaluate, perfect_predictions, Attribution, BranchClass, BranchClassifier, CombinedPredictor,
     Direction, HeuristicKind,
 };
+use bpfree::engine::{Engine, EngineConfig};
 use bpfree::lang::{compile_with, Options};
 use bpfree::sim::{EdgeProfiler, NullObserver, SimConfig, Simulator};
 
@@ -107,20 +119,16 @@ fn main() -> ExitCode {
         closed: false,
     };
     let result = (|| {
-        // The standard experiment flags (--jobs/--no-cache/--cache-dir)
-        // may appear anywhere; whatever remains belongs to the command.
-        let (cfg, rest) = config::extract(raw).map_err(Failure::Usage)?;
-        cfg.apply();
-        match rest.first().map(String::as_str) {
-            Some("compile") => cmd_compile(out, &rest[1..]),
-            Some("run") => cmd_run(out, &rest[1..]),
-            Some("predict") => cmd_predict(out, &rest[1..]),
-            Some("cfg") => cmd_cfg(out, &rest[1..]),
-            Some("bench") => cmd_bench(out, &cfg, &rest[1..]),
-            Some("exp") => cmd_exp(out, &cfg, &rest[1..]),
-            Some("image") => cmd_image(out, &cfg, &rest[1..]),
-            Some("cache") => cmd_cache(out, &cfg, &rest[1..]),
-            Some("list") => cmd_list(out, &rest[1..]),
+        match raw.first().map(String::as_str) {
+            Some("compile") => cmd_compile(out, &raw[1..]),
+            Some("run") => cmd_run(out, &raw[1..]),
+            Some("predict") => cmd_predict(out, &raw[1..]),
+            Some("cfg") => cmd_cfg(out, &raw[1..]),
+            Some("bench") => cmd_bench(out, &raw[1..]),
+            Some("exp") => cmd_exp(out, &raw[1..]),
+            Some("image") => cmd_image(out, &raw[1..]),
+            Some("cache") => cmd_cache(out, &raw[1..]),
+            Some("list") => cmd_list(out, &raw[1..]),
             Some("--version" | "-V") => {
                 writeln!(out, "bpfree {}", env!("CARGO_PKG_VERSION"))?;
                 Ok(())
@@ -169,10 +177,12 @@ fn print_usage() {
     eprintln!("  bpfree cache stat                 inventory the cache image (DIR/suite.img)");
     eprintln!("  bpfree --version                  print the version");
     eprintln!();
-    eprintln!("common flags (run/bench/predict/exp): --jobs N, --no-cache, --cache-dir DIR,");
-    eprintln!("                                      --timings[=PATH]");
-    eprintln!("exp run/all also accept: --out-dir DIR (capture files + manifest.json)");
-    eprintln!("                         --image PATH (mount a warm-start suite image)");
+    eprintln!("flags, each taken only by the commands named:");
+    eprintln!("  --no-cache         bench, exp run/all, image build: no cache image");
+    eprintln!("  --cache-dir DIR    those and cache stat (default target/bpfree-cache)");
+    eprintln!("  --jobs N           exp run/all, image build: worker threads");
+    eprintln!("  --out-dir DIR      exp run/all: capture files + manifest.json");
+    eprintln!("  --image PATH       exp run/all: mount a warm-start suite image");
 }
 
 fn load_program(path: &str, options: Options) -> Result<bpfree::ir::Program, Failure> {
@@ -258,13 +268,37 @@ impl CmdArgs {
             .collect()
     }
 
-    fn number(&self, name: &str) -> Result<Option<u64>, Failure> {
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Failure>
+    where
+        T::Err: std::fmt::Display,
+    {
         self.value(name)
             .map(|v| {
                 v.parse()
                     .map_err(|e| usage_err(format!("bad value for {name}: {e}")))
             })
             .transpose()
+    }
+
+    /// The artifact engine of a command that takes the cache flags
+    /// (`--no-cache`, `--cache-dir DIR`), after applying `--jobs N` if
+    /// the command takes that too. Building it mounts the cache image
+    /// when the cache is on.
+    fn engine(&self) -> Result<Engine, Failure> {
+        if let Some(jobs) = self.number::<NonZeroUsize>("--jobs")? {
+            bpfree_par::set_jobs(jobs.get());
+        }
+        Ok(Engine::new(EngineConfig {
+            use_cache: !self.has("--no-cache"),
+            cache_dir: self.cache_dir(),
+            ..EngineConfig::default()
+        }))
+    }
+
+    /// `--cache-dir DIR`, else the default cache directory.
+    fn cache_dir(&self) -> PathBuf {
+        self.value("--cache-dir")
+            .map_or_else(bpfree::cache::default_dir, PathBuf::from)
     }
 }
 
@@ -469,16 +503,21 @@ fn cmd_cfg(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_bench(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
-    let args = CmdArgs::parse("bench", args, 1, &[], &["--dataset"])?;
+fn cmd_bench(out: &mut Out, args: &[String]) -> Result<(), Failure> {
+    let args = CmdArgs::parse(
+        "bench",
+        args,
+        1,
+        &["--no-cache"],
+        &["--dataset", "--cache-dir"],
+    )?;
     let name = args.first("bench needs a benchmark name")?;
     let bench = bpfree::suite::by_name(name)
         .ok_or_else(|| usage_err(format!("no benchmark `{name}` (try `bpfree list`)")))?;
-    let dataset = args.number("--dataset")?.unwrap_or(0) as usize;
-    // The artifact engine memoizes and (subject to --no-cache /
-    // --cache-dir and their environment twins) persists everything this
-    // command computes.
-    let engine = &cfg.engine();
+    let dataset = args.number("--dataset")?.unwrap_or(0);
+    // The artifact engine memoizes and (unless --no-cache) persists
+    // everything this command computes.
+    let engine = &args.engine()?;
     let compiled = engine.compiled(&bench, Options::default());
     let bundle = engine
         .try_run(&bench, Options::default(), dataset)
@@ -541,7 +580,7 @@ fn cmd_list(out: &mut Out, args: &[String]) -> Result<(), Failure> {
 }
 
 /// `bpfree exp list|run|all` — the registered experiments.
-fn cmd_exp(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
+fn cmd_exp(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("list") => {
             CmdArgs::parse("exp list", &args[1..], 0, &[], &[])?;
@@ -558,8 +597,8 @@ fn cmd_exp(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), F
             Ok(())
         }
         Some("run") => {
-            let valued = &["--out-dir", "--image"];
-            let args = CmdArgs::parse("exp run", &args[1..], usize::MAX, &[], valued)?;
+            let valued = &["--out-dir", "--image", "--jobs", "--cache-dir"];
+            let args = CmdArgs::parse("exp run", &args[1..], usize::MAX, &["--no-cache"], valued)?;
             if args.positional.is_empty() {
                 return Err(usage_err(
                     "exp run needs at least one experiment name (see `bpfree exp list`)",
@@ -570,11 +609,11 @@ fn cmd_exp(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), F
                 .iter()
                 .map(|n| resolve_experiment(n))
                 .collect::<Result<_, _>>()?;
-            run_exps(out, cfg, &exps, &args, "run")
+            run_exps(out, &exps, &args, "run")
         }
         Some("all") => {
-            let valued = &["--out-dir", "--image", "--skip"];
-            let args = CmdArgs::parse("exp all", &args[1..], usize::MAX, &[], valued)?;
+            let valued = &["--out-dir", "--image", "--skip", "--jobs", "--cache-dir"];
+            let args = CmdArgs::parse("exp all", &args[1..], usize::MAX, &["--no-cache"], valued)?;
             if let Some(stray) = args.positional.first() {
                 return Err(usage_err(format!(
                     "exp all takes no experiment names (got `{stray}`); use `exp run` or `--skip`"
@@ -589,7 +628,7 @@ fn cmd_exp(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), F
                 .copied()
                 .filter(|e| !skip.contains(&e.name()))
                 .collect();
-            run_exps(out, cfg, &exps, &args, "all")
+            run_exps(out, &exps, &args, "all")
         }
         _ => Err(usage_err(
             "exp needs a subcommand: `list`, `run NAME...`, or `all`",
@@ -610,24 +649,20 @@ fn resolve_experiment(name: &str) -> Result<&'static dyn Experiment, Failure> {
 
 /// `bpfree image build|verify|ls` — the single-file warm-start suite
 /// image (cache format v10, see `bpfree::cache::image`).
-fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
-    let path_arg = |verb: &str| -> Result<PathBuf, Failure> {
-        let parsed = CmdArgs::parse(&format!("image {verb}"), &args[1..], 1, &[], &[])?;
-        Ok(PathBuf::from(
-            parsed.first(&format!("image {verb} needs a path"))?,
-        ))
-    };
+fn cmd_image(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("build") => {
-            let path = path_arg("build")?;
+            let valued = &["--jobs", "--cache-dir"];
+            let args = CmdArgs::parse("image build", &args[1..], 1, &["--no-cache"], valued)?;
+            let path = Path::new(args.first("image build needs a path")?);
             // Work the full experiment batch through the engine (warm
             // from the cache image where possible), then snapshot every
             // memo into the image at PATH.
-            let engine = &cfg.engine();
+            let engine = &args.engine()?;
             registry::run_experiments(registry::all(), engine, true)
                 .map_err(|e| runtime_err(e.to_string()))?;
             let (entries, bytes) = engine
-                .export_image(&path)
+                .export_image(path)
                 .map_err(|e| runtime_err(e.to_string()))?;
             persist(engine);
             writeln!(out, "image: {}", path.display())?;
@@ -636,17 +671,18 @@ fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(),
             Ok(())
         }
         Some("verify") => {
-            let path = path_arg("verify")?;
+            let args = CmdArgs::parse("image verify", &args[1..], 1, &[], &[])?;
+            let path = Path::new(args.first("image verify needs a path")?);
             // Structural integrity first (magic, checksums, bounds),
             // then a real mount: an image from another build skips every
             // entry, and each entry of this build's either passes its
             // checks or is skipped. Skips are explained on stderr.
-            let engine = bpfree::engine::Engine::new(bpfree::engine::EngineConfig {
+            let engine = Engine::new(EngineConfig {
                 verbose: true,
-                ..bpfree::engine::EngineConfig::no_cache()
+                ..EngineConfig::no_cache()
             });
             let report = engine
-                .mount_image(&path)
+                .mount_image(path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
             writeln!(
                 out,
@@ -659,8 +695,9 @@ fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(),
             Ok(())
         }
         Some("ls") => {
-            let path = path_arg("ls")?;
-            let img = bpfree::cache::image::SuiteImage::open(&path)
+            let args = CmdArgs::parse("image ls", &args[1..], 1, &[], &[])?;
+            let path = Path::new(args.first("image ls needs a path")?);
+            let img = bpfree::cache::image::SuiteImage::open(path)
                 .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
             writeln!(
                 out,
@@ -692,15 +729,13 @@ fn cmd_image(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(),
     }
 }
 
-/// `bpfree cache stat` — what the cache image holds, per artifact
-/// kind. Honors `--cache-dir` / `BPFREE_CACHE_DIR` like every other
-/// command.
-fn cmd_cache(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(), Failure> {
+/// `bpfree cache stat` — what the cache image under `--cache-dir` (or
+/// the default cache directory) holds, per artifact kind.
+fn cmd_cache(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     if args.first().map(String::as_str) != Some("stat") {
         return Err(usage_err("cache needs a subcommand: `stat`"));
     }
-    CmdArgs::parse("cache stat", &args[1..], 0, &[], &[])?;
-    let dir = &cfg.cache_dir;
+    let dir = &CmdArgs::parse("cache stat", &args[1..], 0, &[], &["--cache-dir"])?.cache_dir();
     let path = bpfree::cache::image_path(dir);
     let stat = bpfree::cache::maint::scan(dir)
         .map_err(|e| runtime_err(format!("{}: {e}", path.display())))?;
@@ -721,7 +756,7 @@ fn cmd_cache(out: &mut Out, cfg: &config::Config, args: &[String]) -> Result<(),
 /// Rewrites the cache image if this process computed anything (see
 /// `Engine::persist`). A failed write costs the next run time, never
 /// this run's output, so it is a warning, not an error.
-fn persist(engine: &bpfree::engine::Engine) {
+fn persist(engine: &Engine) {
     if let Err(e) = engine.persist() {
         eprintln!(
             "[bpfree] warning: cannot write the cache image under {}: {e}",
@@ -736,12 +771,11 @@ fn persist(engine: &bpfree::engine::Engine) {
 /// whole batch, which is the point of `exp all`.
 fn run_exps(
     out: &mut Out,
-    cfg: &config::Config,
     exps: &[&'static dyn Experiment],
     args: &CmdArgs,
     mode: &str,
 ) -> Result<(), Failure> {
-    let engine = &cfg.engine();
+    let engine = &args.engine()?;
     // An explicit suite image pre-fills every memo the batch would
     // otherwise compute (on top of the cache image the engine mounted
     // itself); a structurally corrupt `--image` is a hard error, but one
@@ -789,9 +823,6 @@ fn run_exps(
         start.elapsed().as_secs_f64(),
         engine.simulations()
     );
-    if let Some(timings) = &cfg.timings {
-        emit_timings(timings)?;
-    }
     Ok(())
 }
 
@@ -826,30 +857,4 @@ fn write_capture(
     let path = dir.join("manifest.json");
     std::fs::write(&path, format!("{}\n", manifest.pretty()))?;
     Ok(path)
-}
-
-/// Drains the per-task timing log (`--timings` / `BPFREE_TIMINGS`) and
-/// writes it as JSON to stderr or the configured file.
-fn emit_timings(out: &config::TimingsOut) -> io::Result<()> {
-    let tasks: Vec<Json> = bpfree::bench::timings::drain()
-        .iter()
-        .map(|t| {
-            Json::obj()
-                .field("kind", t.kind)
-                .field("key", t.key.as_str())
-                .field("micros", t.micros)
-                .build()
-        })
-        .collect();
-    let doc = Json::obj()
-        .field("schema", "bpfree-timings/2")
-        .field("tasks", tasks)
-        .build();
-    match out {
-        config::TimingsOut::Stderr => {
-            eprintln!("{}", doc.pretty());
-            Ok(())
-        }
-        config::TimingsOut::File(path) => std::fs::write(path, format!("{}\n", doc.pretty())),
-    }
 }

@@ -181,23 +181,24 @@ fn exp_list_names_every_experiment() {
 
 #[test]
 fn exp_run_streams_to_stdout() {
-    // graph12 is the pure-math experiment: instant, no suite work.
-    let out = bpfree()
-        .arg("exp")
-        .arg("run")
-        .arg("graph12")
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("model dividing lengths"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("running graph12"), "{stderr}");
-    assert!(stderr.contains("interpreter passes"), "{stderr}");
+    // graph12 is the pure-math experiment: instant, no suite work. The
+    // standard flags take their values in either form.
+    let dir = scratch_dir("flag-forms");
+    let cache_dir = format!("--cache-dir={}", dir.display());
+    for flags in [&[][..], &["--jobs=1", "--no-cache", &cache_dir]] {
+        let out = bpfree()
+            .args(["exp", "run", "graph12"])
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flags:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("model dividing lengths"), "{stdout}");
+        assert!(stderr.contains("running graph12"), "{stderr}");
+        assert!(stderr.contains("interpreter passes"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -306,11 +307,33 @@ fn cfg_func_filter_limits_output() {
     assert!(!stdout.contains("label=\"main\""));
 }
 
+/// A valid suite image of one compile entry.
+fn small_image() -> Vec<u8> {
+    use bpfree::cache::image::{Artifact, ImageBuilder};
+    let program = bpfree::lang::compile(PROGRAM).unwrap();
+    let mut b = ImageBuilder::new();
+    b.add("grep", "O", None, Artifact::Compile(&program));
+    b.finish()
+}
+
+/// Each command takes only the flags it uses: `--no-cache` and
+/// `--cache-dir` only where it reads the cache, `--jobs` only where it
+/// runs parallel work, and none of them before the subcommand. A flag
+/// it takes still needs a valid value: `--jobs` a positive count.
 #[test]
 fn every_command_rejects_arguments_it_does_not_take() {
     let file = write_temp("strict", PROGRAM);
     let f = file.to_str().unwrap();
+    let image = std::env::temp_dir().join(format!("bpfree-cli-strict-{}.img", std::process::id()));
+    std::fs::write(&image, small_image()).unwrap();
+    let img = image.to_str().unwrap();
+    let dir = std::env::temp_dir();
+    let d = dir.to_str().unwrap();
     const FROB: &str = "unrecognized flag `--frobnicate`";
+    const NO_CACHE: &str = "unrecognized flag `--no-cache`";
+    const JOBS: &str = "unrecognized flag `--jobs`";
+    const CACHE_DIR: &str = "unrecognized flag `--cache-dir`";
+    const TIMINGS: &str = "unrecognized flag `--timings`";
     let cases: &[(&[&str], &str)] = &[
         (&["--frobnicate"], FROB),
         (&["compile", f, "--frobnicate"], FROB),
@@ -332,6 +355,38 @@ fn every_command_rejects_arguments_it_does_not_take() {
         ),
         (&["image", "ls", "x.img", "--frobnicate"], FROB),
         (&["cache", "stat", "--frobnicate"], FROB),
+        (&["run", f, "--no-cache"], NO_CACHE),
+        (&["compile", f, "--jobs", "2"], JOBS),
+        (&["predict", f, "--cache-dir", d], CACHE_DIR),
+        (&["list", "--timings"], TIMINGS),
+        (&["exp", "list", "--cache-dir", d], CACHE_DIR),
+        (&["image", "ls", img, "--no-cache"], NO_CACHE),
+        (&["image", "verify", img, "--jobs", "2"], JOBS),
+        (&["bench", "grep", "--jobs", "2"], JOBS),
+        (&["cache", "stat", "--no-cache"], NO_CACHE),
+        (&["--jobs", "2", "exp", "list"], JOBS),
+        (
+            &["exp", "run", "graph12", "-j", "2"],
+            "unrecognized flag `-j`",
+        ),
+        (&["exp", "all", "--timings"], TIMINGS),
+        (
+            &["exp", "run", "graph12", "--jobs", "0"],
+            "bad value for --jobs",
+        ),
+        (
+            &["exp", "run", "graph12", "--jobs", "zap"],
+            "bad value for --jobs",
+        ),
+        (&["exp", "run", "graph12", "--jobs"], "--jobs needs a value"),
+        (
+            &["exp", "run", "graph12", "--jobs="],
+            "--jobs needs a value",
+        ),
+        (
+            &["exp", "run", "graph12", "--cache-dir"],
+            "--cache-dir needs a value",
+        ),
     ];
     for (args, expect) in cases {
         let out = bpfree().args(*args).output().unwrap();
@@ -345,6 +400,7 @@ fn every_command_rejects_arguments_it_does_not_take() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+    let _ = std::fs::remove_file(&image);
 }
 
 /// A fresh, empty scratch directory for one test.
@@ -390,11 +446,7 @@ fn empty_path_values_are_usage_errors() {
 
 /// A valid suite image cut one byte short.
 fn truncated_image() -> Vec<u8> {
-    use bpfree::cache::image::{Artifact, ImageBuilder};
-    let program = bpfree::lang::compile(PROGRAM).unwrap();
-    let mut b = ImageBuilder::new();
-    b.add("grep", "O", None, Artifact::Compile(&program));
-    let mut bytes = b.finish();
+    let mut bytes = small_image();
     bytes.pop();
     bytes
 }
@@ -524,26 +576,28 @@ fn malformed_compile_entry_is_skipped_not_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An empty `BPFREE_CACHE_DIR` is unset, not the current directory: the
-/// cache lands under `$CARGO_TARGET_DIR/bpfree-cache`.
+/// The default cache directory follows `CARGO_TARGET_DIR`, and an empty
+/// one is unset, not the current directory: the cache lands under
+/// `target/bpfree-cache`.
 #[test]
-fn empty_cache_dir_variable_is_unset() {
-    let cwd = scratch_dir("empty-cache-env");
-    let out = bpfree()
-        .args(["bench", "grep"])
-        .current_dir(&cwd)
-        .env("BPFREE_CACHE_DIR", "")
-        .env("CARGO_TARGET_DIR", "T")
-        .env_remove("BPFREE_NO_CACHE")
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(
-        !cwd.join("suite.img").exists(),
-        "the cache went into the cwd"
-    );
-    assert!(cwd.join("T/bpfree-cache/suite.img").is_file(), "{stderr}");
+fn empty_cargo_target_dir_is_unset() {
+    let cwd = scratch_dir("empty-target-env");
+    for (target, dir) in [("", "target"), ("T", "T")] {
+        let out = bpfree()
+            .args(["bench", "grep"])
+            .current_dir(&cwd)
+            .env("CARGO_TARGET_DIR", target)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(
+            !cwd.join("suite.img").exists() && !cwd.join("bpfree-cache").exists(),
+            "the cache went into the cwd"
+        );
+        let image = cwd.join(dir).join("bpfree-cache/suite.img");
+        assert!(image.is_file(), "{target:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&cwd);
 }
 
@@ -551,10 +605,12 @@ fn empty_cache_dir_variable_is_unset() {
 #[test]
 fn exp_list_never_opens_the_cache() {
     let tmp = scratch_dir("list-cache");
-    std::fs::write(bpfree::cache::image_path(&tmp), "garbage").unwrap();
+    let cache = tmp.join("bpfree-cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::write(bpfree::cache::image_path(&cache), "garbage").unwrap();
     let out = bpfree()
-        .args(["exp", "list", "--cache-dir"])
-        .arg(&tmp)
+        .args(["exp", "list"])
+        .env("CARGO_TARGET_DIR", &tmp)
         .output()
         .unwrap();
     let _ = std::fs::remove_dir_all(&tmp);
@@ -584,7 +640,6 @@ fn a_closed_stdout_pipe_only_ends_the_output() {
     for args in &cases {
         let mut child = bpfree()
             .args(args)
-            .env_remove("BPFREE_NO_CACHE")
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())
             .spawn()
