@@ -81,8 +81,9 @@ impl Experiment for FreqEstimate {
                     continue;
                 }
                 xs.push(freq);
-                cs.push(cal.get(b));
-                zs.push(flat.get(b));
+                // All three estimates cover every branch of the program.
+                cs.push(cal.get(b).expect("an estimated branch"));
+                zs.push(flat.get(b).expect("an estimated branch"));
                 ys.push(counts.total() as f64);
             }
             let rho = spearman(&xs, &ys);

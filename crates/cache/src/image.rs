@@ -245,11 +245,10 @@ pub(crate) fn decode_prediction_payload(bytes: &[u8]) -> Option<PredictionArtifa
 /// (branch, (taken, fall-through)) count per profiled site in strictly
 /// increasing branch order.
 pub(crate) fn encode_run_payload(profile: &EdgeProfile, run: RunResult) -> Vec<u8> {
-    let mut counts: Vec<(BranchRef, (u64, u64))> = profile
+    let counts: Vec<(BranchRef, (u64, u64))> = profile
         .iter()
         .map(|(b, c)| (b, (c.taken, c.fallthru)))
         .collect();
-    counts.sort_unstable_by_key(|&(b, _)| b);
     let mut out = Vec::with_capacity(20 + counts.len() * 24);
     (run.exit, run.instructions).put(&mut out);
     counts.put(&mut out);

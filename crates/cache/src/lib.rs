@@ -121,7 +121,7 @@ impl PredictionArtifacts {
                 let heuristics = if class == BranchClass::NonLoop {
                     let (b2, h) = trows.next().expect("one table row per non-loop branch");
                     debug_assert_eq!(branch, b2);
-                    *h
+                    h
                 } else {
                     [None; 7]
                 };
@@ -333,6 +333,19 @@ mod tests {
             counts.put(&mut bytes);
             assert!(decode_run_payload(&bytes).is_none(), "{counts:?}");
         }
+        // A profile recorded in reverse program order still encodes its
+        // sites in order, and decodes to itself.
+        let mut reversed = EdgeProfile::new();
+        for &(b, (taken, fallthru)) in &counts {
+            reversed.record_many(b, true, taken);
+            reversed.record_many(b, false, fallthru);
+        }
+        assert_eq!(reversed, s.profile);
+        let bytes = encode_run_payload(&reversed, s.run);
+        assert_eq!(
+            decode_run_payload(&bytes).expect("decodes").profile,
+            reversed
+        );
     }
 
     /// A trace payload whose dictionary has 257 entries, so that its

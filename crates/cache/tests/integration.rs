@@ -65,14 +65,6 @@ fn add_fresh<'a>(b: &mut ImageBuilder<'a>, f: &'a Fresh, traced: bool) {
     }
 }
 
-fn table_rows(
-    t: &HeuristicTable,
-) -> Vec<(bpfree_ir::BranchRef, [Option<bpfree_core::Direction>; 7])> {
-    let mut rows: Vec<_> = t.rows().map(|(b, r)| (b, *r)).collect();
-    rows.sort_by_key(|(b, _)| *b);
-    rows
-}
-
 /// The artifacts of `name` as a warm engine sees them: the program, the
 /// classifier + table rebuilt from the prediction rows (no CFG
 /// analysis), and the dataset-0 profile.
@@ -125,7 +117,7 @@ fn store_then_lookup_restores_everything() {
 
     // The prediction rows fully reconstruct classifier + table.
     assert!(f.classifier.rows().eq(classifier.rows()));
-    assert_eq!(table_rows(&f.table), table_rows(&table));
+    assert!(f.table.rows().eq(table.rows()));
 }
 
 /// The warm graphs4_11 path: a run is derivable from a trace entry by

@@ -1,7 +1,7 @@
 use std::sync::OnceLock;
 
 use bpfree_cfg::FunctionAnalysis;
-use bpfree_ir::{BlockId, BranchId, BranchRef, BranchTable, FuncId, Program, Terminator};
+use bpfree_ir::{BlockId, BranchMap, BranchRef, FuncId, Program, Terminator};
 
 use crate::predictors::Direction;
 
@@ -19,15 +19,13 @@ pub enum BranchClass {
     NonLoop,
 }
 
-/// Whole-program branch classification on dense [`BranchId`] storage.
+/// Whole-program branch classification.
 ///
 /// Classifies every branch site and computes the loop predictor's
 /// choice for each loop branch: *"if either of the outgoing edges is a
 /// backedge, it is predicted. Otherwise, the non-exit edge is
 /// predicted"* — loops iterate many times and exit once. Results live
-/// in `Vec`s indexed by [`BranchId`] (the program-order branch
-/// enumeration), so queries are index lookups and iteration is
-/// deterministic.
+/// in one [`BranchMap`], so iteration is program order.
 ///
 /// Per-function control-flow analyses are computed lazily: a classifier
 /// rebuilt from cached classification rows (see
@@ -56,13 +54,8 @@ pub enum BranchClass {
 pub struct BranchClassifier {
     /// Lazily-filled per-function analyses, index = [`FuncId`].
     analyses: Vec<OnceLock<FunctionAnalysis>>,
-    /// The program's `BranchRef ⇄ BranchId` side table.
-    branches: BranchTable,
-    /// Branch class, indexed by [`BranchId`].
-    class: Vec<BranchClass>,
-    /// Loop predictor choice (`None` for non-loop), indexed by
-    /// [`BranchId`].
-    loop_pred: Vec<Option<Direction>>,
+    /// Class and loop predictor choice (`None` for non-loop) per branch.
+    rows: BranchMap<(BranchClass, Option<Direction>)>,
 }
 
 fn analysis_of<'a>(
@@ -73,33 +66,28 @@ fn analysis_of<'a>(
     slots[func.index()].get_or_init(|| FunctionAnalysis::new(program.func(func)))
 }
 
+fn empty_analyses(program: &Program) -> Vec<OnceLock<FunctionAnalysis>> {
+    (0..program.funcs().len())
+        .map(|_| OnceLock::new())
+        .collect()
+}
+
 impl BranchClassifier {
     /// Analyzes `program` and classifies every branch, in program order.
     pub fn analyze(program: &Program) -> BranchClassifier {
-        let branches = BranchTable::build(program);
-        let analyses: Vec<OnceLock<FunctionAnalysis>> = (0..program.funcs().len())
-            .map(|_| OnceLock::new())
-            .collect();
-        let mut class = Vec::with_capacity(branches.len());
-        let mut loop_pred = Vec::with_capacity(branches.len());
-        for &b in branches.refs() {
+        let analyses = empty_analyses(program);
+        let mut rows = BranchMap::new();
+        for b in program.branches() {
             let Terminator::Branch {
                 taken, fallthru, ..
             } = program.func(b.func).block(b.block).term
             else {
-                unreachable!("branch table holds only branch sites")
+                unreachable!("branches() yields only branch sites")
             };
             let a = analysis_of(&analyses, program, b.func);
-            let (c, p) = classify_branch(a, b.block, taken, fallthru);
-            class.push(c);
-            loop_pred.push(p);
+            rows.set(b, classify_branch(a, b.block, taken, fallthru));
         }
-        BranchClassifier {
-            analyses,
-            branches,
-            class,
-            loop_pred,
-        }
+        BranchClassifier { analyses, rows }
     }
 
     /// Rebuilds a classifier from cached classification rows without
@@ -110,42 +98,33 @@ impl BranchClassifier {
         program: &Program,
         rows: &[(BranchRef, BranchClass, Option<Direction>)],
     ) -> Option<BranchClassifier> {
-        let branches = BranchTable::build(program);
+        let branches = program.branches();
         if rows.len() != branches.len() {
             return None;
         }
-        let mut class = Vec::with_capacity(rows.len());
-        let mut loop_pred = Vec::with_capacity(rows.len());
-        for (&expect, &(got, c, p)) in branches.refs().iter().zip(rows) {
-            if got != expect {
-                return None;
-            }
+        let mut map = BranchMap::new();
+        for (&expect, &(got, c, p)) in branches.iter().zip(rows) {
             // Loop predictions exist exactly for loop branches.
-            if (c == BranchClass::Loop) != p.is_some() {
+            if got != expect || (c == BranchClass::Loop) != p.is_some() {
                 return None;
             }
-            class.push(c);
-            loop_pred.push(p);
+            map.set(got, (c, p));
         }
         Some(BranchClassifier {
-            analyses: (0..program.funcs().len())
-                .map(|_| OnceLock::new())
-                .collect(),
-            branches,
-            class,
-            loop_pred,
+            analyses: empty_analyses(program),
+            rows: map,
         })
     }
 
-    /// The dense id of `branch`.
+    /// The class and loop prediction of `branch`.
     ///
     /// # Panics
     ///
     /// Panics if `branch` does not name a conditional branch of the
     /// analyzed program.
-    fn id(&self, branch: BranchRef) -> BranchId {
-        self.branches
-            .id_of(branch)
+    fn row(&self, branch: BranchRef) -> (BranchClass, Option<Direction>) {
+        self.rows
+            .get(branch)
             .unwrap_or_else(|| panic!("{branch} is not a branch site of this program"))
     }
 
@@ -156,16 +135,7 @@ impl BranchClassifier {
     /// Panics if `branch` does not name a conditional branch of the
     /// analyzed program.
     pub fn class(&self, branch: BranchRef) -> BranchClass {
-        self.class_by_id(self.id(branch))
-    }
-
-    /// The class of a branch site, by dense id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn class_by_id(&self, id: BranchId) -> BranchClass {
-        self.class[id.index()]
+        self.row(branch).0
     }
 
     /// The loop predictor's choice, for loop branches (`None` for
@@ -176,12 +146,7 @@ impl BranchClassifier {
     /// Panics if `branch` does not name a conditional branch of the
     /// analyzed program.
     pub fn loop_prediction(&self, branch: BranchRef) -> Option<Direction> {
-        self.loop_pred[self.id(branch).index()]
-    }
-
-    /// The program's `BranchRef ⇄ BranchId` side table.
-    pub fn branch_table(&self) -> &BranchTable {
-        &self.branches
+        self.row(branch).1
     }
 
     /// The control-flow analysis for one function, computed on first
@@ -197,21 +162,13 @@ impl BranchClassifier {
 
     /// Iterator over all classified branch sites, in program order.
     pub fn branches(&self) -> impl Iterator<Item = (BranchRef, BranchClass)> + '_ {
-        self.branches
-            .refs()
-            .iter()
-            .zip(&self.class)
-            .map(|(&b, &c)| (b, c))
+        self.rows.iter().map(|(b, (c, _))| (b, c))
     }
 
     /// Iterator over the full classification rows in program order —
     /// what the cache persists.
     pub fn rows(&self) -> impl Iterator<Item = (BranchRef, BranchClass, Option<Direction>)> + '_ {
-        self.branches
-            .refs()
-            .iter()
-            .zip(self.class.iter().zip(&self.loop_pred))
-            .map(|(&b, (&c, &p))| (b, c, p))
+        self.rows.iter().map(|(b, (c, p))| (b, c, p))
     }
 
     /// Is the taken edge of `branch` a backedge? (Diagnostics and the
@@ -418,7 +375,7 @@ mod tests {
             }",
         );
         let order: Vec<BranchRef> = c.branches().map(|(b, _)| b).collect();
-        assert_eq!(order, p.branches(), "dense iteration is program order");
+        assert_eq!(order, p.branches(), "iteration is program order");
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use bpfree_ir::Interner;
 use bpfree_sim::EdgeProfile;
 
 use crate::classify::{BranchClass, BranchClassifier};
@@ -85,8 +84,8 @@ impl Report {
 /// partial prediction sets such as a single heuristic in isolation — use
 /// [`evaluate_coverage`] for those).
 ///
-/// Iteration is over the classifier's dense program-order branch
-/// enumeration, so accumulation order is deterministic.
+/// Iteration is over the classifier's branches in program order, so
+/// accumulation order is deterministic.
 ///
 /// # Example
 ///
@@ -209,38 +208,19 @@ pub fn evaluate_coverage(
     stats
 }
 
-/// Per-attribution-source coverage statistics, keyed by interned source
-/// label — the dense replacement for the old `HashMap<String, _>`
-/// breakdown. Slots exist for all seven heuristic labels plus
-/// `"Default"`, and iteration follows [`HeuristicKind::index`] order with
-/// `Default` last.
-#[derive(Debug, Clone)]
+/// Per-attribution-source coverage statistics: one slot per heuristic,
+/// in [`HeuristicKind::index`] order, then `Default`. Slots are looked
+/// up and listed by source label.
+#[derive(Debug, Clone, Default)]
 pub struct SourceBreakdown {
-    /// Interned source labels in slot order.
-    names: Interner,
-    /// Stats per slot, parallel to `names`.
-    stats: Vec<CoverageStats>,
+    /// Stats per slot.
+    stats: [CoverageStats; DEFAULT_SLOT + 1],
 }
 
 /// Slot of the `Default` source (after the seven heuristics).
 const DEFAULT_SLOT: usize = 7;
 
 impl SourceBreakdown {
-    fn new() -> SourceBreakdown {
-        let mut names = Interner::default();
-        let mut by_index = HeuristicKind::ALL;
-        by_index.sort_by_key(|k| k.index());
-        for kind in by_index {
-            names.intern(kind.label());
-        }
-        let default = names.intern("Default");
-        debug_assert_eq!(default.0 as usize, DEFAULT_SLOT);
-        SourceBreakdown {
-            names,
-            stats: vec![CoverageStats::default(); DEFAULT_SLOT + 1],
-        }
-    }
-
     fn slot(attr: Attribution) -> usize {
         match attr {
             Attribution::Heuristic(kind) => kind.index(),
@@ -249,23 +229,26 @@ impl SourceBreakdown {
         }
     }
 
+    /// The slot labels, in slot order ([`HeuristicKind::ALL`] is in
+    /// index order).
+    fn labels() -> impl Iterator<Item = &'static str> {
+        HeuristicKind::ALL
+            .into_iter()
+            .map(HeuristicKind::label)
+            .chain(["Default"])
+    }
+
     /// The stats for a source label (`None` for unknown labels).
     pub fn get(&self, label: &str) -> Option<&CoverageStats> {
-        self.names
-            .lookup(label)
-            .map(|id| &self.stats[id.0 as usize])
+        Self::labels()
+            .position(|l| l == label)
+            .map(|slot| &self.stats[slot])
     }
 
     /// Iterator over `(label, stats)` pairs in slot order (heuristics by
     /// dense index, then `Default`).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &CoverageStats)> + '_ {
-        self.names.iter().zip(&self.stats).map(|((_, n), s)| (n, s))
-    }
-}
-
-impl Default for SourceBreakdown {
-    fn default() -> SourceBreakdown {
-        SourceBreakdown::new()
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &CoverageStats)> + '_ {
+        Self::labels().zip(&self.stats)
     }
 }
 
@@ -293,7 +276,7 @@ pub fn evaluate_with_attribution(
 ) -> AttributedReport {
     let predictions = predictor.predictions();
     let report = evaluate(&predictions, profile, classifier);
-    let mut by_source = SourceBreakdown::new();
+    let mut by_source = SourceBreakdown::default();
     let mut total_nonloop = 0u64;
     for (branch, class) in classifier.branches() {
         if class != BranchClass::NonLoop {

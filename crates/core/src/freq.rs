@@ -17,16 +17,15 @@
 //! `freq(b) = Σ freq(p)·prob(p→b)` by damped iteration — convergent
 //! because every cycle's probability product is below one.
 
-use bpfree_ir::{BlockId, BranchRef, FuncId, Program, Terminator};
+use bpfree_ir::{BlockId, BranchMap, BranchRef, FuncId, Program, Terminator};
 
 use crate::classify::BranchClassifier;
 use crate::predictors::{Attribution, CombinedPredictor, Direction};
 
-/// Taken-edge probabilities per branch site, stored as a sorted
-/// association list (built in program order, queried by binary search).
+/// Taken-edge probabilities per branch site.
 #[derive(Debug, Clone, Default)]
 pub struct BranchProbabilities {
-    entries: Vec<(BranchRef, f64)>,
+    taken: BranchMap<f64>,
 }
 
 /// Confidence assigned to each prediction source when converting
@@ -126,7 +125,7 @@ impl BranchProbabilities {
         confidence: Confidence,
     ) -> BranchProbabilities {
         let predictions = predictor.predictions();
-        let mut entries = Vec::new();
+        let mut taken = BranchMap::new();
         for b in program.branches() {
             let conf = match predictor.attribution(b) {
                 Attribution::LoopBranch => confidence.loop_branch,
@@ -138,18 +137,15 @@ impl BranchProbabilities {
                 Some(Direction::FallThru) => 1.0 - conf,
                 None => 0.5,
             };
-            entries.push((b, p_taken));
+            taken.set(b, p_taken);
         }
-        BranchProbabilities { entries }
+        BranchProbabilities { taken }
     }
 
     /// The probability that `branch` takes its taken edge (0.5 if
     /// unknown).
     pub fn taken(&self, branch: BranchRef) -> f64 {
-        self.entries
-            .binary_search_by_key(&branch, |&(b, _)| b)
-            .map(|i| self.entries[i].1)
-            .unwrap_or(0.5)
+        self.taken.get(branch).unwrap_or(0.5)
     }
 
     /// Overrides one branch's probability (for what-if analyses).
@@ -162,10 +158,7 @@ impl BranchProbabilities {
             (0.0..=1.0).contains(&p_taken),
             "probability {p_taken} out of range"
         );
-        match self.entries.binary_search_by_key(&branch, |&(b, _)| b) {
-            Ok(i) => self.entries[i].1 = p_taken,
-            Err(i) => self.entries.insert(i, (branch, p_taken)),
-        }
+        self.taken.set(branch, p_taken);
     }
 }
 
@@ -306,68 +299,28 @@ fn ranks(v: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Estimated frequencies for every branch block of a program, flattened
-/// into a sorted `(branch, frequency)` list for comparison against a
-/// profile.
-#[derive(Debug, Clone, Default)]
-pub struct BranchFrequencies {
-    entries: Vec<(BranchRef, f64)>,
-}
-
-impl BranchFrequencies {
-    /// The estimated frequency of `branch`'s block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch` is not a branch site of the estimated program.
-    pub fn get(&self, branch: BranchRef) -> f64 {
-        let i = self
-            .entries
-            .binary_search_by_key(&branch, |&(b, _)| b)
-            .unwrap_or_else(|_| panic!("{branch} is not a branch site of this program"));
-        self.entries[i].1
-    }
-
-    /// Iterator over `(branch, frequency)` pairs in program order.
-    pub fn iter(&self) -> impl Iterator<Item = (BranchRef, f64)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Number of branch sites estimated.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the program had no branch sites.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Convenience: estimated frequencies for every branch block of a
-/// program, flattened for comparison against a profile.
+/// Estimated frequencies for every branch block of a program, for
+/// comparison against a profile.
 pub fn estimate_branch_block_frequencies(
     program: &Program,
     predictor: &CombinedPredictor,
     confidence: Confidence,
-) -> BranchFrequencies {
+) -> BranchMap<f64> {
     let probs = BranchProbabilities::from_predictor(program, predictor, confidence);
-    let mut entries = Vec::new();
+    let mut out = BranchMap::new();
     for fid in program.func_ids() {
         let freqs = estimate_block_frequencies(program, fid, &probs);
         for bid in program.func(fid).block_ids() {
             if program.func(fid).block(bid).term.is_branch() {
-                entries.push((
-                    BranchRef {
-                        func: fid,
-                        block: bid,
-                    },
-                    freqs.get(bid),
-                ));
+                let branch = BranchRef {
+                    func: fid,
+                    block: bid,
+                };
+                out.set(branch, freqs.get(bid));
             }
         }
     }
-    BranchFrequencies { entries }
+    out
 }
 
 #[cfg(test)]

@@ -253,12 +253,7 @@ mod tests {
         let p = bpfree_lang::compile(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
         let c = BranchClassifier::analyze(&p);
         let t = crate::heuristics::HeuristicTable::build(&p, &c);
-        let mut branches: Vec<BranchRef> = t.branches().collect();
-        branches.sort();
-        branches
-            .into_iter()
-            .map(|b| t.prediction(b, kind))
-            .collect()
+        t.branches().map(|b| t.prediction(b, kind)).collect()
     }
 
     /// A guard whose use sits one block deeper than the successor: the

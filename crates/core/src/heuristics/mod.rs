@@ -22,7 +22,7 @@ mod ret;
 mod store;
 
 use bpfree_cfg::FunctionAnalysis;
-use bpfree_ir::{BlockId, BranchRef, Cond, Function, Program, Terminator};
+use bpfree_ir::{BlockId, BranchMap, BranchRef, Cond, Function, Program, Terminator};
 
 use crate::classify::{BranchClass, BranchClassifier};
 use crate::predictors::Direction;
@@ -196,9 +196,8 @@ impl<'a> BranchContext<'a> {
 }
 
 /// The per-branch applicability table: every heuristic's prediction (or
-/// non-applicability) for every **non-loop** branch of a program, stored
-/// as a dense prediction matrix — one `[Option<Direction>; 7]` row per
-/// branch, rows sorted in program order.
+/// non-applicability) for every **non-loop** branch of a program — one
+/// `[Option<Direction>; 7]` row per branch, in program order.
 ///
 /// Building the table once lets the ordering experiments evaluate all
 /// 5040 priority orders without re-running the heuristics.
@@ -223,19 +222,16 @@ impl<'a> BranchContext<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HeuristicTable {
-    /// Non-loop branch sites, sorted (program order).
-    branches: Vec<BranchRef>,
-    /// Prediction matrix row per branch, parallel to `branches`; columns
-    /// indexed by [`HeuristicKind::index`].
-    matrix: Vec<[Option<Direction>; 7]>,
+    /// Row per non-loop branch; columns indexed by
+    /// [`HeuristicKind::index`].
+    rows: BranchMap<[Option<Direction>; 7]>,
 }
 
 impl HeuristicTable {
     /// Runs all seven heuristics on every non-loop branch, in program
     /// order.
     pub fn build(program: &Program, classifier: &BranchClassifier) -> HeuristicTable {
-        let mut branches = Vec::new();
-        let mut matrix = Vec::new();
+        let mut rows = BranchMap::new();
         for b in program.branches() {
             if classifier.class(b) != BranchClass::NonLoop {
                 continue;
@@ -245,28 +241,26 @@ impl HeuristicTable {
             for kind in HeuristicKind::ALL {
                 row[kind.index()] = kind.predict(&ctx);
             }
-            branches.push(b);
-            matrix.push(row);
+            rows.set(b, row);
         }
-        HeuristicTable { branches, matrix }
+        HeuristicTable { rows }
     }
 
     /// Reassembles a table from previously extracted rows (the inverse
     /// of [`HeuristicTable::rows`]) — used by the on-disk artifact cache
-    /// to restore a table without re-running the heuristics. Rows are
-    /// re-sorted into program order if needed.
+    /// to restore a table without re-running the heuristics. Rows may
+    /// come in any order.
     pub fn from_rows(
         rows: impl IntoIterator<Item = (BranchRef, [Option<Direction>; 7])>,
     ) -> HeuristicTable {
-        let mut rows: Vec<(BranchRef, [Option<Direction>; 7])> = rows.into_iter().collect();
-        rows.sort_by_key(|&(b, _)| b);
-        let (branches, matrix) = rows.into_iter().unzip();
-        HeuristicTable { branches, matrix }
+        HeuristicTable {
+            rows: rows.into_iter().collect(),
+        }
     }
 
     /// Iterator over every `(branch, row)` pair, in program order.
-    pub fn rows(&self) -> impl Iterator<Item = (BranchRef, &[Option<Direction>; 7])> + '_ {
-        self.branches.iter().copied().zip(&self.matrix)
+    pub fn rows(&self) -> impl Iterator<Item = (BranchRef, [Option<Direction>; 7])> + '_ {
+        self.rows.iter()
     }
 
     /// The prediction of `kind` for `branch` (`None` if the heuristic
@@ -276,27 +270,24 @@ impl HeuristicTable {
     }
 
     /// The full row for a branch, indexed by [`HeuristicKind::index`].
-    pub fn row(&self, branch: BranchRef) -> Option<&[Option<Direction>; 7]> {
-        self.branches
-            .binary_search(&branch)
-            .ok()
-            .map(|i| &self.matrix[i])
+    pub fn row(&self, branch: BranchRef) -> Option<[Option<Direction>; 7]> {
+        self.rows.get(branch)
     }
 
     /// Iterator over the non-loop branches in the table, in program
     /// order.
     pub fn branches(&self) -> impl Iterator<Item = BranchRef> + '_ {
-        self.branches.iter().copied()
+        self.rows.iter().map(|(b, _)| b)
     }
 
     /// Number of non-loop branch sites.
     pub fn len(&self) -> usize {
-        self.branches.len()
+        self.rows.len()
     }
 
     /// True when the program has no non-loop branches.
     pub fn is_empty(&self) -> bool {
-        self.branches.is_empty()
+        self.rows.is_empty()
     }
 }
 
@@ -334,12 +325,7 @@ pub(crate) mod testutil {
         let p = bpfree_lang::compile(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
         let c = BranchClassifier::analyze(&p);
         let t = HeuristicTable::build(&p, &c);
-        let mut branches: Vec<BranchRef> = t.branches().collect();
-        branches.sort();
-        branches
-            .into_iter()
-            .map(|b| t.prediction(b, kind))
-            .collect()
+        t.branches().map(|b| t.prediction(b, kind)).collect()
     }
 
     /// Like `predictions_for` but for a single non-loop branch (panics

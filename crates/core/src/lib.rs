@@ -21,6 +21,11 @@
 //!    traces (Section 6), and [`model`] evaluates the closed-form
 //!    sequence-length model of Graph 12.
 //!
+//! Every per-branch result — classes and loop predictions, heuristic
+//! cells, [`Predictions`] and their attribution, branch probabilities
+//! and estimated frequencies — is a [`bpfree_ir::BranchMap`], so it is
+//! built and iterated in program order.
+//!
 //! # Example
 //!
 //! ```

@@ -417,8 +417,8 @@ impl FirstHit {
 }
 
 impl BenchOrderData {
-    /// Condenses one benchmark run, scanning the table's dense
-    /// program-order rows.
+    /// Condenses one benchmark run, scanning the table's rows in
+    /// program order.
     pub fn build(
         name: impl Into<String>,
         table: &HeuristicTable,

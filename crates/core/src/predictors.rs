@@ -1,6 +1,6 @@
 use std::hash::{Hash, Hasher};
 
-use bpfree_ir::{BranchRef, Program, Terminator};
+use bpfree_ir::{BranchMap, BranchRef, Program, Terminator};
 use bpfree_sim::EdgeProfile;
 
 use crate::classify::{BranchClass, BranchClassifier};
@@ -36,12 +36,12 @@ impl Direction {
     }
 }
 
-/// A static prediction for every branch site of a program, stored as a
-/// sorted association list keyed by [`BranchRef`].
+/// A static prediction for every branch site of a program, in program
+/// order.
 ///
 /// The builders below all emit branches in program order, which makes
-/// construction a pure append; [`Predictions::get`] is a binary search
-/// and [`Predictions::iter`] is deterministic (program order).
+/// construction a pure append; `get` is a binary search and `iter` is
+/// deterministic (program order).
 ///
 /// # Example
 ///
@@ -53,68 +53,7 @@ impl Direction {
 /// p.set(b, Direction::Taken);
 /// assert_eq!(p.get(b), Some(Direction::Taken));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Predictions {
-    entries: Vec<(BranchRef, Direction)>,
-}
-
-impl Predictions {
-    /// An empty prediction set.
-    pub fn new() -> Predictions {
-        Predictions::default()
-    }
-
-    /// Sets the prediction for one branch. Appending in program order is
-    /// O(1); out-of-order or repeated sites fall back to a sorted
-    /// insert/overwrite.
-    pub fn set(&mut self, branch: BranchRef, dir: Direction) {
-        match self.entries.last() {
-            Some(&(last, _)) if last < branch => self.entries.push((branch, dir)),
-            None => self.entries.push((branch, dir)),
-            _ => match self.entries.binary_search_by_key(&branch, |&(b, _)| b) {
-                Ok(i) => self.entries[i].1 = dir,
-                Err(i) => self.entries.insert(i, (branch, dir)),
-            },
-        }
-    }
-
-    /// The prediction for `branch`, if any.
-    pub fn get(&self, branch: BranchRef) -> Option<Direction> {
-        self.entries
-            .binary_search_by_key(&branch, |&(b, _)| b)
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-
-    /// Number of predicted branch sites.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no branch is predicted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterator over `(branch, direction)` pairs in program order.
-    pub fn iter(&self) -> impl Iterator<Item = (BranchRef, Direction)> + '_ {
-        self.entries.iter().copied()
-    }
-}
-
-impl FromIterator<(BranchRef, Direction)> for Predictions {
-    /// Collects predictions; on duplicate sites the last one wins (the
-    /// same overwrite semantics as repeated [`Predictions::set`] calls).
-    fn from_iter<I: IntoIterator<Item = (BranchRef, Direction)>>(iter: I) -> Predictions {
-        let mut entries: Vec<(BranchRef, Direction)> = iter.into_iter().collect();
-        entries.sort_by_key(|&(b, _)| b);
-        // Stable sort keeps duplicates in arrival order: keep the last.
-        entries.reverse();
-        entries.dedup_by_key(|&mut (b, _)| b);
-        entries.reverse();
-        Predictions { entries }
-    }
-}
+pub type Predictions = BranchMap<Direction>;
 
 /// Deterministic pseudo-random direction for a branch site: a hash of the
 /// site and a seed. Stable across runs, tables, and predictor
@@ -240,8 +179,8 @@ pub enum Attribution {
 /// branches; for non-loop branches, the first applicable heuristic in a
 /// priority order; random Default otherwise.
 ///
-/// Both the prediction set and the attribution table are dense sorted
-/// vectors built in program order.
+/// Both the prediction set and the attribution table are built in
+/// program order.
 ///
 /// # Example
 ///
@@ -261,8 +200,7 @@ pub enum Attribution {
 #[derive(Debug)]
 pub struct CombinedPredictor {
     predictions: Predictions,
-    /// Sorted parallel to `predictions` (both built in program order).
-    attribution: Vec<(BranchRef, Attribution)>,
+    attribution: BranchMap<Attribution>,
 }
 
 impl CombinedPredictor {
@@ -289,7 +227,7 @@ impl CombinedPredictor {
         seed: u64,
     ) -> CombinedPredictor {
         let mut predictions = Predictions::new();
-        let mut attribution = Vec::new();
+        let mut attribution = BranchMap::new();
         for b in program.branches() {
             match classifier.class(b) {
                 BranchClass::Loop => {
@@ -297,7 +235,7 @@ impl CombinedPredictor {
                         .loop_prediction(b)
                         .expect("loop branches always have a loop prediction");
                     predictions.set(b, dir);
-                    attribution.push((b, Attribution::LoopBranch));
+                    attribution.set(b, Attribution::LoopBranch);
                 }
                 BranchClass::NonLoop => {
                     let mut chosen = None;
@@ -310,7 +248,7 @@ impl CombinedPredictor {
                     let (dir, attr) =
                         chosen.unwrap_or_else(|| (random_direction(b, seed), Attribution::Default));
                     predictions.set(b, dir);
-                    attribution.push((b, attr));
+                    attribution.set(b, attr);
                 }
             }
         }
@@ -331,11 +269,9 @@ impl CombinedPredictor {
     ///
     /// Panics if `branch` is not a branch site of the analyzed program.
     pub fn attribution(&self, branch: BranchRef) -> Attribution {
-        let i = self
-            .attribution
-            .binary_search_by_key(&branch, |&(b, _)| b)
-            .unwrap_or_else(|_| panic!("{branch} is not a branch site of this program"));
-        self.attribution[i].1
+        self.attribution
+            .get(branch)
+            .unwrap_or_else(|| panic!("{branch} is not a branch site of this program"))
     }
 }
 

@@ -1,15 +1,13 @@
-//! Property tests pinning the dense (`BranchId`-indexed) classifier and
-//! heuristic table to a hash-keyed oracle on randomly generated
-//! programs and on every compiled suite program.
+//! Property tests pinning the classifier and heuristic table, both
+//! per-branch tables in program order (`bpfree_ir::BranchMap`), to a
+//! hash-keyed oracle on randomly generated programs and on every
+//! compiled suite program.
 //!
-//! The PR that introduced dense storage replaced `HashMap`-keyed
-//! per-branch tables with `Vec`s indexed by the program-order branch
-//! enumeration. The oracle here re-derives every classification and
-//! every heuristic cell through the public analysis API into plain
-//! `HashMap`s — the shape the old implementation had — and asserts the
-//! dense answers agree branch-for-branch, so an indexing bug in the
-//! dense side tables (off-by-one ids, wrong function ranges, misordered
-//! rows) cannot survive.
+//! The oracle re-derives every classification and every heuristic cell
+//! through the public analysis API into plain `HashMap`s and asserts
+//! the tables agree branch-for-branch, through both their program-order
+//! iteration and their point lookups, so a misordered, missing or
+//! misassigned row cannot survive.
 
 use std::collections::HashMap;
 
@@ -169,8 +167,8 @@ fn oracle_table(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Dense classification agrees with the hash-keyed oracle on every
-    /// branch, and the dense iteration order is exactly program order.
+    /// Classification agrees with the hash-keyed oracle on every branch,
+    /// and its iteration order is exactly program order.
     #[test]
     fn dense_classification_matches_hash_oracle(
         funcs in 1usize..4,
@@ -187,18 +185,16 @@ proptest! {
             prop_assert_eq!(pred, oracle_pred[&b], "loop prediction of {}", b);
         }
         let order: Vec<BranchRef> = c.branches().map(|(b, _)| b).collect();
-        prop_assert_eq!(order, p.branches(), "dense iteration is program order");
+        prop_assert_eq!(order, p.branches(), "iteration is program order");
 
-        // The BranchRef <-> BranchId side table round-trips.
-        let t = c.branch_table();
-        for (i, &b) in t.refs().iter().enumerate() {
-            let id = t.id_of(b).expect("every enumerated branch has an id");
-            prop_assert_eq!(id.index(), i);
-            prop_assert_eq!(t.branch_ref(id), b);
+        // Point lookups find every branch's row.
+        for b in p.branches() {
+            prop_assert_eq!(c.class(b), oracle_class[&b], "class lookup of {}", b);
+            prop_assert_eq!(c.loop_prediction(b), oracle_pred[&b], "loop prediction lookup of {}", b);
         }
     }
 
-    /// The dense heuristic matrix agrees cell-for-cell with direct
+    /// The heuristic table agrees cell-for-cell with direct
     /// heuristic evaluation keyed by hash.
     #[test]
     fn dense_heuristic_table_matches_hash_oracle(
@@ -214,14 +210,14 @@ proptest! {
 
         prop_assert_eq!(t.rows().count(), oracle.len());
         for (b, row) in t.rows() {
-            prop_assert_eq!(*row, oracle[&b], "heuristic row of {}", b);
+            prop_assert_eq!(row, oracle[&b], "heuristic row of {}", b);
             for kind in HeuristicKind::ALL {
                 prop_assert_eq!(t.prediction(b, kind), oracle[&b][kind.index()]);
             }
         }
     }
 
-    /// Classification survives a cache round trip through the dense
+    /// Classification survives a cache round trip through the
     /// row encoding (the engine's warm path) on arbitrary programs.
     #[test]
     fn cached_rows_reproduce_classification(
@@ -240,7 +236,7 @@ proptest! {
     }
 }
 
-/// The dense classifier and heuristic table agree with the hash-keyed
+/// The classifier and heuristic table agree with the hash-keyed
 /// oracle on every branch of all 23 compiled suite programs.
 #[test]
 fn dense_analysis_matches_hash_oracle_on_the_suite() {
@@ -265,7 +261,7 @@ fn dense_analysis_matches_hash_oracle_on_the_suite() {
         }
         assert_eq!(t.rows().count(), oracle.len(), "{}", bench.name);
         for (b, row) in t.rows() {
-            assert_eq!(*row, oracle[&b], "{}: heuristic row of {b}", bench.name);
+            assert_eq!(row, oracle[&b], "{}: heuristic row of {b}", bench.name);
         }
         nonloops += oracle.len();
         loops += oracle_class.len() - oracle.len();

@@ -1,6 +1,5 @@
 use std::collections::HashMap;
 
-use crate::dense::{Interner, NameId};
 use crate::instr::{BlockId, Instr, Terminator};
 use crate::reg::{FReg, Reg};
 use crate::validate::ValidateError;
@@ -231,11 +230,6 @@ pub struct Program {
     entry: FuncId,
     globals_words: i64,
     symbols: HashMap<String, GlobalSym>,
-    /// Function names interned in function order (first occurrence
-    /// wins for duplicates), so name lookups are index-based.
-    fn_names: Interner,
-    /// Per-function interned name id, parallel to `funcs`.
-    fn_name_ids: Vec<NameId>,
 }
 
 impl Program {
@@ -252,15 +246,11 @@ impl Program {
             .position(|f| f.name() == "main")
             .map(|i| FuncId(i as u32))
             .unwrap_or(FuncId(0));
-        let mut fn_names = Interner::new();
-        let fn_name_ids = funcs.iter().map(|f| fn_names.intern(f.name())).collect();
         let p = Program {
             funcs,
             entry,
             globals_words,
             symbols: HashMap::new(),
-            fn_names,
-            fn_name_ids,
         };
         p.validate()?;
         Ok(p)
@@ -280,17 +270,11 @@ impl Program {
         &self.funcs[id.index()]
     }
 
-    /// Looks up a function by name via the interned-name index. With
-    /// duplicate names the first function wins, matching a linear scan.
+    /// Looks up a function by name. With duplicate names the first
+    /// function wins.
     pub fn func_by_name(&self, name: &str) -> Option<(FuncId, &Function)> {
-        let id = self.fn_names.lookup(name)?;
-        let i = self.fn_name_ids.iter().position(|&n| n == id)?;
+        let i = self.funcs.iter().position(|f| f.name() == name)?;
         Some((FuncId(i as u32), &self.funcs[i]))
-    }
-
-    /// The program's function-name interner.
-    pub fn fn_names(&self) -> &Interner {
-        &self.fn_names
     }
 
     /// The entry function id.

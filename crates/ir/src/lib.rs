@@ -15,7 +15,9 @@
 //! A [`Program`] is a collection of [`Function`]s; each function is a list
 //! of [`Block`]s ending in a [`Terminator`]. Conditional branches live only
 //! in terminators, so a branch is identified by a `(FuncId, BlockId)` pair
-//! (see [`BranchRef`]).
+//! (see [`BranchRef`]). Anything the layers above attach to each branch
+//! (a class, heuristic cells, a prediction, profile counts) lives in a
+//! [`BranchMap`], kept in program order.
 //!
 //! # Example
 //!
@@ -34,17 +36,17 @@
 
 #![forbid(unsafe_code)]
 
+mod branch_map;
 mod builder;
 pub mod codec;
-mod dense;
 mod display;
 mod function;
 mod instr;
 mod reg;
 mod validate;
 
+pub use branch_map::BranchMap;
 pub use builder::{BuildError, FunctionBuilder};
-pub use dense::{BranchId, BranchTable, Interner, NameId};
 pub use function::{
     Block, BranchRef, FuncId, Function, GlobalSym, GlobalValues, Program, ProgramBuilder,
 };

@@ -37,11 +37,15 @@
 //! ```
 
 #![deny(missing_docs)]
+// The executor's hot loop is the crate's only `unsafe` (see its module
+// docs and DESIGN §7); nothing else may add any.
+#![deny(unsafe_code)]
 
 mod blocks;
 mod bytes;
 mod decode;
 mod error;
+#[allow(unsafe_code)]
 mod exec;
 mod interp;
 mod observer;

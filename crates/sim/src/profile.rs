@@ -1,6 +1,4 @@
-use std::collections::HashMap;
-
-use bpfree_ir::{BlockId, BranchRef, FuncId};
+use bpfree_ir::{BlockId, BranchMap, BranchRef, FuncId};
 
 use crate::observer::ExecObserver;
 
@@ -38,7 +36,7 @@ impl EdgeCounts {
 }
 
 /// An edge profile: per-branch dynamic counts, exactly what QPT's edge
-/// profiling produced for the paper.
+/// profiling produced for the paper. Iteration is program order.
 ///
 /// # Example
 ///
@@ -59,7 +57,7 @@ impl EdgeCounts {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeProfile {
-    counts: HashMap<BranchRef, EdgeCounts>,
+    counts: BranchMap<EdgeCounts>,
 }
 
 impl EdgeProfile {
@@ -70,12 +68,13 @@ impl EdgeProfile {
 
     /// The counts for `branch` (zero if never executed).
     pub fn counts(&self, branch: BranchRef) -> EdgeCounts {
-        self.counts.get(&branch).copied().unwrap_or_default()
+        self.counts.get(branch).unwrap_or_default()
     }
 
-    /// Iterator over executed branches and their counts.
+    /// Iterator over executed branches and their counts, in program
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (BranchRef, EdgeCounts)> + '_ {
-        self.counts.iter().map(|(&b, &c)| (b, c))
+        self.counts.iter()
     }
 
     /// Number of distinct branch sites that executed at least once.
@@ -85,29 +84,25 @@ impl EdgeProfile {
 
     /// Total dynamic conditional branch count.
     pub fn total_branches(&self) -> u64 {
-        self.counts.values().map(|c| c.total()).sum()
+        self.counts.iter().map(|(_, c)| c.total()).sum()
     }
 
     /// Records one execution (exposed for building profiles in tests).
     pub fn record(&mut self, branch: BranchRef, taken: bool) {
-        let e = self.counts.entry(branch).or_default();
-        if taken {
-            e.taken += 1;
-        } else {
-            e.fallthru += 1;
-        }
+        self.record_many(branch, taken, 1);
     }
 
     /// Records `n` executions of `branch` in one step — the bulk
     /// counterpart of [`EdgeProfile::record`] used by the O(dict)
     /// tally tier, where each dictionary entry stands for many events.
     pub fn record_many(&mut self, branch: BranchRef, taken: bool, n: u64) {
-        let e = self.counts.entry(branch).or_default();
+        let mut c = self.counts(branch);
         if taken {
-            e.taken += n;
+            c.taken += n;
         } else {
-            e.fallthru += n;
+            c.fallthru += n;
         }
+        self.counts.set(branch, c);
     }
 }
 
