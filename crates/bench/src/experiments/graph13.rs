@@ -48,7 +48,7 @@ impl Experiment for Graph13 {
         let mut spread_bench = String::new();
         for d in load_suite_on(engine) {
             let cp = d.combined_predictor();
-            let heuristic = cp.predictions();
+            let heuristic = cp.as_predictions();
             let mut rates = Vec::new();
             for (i, ds) in d.datasets(engine).iter().enumerate() {
                 let (profile, _) = if i == 0 {
@@ -57,7 +57,7 @@ impl Experiment for Graph13 {
                     d.profile_dataset(engine, i)
                 };
                 let perfect = perfect_predictions(&d.program, &profile);
-                let rh = evaluate(&heuristic, &profile, &d.classifier);
+                let rh = evaluate(heuristic, &profile, &d.classifier);
                 let rp = evaluate(&perfect, &profile, &d.classifier);
                 writeln!(
                     w,

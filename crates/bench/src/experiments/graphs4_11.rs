@@ -52,13 +52,13 @@ impl Experiment for Graphs4To11 {
             let d = BenchData::load(engine, bench);
             let perfect = perfect_predictions(&d.program, &d.profile);
             let cp = d.combined_predictor();
-            let heuristic = cp.predictions();
+            let heuristic = cp.as_predictions();
             let loop_rand = loop_rand_predictions(&d.program, &d.classifier, DEFAULT_SEED);
 
             let trace = d.trace(engine);
             let mut analyzer = IpbcAnalyzer::new(&d.program);
             analyzer.add_predictor("Loop+Rand", &loop_rand);
-            analyzer.add_predictor("Heuristic", &heuristic);
+            analyzer.add_predictor("Heuristic", heuristic);
             analyzer.add_predictor("Perfect", &perfect);
             // The perfect predictor above trained on this run's own edge
             // profile, so the sequence analysis cannot share the live pass.

@@ -30,7 +30,7 @@ fn run_at(engine: &Engine, bench: &bpfree_suite::Benchmark, options: Options) ->
         &HeuristicKind::paper_order(),
         DEFAULT_SEED,
     );
-    let r = evaluate(&cp.predictions(), &run.profile, &compiled.classifier);
+    let r = evaluate(cp.as_predictions(), &run.profile, &compiled.classifier);
     (r.all.miss_rate(), r.nonloop.miss_rate())
 }
 

@@ -54,7 +54,7 @@ impl Experiment for SummaryJson {
         let n = suite.len() as f64;
         for d in suite {
             let cp = d.combined_predictor();
-            let heuristic = evaluate(&cp.predictions(), &d.profile, &d.classifier);
+            let heuristic = evaluate(cp.as_predictions(), &d.profile, &d.classifier);
             let perfect = evaluate(
                 &perfect_predictions(&d.program, &d.profile),
                 &d.profile,

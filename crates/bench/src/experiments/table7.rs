@@ -46,7 +46,7 @@ impl Experiment for Table7 {
         let mut rows = Vec::new();
         for d in load_suite_on(engine) {
             let cp = d.combined_predictor();
-            let r = evaluate(&cp.predictions(), &d.profile, &d.classifier);
+            let r = evaluate(cp.as_predictions(), &d.profile, &d.classifier);
             let lr = evaluate(
                 &loop_rand_predictions(&d.program, &d.classifier, DEFAULT_SEED),
                 &d.profile,

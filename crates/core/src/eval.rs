@@ -274,8 +274,8 @@ pub fn evaluate_with_attribution(
     profile: &EdgeProfile,
     classifier: &BranchClassifier,
 ) -> AttributedReport {
-    let predictions = predictor.predictions();
-    let report = evaluate(&predictions, profile, classifier);
+    let predictions = predictor.as_predictions();
+    let report = evaluate(predictions, profile, classifier);
     let mut by_source = SourceBreakdown::default();
     let mut total_nonloop = 0u64;
     for (branch, class) in classifier.branches() {

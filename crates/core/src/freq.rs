@@ -75,7 +75,7 @@ impl Confidence {
         let mut heur_hits = 0u64;
         let mut heur_total = 0u64;
         for (predictor, profile, classifier) in runs {
-            let predictions = predictor.predictions();
+            let predictions = predictor.as_predictions();
             for (branch, _) in classifier.branches() {
                 let counts = profile.counts(branch);
                 if counts.total() == 0 {
@@ -124,7 +124,7 @@ impl BranchProbabilities {
         predictor: &CombinedPredictor,
         confidence: Confidence,
     ) -> BranchProbabilities {
-        let predictions = predictor.predictions();
+        let predictions = predictor.as_predictions();
         let mut taken = BranchMap::new();
         for b in program.branches() {
             let conf = match predictor.attribution(b) {

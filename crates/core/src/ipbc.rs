@@ -21,8 +21,10 @@
 //! one sequence counter per predictor, replacing materialised trace
 //! files.
 
-use bpfree_ir::{BranchRef, Program, Terminator};
-use bpfree_sim::{BranchTrace, ExecObserver, TraceEvent, TraceKernel, TraceSeq};
+use std::marker::PhantomData;
+
+use bpfree_ir::{BranchRef, Program};
+use bpfree_sim::{BranchSite, BranchTrace, ExecObserver, TraceKernel, TraceSeq};
 
 use crate::predictors::{Direction, Predictions};
 
@@ -131,40 +133,6 @@ impl SequenceDist {
     }
 }
 
-/// Dense per-function prediction lookup (`taken?` per block) so the
-/// per-branch hot path avoids hashing.
-struct DensePredictions {
-    per_func: Vec<Vec<Option<bool>>>,
-}
-
-impl DensePredictions {
-    fn build(program: &Program, predictions: &Predictions) -> DensePredictions {
-        let mut per_func: Vec<Vec<Option<bool>>> = program
-            .funcs()
-            .iter()
-            .map(|f| vec![None; f.blocks().len()])
-            .collect();
-        for fid in program.func_ids() {
-            let func = program.func(fid);
-            for bid in func.block_ids() {
-                if let Terminator::Branch { .. } = func.block(bid).term {
-                    let dir = predictions.get(BranchRef {
-                        func: fid,
-                        block: bid,
-                    });
-                    per_func[fid.index()][bid.index()] = dir.map(|d| d == Direction::Taken);
-                }
-            }
-        }
-        DensePredictions { per_func }
-    }
-
-    #[inline]
-    fn predicts_taken(&self, branch: BranchRef) -> Option<bool> {
-        self.per_func[branch.func.index()][branch.block.index()]
-    }
-}
-
 /// Streams an execution once while scoring several static predictors'
 /// sequence-length distributions simultaneously.
 ///
@@ -193,18 +161,20 @@ impl DensePredictions {
 /// assert!(dists[0].ipbc_average() > 1.0);
 /// ```
 pub struct IpbcAnalyzer<'p> {
-    program: &'p Program,
-    dense: Vec<DensePredictions>,
+    program: PhantomData<&'p Program>,
+    predictions: Vec<Predictions>,
     dists: Vec<SequenceDist>,
     current_len: Vec<u64>,
 }
 
 impl<'p> IpbcAnalyzer<'p> {
-    /// Creates an analyzer for one program.
-    pub fn new(program: &'p Program) -> IpbcAnalyzer<'p> {
+    /// Creates an analyzer for one program. It reads only the
+    /// predictions it is given; the borrow ties it to the program they
+    /// describe.
+    pub fn new(_program: &'p Program) -> IpbcAnalyzer<'p> {
         IpbcAnalyzer {
-            program,
-            dense: Vec::new(),
+            program: PhantomData,
+            predictions: Vec::new(),
             dists: Vec::new(),
             current_len: Vec::new(),
         }
@@ -221,8 +191,7 @@ impl<'p> IpbcAnalyzer<'p> {
             self.dists.len() < 64,
             "an IpbcAnalyzer scores at most 64 predictors"
         );
-        self.dense
-            .push(DensePredictions::build(self.program, predictions));
+        self.predictions.push(predictions.clone());
         self.dists.push(SequenceDist::new(name.into()));
         self.current_len.push(0);
     }
@@ -240,15 +209,23 @@ impl<'p> IpbcAnalyzer<'p> {
         self.dists
     }
 
-    /// Which registered predictors mispredict `event`, one bit each.
-    fn miss_mask(&self, event: &TraceEvent) -> u64 {
-        let mut mask = 0u64;
-        for (p, dense) in self.dense.iter().enumerate() {
-            if dense.predicts_taken(event.branch) != Some(event.taken) {
-                mask |= 1 << p;
+    /// Which registered predictors mispredict `branch`, one bit each:
+    /// `[when it falls through, when it is taken]`. A predictor without
+    /// a prediction for `branch` misses it both ways.
+    fn misses(&self, branch: BranchRef) -> [u64; 2] {
+        let mut misses = [0u64; 2];
+        for (p, predictions) in self.predictions.iter().enumerate() {
+            let bit = 1 << p;
+            match predictions.get(branch) {
+                Some(Direction::Taken) => misses[0] |= bit,
+                Some(Direction::FallThru) => misses[1] |= bit,
+                None => {
+                    misses[0] |= bit;
+                    misses[1] |= bit;
+                }
             }
         }
-        mask
+        misses
     }
 }
 
@@ -263,7 +240,7 @@ impl TraceKernel for IpbcAnalyzer<'_> {
         let entries: Vec<(u64, u64)> = trace
             .dict()
             .iter()
-            .map(|e| (e.instrs, self.miss_mask(e)))
+            .map(|e| (e.instrs, self.misses(e.branch)[e.taken as usize]))
             .collect();
         // Each predictor's open run is a distance from one running
         // position, `pos - start[p]`; `base` carries in runs left open
@@ -321,15 +298,15 @@ impl ExecObserver for IpbcAnalyzer<'_> {
         }
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
+    /// The reference path: it looks the branch up in every predictor on
+    /// every event and ignores the slot, so any mix of event streams
+    /// scores correctly.
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        let misses = self.misses(site.branch)[taken as usize];
         for i in 0..self.dists.len() {
             let dist = &mut self.dists[i];
             dist.total_branches += 1;
-            let correct = match self.dense[i].predicts_taken(branch) {
-                Some(p) => p == taken,
-                None => false,
-            };
-            if !correct {
+            if misses & (1 << i) != 0 {
                 dist.mispredicted += 1;
                 dist.breaks += 1;
                 let len = self.current_len[i];

@@ -258,7 +258,13 @@ impl CombinedPredictor {
         }
     }
 
-    /// The complete prediction set (every branch site covered).
+    /// The complete prediction set (every branch site covered), borrowed.
+    pub fn as_predictions(&self) -> &Predictions {
+        &self.predictions
+    }
+
+    /// An owned copy of [`CombinedPredictor::as_predictions`], for
+    /// callers that keep or hand over the prediction set.
     pub fn predictions(&self) -> Predictions {
         self.predictions.clone()
     }

@@ -13,7 +13,8 @@ use bpfree_core::ipbc::IpbcAnalyzer;
 use bpfree_core::{Direction, Predictions};
 use bpfree_ir::{BranchRef, Program, Terminator};
 use bpfree_sim::{
-    BranchTrace, ByteView, ExecObserver, TraceEvent, TraceKernel, TraceRecorder, TraceSeq,
+    BranchSite, BranchTrace, ByteView, ExecObserver, TraceEvent, TraceKernel, TraceRecorder,
+    TraceSeq,
 };
 use proptest::prelude::*;
 
@@ -205,7 +206,9 @@ proptest! {
         let order = events.iter().chain(repeats.iter().map(|&i| &events[i % distinct]));
         for e in order {
             rec.on_instrs(e.instrs);
-            rec.on_branch(e.branch, e.taken);
+            // `sites` is in program order, so a site's index is its slot.
+            let slot = sites.iter().position(|&b| b == e.branch).expect("a site") as u32;
+            rec.on_branch(&BranchSite { branch: e.branch, slot }, e.taken);
         }
         rec.on_instrs(4);
         let trace = rec.into_trace();

@@ -24,6 +24,11 @@
 //!   header), and a `Bin` feeding a `Load`'s address into `LoadRR`
 //!   (the array-indexing idiom).
 //!
+//! Every conditional branch op carries its [`BranchSite`]: the site and
+//! its slot, the branch's index in [`Program::branches`] order
+//! (function-major, then block), which is also `BranchMap`'s order.
+//! Observers index their per-branch state by the slot.
+//!
 //! Decoding changes nothing observable: the executor in [`crate::exec`]
 //! replays the exact [`ExecObserver`](crate::ExecObserver) event stream
 //! (`on_instrs` / `on_branch` order, counts, and block-granular fuel
@@ -33,6 +38,8 @@
 use bpfree_ir::{
     BinOp, BlockId, BranchRef, Cond, FBinOp, FCmp, FReg, FuncId, Instr, Program, Reg, Terminator,
 };
+
+use crate::observer::BranchSite;
 
 /// Sentinel slot index meaning "no register" (absent `ret`/`fret`/`val`).
 pub(crate) const NO_SLOT: u32 = u32::MAX;
@@ -76,6 +83,8 @@ pub(crate) enum AluOp {
 /// it at the sink slot); `target`/`taken`/`fallthru` are op-stream
 /// offsets within the owning function, and every control transfer
 /// carries the target block's fuel (`fuel`/`taken_fuel`/`fallthru_fuel`).
+/// Branch ops carry their [`BranchSite`], which the executor lends to
+/// [`ExecObserver::on_branch`](crate::ExecObserver::on_branch).
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     Li {
@@ -192,7 +201,7 @@ pub(crate) enum Op {
         fallthru: u32,
         taken_fuel: u64,
         fallthru_fuel: u64,
-        site: BranchRef,
+        site: BranchSite,
         cost: u64,
     },
     /// Superinstruction: `Bin` fused with the branch that ends the same
@@ -209,7 +218,7 @@ pub(crate) enum Op {
         fallthru: u32,
         taken_fuel: u64,
         fallthru_fuel: u64,
-        site: BranchRef,
+        site: BranchSite,
         cost: u64,
     },
     /// Superinstruction: `BinImm` fused with the block-ending branch.
@@ -223,7 +232,7 @@ pub(crate) enum Op {
         fallthru: u32,
         taken_fuel: u64,
         fallthru_fuel: u64,
-        site: BranchRef,
+        site: BranchSite,
         cost: u64,
     },
     /// Superinstruction: an ALU op, then a `Load` + `Bin` pair, fused
@@ -245,7 +254,7 @@ pub(crate) enum Op {
         fallthru: u32,
         taken_fuel: u64,
         fallthru_fuel: u64,
-        site: BranchRef,
+        site: BranchSite,
         cost: u64,
     },
     /// Superinstruction: a trailing `Load` + `Bin` pair fused with the
@@ -266,7 +275,7 @@ pub(crate) enum Op {
         fallthru: u32,
         taken_fuel: u64,
         fallthru_fuel: u64,
-        site: BranchRef,
+        site: BranchSite,
         cost: u64,
     },
     Ret {
@@ -321,9 +330,10 @@ impl BytecodeProgram {
     /// execution state is captured, so one `BytecodeProgram` serves any
     /// number of concurrent simulations of the same program.
     pub fn compile(program: &Program) -> BytecodeProgram {
+        let mut next_slot = 0;
         let funcs = program
             .func_ids()
-            .map(|fid| decode_func(program, fid))
+            .map(|fid| decode_func(program, fid, &mut next_slot))
             .collect();
         BytecodeProgram {
             funcs,
@@ -349,7 +359,9 @@ enum TermFusion {
     AluLoadBin,
 }
 
-fn decode_func(program: &Program, fid: FuncId) -> BcFunc {
+/// Lowers one function. Its conditional branches take the slots from
+/// `next_slot` on, in block order.
+fn decode_func(program: &Program, fid: FuncId, next_slot: &mut u32) -> BcFunc {
     let func = program.func(fid);
     // Slot layout: [0] = $zero (never written), [1] = $sp, [2] = $gp,
     // [3..] = temporaries, [n_regs_eff] = write sink for $zero.
@@ -570,10 +582,14 @@ fn decode_func(program: &Program, fid: FuncId) -> BcFunc {
                 taken,
                 fallthru,
             } => {
-                let site = BranchRef {
-                    func: fid,
-                    block: BlockId(bi as u32),
+                let site = BranchSite {
+                    branch: BranchRef {
+                        func: fid,
+                        block: BlockId(bi as u32),
+                    },
+                    slot: *next_slot,
                 };
+                *next_slot += 1;
                 let (cond, taken, fallthru) = (cslot(cond), taken.0, fallthru.0);
                 let n = block.instrs.len();
                 match fusion {
@@ -1082,6 +1098,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ops_stay_112_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 112);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! the caller block's entry and its `on_instrs`, and `on_branch`
 //! follows the `on_instrs` of the block the branch terminates.
 //!
+//! Dispatch state is one op pointer, `ip`: each op reads `*ip` and
+//! advances it, and a jump or branch sets it to the current function's
+//! first op plus the target offset. With a `u32` index into the op
+//! slice instead, the release build's `EdgeProfiler` copies of this
+//! loop kept the index in a stack slot and loaded, incremented and
+//! stored it around every dispatch; with the pointer no copy does
+//! (DESIGN §7).
+//!
 //! # Safety
 //!
 //! The hot loop elides bounds checks on the op stream and the register
@@ -20,12 +28,15 @@
 //! (resp. `< n_fslots`) and every jump target is `< ops.len()`, and the
 //! executor maintains the matching invariants: the arena always holds
 //! at least `base + n_slots` (resp. `fbase + n_fslots`) elements for
-//! the active frame and never shrinks, `pc` only takes values that are
-//! either validated targets or one past a non-terminator op (every
-//! block ends in a terminator, so that successor exists), and saved
-//! `Frame` state restores a prefix of the same arena. Memory accesses
-//! keep their explicit range check — it *is* the `BadAddress`
-//! semantics — and reuse it for the subsequent access.
+//! the active frame and never shrinks; `ip` always points into the
+//! current function's validated op slice, at its first op (every
+//! function has at least one), at a validated target, or one past a
+//! non-terminator op (every block ends in a terminator, so that
+//! successor exists); and saved `Frame` state restores a prefix of the
+//! same arena and an `ip` into the caller's slice, which the boxed op
+//! slices keep in place for the whole run. Memory accesses keep their
+//! explicit range check — it *is* the `BadAddress` semantics — and
+//! reuse it for the subsequent access.
 
 use bpfree_ir::{FBinOp, FCmp, FuncId};
 
@@ -38,7 +49,7 @@ use crate::observer::ExecObserver;
 /// arena, and which absolute slots receive the callee's results.
 struct Frame {
     func: u32,
-    pc: u32,
+    ip: *const Op,
     base: u32,
     fbase: u32,
     sp: i64,
@@ -138,7 +149,7 @@ pub(crate) fn run<O: ExecObserver>(
     let mut ops: &[Op] = &funcs[func as usize].ops;
     let mut n_slots = funcs[func as usize].n_slots;
     let mut n_fslots = funcs[func as usize].n_fslots;
-    let mut pc: u32 = 0;
+    let mut ip: *const Op = ops.as_ptr();
     let mut base: u32 = 0;
     let mut fbase: u32 = 0;
     let mut fflag = false;
@@ -203,12 +214,20 @@ pub(crate) fn run<O: ExecObserver>(
         }};
     }
 
+    // Points `ip` at op `target` of the current function. SAFETY:
+    // `decode::validate` checked `target < ops.len()`.
+    macro_rules! goto {
+        ($target:expr) => {
+            ip = unsafe { ops.as_ptr().add($target as usize) }
+        };
+    }
+
     loop {
-        // SAFETY: `pc` is 0 on function entry (every function has at
-        // least one op), a validated branch target, or one past a
-        // non-terminator op; blocks end in terminators, so in-bounds.
-        let op = unsafe { ops.get_unchecked(pc as usize) };
-        pc += 1;
+        // SAFETY: `ip` points at an op of the current function (see the
+        // module docs). `ip + 1` is in the slice or one past its end, and
+        // is read only after a non-terminator, whose successor exists.
+        let op = unsafe { &*ip };
+        ip = unsafe { ip.add(1) };
         match *op {
             Op::Li { rd, imm } => wr!(rd, imm),
             Op::Move { rd, rs } => wr!(rd, rr!(rs)),
@@ -355,7 +374,7 @@ pub(crate) fn run<O: ExecObserver>(
                 }
                 frames.push(Frame {
                     func,
-                    pc,
+                    ip,
                     base,
                     fbase,
                     sp,
@@ -371,7 +390,7 @@ pub(crate) fn run<O: ExecObserver>(
                 ops = &cf.ops;
                 n_slots = cf.n_slots;
                 n_fslots = cf.n_fslots;
-                pc = 0;
+                ip = ops.as_ptr();
                 base = new_base;
                 fbase = new_fbase;
                 sp = new_sp;
@@ -380,7 +399,7 @@ pub(crate) fn run<O: ExecObserver>(
             Op::Jump { target, cost, fuel } => {
                 observer.on_instrs(cost);
                 charge!(fuel);
-                pc = target;
+                goto!(target);
             }
             Op::Br {
                 cond,
@@ -388,7 +407,7 @@ pub(crate) fn run<O: ExecObserver>(
                 fallthru,
                 taken_fuel,
                 fallthru_fuel,
-                site,
+                ref site,
                 cost,
             } => {
                 observer.on_instrs(cost);
@@ -397,10 +416,10 @@ pub(crate) fn run<O: ExecObserver>(
                 observer.on_branch(site, is_taken);
                 if is_taken {
                     charge!(taken_fuel);
-                    pc = taken;
+                    goto!(taken);
                 } else {
                     charge!(fallthru_fuel);
-                    pc = fallthru;
+                    goto!(fallthru);
                 }
             }
             Op::BinBr {
@@ -413,7 +432,7 @@ pub(crate) fn run<O: ExecObserver>(
                 fallthru,
                 taken_fuel,
                 fallthru_fuel,
-                site,
+                ref site,
                 cost,
             } => {
                 wr!(rd, eval_bin(op, rr!(rs), rr!(rt)));
@@ -423,10 +442,10 @@ pub(crate) fn run<O: ExecObserver>(
                 observer.on_branch(site, is_taken);
                 if is_taken {
                     charge!(taken_fuel);
-                    pc = taken;
+                    goto!(taken);
                 } else {
                     charge!(fallthru_fuel);
-                    pc = fallthru;
+                    goto!(fallthru);
                 }
             }
             Op::BinImmBr {
@@ -439,7 +458,7 @@ pub(crate) fn run<O: ExecObserver>(
                 fallthru,
                 taken_fuel,
                 fallthru_fuel,
-                site,
+                ref site,
                 cost,
             } => {
                 wr!(rd, eval_bin(op, rr!(rs), imm));
@@ -449,10 +468,10 @@ pub(crate) fn run<O: ExecObserver>(
                 observer.on_branch(site, is_taken);
                 if is_taken {
                     charge!(taken_fuel);
-                    pc = taken;
+                    goto!(taken);
                 } else {
                     charge!(fallthru_fuel);
-                    pc = fallthru;
+                    goto!(fallthru);
                 }
             }
             Op::AluLoadBinBr {
@@ -469,7 +488,7 @@ pub(crate) fn run<O: ExecObserver>(
                 fallthru,
                 taken_fuel,
                 fallthru_fuel,
-                site,
+                ref site,
                 cost,
             } => {
                 // SAFETY: frame invariant + validated slots.
@@ -484,10 +503,10 @@ pub(crate) fn run<O: ExecObserver>(
                 observer.on_branch(site, is_taken);
                 if is_taken {
                     charge!(taken_fuel);
-                    pc = taken;
+                    goto!(taken);
                 } else {
                     charge!(fallthru_fuel);
-                    pc = fallthru;
+                    goto!(fallthru);
                 }
             }
             Op::LoadBinBr {
@@ -503,7 +522,7 @@ pub(crate) fn run<O: ExecObserver>(
                 fallthru,
                 taken_fuel,
                 fallthru_fuel,
-                site,
+                ref site,
                 cost,
             } => {
                 let at = memaddr!(ld_base, ld_offset);
@@ -516,10 +535,10 @@ pub(crate) fn run<O: ExecObserver>(
                 observer.on_branch(site, is_taken);
                 if is_taken {
                     charge!(taken_fuel);
-                    pc = taken;
+                    goto!(taken);
                 } else {
                     charge!(fallthru_fuel);
-                    pc = fallthru;
+                    goto!(fallthru);
                 }
             }
             Op::Ret { val, fval, cost } => {
@@ -541,7 +560,7 @@ pub(crate) fn run<O: ExecObserver>(
                         ops = &bf.ops;
                         n_slots = bf.n_slots;
                         n_fslots = bf.n_fslots;
-                        pc = f.pc;
+                        ip = f.ip;
                         base = f.base;
                         fbase = f.fbase;
                         sp = f.sp;

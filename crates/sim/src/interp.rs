@@ -4,7 +4,7 @@ use bpfree_ir::{
 
 use crate::decode::BytecodeProgram;
 use crate::error::SimError;
-use crate::observer::ExecObserver;
+use crate::observer::{BranchSite, ExecObserver};
 
 /// Which interpreter implementation a [`Simulator`] runs.
 ///
@@ -85,6 +85,10 @@ pub struct Simulator<'p> {
     pub(crate) fuel_left: u64,
     depth: usize,
     decoded: Option<&'p BytecodeProgram>,
+    /// The tree walker's branch slots, `[func][block]`: each branch's
+    /// index in [`Program::branches`], the decoder's numbering. Filled
+    /// once per tree-walking run.
+    slots: Vec<Vec<u32>>,
 }
 
 pub(crate) const GP_BASE: i64 = 1;
@@ -107,6 +111,7 @@ impl<'p> Simulator<'p> {
             fuel_left: config.fuel,
             depth: 0,
             decoded: None,
+            slots: Vec::new(),
         }
     }
 
@@ -209,6 +214,16 @@ impl<'p> Simulator<'p> {
                 }
             },
             InterpTier::Tree => {
+                let mut slots: Vec<Vec<u32>> = self
+                    .program
+                    .funcs()
+                    .iter()
+                    .map(|f| vec![u32::MAX; f.blocks().len()])
+                    .collect();
+                for (b, slot) in self.program.branches().into_iter().zip(0..) {
+                    slots[b.func.index()][b.block.index()] = slot;
+                }
+                self.slots = slots;
                 let entry = self.program.entry();
                 let sp_top = self.config.mem_words as i64;
                 self.call(entry, &[], &[], sp_top, observer)?
@@ -278,13 +293,14 @@ impl<'p> Simulator<'p> {
                     fallthru,
                 } => {
                     let is_taken = eval_cond(cond, &regs, fflag);
-                    observer.on_branch(
-                        BranchRef {
+                    let site = BranchSite {
+                        branch: BranchRef {
                             func: func_id,
                             block,
                         },
-                        is_taken,
-                    );
+                        slot: self.slots[func_id.index()][block.index()],
+                    };
+                    observer.on_branch(&site, is_taken);
                     block = if is_taken { *taken } else { *fallthru };
                 }
                 Terminator::Ret { val, fval } => {

@@ -41,7 +41,6 @@
 // docs and DESIGN §7); nothing else may add any.
 #![deny(unsafe_code)]
 
-mod blocks;
 mod bytes;
 mod decode;
 mod error;
@@ -53,12 +52,11 @@ mod profile;
 mod replay;
 mod trace;
 
-pub use blocks::BranchBlockCounter;
 pub use bytes::ByteView;
 pub use decode::BytecodeProgram;
 pub use error::SimError;
 pub use interp::{InterpTier, RunResult, SimConfig, Simulator};
-pub use observer::{CountingObserver, ExecObserver, NullObserver, Pair};
+pub use observer::{BranchSite, CountingObserver, ExecObserver, NullObserver, Pair};
 pub use profile::{EdgeCounts, EdgeProfile, EdgeProfiler};
 pub use replay::TraceKernel;
 pub use trace::{BranchTrace, TraceEvent, TraceRecorder, TraceSeq, TraceTally};

@@ -1,5 +1,22 @@
 use bpfree_ir::BranchRef;
 
+/// A conditional branch as an event stream reports it: the site, and its
+/// dense slot in that stream's numbering.
+///
+/// The bytecode decoder numbers a program's branches `0..n` in
+/// [`Program::branches`](bpfree_ir::Program::branches) order, and the
+/// tree walker passes the same numbers. A replay numbers the distinct
+/// sites of its trace `0..k`, also in program order, so a slot means one
+/// branch only within one event stream: an observer that keeps per-slot
+/// state must see a single stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchSite {
+    /// The branch site.
+    pub branch: BranchRef,
+    /// Its index in the stream's numbering.
+    pub slot: u32,
+}
+
 /// Receives execution events from the simulator.
 ///
 /// This is the trace stream of the paper in streaming form: straight-line
@@ -16,9 +33,9 @@ pub trait ExecObserver {
         let _ = count;
     }
 
-    /// A conditional branch at `branch` executed and went `taken`.
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        let _ = (branch, taken);
+    /// The conditional branch at `site` executed and went `taken`.
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        let _ = (site, taken);
     }
 }
 
@@ -54,7 +71,7 @@ impl ExecObserver for CountingObserver {
         self.instructions += count;
     }
 
-    fn on_branch(&mut self, _branch: BranchRef, taken: bool) {
+    fn on_branch(&mut self, _site: &BranchSite, taken: bool) {
         self.branches += 1;
         if taken {
             self.taken += 1;
@@ -67,8 +84,8 @@ impl<T: ExecObserver + ?Sized> ExecObserver for &mut T {
         (**self).on_instrs(count);
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        (**self).on_branch(branch, taken);
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        (**self).on_branch(site, taken);
     }
 }
 
@@ -97,9 +114,9 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Pair<A, B> {
         self.1.on_instrs(count);
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        self.0.on_branch(branch, taken);
-        self.1.on_branch(branch, taken);
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        self.0.on_branch(site, taken);
+        self.1.on_branch(site, taken);
     }
 }
 
@@ -113,12 +130,15 @@ mod tests {
         let mut c = CountingObserver::default();
         c.on_instrs(5);
         c.on_instrs(3);
-        let b = BranchRef {
-            func: FuncId(0),
-            block: BlockId(0),
+        let b = BranchSite {
+            branch: BranchRef {
+                func: FuncId(0),
+                block: BlockId(0),
+            },
+            slot: 0,
         };
-        c.on_branch(b, true);
-        c.on_branch(b, false);
+        c.on_branch(&b, true);
+        c.on_branch(&b, false);
         assert_eq!(c.instructions, 8);
         assert_eq!(c.branches, 2);
         assert_eq!(c.taken, 1);
@@ -140,9 +160,12 @@ mod tests {
         );
         fan.on_instrs(7);
         fan.on_branch(
-            BranchRef {
-                func: FuncId(0),
-                block: BlockId(1),
+            &BranchSite {
+                branch: BranchRef {
+                    func: FuncId(0),
+                    block: BlockId(1),
+                },
+                slot: 0,
             },
             true,
         );

@@ -1,6 +1,6 @@
-use bpfree_ir::{BlockId, BranchMap, BranchRef, FuncId};
+use bpfree_ir::{BranchMap, BranchRef};
 
-use crate::observer::ExecObserver;
+use crate::observer::{BranchSite, ExecObserver};
 
 /// Dynamic taken/fall-through counts for one branch site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,60 +114,29 @@ impl FromIterator<(BranchRef, EdgeCounts)> for EdgeProfile {
     }
 }
 
-/// A table indexed `[func][block]`, grown on demand.
-///
-/// Branch-event observers keep their per-site state here instead of in
-/// a hash map: a live event costs two bounds-checked loads, and a slot
-/// that never saw an event stays at its default. Shared with the trace
-/// recorder's per-site dictionary lists.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SiteTable<T> {
-    funcs: Vec<Vec<T>>,
-}
-
-impl<T: Default + Clone> SiteTable<T> {
-    /// The slot of `branch`, created (with every slot below it) if new.
-    #[inline]
-    pub(crate) fn slot(&mut self, branch: BranchRef) -> &mut T {
-        let (f, b) = (branch.func.index(), branch.block.index());
-        if f >= self.funcs.len() || b >= self.funcs[f].len() {
-            self.grow(f, b);
-        }
-        &mut self.funcs[f][b]
-    }
-
-    #[cold]
-    fn grow(&mut self, f: usize, b: usize) {
-        if f >= self.funcs.len() {
-            self.funcs.resize_with(f + 1, Vec::new);
-        }
-        let blocks = &mut self.funcs[f];
-        if b >= blocks.len() {
-            blocks.resize(b + 1, T::default());
-        }
-    }
-
-    /// Every slot ever created, in `(func, block)` order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (BranchRef, &T)> + '_ {
-        self.funcs.iter().enumerate().flat_map(|(f, blocks)| {
-            blocks.iter().enumerate().map(move |(b, slot)| {
-                let branch = BranchRef {
-                    func: FuncId(f as u32),
-                    block: BlockId(b as u32),
-                };
-                (branch, slot)
-            })
-        })
-    }
-}
-
 /// An [`ExecObserver`] that accumulates an [`EdgeProfile`].
 ///
-/// Counts live in a dense per-site table and are turned into the
-/// (sparse) profile once, when it is asked for.
+/// Counts live in one table indexed by the event's [`BranchSite::slot`],
+/// so an event costs one bounds check and one add. The table grows on a
+/// cold path, so the profiler needs no program and counts a replayed
+/// trace the same way. It is turned into the (sparse) profile once,
+/// when that is asked for.
+///
+/// Slots number branches within one event stream (see [`BranchSite`]),
+/// so one profiler must see one stream: a live run, or one replay.
+/// Debug builds panic on an event whose slot already counted another
+/// branch.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeProfiler {
-    counts: SiteTable<EdgeCounts>,
+    slots: Vec<SlotCounts>,
+}
+
+/// One slot of an [`EdgeProfiler`]: the branch it numbers, and its
+/// `[fallthru, taken]` counts.
+#[derive(Debug, Clone, Copy)]
+struct SlotCounts {
+    branch: BranchRef,
+    counts: [u64; 2],
 }
 
 impl EdgeProfiler {
@@ -182,31 +151,62 @@ impl EdgeProfiler {
     }
 
     /// The profile accumulated so far: every site that executed at
-    /// least once. Slots the table grew past without running stay out.
+    /// least once, in slot order, which is program order. Slots the
+    /// table grew past without running stay out.
     pub fn profile(&self) -> EdgeProfile {
-        self.counts
+        self.slots
             .iter()
-            .filter(|(_, c)| c.total() > 0)
-            .map(|(b, &c)| (b, c))
+            .filter(|s| s.counts != [0, 0])
+            .map(|s| {
+                let [fallthru, taken] = s.counts;
+                (s.branch, EdgeCounts { taken, fallthru })
+            })
             .collect()
     }
 }
 
+/// The entry of a slot-indexed table for `slot`. A slot past the end
+/// grows the table on a cold path, filling the new entries with `fill`;
+/// a branch observer's fill names the event's own branch, which a
+/// slot's first event writes anyway.
+#[inline]
+pub(crate) fn slot_entry<T: Clone>(table: &mut Vec<T>, slot: u32, fill: T) -> &mut T {
+    let slot = slot as usize;
+    if slot >= table.len() {
+        grow(table, slot, fill);
+    }
+    &mut table[slot]
+}
+
+#[cold]
+fn grow<T: Clone>(table: &mut Vec<T>, slot: usize, fill: T) {
+    table.resize(slot + 1, fill);
+}
+
 impl ExecObserver for EdgeProfiler {
     #[inline]
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        let e = self.counts.slot(branch);
-        if taken {
-            e.taken += 1;
-        } else {
-            e.fallthru += 1;
-        }
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        let fill = SlotCounts {
+            branch: site.branch,
+            counts: [0, 0],
+        };
+        let s = slot_entry(&mut self.slots, site.slot, fill);
+        debug_assert!(
+            s.counts == [0, 0] || s.branch == site.branch,
+            "slot {} names both {} and {}: one EdgeProfiler saw two event streams",
+            site.slot,
+            s.branch,
+            site.branch
+        );
+        s.branch = site.branch;
+        s.counts[taken as usize] += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpfree_ir::{BlockId, FuncId};
 
     fn br(b: u32) -> BranchRef {
         BranchRef {

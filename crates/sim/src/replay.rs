@@ -15,8 +15,16 @@
 //! observer that accumulates counts (every observer in this workspace)
 //! sees bit-identical totals at every branch event; only the block-level
 //! granularity of `on_instrs` calls differs from the live run.
+//!
+//! A trace stores no program, so a replay numbers its own slots: the
+//! trace's distinct sites get `0..k` in program order, once per replay.
+//! When the run reached every branch, that is the live run's numbering;
+//! otherwise the two differ, and an observer with per-slot state must
+//! not see both (see [`BranchSite`]).
 
-use crate::observer::ExecObserver;
+use bpfree_ir::BranchRef;
+
+use crate::observer::{BranchSite, ExecObserver};
 use crate::trace::BranchTrace;
 
 /// An analysis with its own pass over a whole trace.
@@ -32,15 +40,32 @@ impl BranchTrace {
     /// observers can replay the same trace, so one interpreter pass
     /// serves every post-hoc analysis.
     pub fn replay<O: ExecObserver + ?Sized>(&self, observer: &mut O) {
-        for event in self.events() {
+        let sites = self.sites();
+        for i in self.indices() {
+            let event = &self.dict()[i as usize];
             if event.instrs > 0 {
                 observer.on_instrs(event.instrs);
             }
-            observer.on_branch(event.branch, event.taken);
+            observer.on_branch(&sites[i as usize], event.taken);
         }
         if self.trailing_instrs() > 0 {
             observer.on_instrs(self.trailing_instrs());
         }
+    }
+
+    /// Each dictionary entry's site in this trace's numbering: its
+    /// distinct branches get slots `0..k` in program order.
+    fn sites(&self) -> Vec<BranchSite> {
+        let mut branches: Vec<BranchRef> = self.dict().iter().map(|e| e.branch).collect();
+        branches.sort_unstable();
+        branches.dedup();
+        self.dict()
+            .iter()
+            .map(|e| BranchSite {
+                branch: e.branch,
+                slot: branches.partition_point(|&b| b < e.branch) as u32,
+            })
+            .collect()
     }
 
     /// Runs `kernel` over this trace: `kernel.replay_trace(self)`, on

@@ -21,8 +21,8 @@
 use bpfree_ir::BranchRef;
 
 use crate::bytes::ByteView;
-use crate::observer::ExecObserver;
-use crate::profile::{EdgeProfile, SiteTable};
+use crate::observer::{BranchSite, ExecObserver};
+use crate::profile::{slot_entry, EdgeProfile};
 
 /// One branch execution: the straight-line instructions since the
 /// previous branch event (this branch's block included), the branch
@@ -302,10 +302,13 @@ impl Iterator for IdxIter<'_> {
 /// Records the branch-event stream of one execution into a
 /// [`BranchTrace`].
 ///
-/// Interning needs no hashing: each branch site keeps the few events
-/// seen there in a dense `[func][block]` table and an event is looked
-/// up by scanning its site's list. A new event takes the next
+/// Interning needs no hashing: each branch keeps the few events seen
+/// there in a list indexed by its [`BranchSite::slot`], and an event is
+/// looked up by scanning its slot's list. A new event takes the next
 /// dictionary index, so the dictionary is in first-occurrence order.
+/// Like [`EdgeProfiler`](crate::EdgeProfiler), a recorder must see one
+/// event stream, and debug builds panic on a slot that names two
+/// branches.
 ///
 /// # Example
 ///
@@ -329,8 +332,9 @@ impl Iterator for IdxIter<'_> {
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     dict: Vec<TraceEvent>,
-    /// Each site's interned events, in first-use order.
-    variants: SiteTable<Vec<Variant>>,
+    /// Per slot: the branch it numbers and its interned events, in
+    /// first-use order.
+    variants: Vec<(BranchRef, Vec<Variant>)>,
     seq: Vec<u32>,
     pending_instrs: u64,
 }
@@ -363,9 +367,16 @@ impl ExecObserver for TraceRecorder {
     }
 
     #[inline]
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
         let instrs = std::mem::take(&mut self.pending_instrs);
-        let variants = self.variants.slot(branch);
+        let branch = site.branch;
+        let (named, variants) = slot_entry(&mut self.variants, site.slot, (branch, Vec::new()));
+        debug_assert!(
+            variants.is_empty() || *named == branch,
+            "slot {} names both {named} and {branch}: one TraceRecorder saw two event streams",
+            site.slot
+        );
+        *named = branch;
         let idx = match variants
             .iter()
             .find(|v| v.instrs == instrs && v.taken == taken)
@@ -404,16 +415,24 @@ mod tests {
         }
     }
 
+    /// Block `n` of function 0, numbered slot `n`.
+    fn site(n: u32) -> BranchSite {
+        BranchSite {
+            branch: b(n),
+            slot: n,
+        }
+    }
+
     #[test]
     fn record_and_replay_roundtrip() {
         let mut rec = TraceRecorder::new();
         rec.on_instrs(3);
         rec.on_instrs(2);
-        rec.on_branch(b(1), true);
+        rec.on_branch(&site(1), true);
         rec.on_instrs(4);
-        rec.on_branch(b(1), true); // same event interns once
+        rec.on_branch(&site(1), true); // same event interns once
         rec.on_instrs(4);
-        rec.on_branch(b(2), false);
+        rec.on_branch(&site(2), false);
         rec.on_instrs(1);
         let trace = rec.into_trace();
 
@@ -440,7 +459,7 @@ mod tests {
         let mut rec = TraceRecorder::new();
         for _ in 0..1000 {
             rec.on_instrs(5);
-            rec.on_branch(b(3), true);
+            rec.on_branch(&site(3), true);
         }
         let trace = rec.into_trace();
         assert_eq!(trace.len(), 1000);
@@ -452,7 +471,7 @@ mod tests {
         let mut rec = TraceRecorder::new();
         for i in 0..100 {
             rec.on_instrs(5);
-            rec.on_branch(b(3), i % 10 != 9);
+            rec.on_branch(&site(3), i % 10 != 9);
         }
         rec.on_instrs(7);
         let trace = rec.into_trace();
@@ -468,9 +487,9 @@ mod tests {
         let mut rec = TraceRecorder::new();
         for i in 0..50 {
             rec.on_instrs(2);
-            rec.on_branch(b(1), i % 3 == 0);
+            rec.on_branch(&site(1), i % 3 == 0);
             rec.on_instrs(1);
-            rec.on_branch(b(2), i % 7 == 0);
+            rec.on_branch(&site(2), i % 7 == 0);
         }
         let trace = rec.into_trace();
         let mut profiler = EdgeProfiler::new();
@@ -494,9 +513,9 @@ mod tests {
         let mut rec = TraceRecorder::new();
         for i in 0..100 {
             rec.on_instrs(5);
-            rec.on_branch(b(3), i % 10 != 9);
+            rec.on_branch(&site(3), i % 10 != 9);
             rec.on_instrs(2);
-            rec.on_branch(b(4), i % 3 == 0);
+            rec.on_branch(&site(4), i % 3 == 0);
         }
         rec.on_instrs(7);
         let owned = rec.into_trace();

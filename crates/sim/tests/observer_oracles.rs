@@ -1,16 +1,18 @@
 //! The dense branch observers against the hash-map implementations they
 //! replaced. [`EdgeProfiler`] and [`TraceRecorder`] keep their per-site
-//! state in `[func][block]` tables; the oracles below key a `HashMap` by
-//! [`BranchRef`] and by whole [`TraceEvent`]s instead. Over random event
-//! streams and over the real streams of suite benchmarks, both must give
-//! equal profiles, identical traces (dictionary order included), and
-//! equal results after replay.
+//! state in tables indexed by the event's [`BranchSite::slot`]; the
+//! oracles below key a `HashMap` by [`BranchRef`] and by whole
+//! [`TraceEvent`]s instead. Over random event streams and over the real
+//! streams of suite benchmarks, both must give equal profiles, identical
+//! traces (dictionary order included), and equal results after replay.
+//! Replay numbers a trace's own slots, which the last two tests pin.
 
 use std::collections::HashMap;
 
-use bpfree_ir::{BlockId, BranchRef, FuncId};
+use bpfree_ir::{BlockId, BranchRef, FuncId, GlobalValues};
 use bpfree_sim::{
-    BranchTrace, EdgeProfile, EdgeProfiler, ExecObserver, Pair, TraceEvent, TraceRecorder,
+    BranchSite, BranchTrace, EdgeProfile, EdgeProfiler, ExecObserver, Pair, Simulator, TraceEvent,
+    TraceRecorder,
 };
 use proptest::prelude::*;
 
@@ -21,8 +23,8 @@ struct OracleProfiler {
 }
 
 impl ExecObserver for OracleProfiler {
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
-        self.profile.record(branch, taken);
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
+        self.profile.record(site.branch, taken);
     }
 }
 
@@ -47,10 +49,10 @@ impl ExecObserver for OracleRecorder {
         self.pending_instrs += count;
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
         let event = TraceEvent {
             instrs: self.pending_instrs,
-            branch,
+            branch: site.branch,
             taken,
         };
         self.pending_instrs = 0;
@@ -109,28 +111,40 @@ fn assert_agree(dense: Dense, oracle: Oracle, what: &str) {
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Instrs(u64),
-    Branch(BranchRef, bool),
+    Branch(BranchSite, bool),
 }
 
 fn feed<O: ExecObserver>(events: &[Event], observer: &mut O) {
     for &event in events {
         match event {
             Event::Instrs(n) => observer.on_instrs(n),
-            Event::Branch(branch, taken) => observer.on_branch(branch, taken),
+            Event::Branch(site, taken) => observer.on_branch(&site, taken),
         }
     }
 }
 
 /// A random stream over 1–15 sparse sites (func 0..8, block ids up to
-/// 4095, so most table slots never run). Each branch follows 0–2
+/// 4095). Each stream numbers its distinct sites densely in program
+/// order, as a replay does, and `gap` spreads the slots apart so the
+/// tables grow past slots that never run. Each branch follows 0–2
 /// `on_instrs` calls, mostly short so events repeat, but spanning ~60
 /// distinct instruction counts per site; a trailing run may follow.
 fn arb_stream() -> impl Strategy<Value = Vec<Event>> {
-    let site = (0u32..8, 0u32..4096).prop_map(|(f, b)| BranchRef {
+    let branch = (0u32..8, 0u32..4096).prop_map(|(f, b)| BranchRef {
         func: FuncId(f),
         block: BlockId(b),
     });
-    proptest::collection::vec(site, 1..16).prop_flat_map(|sites| {
+    (proptest::collection::vec(branch, 1..16), 1u32..40).prop_flat_map(|(branches, gap)| {
+        let mut distinct = branches.clone();
+        distinct.sort();
+        distinct.dedup();
+        let sites: Vec<BranchSite> = branches
+            .iter()
+            .map(|&branch| BranchSite {
+                branch,
+                slot: gap * distinct.partition_point(|&b| b < branch) as u32,
+            })
+            .collect();
         let n = sites.len();
         let instrs = prop_oneof![3 => 0u64..4, 1 => 0u64..30];
         let step = (proptest::collection::vec(instrs, 0..3), 0..n, any::<bool>());
@@ -179,4 +193,85 @@ fn dense_observers_match_hash_oracles_on_suite_streams() {
         assert!(run.instructions > 0);
         assert_agree(d, o, name);
     }
+}
+
+/// Records the sites a stream reports, in order.
+#[derive(Default)]
+struct SiteLog(Vec<BranchSite>);
+
+impl ExecObserver for SiteLog {
+    fn on_branch(&mut self, site: &BranchSite, _taken: bool) {
+        self.0.push(*site);
+    }
+}
+
+/// A trace recorded with sparse slots replays with its distinct sites
+/// numbered `0..k` in program order, whatever order they first ran in.
+#[test]
+fn replay_numbers_a_sparse_traces_sites_in_program_order() {
+    let site = |func, block, slot| BranchSite {
+        branch: BranchRef {
+            func: FuncId(func),
+            block: BlockId(block),
+        },
+        slot,
+    };
+    let live = [
+        site(2, 9, 40),
+        site(0, 3, 7),
+        site(2, 9, 40),
+        site(1, 0, 19),
+        site(0, 3, 7),
+    ];
+    let mut recorder = TraceRecorder::new();
+    for (i, s) in live.iter().enumerate() {
+        recorder.on_instrs(3);
+        recorder.on_branch(s, i % 2 == 0);
+    }
+    let mut log = SiteLog::default();
+    recorder.into_trace().replay(&mut log);
+    let replayed = [
+        site(2, 9, 2),
+        site(0, 3, 0),
+        site(2, 9, 2),
+        site(1, 0, 1),
+        site(0, 3, 0),
+    ];
+    assert_eq!(log.0, replayed);
+}
+
+/// One `EdgeProfiler` fed a live run and then a replay of a trace that
+/// missed a branch sees two numberings; debug builds refuse the second.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(
+    expected = "slot 1 names both @0:L1 and @0:L2: one EdgeProfiler saw two event streams"
+)]
+fn an_edge_profiler_refuses_a_second_numbering() {
+    let program = bpfree_lang::compile(
+        "global int g;
+        fn main() -> int {
+            int s;
+            if (g > 0) { if (g > 5) { s = 1; } }
+            if (s == 0) { s = 2; }
+            return s;
+        }",
+    )
+    .unwrap();
+    let run = |g: i64, observer: &mut dyn ExecObserver| {
+        let mut values = GlobalValues::new();
+        values.set_int("g", vec![g]);
+        let mut sim = Simulator::new(&program);
+        sim.set_globals(&values).unwrap();
+        sim.run(&mut { observer }).unwrap();
+    };
+    // With `g = 0` the run skips the inner test (@0:L1), so the replay
+    // gives the last test (@0:L2) slot 1, which the live run gave the
+    // inner one.
+    let mut recorder = TraceRecorder::new();
+    run(0, &mut recorder);
+    let trace = recorder.into_trace();
+    let mut profiler = EdgeProfiler::new();
+    run(9, &mut profiler);
+    trace.replay(&mut profiler);
 }

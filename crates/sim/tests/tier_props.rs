@@ -2,13 +2,14 @@
 //! random small Cmm programs must behave *identically* under the
 //! tree-walking reference and the pre-decoded bytecode tier — same
 //! `Ok` results, same `SimError`s (variant and payload), and the same
-//! `ExecObserver` event stream up to the point of success or failure.
+//! `ExecObserver` event stream up to the point of success or failure,
+//! branch slots included: the tree walker numbers branches in
+//! `Program::branches` order, which pins the decoder's numbering.
 //! Error paths are exercised on purpose: tiny fuel budgets (OutOfFuel),
 //! shallow call-depth limits (StackOverflow), tiny memories
 //! (OutOfMemory), and wild pointer offsets (BadAddress).
 
-use bpfree_ir::BranchRef;
-use bpfree_sim::{ExecObserver, InterpTier, SimConfig, SimError, Simulator};
+use bpfree_sim::{BranchSite, ExecObserver, InterpTier, SimConfig, SimError, Simulator};
 use proptest::prelude::*;
 
 /// Order-sensitive FNV-1a digest of the observer event stream.
@@ -40,11 +41,12 @@ impl ExecObserver for EventHasher {
         self.mix(count);
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
         self.events += 1;
         self.mix(2);
-        self.mix(branch.func.index() as u64);
-        self.mix(branch.block.index() as u64);
+        self.mix(site.branch.func.index() as u64);
+        self.mix(site.branch.block.index() as u64);
+        self.mix(u64::from(site.slot));
         self.mix(u64::from(taken));
     }
 }
@@ -134,7 +136,8 @@ proptest! {
 
     /// Calls and recursion: helper functions survive or inline
     /// depending on the optimiser, and either way both tiers must walk
-    /// the same frames in the same order.
+    /// the same frames in the same order and number the branches of
+    /// both functions alike.
     #[test]
     fn random_calls_agree(
         e in arb_expr(),
@@ -147,7 +150,10 @@ proptest! {
                 return rec(n - 1, acc + {e}, v0, v1, v2);
             }}
             fn main() -> int {{
-                return rec({depth}, 0, {}, {}, {});
+                int r;
+                r = rec({depth}, 0, {}, {}, {});
+                if (r < 0) {{ r = 0 - r; }}
+                return r;
             }}",
             vars[0], vars[1], vars[2]
         );

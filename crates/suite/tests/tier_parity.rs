@@ -5,16 +5,20 @@
 //! tree-walking reference and the pre-decoded bytecode tier, and the
 //! two executions must agree on *everything observable* — exit code,
 //! dynamic instruction count, the full `ExecObserver` event stream
-//! (order included), and the final contents of every named global.
+//! (order and branch slots included: the tree walker numbers branches
+//! in `Program::branches` order, so this pins the decoder's slots), and
+//! the final contents of every named global.
 //!
 //! Event streams run to millions of branches, so instead of
 //! materialising them we fold each into an order-sensitive FNV-1a hash;
 //! equal hashes plus equal event counts make accidental collisions a
 //! non-concern for a regression suite.
 
-use bpfree_ir::{BranchRef, Program};
+use bpfree_ir::Program;
 use bpfree_lang::Options;
-use bpfree_sim::{BytecodeProgram, ExecObserver, InterpTier, RunResult, SimConfig, Simulator};
+use bpfree_sim::{
+    BranchSite, BytecodeProgram, ExecObserver, InterpTier, RunResult, SimConfig, Simulator,
+};
 use bpfree_suite::Dataset;
 
 /// Folds the observer event stream into an order-sensitive hash.
@@ -46,11 +50,12 @@ impl ExecObserver for EventHasher {
         self.mix(count);
     }
 
-    fn on_branch(&mut self, branch: BranchRef, taken: bool) {
+    fn on_branch(&mut self, site: &BranchSite, taken: bool) {
         self.events += 1;
         self.mix(2);
-        self.mix(branch.func.index() as u64);
-        self.mix(branch.block.index() as u64);
+        self.mix(site.branch.func.index() as u64);
+        self.mix(site.branch.block.index() as u64);
+        self.mix(u64::from(site.slot));
         self.mix(u64::from(taken));
     }
 }

@@ -9,13 +9,35 @@
 //!
 //! Run with: `cargo run --release --example trace_layout`
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use bpfree::core::{CombinedPredictor, Direction, HeuristicKind};
 use bpfree::engine::{Engine, EngineConfig};
 use bpfree::ir::{BlockId, BranchRef, FuncId, Terminator};
 use bpfree::lang::Options;
-use bpfree::sim::BranchBlockCounter;
+use bpfree::sim::{BranchSite, ExecObserver};
+
+/// Counts the dynamic instructions of each branch-terminated block's
+/// region. The simulator reports straight-line instruction batches
+/// without naming the block, so each batch goes to the branch that
+/// produces the next event: exact for branch-ending blocks, while runs
+/// ending in jumps or returns land in the next branch block's region.
+#[derive(Default)]
+struct BranchBlockCounter {
+    instructions: HashMap<BranchRef, u64>,
+    pending_instrs: u64,
+}
+
+impl ExecObserver for BranchBlockCounter {
+    fn on_instrs(&mut self, count: u64) {
+        self.pending_instrs += count;
+    }
+
+    fn on_branch(&mut self, site: &BranchSite, _taken: bool) {
+        *self.instructions.entry(site.branch).or_default() +=
+            std::mem::take(&mut self.pending_instrs);
+    }
+}
 
 fn main() {
     let engine = Engine::new(EngineConfig::default());
@@ -23,7 +45,7 @@ fn main() {
     let compiled = engine.compiled(&bench, Options::default());
     let (program, classifier) = (&compiled.program, &compiled.classifier);
     let predictor = CombinedPredictor::new(program, classifier, HeuristicKind::paper_order());
-    let predictions = predictor.predictions();
+    let predictions = predictor.as_predictions();
 
     // Grow one trace per function: start at the entry, follow jumps and
     // predicted branch directions, stop on return or revisit.
@@ -63,7 +85,7 @@ fn main() {
     // engine's recorded branch trace replays into any observer, so this
     // analysis shares the single interpreter pass (or a cached trace)
     // with everything else computed for gcc/dataset 0.
-    let mut counter = BranchBlockCounter::new();
+    let mut counter = BranchBlockCounter::default();
     engine
         .trace(&bench, Options::default(), 0)
         .replay(&mut counter);
@@ -72,7 +94,7 @@ fn main() {
 
     let mut on_trace = 0u64;
     let mut total = 0u64;
-    for (branch, count) in counter.instructions() {
+    for (branch, count) in &counter.instructions {
         total += count;
         if trace_blocks.contains(&(branch.func, branch.block)) {
             on_trace += count;

@@ -57,7 +57,7 @@ fn main() {
     let program = compile(PROGRAM).unwrap_or_else(|e| panic!("{}", e.render(PROGRAM)));
     let classifier = BranchClassifier::analyze(&program);
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
-    let predictions = predictor.predictions();
+    let predictions = predictor.as_predictions();
 
     let mut profiler = EdgeProfiler::new();
     Simulator::new(&program).run(&mut profiler).unwrap();

@@ -55,7 +55,7 @@
 //! // Predict every branch statically, then score against the profile.
 //! let classifier = BranchClassifier::analyze(&program);
 //! let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
-//! let report = evaluate(&predictor.predictions(), &profile, &classifier);
+//! let report = evaluate(predictor.as_predictions(), &profile, &classifier);
 //! assert!(report.all.miss_rate() < 0.5);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

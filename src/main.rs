@@ -338,7 +338,7 @@ fn cmd_predict(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let program = load_program(path, Options::default())?;
     let classifier = BranchClassifier::analyze(&program);
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
-    let predictions = predictor.predictions();
+    let predictions = predictor.as_predictions();
 
     let mut profiler = EdgeProfiler::new();
     Simulator::new(&program)
@@ -387,7 +387,7 @@ fn cmd_predict(out: &mut Out, args: &[String]) -> Result<(), Failure> {
             }
         )?;
     }
-    let report = evaluate(&predictions, &profile, &classifier);
+    let report = evaluate(predictions, &profile, &classifier);
     let perfect = evaluate(
         &perfect_predictions(&program, &profile),
         &profile,
@@ -418,7 +418,7 @@ fn cmd_cfg(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     }
     let classifier = BranchClassifier::analyze(&program);
     let predictor = CombinedPredictor::new(&program, &classifier, HeuristicKind::paper_order());
-    let predictions = predictor.predictions();
+    let predictions = predictor.as_predictions();
 
     writeln!(out, "digraph bpfree {{")?;
     writeln!(out, "  node [shape=box, fontname=monospace];")?;
@@ -527,7 +527,7 @@ fn cmd_bench(out: &mut Out, args: &[String]) -> Result<(), Failure> {
     let (profile, result) = (&bundle.profile, bundle.result);
 
     let predictor = CombinedPredictor::new(program, classifier, HeuristicKind::paper_order());
-    let report = evaluate(&predictor.predictions(), profile, classifier);
+    let report = evaluate(predictor.as_predictions(), profile, classifier);
     let perfect = evaluate(&perfect_predictions(program, profile), profile, classifier);
 
     writeln!(out, "benchmark: {} — {}", bench.name, bench.description)?;
