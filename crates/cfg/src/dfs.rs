@@ -97,11 +97,6 @@ impl DfsOrder {
             _ => false,
         }
     }
-
-    /// Number of reachable blocks.
-    pub fn n_reachable(&self) -> usize {
-        self.rpo.len()
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +137,7 @@ mod tests {
         let dfs = DfsOrder::compute(&cfg);
         assert!(dfs.is_reachable(e));
         assert!(!dfs.is_reachable(dead));
-        assert_eq!(dfs.n_reachable(), 1);
+        assert_eq!(dfs.rpo.len(), 1);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Cfg {
         &self.preds[b.index()]
     }
 
-    /// Edge kinds parallel to [`Cfg::successors`].
-    pub fn successor_kinds(&self, b: BlockId) -> &[EdgeKind] {
-        &self.kinds[b.index()]
-    }
-
     /// Iterator over all edges as `(src, dst, kind)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (BlockId, BlockId, EdgeKind)> + '_ {
         (0..self.n_blocks() as u32).flat_map(move |i| {
@@ -155,10 +150,7 @@ mod tests {
         b.set_term(f, ret());
         let cfg = Cfg::new(&b.finish().unwrap());
         assert_eq!(cfg.successors(e), &[t, f]);
-        assert_eq!(
-            cfg.successor_kinds(e),
-            &[EdgeKind::Taken, EdgeKind::FallThru]
-        );
+        assert_eq!(cfg.kinds[e.index()], &[EdgeKind::Taken, EdgeKind::FallThru]);
         assert_eq!(cfg.exits(), &[t, f]);
     }
 

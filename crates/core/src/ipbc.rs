@@ -126,11 +126,6 @@ impl SequenceDist {
         }
         (N_BUCKETS as u64) * 10
     }
-
-    /// The per-bucket sequence counts (for tests and custom plots).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 /// Streams an execution once while scoring several static predictors'
@@ -342,11 +337,7 @@ mod tests {
         assert_eq!(dists, reference.finish());
         assert_eq!(dists[0].breaks, 0);
         assert_eq!(dists[0].total_instructions, trace.trailing_instrs());
-        assert_eq!(
-            dists[0].bucket_counts().iter().sum::<u64>(),
-            1,
-            "one open run"
-        );
+        assert_eq!(dists[0].counts.iter().sum::<u64>(), 1, "one open run");
     }
 
     #[test]

@@ -122,8 +122,22 @@ impl Default for Options {
 }
 
 impl Options {
+    /// Every option set, one per [`Options::fingerprint`].
+    pub const ALL: [Options; 4] = [
+        Options {
+            inline: true,
+            simplify: true,
+        },
+        Options {
+            inline: true,
+            simplify: false,
+        },
+        Options::no_inline(),
+        Options::o0(),
+    ];
+
     /// No optimisation passes: the raw lowering output.
-    pub fn o0() -> Options {
+    pub const fn o0() -> Options {
         Options {
             inline: false,
             simplify: false,
@@ -131,7 +145,7 @@ impl Options {
     }
 
     /// CFG cleanup without inlining.
-    pub fn no_inline() -> Options {
+    pub const fn no_inline() -> Options {
         Options {
             inline: false,
             simplify: true,
@@ -148,6 +162,12 @@ impl Options {
             (true, false) => "O:inline",
             (false, false) => "O0",
         }
+    }
+
+    /// The option set whose [`Options::fingerprint`] is `fp`, or `None`
+    /// for a string no option set prints.
+    pub fn from_fingerprint(fp: &str) -> Option<Options> {
+        Options::ALL.into_iter().find(|o| o.fingerprint() == fp)
     }
 }
 
@@ -192,4 +212,17 @@ pub fn compile(source: &str) -> Result<Program, CompileError> {
 pub fn compile_with(source: &str, options: Options) -> Result<Program, CompileError> {
     let ast = parse(source)?;
     lower::lower(&ast, options)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Options;
+
+    #[test]
+    fn fingerprints_name_each_option_set_and_nothing_else() {
+        for o in Options::ALL {
+            assert_eq!(Options::from_fingerprint(o.fingerprint()), Some(o));
+        }
+        assert_eq!(Options::from_fingerprint("O:unroll"), None);
+    }
 }

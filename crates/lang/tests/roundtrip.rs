@@ -9,20 +9,6 @@ use bpfree_ir::Program;
 use bpfree_lang::{compile, compile_with, Options};
 use proptest::prelude::*;
 
-/// The four option sets `Options::fingerprint` names.
-fn all_options() -> [Options; 4] {
-    let inline_only = Options {
-        inline: true,
-        simplify: false,
-    };
-    [
-        Options::default(),
-        inline_only,
-        Options::no_inline(),
-        Options::o0(),
-    ]
-}
-
 fn roundtrip(p: &Program) {
     let bytes = p.to_bytes();
     let q = Program::from_bytes(&bytes).unwrap_or_else(|| panic!("decode failed\n{p}"));
@@ -73,7 +59,7 @@ fn suite_bytes() -> &'static [Vec<u8>] {
     BYTES.get_or_init(|| {
         let mut all = Vec::new();
         for b in bpfree_suite::all() {
-            for opt in all_options() {
+            for opt in Options::ALL {
                 let p = compile_with(b.source, opt).unwrap();
                 all.push(p.to_bytes());
             }
@@ -85,7 +71,7 @@ fn suite_bytes() -> &'static [Vec<u8>] {
 #[test]
 fn roundtrips_every_suite_benchmark() {
     for b in bpfree_suite::all() {
-        for opt in all_options() {
+        for opt in Options::ALL {
             let p = compile_with(b.source, opt).unwrap();
             roundtrip(&p);
         }

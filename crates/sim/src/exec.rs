@@ -36,11 +36,14 @@
 //! same arena and an `ip` into the caller's slice, which the boxed op
 //! slices keep in place for the whole run. Memory accesses keep their
 //! explicit range check — it *is* the `BadAddress` semantics — and
-//! reuse it for the subsequent access.
+//! reuse it for the subsequent access. Every conditional-branch op ends
+//! in `branch!`, the loop's one `eval_cond` site, which reads the
+//! condition's slots and both targets from the op's `BrTail`, the
+//! struct `validate` checks with one closure.
 
 use bpfree_ir::{FBinOp, FCmp, FuncId};
 
-use crate::decode::{AluOp, BcCond, BytecodeProgram, Op, NO_SLOT};
+use crate::decode::{AluOp, BcCond, BrTail, BytecodeProgram, Op, NO_SLOT};
 use crate::error::SimError;
 use crate::interp::{eval_bin, Simulator, GP_BASE};
 use crate::observer::ExecObserver;
@@ -222,6 +225,27 @@ pub(crate) fn run<O: ExecObserver>(
         };
     }
 
+    // Ends the block a conditional branch terminates: its instruction
+    // count, the condition, the branch event, then the chosen edge's
+    // fuel and jump. Every conditional-branch op runs its fused prefix
+    // and then this, so the loop evaluates conditions in this one place.
+    macro_rules! branch {
+        ($br:expr) => {{
+            let br: &BrTail = $br;
+            observer.on_instrs(br.cost);
+            // SAFETY: frame invariant + validated slots.
+            let is_taken = unsafe { eval_cond(br.cond, &regs, base, fflag) };
+            observer.on_branch(&br.site, is_taken);
+            if is_taken {
+                charge!(br.taken_fuel);
+                goto!(br.taken);
+            } else {
+                charge!(br.fallthru_fuel);
+                goto!(br.fallthru);
+            }
+        }};
+    }
+
     loop {
         // SAFETY: `ip` points at an op of the current function (see the
         // module docs). `ip + 1` is in the slice or one past its end, and
@@ -401,78 +425,26 @@ pub(crate) fn run<O: ExecObserver>(
                 charge!(fuel);
                 goto!(target);
             }
-            Op::Br {
-                cond,
-                taken,
-                fallthru,
-                taken_fuel,
-                fallthru_fuel,
-                ref site,
-                cost,
-            } => {
-                observer.on_instrs(cost);
-                // SAFETY: frame invariant + validated slots.
-                let is_taken = unsafe { eval_cond(cond, &regs, base, fflag) };
-                observer.on_branch(site, is_taken);
-                if is_taken {
-                    charge!(taken_fuel);
-                    goto!(taken);
-                } else {
-                    charge!(fallthru_fuel);
-                    goto!(fallthru);
-                }
-            }
+            Op::Br(ref br) => branch!(br),
             Op::BinBr {
                 op,
                 rd,
                 rs,
                 rt,
-                cond,
-                taken,
-                fallthru,
-                taken_fuel,
-                fallthru_fuel,
-                ref site,
-                cost,
+                ref br,
             } => {
                 wr!(rd, eval_bin(op, rr!(rs), rr!(rt)));
-                observer.on_instrs(cost);
-                // SAFETY: frame invariant + validated slots.
-                let is_taken = unsafe { eval_cond(cond, &regs, base, fflag) };
-                observer.on_branch(site, is_taken);
-                if is_taken {
-                    charge!(taken_fuel);
-                    goto!(taken);
-                } else {
-                    charge!(fallthru_fuel);
-                    goto!(fallthru);
-                }
+                branch!(br);
             }
             Op::BinImmBr {
                 op,
                 rd,
                 rs,
                 imm,
-                cond,
-                taken,
-                fallthru,
-                taken_fuel,
-                fallthru_fuel,
-                ref site,
-                cost,
+                ref br,
             } => {
                 wr!(rd, eval_bin(op, rr!(rs), imm));
-                observer.on_instrs(cost);
-                // SAFETY: frame invariant + validated slots.
-                let is_taken = unsafe { eval_cond(cond, &regs, base, fflag) };
-                observer.on_branch(site, is_taken);
-                if is_taken {
-                    charge!(taken_fuel);
-                    goto!(taken);
-                } else {
-                    charge!(fallthru_fuel);
-                    goto!(fallthru);
-                }
+                branch!(br);
             }
             Op::AluLoadBinBr {
                 pre,
@@ -483,13 +455,7 @@ pub(crate) fn run<O: ExecObserver>(
                 rd,
                 rs,
                 rt,
-                cond,
-                taken,
-                fallthru,
-                taken_fuel,
-                fallthru_fuel,
-                ref site,
-                cost,
+                ref br,
             } => {
                 // SAFETY: frame invariant + validated slots.
                 unsafe { do_alu(pre, &mut regs, base) };
@@ -497,17 +463,7 @@ pub(crate) fn run<O: ExecObserver>(
                 // SAFETY: `memaddr!` checked `at < mem.len()`.
                 wr!(ld_rd, unsafe { *mem.get_unchecked(at) });
                 wr!(rd, eval_bin(op, rr!(rs), rr!(rt)));
-                observer.on_instrs(cost);
-                // SAFETY: frame invariant + validated slots.
-                let is_taken = unsafe { eval_cond(cond, &regs, base, fflag) };
-                observer.on_branch(site, is_taken);
-                if is_taken {
-                    charge!(taken_fuel);
-                    goto!(taken);
-                } else {
-                    charge!(fallthru_fuel);
-                    goto!(fallthru);
-                }
+                branch!(br);
             }
             Op::LoadBinBr {
                 ld_rd,
@@ -517,29 +473,13 @@ pub(crate) fn run<O: ExecObserver>(
                 rd,
                 rs,
                 rt,
-                cond,
-                taken,
-                fallthru,
-                taken_fuel,
-                fallthru_fuel,
-                ref site,
-                cost,
+                ref br,
             } => {
                 let at = memaddr!(ld_base, ld_offset);
                 // SAFETY: `memaddr!` checked `at < mem.len()`.
                 wr!(ld_rd, unsafe { *mem.get_unchecked(at) });
                 wr!(rd, eval_bin(op, rr!(rs), rr!(rt)));
-                observer.on_instrs(cost);
-                // SAFETY: frame invariant + validated slots.
-                let is_taken = unsafe { eval_cond(cond, &regs, base, fflag) };
-                observer.on_branch(site, is_taken);
-                if is_taken {
-                    charge!(taken_fuel);
-                    goto!(taken);
-                } else {
-                    charge!(fallthru_fuel);
-                    goto!(fallthru);
-                }
+                branch!(br);
             }
             Op::Ret { val, fval, cost } => {
                 observer.on_instrs(cost);
